@@ -19,16 +19,32 @@ import numpy as np
 
 from . import __version__
 from .errors import AnalysisError, ConfigError, ConvergenceError, SchemeIntegrityError
-from .fields import Field, norm, sum_by_parts_defect
+from .fields import SUM_BY_PARTS_COEFF, Field, norm, sum_by_parts_defect
 from .lattice import (
     Params,
     VortexConfig,
     assemble_source,
     build_domain,
     manhattan_norm,
+    validate_dimension,
 )
-from .linear import LinearSolveOptions, LinearSystem, dense_solve, linear_energy_eval, linear_solve
+from .linear import (
+    MAX_PRINCIPLE_TOL,
+    MINIMIZER_SLACK,
+    ORACLE_REL_TOL,
+    LinearSolveOptions,
+    LinearSystem,
+    dense_solve,
+    linear_energy_eval,
+    linear_solve,
+)
 from .exhaustion import (
+    BARRIER_MARGIN_FLOOR,
+    COERCIVITY_FLOOR,
+    L2_DROP_TOL,
+    L2_STABILIZATION_TOL,
+    NESTED_TOL,
+    RATE_MARGIN,
     barrier_check,
     coercivity_check,
     coercivity_default_grid,
@@ -36,32 +52,30 @@ from .exhaustion import (
     lp_summary,
     run_exhaustion,
     shell_profile,
+    validate_epsilon,
+    validate_radii,
 )
 from .scheme import (
-    BoundedSolution,
     ENERGY_SLACK,
+    FIELD_SIGN_TOL,
+    FLUX_TOL,
+    MAXIMALITY_TOL,
+    MONOTONE_TOL,
+    RESIDUAL_FACTOR,
+    SYMMETRY_TOL,
+    VORTEX_VALUE_BOUND,
+    BoundedSolution,
     boundary_flux,
     newton_solve,
     nonlinearity,
     solve_bounded,
+    validate_stopping,
 )
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
-
-# Check thresholds, fixed by the module invariants they certify.
-MONOTONE_TOL = 1e-10
-NESTED_TOL = 1e-8
-FLUX_TOL = 1e-8
-FIELD_SIGN_TOL = 1e-10
-L2_STABILIZATION_TOL = 1e-3
-RATE_MARGIN = 0.01
-BARRIER_MIN_MARGIN = -1e-15
-ORACLE_REL_TOL = 1e-10
-MINIMIZER_SLACK = -1e-12
-SUM_BY_PARTS_COEFF = 1e-12
 
 _SEED = 20260809
 
@@ -121,6 +135,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        """Check the JSON types and shapes here; the library checks the values."""
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         known = {
@@ -137,24 +152,9 @@ class RunConfig:
             return raw[key]
 
         dimension = _as_int(need("dimension"), "dimension")
-        if dimension < 2:
-            raise ConfigError(f"dimension: must be >= 2, got {dimension}")
         lam = _as_float(need("lambda"), "lambda")
-        if not lam > 0:
-            raise ConfigError(f"lambda: must be positive, got {lam}")
         a = _as_float(need("a"), "a")
-        if not a > 0:
-            raise ConfigError(f"a: must be positive, got {a}")
-        K = raw.get("K")
-        if K is None:
-            K = a * lam + 1.0
-        else:
-            K = _as_float(K, "K")
-            if not K > a * lam:
-                raise ConfigError(
-                    f"K: the iteration constant must satisfy K > a*lambda "
-                    f"(got K={K}, a*lambda={a * lam})"
-                )
+        K = None if raw.get("K") is None else _as_float(raw["K"], "K")
 
         vortices = []
         raw_vortices = need("vortices")
@@ -172,41 +172,16 @@ class RunConfig:
                 )
             p = tuple(_as_int(c, f"vortices[{i}].point[{j}]") for j, c in enumerate(point))
             m = _as_int(entry["multiplicity"], f"vortices[{i}].multiplicity")
-            if m < 1:
-                raise ConfigError(f"vortices[{i}].multiplicity: must be >= 1, got {m}")
             vortices.append((p, m))
-        try:
-            VortexConfig(vortices)
-        except ValueError as exc:
-            raise ConfigError(f"vortices: {exc}") from exc
 
         radii = raw.get("radii", [10, 20, 30, 40])
-        if not isinstance(radii, list) or not radii:
-            raise ConfigError("radii: must be a nonempty list of integers")
+        if not isinstance(radii, list):
+            raise ConfigError("radii: must be a list of integers")
         radii = [_as_int(r, f"radii[{i}]") for i, r in enumerate(radii)]
-        if any(r < 0 for r in radii):
-            raise ConfigError(f"radii: must be nonnegative, got {radii}")
-        if any(b <= a_ for a_, b in zip(radii, radii[1:])):
-            raise ConfigError(f"radii: must be strictly increasing, got {radii}")
-        for p, _ in vortices:
-            if manhattan_norm(p) > radii[0]:
-                raise ConfigError(
-                    f"vortices: point {list(p)} lies outside the smallest ball "
-                    f"(radius {radii[0]})"
-                )
-
         epsilon = _as_float(raw.get("epsilon", 0.1), "epsilon")
-        if not 0.0 < epsilon < 1.0:
-            raise ConfigError(f"epsilon: must lie in (0, 1), got {epsilon}")
         tol_nonlinear = _as_float(raw.get("tol_nonlinear", 1e-10), "tol_nonlinear")
-        if not tol_nonlinear > 0:
-            raise ConfigError(f"tol_nonlinear: must be positive, got {tol_nonlinear}")
         tol_linear = _as_float(raw.get("tol_linear", 1e-12), "tol_linear")
-        if not 0.0 < tol_linear < 1.0:
-            raise ConfigError(f"tol_linear: must lie in (0, 1), got {tol_linear}")
         max_steps = _as_int(raw.get("max_steps", 500), "max_steps")
-        if max_steps < 1:
-            raise ConfigError(f"max_steps: must be >= 1, got {max_steps}")
         output_dir = raw.get("output_dir", "out")
         if not isinstance(output_dir, str):
             raise ConfigError("output_dir: must be a string")
@@ -219,11 +194,21 @@ class RunConfig:
         flags = {k: _as_bool(emit.get(k, True), f"emit.{k}")
                  for k in ("field_csv", "trace_csv", "report_json")}
 
+        try:
+            validate_dimension(dimension)
+            params = Params(lam, a, K)
+            validate_radii(radii, VortexConfig(vortices))
+            validate_epsilon(epsilon)
+            validate_stopping(tol_nonlinear, max_steps)
+            LinearSolveOptions(tol_rel=tol_linear)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
         return cls(
             dimension=dimension,
             lam=lam,
             a=a,
-            K=K,
+            K=params.K,
             vortices=vortices,
             radii=radii,
             epsilon=epsilon,
@@ -246,7 +231,13 @@ def _as_int(value, name: str) -> int:
 def _as_float(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name}: must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+    return number
 
 
 def _as_bool(value, name: str) -> bool:
@@ -322,7 +313,8 @@ def _check(name: str, passed: bool, value: float | None = None,
 
 def solution_checks(sol: BoundedSolution, cfg: RunConfig) -> list[dict]:
     f = sol.field
-    g = assemble_source(sol.domain, sol.vortex)
+    # Unused result, kept until perfbench/spans.py stops timing this call.
+    assemble_source(sol.domain, sol.vortex)
     checks = [
         _check("monotone_iterates", sol.trace.max_monotone_violation <= MONOTONE_TOL,
                sol.trace.max_monotone_violation, MONOTONE_TOL),
@@ -333,8 +325,8 @@ def solution_checks(sol: BoundedSolution, cfg: RunConfig) -> list[dict]:
                max(s.energy for s in sol.trace.steps), ENERGY_SLACK),
         _check("field_nonpositive", float(np.max(f.values)) <= FIELD_SIGN_TOL,
                float(np.max(f.values)), FIELD_SIGN_TOL),
-        _check("terminal_residual", sol.residual_sup <= 100.0 * cfg.tol_nonlinear,
-               sol.residual_sup, 100.0 * cfg.tol_nonlinear),
+        _check("terminal_residual", sol.residual_sup <= RESIDUAL_FACTOR * cfg.tol_nonlinear,
+               sol.residual_sup, RESIDUAL_FACTOR * cfg.tol_nonlinear),
     ]
     flux_gap = abs(
         float(np.sum(nonlinearity(f.interior_values, sol.params)))
@@ -344,7 +336,8 @@ def solution_checks(sol: BoundedSolution, cfg: RunConfig) -> list[dict]:
     checks.append(_check("flux_identity", flux_gap <= FLUX_TOL, flux_gap, FLUX_TOL))
     if sol.vortex.vortices:
         worst = max(f(p) for p, _ in sol.vortex.vortices)
-        checks.append(_check("vortex_strictly_negative", worst < 0.0, worst, 0.0))
+        checks.append(_check("vortex_strictly_negative", worst < VORTEX_VALUE_BOUND,
+                             worst, VORTEX_VALUE_BOUND))
     return checks
 
 
@@ -371,32 +364,13 @@ def _radius_block(sol: BoundedSolution) -> dict:
 
 def cmd_solve(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    dom = build_domain(cfg.dimension, cfg.radii[-1])
     report: dict = {"command": "solve", "config": cfg.to_dict(), "version": __version__}
     try:
-        sol = solve_bounded(
-            dom, cfg.vortex_config, cfg.params,
-            tol_nonlinear=cfg.tol_nonlinear,
-            max_steps=cfg.max_steps,
-            linear_opts=cfg.linear_opts,
-        )
-    except ConvergenceError as exc:
+        sol = _solve(cfg, cfg.radii[-1])
+    except (ConvergenceError, SchemeIntegrityError) as exc:
         if cfg.emit_trace_csv and exc.trace is not None:
             write_trace_csv(out_dir / "trace.csv", exc.trace)
-        report["error"] = {"type": "convergence", "message": str(exc)}
-        if cfg.emit_report_json:
-            write_report(out_dir / "report.json", report)
-        _say(quiet, f"convergence failure: {exc}")
-        return EXIT_NO_CONVERGENCE
-    except SchemeIntegrityError as exc:
-        if cfg.emit_trace_csv and exc.trace is not None:
-            write_trace_csv(out_dir / "trace.csv", exc.trace)
-        report["error"] = {"type": "scheme_integrity", "message": str(exc)}
-        report["all_checks_passed"] = False
-        if cfg.emit_report_json:
-            write_report(out_dir / "report.json", report)
-        _say(quiet, f"scheme integrity failure: {exc}")
-        return EXIT_CHECK_FAILED
+        return _solver_failure(exc, report, cfg, out_dir, quiet)
 
     checks = solution_checks(sol, cfg)
     report["radii"] = [_radius_block(sol)]
@@ -409,13 +383,13 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         write_trace_csv(out_dir / "trace.csv", sol.trace)
     if cfg.emit_report_json:
         write_report(out_dir / "report.json", report)
-    _say(quiet, f"radius {dom.radius}: {sol.iterations} iterations, "
+    _say(quiet, f"radius {sol.domain.radius}: {sol.iterations} iterations, "
                 f"residual {sol.residual_sup:.3e}")
     _say(quiet, _verdict(checks))
     return EXIT_OK if report["all_checks_passed"] else EXIT_CHECK_FAILED
 
 
-def cmd_exhaust(cfg: RunConfig, out_dir: Path, jobs: int = 1, quiet: bool = False) -> int:
+def cmd_exhaust(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     if len(cfg.radii) < 2:
         raise ConfigError("radii: exhaustion needs at least two radii")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -424,26 +398,10 @@ def cmd_exhaust(cfg: RunConfig, out_dir: Path, jobs: int = 1, quiet: bool = Fals
         result = run_exhaustion(
             cfg.dimension, cfg.vortex_config, cfg.params, cfg.radii,
             tol=cfg.tol_nonlinear, max_steps=cfg.max_steps,
-            linear_opts=cfg.linear_opts, jobs=jobs,
+            linear_opts=cfg.linear_opts,
         )
-    except ConvergenceError as exc:
-        report["error"] = {"type": "convergence", "message": str(exc)}
-        if exc.partial is not None:
-            report["radii"] = [_radius_block(s) for s in exc.partial.solutions]
-            if cfg.emit_field_csv:
-                for s in exc.partial.solutions:
-                    write_field_csv(out_dir / f"field_R{s.domain.radius}.csv", s.field)
-        if cfg.emit_report_json:
-            write_report(out_dir / "report.json", report)
-        _say(quiet, f"convergence failure: {exc}")
-        return EXIT_NO_CONVERGENCE
-    except SchemeIntegrityError as exc:
-        report["error"] = {"type": "scheme_integrity", "message": str(exc)}
-        report["all_checks_passed"] = False
-        if cfg.emit_report_json:
-            write_report(out_dir / "report.json", report)
-        _say(quiet, f"scheme integrity failure: {exc}")
-        return EXIT_CHECK_FAILED
+    except (ConvergenceError, SchemeIntegrityError) as exc:
+        return _solver_failure(exc, report, cfg, out_dir, quiet)
 
     checks: list[dict] = []
     for sol in result.solutions:
@@ -456,7 +414,7 @@ def cmd_exhaust(cfg: RunConfig, out_dir: Path, jobs: int = 1, quiet: bool = Fals
                          worst_delta, NESTED_TOL))
     l2 = result.l2_norms
     l2_drop = max((a - b) for a, b in zip(l2, l2[1:]))
-    checks.append(_check("l2_nondecreasing", l2_drop <= 1e-12, l2_drop, 1e-12))
+    checks.append(_check("l2_nondecreasing", l2_drop <= L2_DROP_TOL, l2_drop, L2_DROP_TOL))
     l2_gap = abs(l2[-1] - l2[-2])
     checks.append(_check("l2_stabilization", l2_gap <= L2_STABILIZATION_TOL,
                          l2_gap, L2_STABILIZATION_TOL))
@@ -486,12 +444,8 @@ def cmd_exhaust(cfg: RunConfig, out_dir: Path, jobs: int = 1, quiet: bool = Fals
             "c_fit": fit.c_fit,
         }
     checks.append(_check("lp_norms_finite", summary.all_finite))
-
-    barrier = barrier_check(cfg.dimension, cfg.params, cfg.epsilon)
-    checks.append(_check("barrier_inequality", barrier.min_margin >= BARRIER_MIN_MARGIN,
-                         barrier.min_margin, BARRIER_MIN_MARGIN))
-    coercivity = coercivity_check(cfg.a, coercivity_default_grid())
-    checks.append(_check("coercivity_positive", coercivity.all_hold, coercivity.c_est, 0.0))
+    barrier, coercivity, report["verification"] = _constant_checks(cfg)
+    checks += [barrier, coercivity]
 
     report["radii"] = [_radius_block(s) for s in result.solutions]
     report["exhaustion"] = {
@@ -502,11 +456,6 @@ def cmd_exhaust(cfg: RunConfig, out_dir: Path, jobs: int = 1, quiet: bool = Fals
     }
     report["lp"] = {
         ("inf" if math.isinf(p) else _fmt(p)): v for p, v in summary.norms.items()
-    }
-    report["verification"] = {
-        "coercivity_c_est": coercivity.c_est,
-        "barrier_min_margin": barrier.min_margin,
-        "barrier_c1": barrier.c1,
     }
     report["checks"] = checks
     report["all_checks_passed"] = all(c["passed"] for c in checks)
@@ -537,21 +486,14 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     checks.append(_max_principle_check(cfg, rng))
     checks.extend(_scheme_checks(cfg))
     checks.append(_maximality_check(cfg, rng))
-    coercivity = coercivity_check(cfg.a, coercivity_default_grid())
-    checks.append(_check("coercivity_positive", coercivity.all_hold, coercivity.c_est, 0.0))
-    barrier = barrier_check(cfg.dimension, cfg.params, cfg.epsilon)
-    checks.append(_check("barrier_inequality", barrier.min_margin >= BARRIER_MIN_MARGIN,
-                         barrier.min_margin, BARRIER_MIN_MARGIN))
+    barrier, coercivity, verification = _constant_checks(cfg)
+    checks += [coercivity, barrier]
 
     report = {
         "command": "verify",
         "config": cfg.to_dict(),
         "version": __version__,
-        "verification": {
-            "coercivity_c_est": coercivity.c_est,
-            "barrier_min_margin": barrier.min_margin,
-            "barrier_c1": barrier.c1,
-        },
+        "verification": verification,
         "checks": checks,
         "all_checks_passed": all(c["passed"] for c in checks),
     }
@@ -559,6 +501,32 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         write_report(out_dir / "report.json", report)
     _say(quiet, _verdict(checks))
     return EXIT_OK if report["all_checks_passed"] else EXIT_CHECK_FAILED
+
+
+def _solve(cfg: RunConfig, radius: int) -> BoundedSolution:
+    """The configured bounded solve on the ball of the given radius."""
+    return solve_bounded(
+        build_domain(cfg.dimension, radius), cfg.vortex_config, cfg.params,
+        tol_nonlinear=cfg.tol_nonlinear,
+        max_steps=cfg.max_steps,
+        linear_opts=cfg.linear_opts,
+    )
+
+
+def _constant_checks(cfg: RunConfig) -> tuple[dict, dict, dict]:
+    """The barrier and coercivity checks, and the report's verification block."""
+    barrier = barrier_check(cfg.dimension, cfg.params, cfg.epsilon)
+    coercivity = coercivity_check(cfg.a, coercivity_default_grid())
+    verification = {
+        "coercivity_c_est": coercivity.c_est,
+        "barrier_min_margin": barrier.min_margin,
+        "barrier_c1": barrier.c1,
+    }
+    return (
+        _check("barrier_inequality", barrier.all_hold, barrier.min_margin, BARRIER_MARGIN_FLOOR),
+        _check("coercivity_positive", coercivity.all_hold, coercivity.c_est, COERCIVITY_FLOOR),
+        verification,
+    )
 
 
 def _sum_by_parts_check(cfg: RunConfig, rng) -> dict:
@@ -619,28 +587,15 @@ def _max_principle_check(cfg: RunConfig, rng) -> dict:
         except ConvergenceError as exc:
             return _check("linear_max_principle", False, detail=f"solve failed: {exc}")
         worst = max(worst, float(np.max(u.values)))
-    return _check("linear_max_principle", worst <= FIELD_SIGN_TOL, worst, FIELD_SIGN_TOL)
+    return _check("linear_max_principle", worst <= MAX_PRINCIPLE_TOL, worst, MAX_PRINCIPLE_TOL)
 
 
 def _scheme_checks(cfg: RunConfig) -> list[dict]:
-    dom = build_domain(cfg.dimension, cfg.radii[0])
     try:
-        sol = solve_bounded(
-            dom, cfg.vortex_config, cfg.params,
-            tol_nonlinear=cfg.tol_nonlinear,
-            max_steps=cfg.max_steps,
-            linear_opts=cfg.linear_opts,
-        )
-    except SchemeIntegrityError as exc:
-        reason = f"solve aborted: {exc}"
-        return [
-            _check("monotone_iterates", False, detail=reason),
-            _check("energy_nonincreasing", False, detail=reason),
-            _check("flux_identity", False, detail="not evaluated (solve failed)"),
-            _check("symmetry_equivariance", False, detail="not evaluated (solve failed)"),
-        ]
-    except ConvergenceError as exc:
-        reason = f"no convergence: {exc}"
+        sol = _solve(cfg, cfg.radii[0])
+    except (SchemeIntegrityError, ConvergenceError) as exc:
+        aborted = isinstance(exc, SchemeIntegrityError)
+        reason = f"{'solve aborted' if aborted else 'no convergence'}: {exc}"
         return [
             _check("monotone_iterates", False, detail=reason),
             _check("energy_nonincreasing", False, detail=reason),
@@ -658,7 +613,7 @@ def _symmetry_check(sol: BoundedSolution) -> dict:
         return _check("symmetry_equivariance", True,
                       detail="skipped: needs a single vortex at the origin")
     dev = symmetry_deviation(sol.field)
-    return _check("symmetry_equivariance", dev <= MONOTONE_TOL, dev, MONOTONE_TOL)
+    return _check("symmetry_equivariance", dev <= SYMMETRY_TOL, dev, SYMMETRY_TOL)
 
 
 def symmetry_deviation(f: Field) -> float:
@@ -683,30 +638,48 @@ def symmetry_deviation(f: Field) -> float:
 
 def _maximality_check(cfg: RunConfig, rng) -> dict:
     radius = max(8, max((manhattan_norm(p) for p, _ in cfg.vortices), default=0))
-    dom = build_domain(cfg.dimension, radius)
     try:
-        reference = solve_bounded(
-            dom, cfg.vortex_config, cfg.params,
-            tol_nonlinear=cfg.tol_nonlinear,
-            max_steps=cfg.max_steps,
-            linear_opts=cfg.linear_opts,
-        )
+        reference = _solve(cfg, radius)
     except (ConvergenceError, SchemeIntegrityError) as exc:
         return _check("maximality_newton", False, detail=f"reference solve failed: {exc}")
+    dom = reference.domain
     worst = -math.inf
     converged = 0
     for _ in range(10):
         start = Field.from_interior(dom, -3.0 * rng.random(dom.n_interior))
         try:
-            root = newton_solve(dom, cfg.vortex_config, cfg.params, start, tol=1e-10)
+            root = newton_solve(dom, cfg.vortex_config, cfg.params, start)
         except ConvergenceError:
             continue
         converged += 1
         worst = max(worst, float(np.max(root.values - reference.field.values)))
     if converged == 0:
         return _check("maximality_newton", False, detail="no Newton start converged")
-    return _check("maximality_newton", worst <= NESTED_TOL, worst, NESTED_TOL,
+    return _check("maximality_newton", worst <= MAXIMALITY_TOL, worst, MAXIMALITY_TOL,
                   detail=f"{converged}/10 starts converged")
+
+
+def _solver_failure(exc: ConvergenceError | SchemeIntegrityError, report: dict,
+                    cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
+    """Record a failed solve in the report, with any completed radii; return the exit code.
+
+    A convergence failure exits 3; a broken scheme invariant counts as a
+    failed check and exits 1.
+    """
+    integrity = isinstance(exc, SchemeIntegrityError)
+    kind = "scheme_integrity" if integrity else "convergence"
+    report["error"] = {"type": kind, "message": str(exc)}
+    if integrity:
+        report["all_checks_passed"] = False
+    elif exc.partial is not None:
+        report["radii"] = [_radius_block(s) for s in exc.partial.solutions]
+        if cfg.emit_field_csv:
+            for s in exc.partial.solutions:
+                write_field_csv(out_dir / f"field_R{s.domain.radius}.csv", s.field)
+    if cfg.emit_report_json:
+        write_report(out_dir / "report.json", report)
+    _say(quiet, f"{kind.replace('_', ' ')} failure: {exc}")
+    return EXIT_CHECK_FAILED if integrity else EXIT_NO_CONVERGENCE
 
 
 def _verdict(checks: list[dict]) -> str:
@@ -740,8 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to the JSON run configuration")
         p.add_argument("--output-dir", default=None,
                        help="override the config's output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel per-radius solves (exhaust only)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
@@ -754,7 +725,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg, out_dir, quiet=args.quiet)
         if args.command == "exhaust":
-            return cmd_exhaust(cfg, out_dir, jobs=args.jobs, quiet=args.quiet)
+            return cmd_exhaust(cfg, out_dir, quiet=args.quiet)
         return cmd_verify(cfg, out_dir, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

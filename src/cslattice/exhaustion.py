@@ -18,7 +18,6 @@ pointwise inequalities behind that estimate:
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
@@ -31,6 +30,14 @@ from .linear import LinearSolveOptions
 from .scheme import BoundedSolution, solve_bounded
 
 SHELL_VALUE_GUARD = 1e-300  # double-precision floor before taking logs
+
+# Thresholds of the exhaustion and decay invariants.
+NESTED_TOL = 1e-8              # f^{(R_{i+1})} - f^{(R_i)} <= this on B_{R_i}
+L2_DROP_TOL = 1e-12            # l2 norms may drop by at most this along the radii
+L2_STABILIZATION_TOL = 1e-3    # |l2(R_last) - l2(R_prev)| <= this
+RATE_MARGIN = 0.01             # fitted rate >= certified rate - this
+BARRIER_MARGIN_FLOOR = -1e-15  # barrier margins (L v - c1 v)/|v| >= this
+COERCIVITY_FLOOR = 0.0         # the coercivity constant is > this: strict, no slack
 
 
 def decay_rate_theory(params: Params, n: int) -> float:
@@ -75,58 +82,54 @@ def run_exhaustion(
     tol: float = 1e-10,
     max_steps: int = 500,
     linear_opts: LinearSolveOptions = LinearSolveOptions(),
-    jobs: int = 1,
 ) -> ExhaustionResult:
     """Solve on each radius, extend by zero, and record the nesting data.
 
-    Radii must be strictly increasing and the smallest ball must contain
-    every vortex.  Per-radius solves are independent; with jobs > 1 they
-    run on a thread pool, results are still assembled in radius order so
-    output is identical to the sequential run.  A failed solve raises
+    The radii are validated by validate_radii.  A failed solve raises
     ConvergenceError with the completed smaller radii attached as
     ``partial``.
+    """
+    radii = validate_radii(radii, vc)
+    solutions: list[BoundedSolution] = []
+    for r in radii:
+        try:
+            solutions.append(
+                solve_bounded(build_domain(n, r), vc, params, tol, max_steps, linear_opts)
+            )
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"bounded solve failed at radius {r}: {exc}",
+                partial=_assemble(radii[: len(solutions)], solutions),
+                trace=exc.trace,
+            ) from exc
+    return _assemble(radii, solutions)
+
+
+def validate_radii(radii, vc: VortexConfig) -> list[int]:
+    """The radius schedule as ints; raises ValueError unless it is usable.
+
+    It must be nonempty, nonnegative and strictly increasing, and the
+    smallest ball must contain every vortex.
     """
     radii = [int(r) for r in radii]
     if not radii:
         raise ValueError("radii must be a nonempty list")
+    if radii[0] < 0:
+        raise ValueError(f"radii must be nonnegative, got {radii}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly increasing, got {radii}")
     for p, _ in vc.vortices:
         if manhattan_norm(p) > radii[0]:
             raise ValueError(
-                f"vortex {p} lies outside the smallest exhaustion ball (radius {radii[0]})"
+                f"vortex {p} lies outside the smallest ball (radius {radii[0]})"
             )
+    return radii
 
-    def solve_radius(r: int) -> BoundedSolution:
-        return solve_bounded(build_domain(n, r), vc, params, tol, max_steps, linear_opts)
 
-    outcomes: list = []
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(solve_radius, r) for r in radii]
-            for fut in futures:
-                try:
-                    outcomes.append(fut.result())
-                except ConvergenceError as exc:
-                    outcomes.append(exc)
-    else:
-        for r in radii:
-            try:
-                outcomes.append(solve_radius(r))
-            except ConvergenceError as exc:
-                outcomes.append(exc)
-
-    solutions: list[BoundedSolution] = []
-    for r, out in zip(radii, outcomes):
-        if isinstance(out, ConvergenceError):
-            partial = _assemble(radii[: len(solutions)], solutions)
-            raise ConvergenceError(
-                f"bounded solve failed at radius {r}: {out}",
-                partial=partial,
-                trace=out.trace,
-            )
-        solutions.append(out)
-    return _assemble(radii, solutions)
+def validate_epsilon(epsilon: float) -> None:
+    """The decay parameter must lie in (0, 1); raises ValueError otherwise."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
 def _assemble(radii, solutions) -> ExhaustionResult:
@@ -185,8 +188,7 @@ def decay_fit(
     the tail.  Shells whose maximum falls below the underflow guard are
     dropped; an empty window raises AnalysisError.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    validate_epsilon(epsilon)
     dom = sol.domain
     n = dom.dim
     alpha = decay_rate_theory(sol.params, n)
@@ -237,8 +239,7 @@ def barrier_check(
     d + 1 when x_i = 0; the margin is normalized by |v(x)| so the report is
     scale-free across shells.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    validate_epsilon(epsilon)
     r_lo, r_hi = shell_range
     if r_lo < 1 or r_hi < r_lo:
         raise ValueError(f"need 1 <= R1 <= R2, got {shell_range}")
@@ -267,7 +268,7 @@ def barrier_check(
         shell_range=(r_lo, r_hi),
         points_checked=count,
         min_margin=worst,
-        all_hold=worst >= -1e-15,
+        all_hold=worst >= BARRIER_MARGIN_FLOOR,
     )
 
 
@@ -325,7 +326,9 @@ def coercivity_check(a: float, x_grid) -> CoercivityReport:
         w = math.expm1(-k * t) / k - math.expm1(-t)
         ratios.append(w / (t / (1.0 + t)) ** 2)
     c_est = float(min(ratios))
-    return CoercivityReport(a=a, c_est=c_est, all_hold=c_est > 0.0, grid_size=len(ratios))
+    return CoercivityReport(
+        a=a, c_est=c_est, all_hold=c_est > COERCIVITY_FLOOR, grid_size=len(ratios)
+    )
 
 
 @dataclass(frozen=True)

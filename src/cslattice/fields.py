@@ -28,6 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 _SETS = ("interior", "closure")
 
+# Bound on |sum_by_parts_defect(f, g)| / (1 + |f|_inf |g|_inf |closure|).
+SUM_BY_PARTS_COEFF = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class Field:

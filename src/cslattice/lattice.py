@@ -124,10 +124,15 @@ class LatticeDomain:
         return manhattan_norm(p) <= self.radius
 
 
-def build_domain(n: int, radius: int) -> LatticeDomain:
-    """Construct B_radius in Z^n with its boundary sphere and adjacency."""
+def validate_dimension(n: int) -> None:
+    """The lattice Z^n needs n >= 2; raises ValueError otherwise."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
+
+
+def build_domain(n: int, radius: int) -> LatticeDomain:
+    """Construct B_radius in Z^n with its boundary sphere and adjacency."""
+    validate_dimension(n)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
 
@@ -222,7 +227,7 @@ class Params:
             object.__setattr__(self, "K", self.a * self.lam + 1.0)
         if not self.K > self.a * self.lam:
             raise ValueError(
-                f"K must be strictly greater than a*lambda "
+                f"K must satisfy K > a*lambda "
                 f"(got K={self.K}, a*lambda={self.a * self.lam})"
             )
 

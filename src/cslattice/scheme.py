@@ -30,9 +30,17 @@ from .fields import Field, grad_energy, laplacian
 from .lattice import LatticeDomain, Params, VortexConfig, assemble_source
 from .linear import LinearSolveOptions, LinearSystem, linear_solve, system_matrix
 
-# Hard integrity thresholds; violations mean the scheme's guarantees broke.
-MONOTONE_HARD_TOL = 1e-8
-ENERGY_SLACK = 1e-10
+# Thresholds of the scheme's invariants.  MONOTONE_TOL and ENERGY_SLACK are
+# enforced on every step (a violation raises SchemeIntegrityError); the
+# others bound the post-solve checks on the solution.
+MONOTONE_TOL = 1e-10      # f_k - f_{k-1} <= this pointwise
+ENERGY_SLACK = 1e-10      # I(f_k) - I(f_{k-1}) <= this, and I(f_k) <= this
+RESIDUAL_FACTOR = 100.0   # a solve ends with residual <= this * tol_nonlinear
+FIELD_SIGN_TOL = 1e-10    # the solution is <= this everywhere
+VORTEX_VALUE_BOUND = 0.0  # f(p_j) < this at every vortex: strict, no slack
+FLUX_TOL = 1e-8           # |sum N(f) + 4 pi sum n_j - boundary flux| <= this
+SYMMETRY_TOL = 1e-10      # |f(sigma x) - f(x)| <= this for a vortex at 0
+MAXIMALITY_TOL = 1e-8     # a Newton root exceeds the maximal solution by <= this
 
 
 def nonlinearity(f_value, params: Params):
@@ -82,16 +90,16 @@ def iterate_once(
     """One monotone step: solve (L - K) f_k = N(f_{k-1}) + g - K f_{k-1}.
 
     The result satisfies f_k <= f_prev up to linear-solver tolerance; an
-    excursion beyond MONOTONE_HARD_TOL raises SchemeIntegrityError.
+    excursion beyond MONOTONE_TOL raises SchemeIntegrityError.
     """
     fp = f_prev.interior_values
     rhs = nonlinearity(fp, params) + g.interior_values - params.K * fp
     f_next = linear_solve(LinearSystem(f_prev.domain, params.K, rhs), opts, x0=x0)
     worst = float(np.max(f_next.interior_values - fp)) if fp.size else 0.0
-    if worst > MONOTONE_HARD_TOL:
+    if worst > MONOTONE_TOL:
         raise SchemeIntegrityError(
             f"iterate rose by {worst:.3e} above its predecessor "
-            f"(tolerance {MONOTONE_HARD_TOL:.0e})"
+            f"(tolerance {MONOTONE_TOL:.0e})"
         )
     return f_next
 
@@ -172,6 +180,14 @@ def boundary_flux(f: Field) -> float:
     return float(np.sum(f.values[h] - f.values[t]))
 
 
+def validate_stopping(tol_nonlinear: float, max_steps: int) -> None:
+    """solve_bounded's stop rule needs tol_nonlinear > 0 and max_steps >= 1."""
+    if not tol_nonlinear > 0:
+        raise ValueError(f"tol_nonlinear must be positive, got {tol_nonlinear}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+
+
 def solve_bounded(
     dom: LatticeDomain,
     vc: VortexConfig,
@@ -183,12 +199,11 @@ def solve_bounded(
     """Iterate from f_0 = 0 until ||f_k - f_{k-1}||_inf < tol_nonlinear.
 
     Termination additionally requires the interior residual to fall below
-    100 * tol_nonlinear, guarding against premature stalls.  Monotonicity
-    and energy descent are checked on every step; max_steps exhaustion
-    raises ConvergenceError with the trace attached.
+    RESIDUAL_FACTOR * tol_nonlinear, guarding against premature stalls.
+    Monotonicity and energy descent are checked on every step; max_steps
+    exhaustion raises ConvergenceError with the trace attached.
     """
-    if not tol_nonlinear > 0:
-        raise ValueError(f"tol_nonlinear must be positive, got {tol_nonlinear}")
+    validate_stopping(tol_nonlinear, max_steps)
     g = assemble_source(dom, vc)
     f = Field.zeros(dom)
     trace = IterationTrace()
@@ -215,7 +230,7 @@ def solve_bounded(
                 f"energy {energy_next:.3e} positive at step {k}", trace=trace
             )
         f, energy = f_next, energy_next
-        if sup_diff < tol_nonlinear and res_sup <= 100.0 * tol_nonlinear:
+        if sup_diff < tol_nonlinear and res_sup <= RESIDUAL_FACTOR * tol_nonlinear:
             return BoundedSolution(field=f, trace=trace, params=params, vortex=vc)
 
     raise ConvergenceError(

@@ -83,6 +83,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"vortices\[0\].point"):
             load_config(path)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"lambda": 0.0}, "lambda must be positive"),
+        ({"a": -1.0}, "a must be positive"),
+        ({"vortices": [{"point": [0, 0], "multiplicity": 0}]}, "multiplicity"),
+        ({"vortices": [{"point": [0, 0], "multiplicity": 1}] * 2}, "duplicate vortex"),
+        ({"radii": [10, 6]}, "radii must be strictly increasing"),
+        ({"radii": [-1, 6], "vortices": []}, "radii must be nonnegative"),
+        ({"dimension": 1, "vortices": []}, "dimension must be >= 2"),
+        ({"epsilon": 1.0}, "epsilon must lie in (0, 1)"),
+        ({"tol_nonlinear": 0.0}, "tol_nonlinear must be positive"),
+        ({"max_steps": 0}, "max_steps must be >= 1"),
+        ({"tol_linear": 1.0}, "tol_rel must lie in (0, 1)"),
+        *(({key: value}, f"{key}: must be a finite number")
+          for key in ("lambda", "K", "tol_nonlinear") for value in (math.inf, math.nan)),
+        ({"lambda": 10**400}, "lambda: must be a finite number"),
+    ])
+    def test_library_checks_exit_2_and_name_the_field(self, tmp_path, capsys,
+                                                      overrides, message):
+        path = write_config(tmp_path, **overrides)
+        assert main(["solve", str(path), "--quiet"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_config_error_exit(self, tmp_path, capsys):
@@ -233,14 +255,6 @@ class TestDeterminism:
         main(["exhaust", str(path), "--output-dir", str(out1), "--quiet"])
         main(["exhaust", str(path), "--output-dir", str(out2), "--quiet"])
         for name in ("report.json", "field_R4.csv", "field_R7.csv", "decay.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_jobs_flag_preserves_artifacts(self, tmp_path):
-        path = write_config(tmp_path, radii=[4, 7])
-        out1, out2 = tmp_path / "seq", tmp_path / "par"
-        main(["exhaust", str(path), "--output-dir", str(out1), "--quiet"])
-        main(["exhaust", str(path), "--output-dir", str(out2), "--jobs", "2", "--quiet"])
-        for name in ("report.json", "field_R4.csv", "field_R7.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 

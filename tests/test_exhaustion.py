@@ -62,11 +62,6 @@ class TestRunExhaustion:
         sup = small_run.sup_norms
         assert all(b >= a - 1e-12 for a, b in zip(sup, sup[1:]))
 
-    def test_jobs_parallel_matches_sequential(self, small_run):
-        par = run_exhaustion(2, ONE_VORTEX, PARAMS, [4, 6, 8], tol=1e-10, jobs=3)
-        for a, b in zip(small_run.solutions, par.solutions):
-            assert np.array_equal(a.field.values, b.field.values)
-
     def test_partial_results_on_failure(self, monkeypatch):
         real = exhaustion_mod.solve_bounded
         calls = []

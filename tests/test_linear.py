@@ -80,14 +80,6 @@ def test_maximum_principle(rng):
         assert np.max(u.values) <= 1e-11
 
 
-def test_dense_method_option(rng):
-    dom = build_domain(2, 3)
-    v = rng.standard_normal(dom.n_interior)
-    u_cg = linear_solve(LinearSystem(dom, 2.0, v), TIGHT)
-    u_dd = linear_solve(LinearSystem(dom, 2.0, v), LinearSolveOptions(method="dense"))
-    assert np.allclose(u_cg.values, u_dd.values, atol=1e-11)
-
-
 def test_convergence_failure_carries_best_iterate(rng):
     dom = build_domain(2, 6)
     v = rng.standard_normal(dom.n_interior)
@@ -100,8 +92,6 @@ def test_convergence_failure_carries_best_iterate(rng):
 def test_options_validation():
     with pytest.raises(ValueError, match="tol_rel"):
         LinearSolveOptions(tol_rel=1.5)
-    with pytest.raises(ValueError, match="method"):
-        LinearSolveOptions(method="multigrid")
     with pytest.raises(ValueError, match="max_iter"):
         LinearSolveOptions(max_iter=0)
 

@@ -227,6 +227,8 @@ class TestSolveBounded:
     def test_rejects_bad_tolerance(self, b2):
         with pytest.raises(ValueError, match="tol_nonlinear"):
             solve_bounded(b2, ONE_VORTEX, Params(1.0, 1.0), tol_nonlinear=0.0)
+        with pytest.raises(ValueError, match="max_steps"):
+            solve_bounded(b2, ONE_VORTEX, Params(1.0, 1.0), max_steps=0)
 
 
 class TestNewtonOracle:
