@@ -6,7 +6,11 @@ the interior (Laplacians, residuals, right-hand sides) are plain numpy
 arrays aligned with the interior ordering.
 
 Conventions:
-  Laplacian      (Lf)(x) = sum_{y ~ x} (f(y) - f(x)), interior x, closure y.
+  neighbor_sum   (Sv)(x) = sum_{y ~ x} v(y), interior x, closure y: the one
+                   stencil kernel of the package, shared by the Laplacian
+                   and the matrix-free operator of linear.py.  It gathers
+                   one column of the column-major neighbour table at a time.
+  Laplacian      (Lf)(x) = sum_{y ~ x} (f(y) - f(x)) = (Sf)(x) - 2n f(x).
   grad_energy(f) = sum over unordered closure edges of (f(y) - f(x))^2,
                    i.e. 1/2 the sum over ordered pairs; only edges with both
                    endpoints in the closure enter, which is exactly what
@@ -80,11 +84,52 @@ def _require_same_domain(f: Field, g: Field) -> None:
         raise ValueError(f"domain mismatch: {f.domain.key} vs {g.domain.key}")
 
 
+def neighbor_sum(dom: "LatticeDomain", values: np.ndarray) -> np.ndarray:
+    """Sum of closure ``values`` over the 2n neighbours of each interior vertex.
+
+    One gather per stencil direction (a contiguous column of
+    ``dom.neighbors``), accumulated in place.  The additions follow the
+    order in which numpy sums each row of the gathered n_interior x 2n
+    table, so results are bitwise those of that row sum: left to right
+    below eight columns; from eight on, eight lanes that each add every
+    eighth column of the leading multiple of eight, combined as
+    ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), then the remaining columns left
+    to right.
+    """
+    nbr = dom.neighbors
+    width = nbr.shape[1]
+    if width < 8:
+        out = values.take(nbr[:, 0])
+        for j in range(1, width):
+            out += values.take(nbr[:, j])
+        return out
+
+    full = width - width % 8
+
+    def lane(j: int) -> np.ndarray:
+        acc = values.take(nbr[:, j])
+        for c in range(j + 8, full, 8):
+            acc += values.take(nbr[:, c])
+        return acc
+
+    def pair(j: int) -> np.ndarray:
+        acc = lane(j)
+        acc += lane(j + 1)
+        return acc
+
+    out = pair(0)
+    out += pair(2)
+    right = pair(4)
+    right += pair(6)
+    out += right
+    for j in range(full, width):
+        out += values.take(nbr[:, j])
+    return out
+
+
 def laplacian(f: Field) -> np.ndarray:
     """Graph Laplacian on the interior, using closure values in the stencil."""
-    dom = f.domain
-    nbr_sum = f.values[dom.neighbors].sum(axis=1)
-    return nbr_sum - dom.degree * f.interior_values
+    return neighbor_sum(f.domain, f.values) - f.domain.degree * f.interior_values
 
 
 def integral(f: Field, over: str = "interior") -> float:

@@ -82,9 +82,13 @@ class LatticeDomain:
 
     ``interior`` and ``boundary`` are lexicographically ordered; ``index``
     maps every closure point to its dense index (interior first).  The
-    ``neighbors`` array lists, for each interior vertex, the closure
-    indices of its 2n lattice neighbours; ``edge_tail``/``edge_head`` hold
-    every closure edge exactly once with tail < head.
+    ``neighbors`` array (shape n_interior x 2n) lists, for each interior
+    vertex, the closure indices of its 2n lattice neighbours, in the
+    column order x_1 - 1, x_1 + 1, ..., x_n - 1, x_n + 1.  It is stored
+    column-major, so each stencil direction ``neighbors[:, j]`` is one
+    contiguous index array, the layout ``fields.neighbor_sum`` gathers
+    from.  ``edge_tail``/``edge_head`` hold every closure edge exactly once
+    with tail < head.
     """
 
     dim: int
@@ -143,7 +147,7 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
     index = {p: i for i, p in enumerate(points)}
 
     n_int = len(interior)
-    neighbors = np.empty((n_int, 2 * n), dtype=np.int64)
+    neighbors = np.empty((n_int, 2 * n), dtype=np.int64, order="F")
     for i, p in enumerate(interior):
         col = 0
         for axis in range(n):
@@ -156,7 +160,7 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
     # points are never adjacent, by the parity of the Manhattan norm), so
     # collecting tail < head over interior stencils enumerates each once.
     tails = np.repeat(np.arange(n_int, dtype=np.int64), 2 * n)
-    heads = neighbors.ravel()
+    heads = neighbors.ravel(order="C")
     keep = heads > tails
     edge_tail = tails[keep].copy()
     edge_head = heads[keep].copy()

@@ -16,6 +16,7 @@ from cslattice import (
     norm,
     sum_by_parts_defect,
 )
+from cslattice.fields import neighbor_sum
 
 
 def indicator(dom, point):
@@ -65,6 +66,21 @@ def test_laplacian_of_linear_coordinate_field():
     dom = build_domain(2, 3)
     f = Field(dom, np.array([p[0] for p in dom.points], dtype=float))
     assert np.max(np.abs(laplacian(f))) == 0.0
+
+
+@pytest.mark.parametrize("n, radius", [(2, 6), (3, 4), (4, 3), (5, 2), (6, 2)])
+def test_neighbor_sum_bitwise_equals_row_sum(n, radius, rng):
+    # On the column-major table, pins the summation order (left to right
+    # below 8 columns, numpy's eight-lane order from 8 on) that keeps
+    # artifacts byte-identical.
+    dom = build_domain(n, radius)
+    assert dom.neighbors.flags.f_contiguous
+    values = rng.standard_normal(dom.n_closure) * 10.0 ** rng.integers(
+        -12, 13, size=dom.n_closure
+    )
+    expected = values[np.ascontiguousarray(dom.neighbors)].sum(axis=1)
+    got = neighbor_sum(dom, values)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_integral_examples():

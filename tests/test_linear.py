@@ -80,13 +80,17 @@ def test_maximum_principle(rng):
         assert np.max(u.values) <= 1e-11
 
 
-def test_convergence_failure_carries_best_iterate(rng):
+def test_convergence_failure_carries_final_iterate_and_true_residual(rng):
     dom = build_domain(2, 6)
     v = rng.standard_normal(dom.n_interior)
-    with pytest.raises(ConvergenceError) as err:
+    with pytest.raises(ConvergenceError, match="final true residual") as err:
         linear_solve(LinearSystem(dom, 2.0, v), LinearSolveOptions(tol_rel=1e-13, max_iter=2))
-    assert isinstance(err.value.best, Field)
-    assert err.value.residual > 0
+    best = err.value.best
+    assert isinstance(best, Field)
+    # (K I - L) u + v = -((L - K) u - v): the true residual of the carried field
+    true_res = np.linalg.norm(system_matrix(dom, 2.0) @ best.interior_values - (-v))
+    assert err.value.residual > 1e-13 * np.linalg.norm(v)
+    assert err.value.residual == pytest.approx(true_res, rel=1e-12)
 
 
 def test_options_validation():
