@@ -1,14 +1,18 @@
 """The linear Dirichlet problem (L - K) u = v with u = 0 on the boundary.
 
 This is the engine of every nonlinear iteration step.  Internally the
-solver works with the positive definite operator A = K*I - L restricted
-to interior unknowns (diagonal K + 2n, off-diagonal -1 per interior edge)
-and right-hand side -v, so standard conjugate gradients apply; A is a
-well-conditioned shifted Laplacian with condition number at most
-(K + 4n) / K.  The CG matvec is matrix-free: (K + 2n) u minus
-fields.neighbor_sum of u zero-extended to the closure, the same stencil
-kernel the Laplacian uses.  A dense LU route over the explicitly
-assembled matrix serves as the independent oracle.
+solver works with the operator A = K - L restricted to interior unknowns
+(diagonal K + 2n, off-diagonal -1 per interior edge) and right-hand side
+-v, so standard conjugate gradients apply.  The shift K is a scalar > 0
+for the monotone scheme, where A is a well-conditioned shifted Laplacian
+with condition number at most (K + 4n) / K, or one value per interior
+point for the Newton oracle's Jacobian L - N'(f), whose diagonal N'(f)
+may dip below zero.  CG needs A positive definite: a search direction
+with p.Ap <= 0 raises ConvergenceError instead of dividing by it.  The
+CG matvec is matrix-free: (K + 2n) u minus fields.neighbor_sum of u
+zero-extended to the closure, the same stencil kernel the Laplacian
+uses.  A dense LU route over the explicitly assembled matrix serves as
+the independent oracle; it refuses more than DENSE_MAX_UNKNOWNS unknowns.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ ORACLE_REL_TOL = 1e-10      # relative distance of CG to the dense LU oracle
 MINIMIZER_SLACK = -1e-12    # F(u + t phi) - F(u) may dip this far below zero
 MAX_PRINCIPLE_TOL = 1e-10   # u <= this for nonnegative right-hand sides
 
+# Largest interior size system_matrix assembles: 4096^2 doubles are 134 MB.
+DENSE_MAX_UNKNOWNS = 4096
+
 
 @dataclass(frozen=True)
 class LinearSolveOptions:
@@ -44,15 +51,29 @@ class LinearSolveOptions:
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Domain, shift K > 0, and interior right-hand side v."""
+    """Domain, shift K, and interior right-hand side v.
+
+    K is a scalar > 0 or one finite value per interior point; a per-point
+    shift may be negative where the operator stays positive definite.
+    """
 
     domain: "LatticeDomain"
-    K: float
+    K: float | np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.K > 0:
-            raise ValueError(f"K must be positive, got {self.K}")
+        if np.ndim(self.K) == 0:
+            if not self.K > 0:
+                raise ValueError(f"K must be positive, got {self.K}")
+        else:
+            K = np.asarray(self.K, dtype=float)
+            if K.shape != (self.domain.n_interior,):
+                raise ValueError(
+                    f"K needs a scalar or {self.domain.n_interior} interior values, got {K.shape}"
+                )
+            if not np.all(np.isfinite(K)):
+                raise ValueError("K must be finite at every interior point")
+            object.__setattr__(self, "K", K)
         rhs = np.asarray(self.rhs, dtype=float)
         if rhs.shape != (self.domain.n_interior,):
             raise ValueError(
@@ -61,9 +82,18 @@ class LinearSystem:
         object.__setattr__(self, "rhs", rhs)
 
 
-def system_matrix(domain: "LatticeDomain", K: float) -> np.ndarray:
-    """Dense matrix of K*I - L on interior unknowns with zero boundary data."""
+def system_matrix(domain: "LatticeDomain", K: float | np.ndarray) -> np.ndarray:
+    """Dense matrix of K*I - L on interior unknowns with zero boundary data.
+
+    Raises ValueError above DENSE_MAX_UNKNOWNS interior points, before
+    allocating anything.
+    """
     n_int = domain.n_interior
+    if n_int > DENSE_MAX_UNKNOWNS:
+        raise ValueError(
+            f"a dense {n_int}x{n_int} matrix would take {8 * n_int**2 / 1e6:.0f} MB; "
+            f"system_matrix allows at most DENSE_MAX_UNKNOWNS={DENSE_MAX_UNKNOWNS} unknowns"
+        )
     A = np.zeros((n_int, n_int))
     np.fill_diagonal(A, K + domain.degree)
     interior_edge = domain.edge_head < n_int
@@ -74,10 +104,12 @@ def system_matrix(domain: "LatticeDomain", K: float) -> np.ndarray:
     return A
 
 
-def _apply_shifted(domain: "LatticeDomain", K: float, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """(K*I - L) u, matrix-free; boundary values are zero by elimination."""
+def _apply_shifted(
+    domain: "LatticeDomain", diag: float | np.ndarray, u: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """(K*I - L) u with diag = K + 2n, matrix-free; boundary values are zero by elimination."""
     scratch[: domain.n_interior] = u
-    return (K + domain.degree) * u - neighbor_sum(domain, scratch)
+    return diag * u - neighbor_sum(domain, scratch)
 
 
 def dense_solve(system: LinearSystem) -> Field:
@@ -97,6 +129,8 @@ def linear_solve(
     verified against the recomputed true residual (not the CG recursion).
     If max_iter is exhausted first, raises ConvergenceError carrying the
     final iterate as ``best`` and its true residual norm as ``residual``.
+    A search direction with p.Ap <= 0 (K - L not positive definite) raises
+    ConvergenceError at once.
     """
     dom = system.domain
     n_int = dom.n_interior
@@ -107,29 +141,36 @@ def linear_solve(
     tol_abs = opts.tol_rel * b_norm
     max_iter = opts.max_iter if opts.max_iter is not None else 10 * n_int
 
+    diag = system.K + dom.degree
     scratch = np.zeros(dom.n_closure)
     x = np.zeros(n_int) if x0 is None else np.array(x0, dtype=float)
-    r = b - _apply_shifted(dom, system.K, x, scratch)
+    r = b - _apply_shifted(dom, diag, x, scratch)
     p = r.copy()
     rs = float(np.dot(r, r))
 
     for it in range(max_iter):
         if rs**0.5 <= tol_abs:
             # accept only on the true residual; restart the recursion otherwise
-            r = b - _apply_shifted(dom, system.K, x, scratch)
+            r = b - _apply_shifted(dom, diag, x, scratch)
             rs = float(np.dot(r, r))
             if rs**0.5 <= tol_abs:
                 return Field.from_interior(dom, x)
             p = r.copy()
-        Ap = _apply_shifted(dom, system.K, p, scratch)
-        alpha = rs / float(np.dot(p, Ap))
+        Ap = _apply_shifted(dom, diag, p, scratch)
+        curvature = float(np.dot(p, Ap))
+        if not curvature > 0:
+            raise ConvergenceError(
+                f"conjugate gradients found p.Ap = {curvature:.3e} at iteration {it}: "
+                "K - L is not positive definite"
+            )
+        alpha = rs / curvature
         x += alpha * p
         r -= alpha * Ap
         rs_new = float(np.dot(r, r))
         p = r + (rs_new / rs) * p
         rs = rs_new
 
-    r = b - _apply_shifted(dom, system.K, x, scratch)
+    r = b - _apply_shifted(dom, diag, x, scratch)
     r_norm = float(np.linalg.norm(r))
     if r_norm <= tol_abs:
         return Field.from_interior(dom, x)

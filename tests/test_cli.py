@@ -283,6 +283,16 @@ class TestVerify:
         assert by_name["symmetry_equivariance"]["passed"]
         assert 0.49 <= by_name["coercivity_positive"]["value"] <= 0.51
 
+    def test_three_dimensional_maximality(self, tmp_path):
+        # the maximality ball is R=8 (833 unknowns): Newton steps are CG solves
+        path = write_config(tmp_path, dimension=3,
+                            vortices=[{"point": [0, 0, 0], "multiplicity": 1}], radii=[4, 6])
+        out = tmp_path / "out"
+        assert main(["verify", str(path), "--output-dir", str(out), "--quiet"]) == EXIT_OK
+        by_name = {c["name"]: c for c in read_report(out)["checks"]}
+        assert by_name["maximality_newton"]["passed"]
+        assert by_name["maximality_newton"]["detail"] == "10/10 starts converged"
+
     def test_sabotaged_linear_tolerance_fails_monotonicity(self, tmp_path):
         path = write_config(tmp_path, radii=[6, 9], tol_linear=0.5)
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from cslattice import (
     linear_solve,
     system_matrix,
 )
+from cslattice.linear import DENSE_MAX_UNKNOWNS
 
 TIGHT = LinearSolveOptions(tol_rel=1e-13)
 
@@ -105,6 +108,48 @@ def test_system_validation(b2):
         LinearSystem(b2, 0.0, np.zeros(b2.n_interior))
     with pytest.raises(ValueError, match="rhs"):
         LinearSystem(b2, 1.0, np.zeros(3))
+
+
+def test_per_point_shift_validation(b2):
+    rhs = np.zeros(b2.n_interior)
+    with pytest.raises(ValueError, match="interior values"):
+        LinearSystem(b2, np.ones(b2.n_interior + 1), rhs)
+    bad = np.ones(b2.n_interior)
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        LinearSystem(b2, bad, rhs)
+
+
+def test_per_point_shift_matches_dense(rng):
+    # lambda_min(-L) on the 2D R=8 ball is 0.121, so shifts down to -0.05
+    # keep -L + diag(K) positive definite while some entries are negative
+    dom = build_domain(2, 8)
+    K = rng.uniform(-0.05, 2.0, dom.n_interior)
+    assert np.min(K) < 0
+    v = rng.standard_normal(dom.n_interior)
+    u = linear_solve(LinearSystem(dom, K, v), TIGHT).interior_values
+    exact = np.linalg.solve(system_matrix(dom, 0.0) + np.diag(K), -v)
+    assert np.linalg.norm(u - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
+def test_indefinite_shift_raises(rng):
+    dom = build_domain(2, 8)
+    sys_ = LinearSystem(dom, -np.ones(dom.n_interior), rng.standard_normal(dom.n_interior))
+    with pytest.raises(ConvergenceError, match="positive definite"):
+        linear_solve(sys_)
+
+
+def test_system_matrix_size_guard():
+    dom = build_domain(4, 9)
+    assert dom.n_interior > DENSE_MAX_UNKNOWNS
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{dom.n_interior}x{dom.n_interior}.* MB"):
+            system_matrix(dom, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the matrix would be 255 MB
 
 
 def test_energy_zero_field(b2):

@@ -21,6 +21,7 @@ from cslattice import (
     residual,
     solve_bounded,
 )
+from cslattice.scheme import MAXIMALITY_TOL
 
 from conftest import bisection_root
 
@@ -259,6 +260,32 @@ class TestNewtonOracle:
             converged += 1
             assert np.max(root.values - reference.field.values) <= 1e-8
         assert converged >= 1
+
+    def test_no_dense_jacobian(self, monkeypatch):
+        dom = build_domain(3, 5)
+        vc = VortexConfig([((0, 0, 0), 1)])
+        params = Params(1.0, 1.0)
+        reference = solve_bounded(dom, vc, params)
+
+        def dense(*_args, **_kwargs):
+            raise AssertionError("newton_solve built or solved a dense system")
+
+        monkeypatch.setattr(np.linalg, "solve", dense)
+        monkeypatch.setattr("cslattice.scheme.system_matrix", dense)
+        root = newton_solve(dom, vc, params, Field.zeros(dom))
+        assert np.max(np.abs(root.values - reference.field.values)) <= MAXIMALITY_TOL
+
+    def test_indefinite_jacobian_raises_with_newton_iterate(self):
+        # at f = ln(1/4), N'(f) = -1/8 (a = lam = 1) lies below
+        # lambda_min(-L) = 0.121 of the 2D R=8 ball: CG meets p.Ap <= 0
+        dom = build_domain(2, 8)
+        params = Params(1.0, 1.0)
+        start = Field.from_interior(dom, np.full(dom.n_interior, math.log(0.25)))
+        with pytest.raises(ConvergenceError, match="Newton step failed.*positive definite") as err:
+            newton_solve(dom, ONE_VORTEX, params, start)
+        assert np.array_equal(err.value.best.values, start.values)
+        g = assemble_source(dom, ONE_VORTEX)
+        assert err.value.residual == np.max(np.abs(residual(start, g, params)))
 
     def test_rejects_positive_start(self, b2):
         with pytest.raises(ValueError, match="nonpositive"):
