@@ -272,8 +272,8 @@ def write_field_csv(path: Path, f: Field) -> None:
     dom = f.domain
     header = ",".join([f"x{i + 1}" for i in range(dom.dim)] + ["d", "f"])
     lines = [header]
-    for p, d, v in zip(dom.points, dom.distances, f.values):
-        lines.append(",".join([str(c) for c in p] + [str(int(d)), _fmt(v)]))
+    for p, d, v in zip(dom.coords.tolist(), dom.distances.tolist(), f.values):
+        lines.append(",".join([str(c) for c in p] + [str(d), _fmt(v)]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -544,9 +544,10 @@ def _sum_by_parts_check(cfg: RunConfig, rng) -> dict:
 def _linear_oracle_check(cfg: RunConfig, rng) -> dict:
     worst = 0.0
     detail = ""
-    for i in range(20):
-        radius = 2 + i % 3 if cfg.dimension >= 3 else 3 + i % 5
-        dom = build_domain(cfg.dimension, radius)
+    radii = [2 + i % 3 if cfg.dimension >= 3 else 3 + i % 5 for i in range(20)]
+    domains = {r: build_domain(cfg.dimension, r) for r in sorted(set(radii))}
+    for radius in radii:
+        dom = domains[radius]
         sys_ = LinearSystem(dom, cfg.K, rng.standard_normal(dom.n_interior))
         exact = dense_solve(sys_).interior_values
         try:
@@ -579,8 +580,8 @@ def _minimizer_check(cfg: RunConfig, rng) -> dict:
 
 def _max_principle_check(cfg: RunConfig, rng) -> dict:
     worst = -math.inf
+    dom = build_domain(cfg.dimension, 3)
     for _ in range(20):
-        dom = build_domain(cfg.dimension, 3)
         v = np.abs(rng.standard_normal(dom.n_interior))
         try:
             u = linear_solve(LinearSystem(dom, cfg.K, v), cfg.linear_opts)
@@ -625,15 +626,10 @@ def symmetry_deviation(f: Field) -> float:
     instead, which covers every group element at once.
     """
     dom = f.domain
-    rep: dict[tuple[int, ...], int] = {}
-    dev = 0.0
-    for p, v in zip(dom.points, f.values):
-        canon = tuple(sorted(abs(c) for c in p))
-        if canon in rep:
-            dev = max(dev, abs(v - rep[canon]))
-        else:
-            rep[canon] = v
-    return dev
+    canon = np.sort(np.abs(dom.coords), axis=1)
+    keys = np.ravel_multi_index(tuple(canon.T), (dom.radius + 2,) * dom.dim)
+    _, first, orbit = np.unique(keys, return_index=True, return_inverse=True)
+    return float(np.max(np.abs(f.values - f.values[first][orbit])))
 
 
 def _maximality_check(cfg: RunConfig, rng) -> dict:

@@ -76,7 +76,8 @@ class Field:
         return bool(np.all(self.boundary_values == 0.0))
 
     def __call__(self, point) -> float:
-        return float(self.values[self.domain.index[tuple(point)]])
+        """Value at a closure point; KeyError for any other point."""
+        return float(self.values[self.domain.locate(point)])
 
 
 def _require_same_domain(f: Field, g: Field) -> None:

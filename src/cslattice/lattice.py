@@ -9,10 +9,12 @@ exactly the sphere { x : d(x, 0) = R + 1 } (adjacent vertices always have
 Manhattan norms of opposite parity, so no point at distance > R + 1 can
 touch the ball).
 
-Vertices are ordered lexicographically, interior before boundary.  That
-ordering fixes the dense index used by every value array in this package,
-and it makes construction deterministic: equal inputs yield identical
-index maps.
+A domain is held as arrays only: the closure's coordinates, one row per
+vertex, lexicographic within the interior and within the boundary,
+interior first.  That ordering fixes the dense index used by every value
+array in this package, and it makes construction deterministic: equal
+inputs yield identical arrays.  ``LatticeDomain.locate`` maps points back
+to indices through a mixed-radix key of their coordinates.
 """
 
 from __future__ import annotations
@@ -57,57 +59,53 @@ def shell_size(n: int, d: int) -> int:
     )
 
 
-def _ball_points(n: int, radius: int) -> list[Point]:
-    """All points with manhattan_norm <= radius, in lexicographic order."""
-    pts: list[Point] = []
-    coords = [0] * n
+def _radix_keys(points: np.ndarray, radius: int) -> np.ndarray:
+    """Mixed-radix keys, digit x_i + R + 1 in base 2R + 3: lexicographically
+    increasing, and injective on points with every |x_i| <= R + 1."""
+    digits = np.moveaxis(np.asarray(points) + (radius + 1), -1, 0)
+    return np.ravel_multi_index(tuple(digits), (2 * radius + 3,) * digits.shape[0])
 
-    def fill(axis: int, budget: int) -> None:
-        if axis == n - 1:
-            for v in range(-budget, budget + 1):
-                coords[axis] = v
-                pts.append(tuple(coords))
-            return
-        for v in range(-budget, budget + 1):
-            coords[axis] = v
-            fill(axis + 1, budget - abs(v))
 
-    fill(0, radius)
-    return pts
+def _index(keys: np.ndarray, n_interior: int, radius: int, points) -> np.ndarray:
+    """Closure indices of closure points, unchecked; each block of ``keys`` is sorted."""
+    query = _radix_keys(points, radius)
+    return np.where(
+        np.abs(points).sum(axis=-1) <= radius,
+        np.searchsorted(keys[:n_interior], query),
+        n_interior + np.searchsorted(keys[n_interior:], query),
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class LatticeDomain:
-    """A Manhattan ball B_R in Z^n together with its vertex boundary.
+    """A Manhattan ball B_R in Z^n together with its vertex boundary, as arrays.
 
-    ``interior`` and ``boundary`` are lexicographically ordered; ``index``
-    maps every closure point to its dense index (interior first).  The
-    ``neighbors`` array (shape n_interior x 2n) lists, for each interior
-    vertex, the closure indices of its 2n lattice neighbours, in the
-    column order x_1 - 1, x_1 + 1, ..., x_n - 1, x_n + 1.  It is stored
-    column-major, so each stencil direction ``neighbors[:, j]`` is one
-    contiguous index array, the layout ``fields.neighbor_sum`` gathers
-    from.  ``edge_tail``/``edge_head`` hold every closure edge exactly once
-    with tail < head.
+    ``coords`` (n_closure x n) holds the closure's points, interior rows
+    first, each block in lexicographic order; ``distances`` holds their
+    Manhattan norms and ``point_keys`` their mixed-radix keys (sorted within
+    each block).  ``locate`` maps points to closure indices.  The ``neighbors``
+    array (shape n_interior x 2n) lists, for each interior vertex, the
+    closure indices of its 2n lattice neighbours, in the column order
+    x_1 - 1, x_1 + 1, ..., x_n - 1, x_n + 1.  It is stored column-major, so
+    each stencil direction ``neighbors[:, j]`` is one contiguous index
+    array, the layout ``fields.neighbor_sum`` gathers from.
+    ``edge_tail``/``edge_head`` hold every closure edge exactly once with
+    tail < head.
     """
 
     dim: int
     radius: int
-    interior: tuple[Point, ...]
-    boundary: tuple[Point, ...]
-    index: dict[Point, int] = field(repr=False)
+    n_interior: int
+    coords: np.ndarray = field(repr=False)
+    distances: np.ndarray = field(repr=False)
+    point_keys: np.ndarray = field(repr=False)
     neighbors: np.ndarray = field(repr=False)
     edge_tail: np.ndarray = field(repr=False)
     edge_head: np.ndarray = field(repr=False)
-    distances: np.ndarray = field(repr=False)
-
-    @property
-    def n_interior(self) -> int:
-        return len(self.interior)
 
     @property
     def n_closure(self) -> int:
-        return len(self.interior) + len(self.boundary)
+        return len(self.coords)
 
     @property
     def degree(self) -> int:
@@ -118,14 +116,23 @@ class LatticeDomain:
         """Identity of the domain; construction is deterministic in it."""
         return (self.dim, self.radius)
 
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return self.interior + self.boundary
+    def locate(self, points) -> np.ndarray:
+        """Closure indices of integer points: shape (..., dim) to shape (...).
 
-    def contains_interior(self, p: Point) -> bool:
-        if len(p) != self.dim:
-            raise ValueError(f"point {p} has dimension {len(p)}, domain has {self.dim}")
-        return manhattan_norm(p) <= self.radius
+        Raises KeyError for a point of another dimension or outside the
+        closure.  That check comes before the key is formed, because the key
+        is injective only on the closure: on B_3 in Z^2 the point (-1, 5)
+        has the key of the boundary point (0, -4).
+        """
+        pts = np.asarray(points)
+        if pts.ndim == 0 or pts.shape[-1] != self.dim or pts.dtype.kind not in "iu":
+            raise KeyError(f"{points!r} is not an integer point of Z^{self.dim}")
+        outside = np.abs(pts).sum(axis=-1) > self.radius + 1
+        if np.any(outside):
+            raise KeyError(
+                f"{pts[outside][0].tolist()} lies outside the closure of B_{self.radius}"
+            )
+        return _index(self.point_keys, self.n_interior, self.radius, pts)
 
 
 def validate_dimension(n: int) -> None:
@@ -134,49 +141,61 @@ def validate_dimension(n: int) -> None:
         raise ValueError(f"dimension must be >= 2, got {n}")
 
 
+def _ball(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points of B_radius in Z^n in lexicographic order, with their norms.
+
+    Grows the array of coordinate prefixes one axis at a time: a prefix with
+    remaining budget b extends by each value in -b..b.
+    """
+    coords = np.zeros((1, 0), dtype=np.int64)
+    budget = np.array([radius], dtype=np.int64)
+    for _ in range(n):
+        width = 2 * budget + 1
+        first = np.repeat(np.cumsum(width) - width, width)
+        value = np.arange(first.size, dtype=np.int64) - first - np.repeat(budget, width)
+        coords = np.column_stack([np.repeat(coords, width, axis=0), value])
+        budget = np.repeat(budget, width) - np.abs(value)
+    return coords, radius - budget
+
+
 def build_domain(n: int, radius: int) -> LatticeDomain:
     """Construct B_radius in Z^n with its boundary sphere and adjacency."""
     validate_dimension(n)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
+    if (2 * radius + 3) ** n > np.iinfo(np.int64).max:
+        raise ValueError(f"B_{radius} in Z^{n} is too large for int64 point keys")
 
-    closure = _ball_points(n, radius + 1)
-    interior = tuple(p for p in closure if manhattan_norm(p) <= radius)
-    boundary = tuple(p for p in closure if manhattan_norm(p) == radius + 1)
-    points = interior + boundary
-    index = {p: i for i, p in enumerate(points)}
+    coords, distances = _ball(n, radius + 1)
+    inner = distances <= radius
+    order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
+    coords, distances = coords[order], distances[order]
+    point_keys = _radix_keys(coords, radius)
+    n_int = int(np.count_nonzero(inner))
 
-    n_int = len(interior)
     neighbors = np.empty((n_int, 2 * n), dtype=np.int64, order="F")
-    for i, p in enumerate(interior):
-        col = 0
-        for axis in range(n):
-            for step in (-1, 1):
-                q = p[:axis] + (p[axis] + step,) + p[axis + 1 :]
-                neighbors[i, col] = index[q]
-                col += 1
+    for col in range(2 * n):
+        shifted = coords[:n_int].copy()
+        shifted[:, col // 2] += 1 if col % 2 else -1
+        neighbors[:, col] = _index(point_keys, n_int, radius, shifted)
 
     # Every closure edge has at least one interior endpoint (two boundary
     # points are never adjacent, by the parity of the Manhattan norm), so
     # collecting tail < head over interior stencils enumerates each once.
-    tails = np.repeat(np.arange(n_int, dtype=np.int64), 2 * n)
-    heads = neighbors.ravel(order="C")
-    keep = heads > tails
-    edge_tail = tails[keep].copy()
-    edge_head = heads[keep].copy()
-
-    distances = np.array([manhattan_norm(p) for p in points], dtype=np.int64)
+    # Boolean indexing reads the table row by row, so edges come by tail.
+    rows = np.arange(n_int, dtype=np.int64)
+    keep = neighbors > rows[:, None]
 
     return LatticeDomain(
         dim=n,
         radius=radius,
-        interior=interior,
-        boundary=boundary,
-        index=index,
-        neighbors=neighbors,
-        edge_tail=edge_tail,
-        edge_head=edge_head,
+        n_interior=n_int,
+        coords=coords,
         distances=distances,
+        point_keys=point_keys,
+        neighbors=neighbors,
+        edge_tail=np.repeat(rows, np.count_nonzero(keep, axis=1)),
+        edge_head=neighbors[keep],
     )
 
 
@@ -242,7 +261,7 @@ def assemble_source(dom: LatticeDomain, vc: VortexConfig) -> Field:
     for p, m in vc.vortices:
         if len(p) != dom.dim:
             raise ValueError(f"vortex {p} has dimension {len(p)}, domain has {dom.dim}")
-        if not dom.contains_interior(p):
+        if manhattan_norm(p) > dom.radius:
             raise ValueError(f"vortex {p} lies outside the domain interior (radius {dom.radius})")
-        values[dom.index[p]] = FOUR_PI * m
+        values[dom.locate(p)] = FOUR_PI * m
     return Field(dom, values)

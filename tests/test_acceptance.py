@@ -142,7 +142,7 @@ def test_criterion_04_solution_quality(r20_run):
     res_sup = 0.0
     nonlin_mass = 0.0
     flux = 0.0
-    for p in dom.interior:
+    for p in map(tuple, dom.coords[: dom.n_interior].tolist()):
         fp = f(p)
         lap = 0.0
         for axis in range(2):
@@ -200,7 +200,7 @@ def test_criterion_06_exhaustion_monotonicity(exhaustion_result):
     for small, big in zip(res.solutions, res.solutions[1:]):
         worst_delta = max(
             worst_delta,
-            max(big.field(p) - small.field(p) for p in small.domain.points),
+            max(big.field(p) - small.field(p) for p in small.domain.coords.tolist()),
         )
     l2 = [float(np.linalg.norm(s.field.interior_values)) for s in res.solutions]
     nondecreasing = all(b >= a - 1e-12 for a, b in zip(l2, l2[1:]))
@@ -225,7 +225,7 @@ def test_criterion_07_decay_estimate(r40_solution):
     dom = sol.domain
     beta = alpha * (1 - eps)
     shell_max = {}
-    for p, v in zip(dom.points, sol.field.values):
+    for p, v in zip(dom.coords.tolist(), sol.field.values):
         d = abs(p[0]) + abs(p[1])
         if 10 <= d <= 20:
             shell_max[d] = max(shell_max.get(d, 0.0), abs(v))
@@ -296,7 +296,7 @@ def test_criterion_11_symmetry():
     sol = solve_bounded(build_domain(2, 15), ONE_VORTEX, Params(1.0, 1.0))
     by_orbit = {}
     worst = 0.0
-    for p in sol.domain.points:
+    for p in sol.domain.coords.tolist():
         canon = tuple(sorted(abs(c) for c in p))
         v = sol.field(p)
         if canon in by_orbit:

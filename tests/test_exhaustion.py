@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from cslattice import (
     shell_size,
     solve_bounded,
 )
-from cslattice.lattice import _ball_points, manhattan_norm
+from cslattice.lattice import manhattan_norm
 
 ONE_VORTEX = VortexConfig([((0, 0), 1)])
 PARAMS = Params(1.0, 1.0)
@@ -52,7 +53,7 @@ class TestRunExhaustion:
         # recompute one delta independently, point by point
         small, big = small_run.solutions[0], small_run.solutions[1]
         worst = max(
-            big.field(p) - small.field(p) for p in small.domain.points
+            big.field(p) - small.field(p) for p in small.domain.coords.tolist()
         )
         assert worst == pytest.approx(small_run.pointwise_deltas[0], abs=1e-15)
 
@@ -98,7 +99,7 @@ class TestShellProfile:
         # deeper shells split into orbits; |f| is constant on each orbit
         dom = sol.domain
         orbit = {}
-        for p in dom.points:
+        for p in dom.coords.tolist():
             canon = tuple(sorted(abs(c) for c in p))
             orbit.setdefault(canon, []).append(abs(sol.field(p)))
         for vals in orbit.values():
@@ -162,9 +163,9 @@ class TestBarrier:
         rep = barrier_check(n, params, eps, (2, 6))
         beta = decay_rate_theory(params, n) * (1 - eps)
         worst = math.inf
-        for p in _ball_points(n, 6):
+        for p in itertools.product(range(-6, 7), repeat=n):
             s = manhattan_norm(p)
-            if s < 2:
+            if not 2 <= s <= 6:
                 continue
             v = -math.exp(-beta * s)
             lap = 0.0

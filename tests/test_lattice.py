@@ -13,9 +13,11 @@ from cslattice import (
     manhattan_distance,
     shell_size,
 )
-from cslattice.lattice import _ball_points, manhattan_norm
-
 from conftest import box_ball_oracle
+
+
+def points(coords):
+    return [tuple(p) for p in coords.tolist()]
 
 
 def test_manhattan_distance_examples():
@@ -29,24 +31,38 @@ def test_manhattan_distance_dimension_mismatch():
         manhattan_distance((0, 0), (0, 0, 0))
 
 
-@pytest.mark.parametrize("n,radius", [(2, 0), (2, 1), (2, 3), (2, 6), (3, 2), (3, 4), (4, 2)])
+@pytest.mark.parametrize(
+    "n,radius", [(2, 0), (2, 1), (2, 3), (2, 6), (3, 2), (3, 4), (4, 2), (4, 3), (5, 1), (5, 2)]
+)
 def test_domain_matches_box_enumeration(n, radius):
     interior, boundary = box_ball_oracle(n, radius)
     dom = build_domain(n, radius)
-    assert set(dom.interior) == interior
-    assert set(dom.boundary) == boundary
+    pts = points(dom.coords)
+    assert len(pts) == dom.n_closure == len(interior) + len(boundary)
+    assert set(pts[: dom.n_interior]) == interior
+    assert set(pts[dom.n_interior :]) == boundary
     # for Manhattan balls the boundary is exactly the next sphere
-    assert all(manhattan_norm(p) == radius + 1 for p in dom.boundary)
+    assert all(manhattan_distance(p, (0,) * n) == radius + 1 for p in pts[dom.n_interior :])
+    assert dom.distances.tolist() == [manhattan_distance(p, (0,) * n) for p in pts]
+    # the neighbour table lists x - e_1, x + e_1, ..., x + e_n in the oracle's closure
+    for p, row in zip(pts, dom.neighbors.tolist()):
+        expected = [
+            p[:axis] + (p[axis] + step,) + p[axis + 1 :]
+            for axis in range(n)
+            for step in (-1, 1)
+        ]
+        assert [pts[j] for j in row] == expected
+        assert all(q in interior or q in boundary for q in expected)
 
 
 def test_small_domain_counts():
     dom = build_domain(2, 1)
     assert dom.n_interior == 5
-    assert len(dom.boundary) == 8
+    assert dom.n_closure - dom.n_interior == 8
 
     dom0 = build_domain(2, 0)
-    assert dom0.interior == ((0, 0),)
-    assert set(dom0.boundary) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert points(dom0.coords[:1]) == [(0, 0)]
+    assert set(points(dom0.coords[1:])) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
 @pytest.mark.parametrize("radius", range(7))
@@ -59,21 +75,23 @@ def test_interior_degree_and_neighbors_in_closure():
     dom = build_domain(3, 2)
     assert dom.n_interior == 25
     assert dom.neighbors.shape == (25, 6)
-    for i, p in enumerate(dom.interior):
-        nbrs = [dom.points[j] for j in dom.neighbors[i]]
+    pts = points(dom.coords)
+    for i, p in enumerate(pts[: dom.n_interior]):
+        nbrs = [pts[j] for j in dom.neighbors[i]]
         assert len(nbrs) == 6
         assert all(manhattan_distance(p, q) == 1 for q in nbrs)
 
 
 def test_adjacency_symmetric_and_edges_unique():
     dom = build_domain(2, 3)
+    pts = points(dom.coords)
     seen = set()
     for t, h in zip(dom.edge_tail, dom.edge_head):
         assert t < h
         pair = (int(t), int(h))
         assert pair not in seen
         seen.add(pair)
-        assert manhattan_distance(dom.points[t], dom.points[h]) == 1
+        assert manhattan_distance(pts[t], pts[h]) == 1
     # interior-interior edges appear in both stencils
     for t, h in seen:
         if h < dom.n_interior:
@@ -88,7 +106,7 @@ def test_interior_connected():
         if h < dom.n_interior:
             adj[int(t)].add(int(h))
             adj[int(h)].add(int(t))
-    seen = {dom.index[(0, 0, 0)]}
+    seen = {int(dom.locate((0, 0, 0)))}
     stack = list(seen)
     while stack:
         i = stack.pop()
@@ -102,13 +120,34 @@ def test_interior_connected():
 def test_ordering_lexicographic_and_deterministic():
     a = build_domain(2, 4)
     b = build_domain(2, 4)
-    assert a.interior == b.interior
-    assert a.boundary == b.boundary
-    assert a.index == b.index
-    assert list(a.interior) == sorted(a.interior)
-    assert list(a.boundary) == sorted(a.boundary)
+    assert np.array_equal(a.coords, b.coords)
+    assert np.array_equal(a.neighbors, b.neighbors)
+    interior, boundary = points(a.coords[: a.n_interior]), points(a.coords[a.n_interior :])
+    assert interior == sorted(interior)
+    assert boundary == sorted(boundary)
     # interior indexed before boundary
-    assert all(a.index[p] < a.n_interior for p in a.interior)
+    assert np.all(a.distances[: a.n_interior] <= a.radius)
+    assert np.all(a.distances[a.n_interior :] == a.radius + 1)
+
+
+@pytest.mark.parametrize("n,radius", [(2, 0), (2, 5), (3, 3), (4, 2), (5, 2)])
+def test_locate_inverts_coords(n, radius):
+    dom = build_domain(n, radius)
+    assert np.array_equal(dom.locate(dom.coords), np.arange(dom.n_closure))
+    for i, p in enumerate(points(dom.coords)):
+        assert dom.locate(p) == i
+
+
+@pytest.mark.parametrize("point", [(-1, 5), (4, 1), (0, 0, 0)])
+def test_locate_rejects_points_off_the_closure(point):
+    # (-1, 5) has the mixed-radix key of the boundary point (0, -4)
+    dom = build_domain(2, 3)
+    with pytest.raises(KeyError):
+        dom.locate(point)
+    with pytest.raises(KeyError):
+        Field.zeros(dom)(point)
+    with pytest.raises(KeyError):
+        dom.locate(np.array([(0, 0) + (0,) * (len(point) - 2), point]))
 
 
 def test_build_domain_rejects_bad_inputs():
@@ -116,6 +155,8 @@ def test_build_domain_rejects_bad_inputs():
         build_domain(1, 3)
     with pytest.raises(ValueError, match="radius"):
         build_domain(2, -1)
+    with pytest.raises(ValueError, match="int64 point keys"):
+        build_domain(20, 3)  # 9^20 keys
 
 
 def test_vortex_config_validation():
@@ -176,7 +217,7 @@ def test_source_is_dirichlet_field():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_shell_size_matches_enumeration(n):
-    pts = _ball_points(n, 5)
+    interior, boundary = box_ball_oracle(n, 4)  # the ball of radius 5
     for d in range(6):
-        count = sum(1 for p in pts if manhattan_norm(p) == d)
+        count = sum(1 for p in interior | boundary if manhattan_distance(p, (0,) * n) == d)
         assert shell_size(n, d) == count

@@ -137,7 +137,7 @@ class TestResidual:
         g = assemble_source(b2, ONE_VORTEX)
         r = residual(Field.zeros(b2), g, Params(1.0, 1.0))
         expected = np.zeros(b2.n_interior)
-        expected[b2.index[(0, 0)]] = -FOUR_PI
+        expected[b2.locate((0, 0))] = -FOUR_PI
         assert np.allclose(r, expected, atol=0.0)
 
     def test_converged_solution_residual_small(self):
@@ -197,7 +197,7 @@ class TestSolveBounded:
         sol = solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0))
         values = {}
         worst = 0.0
-        for p in dom.points:
+        for p in dom.coords.tolist():
             canon = tuple(sorted(abs(c) for c in p))
             v = sol.field(p)
             if canon in values:
