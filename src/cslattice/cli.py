@@ -271,10 +271,10 @@ def _fmt(x: float) -> str:
 def write_field_csv(path: Path, f: Field) -> None:
     dom = f.domain
     header = ",".join([f"x{i + 1}" for i in range(dom.dim)] + ["d", "f"])
-    lines = [header]
-    for p, d, v in zip(dom.coords.tolist(), dom.distances.tolist(), f.values):
-        lines.append(",".join([str(c) for c in p] + [str(d), _fmt(v)]))
-    path.write_text("\n".join(lines) + "\n")
+    row = ",".join(["%d"] * (dom.dim + 1) + ["%.17g"])  # _fmt's format for f
+    columns = [*dom.coords.T.tolist(), dom.distances.tolist(), f.values.tolist()]
+    rows = map(row.__mod__, zip(*columns))
+    path.write_text("\n".join([header, *rows]) + "\n")
 
 
 def write_trace_csv(path: Path, trace) -> None:
@@ -327,6 +327,7 @@ def solution_checks(sol: BoundedSolution, cfg: RunConfig) -> list[dict]:
                float(np.max(f.values)), FIELD_SIGN_TOL),
         _check("terminal_residual", sol.residual_sup <= RESIDUAL_FACTOR * cfg.tol_nonlinear,
                sol.residual_sup, RESIDUAL_FACTOR * cfg.tol_nonlinear),
+        _certificate_check(sol, cfg.tol_nonlinear),
     ]
     flux_gap = abs(
         float(np.sum(nonlinearity(f.interior_values, sol.params)))
@@ -341,6 +342,17 @@ def solution_checks(sol: BoundedSolution, cfg: RunConfig) -> list[dict]:
     return checks
 
 
+def _certificate_check(sol: BoundedSolution, tol_nonlinear: float) -> dict:
+    cert = sol.certificate
+    if cert is None:
+        return _check("maximality_certificate", False, threshold=tol_nonlinear,
+                      detail="not obtained: the field is the last monotone iterate")
+    return _check("maximality_certificate", cert.bound <= tol_nonlinear, cert.bound,
+                  tol_nonlinear,
+                  detail=f"max w / min Aw = {cert.max_w / cert.min_aw:.6g}, "
+                         f"Newton from step size < {cert.switch:.0e}")
+
+
 def _radius_block(sol: BoundedSolution) -> dict:
     f = sol.field
     return {
@@ -349,7 +361,7 @@ def _radius_block(sol: BoundedSolution) -> dict:
         "iterations": sol.iterations,
         "terminal_residual_sup": sol.residual_sup,
         "energy_initial": sol.trace.steps[0].energy,
-        "energy_final": sol.trace.steps[-1].energy,
+        "energy_final": sol.energy,
         "norms": {
             "l1": norm(f, 1),
             "l2": norm(f, 2),
@@ -601,6 +613,7 @@ def _scheme_checks(cfg: RunConfig) -> list[dict]:
             _check("monotone_iterates", False, detail=reason),
             _check("energy_nonincreasing", False, detail=reason),
             _check("flux_identity", False, detail="not evaluated (solve failed)"),
+            _check("maximality_certificate", False, detail="not evaluated (solve failed)"),
             _check("symmetry_equivariance", False, detail="not evaluated (solve failed)"),
         ]
     checks = solution_checks(sol, cfg)

@@ -15,21 +15,25 @@ converging to the maximal solution on the domain.  The associated energy
 is nonincreasing along the iterates and nonpositive from step one; both
 facts are monitored at runtime and violations raise SchemeIntegrityError.
 
-A damped Newton iteration on the residual is provided as an independent
-oracle for maximality experiments; it is not the solver's engine.  Its
-Jacobian L - N'(f) is never assembled: each Newton step is one
-matrix-free conjugate-gradient solve through linear_solve, with the
-per-point shift K = N'(f).
+The monotone steps contract slowly (their count grows like 1/lam), so
+solve_bounded runs them only to a loose step size and finishes with a
+damped Newton iteration on the residual.  Its Jacobian L - N'(f) is never
+assembled: each Newton step is one matrix-free conjugate-gradient solve
+through linear_solve, with the per-point shift K = N'(f).  The Newton root
+is returned only with a certificate that it lies within tol_nonlinear of
+the maximal solution (see solve_bounded); newton_solve from arbitrary
+starts also serves the verify suite as an independent maximality oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, SchemeIntegrityError
-from .fields import Field, grad_energy, laplacian
+from .fields import Field, grad_energy, laplacian, neighbor_sum
 from .lattice import LatticeDomain, Params, VortexConfig, assemble_source
 from .linear import LinearSolveOptions, LinearSystem, linear_solve
 # Unused here, kept until perfbench/spans.py stops patching this name.
@@ -46,6 +50,15 @@ VORTEX_VALUE_BOUND = 0.0  # f(p_j) < this at every vortex: strict, no slack
 FLUX_TOL = 1e-8           # |sum N(f) + 4 pi sum n_j - boundary flux| <= this
 SYMMETRY_TOL = 1e-10      # |f(sigma x) - f(x)| <= this for a vortex at 0
 MAXIMALITY_TOL = 1e-8     # a Newton root exceeds the maximal solution by <= this
+ROUNDING_ULPS = 10        # r(f) and A w round by <= (2n + this) unit roundoffs of their terms' sizes
+
+# Schedule of solve_bounded's Newton finish: the first try comes once a
+# monotone step moves less than NEWTON_SWITCH; after a failed try the switch
+# shrinks by NEWTON_SWITCH_FACTOR.  Newton aims at a residual of
+# NEWTON_TOL_FACTOR * tol_nonlinear.
+NEWTON_SWITCH = 1e-1
+NEWTON_SWITCH_FACTOR = 0.1
+NEWTON_TOL_FACTOR = 1e-2
 
 
 def nonlinearity(f_value, params: Params):
@@ -120,7 +133,7 @@ class TraceStep:
 
 @dataclass
 class IterationTrace:
-    """Per-step history of one bounded solve; row k = 0 is the initial state."""
+    """Per-step history of the monotone steps of one solve; row k = 0 is the initial state."""
 
     steps: list[TraceStep] = field(default_factory=list)
 
@@ -149,14 +162,37 @@ class IterationTrace:
         return float(np.max(np.diff(e))) if len(e) > 1 else 0.0
 
 
+@dataclass(frozen=True)
+class MaximalityCertificate:
+    """A posteriori proof that the returned field f has ||f - f_max||_inf <= bound.
+
+    solve_bounded's docstring gives the argument; w solves A w = 1 with
+    A = diag(m) - L, m the least N' over the bracket around f.
+    """
+
+    bound: float   # t * max w, with t = rho / min(A w)
+    rho: float     # ||r(f)||_inf plus its rounding allowance
+    max_w: float   # largest entry of w
+    min_aw: float  # smallest entry of A w, less its rounding allowance
+    switch: float  # the step size below which the monotone steps handed over
+
+
 @dataclass(frozen=True, eq=False)
 class BoundedSolution:
-    """Converged maximal solution on one bounded domain, with its history."""
+    """Maximal solution on one bounded domain, with its monotone history.
+
+    ``residual_sup`` and ``energy`` belong to ``field``.  ``certificate`` is
+    None when no Newton finish was certified and ``field`` is the last
+    monotone iterate.
+    """
 
     field: Field
     trace: IterationTrace
     params: Params
     vortex: VortexConfig
+    residual_sup: float
+    energy: float
+    certificate: MaximalityCertificate | None
 
     @property
     def domain(self) -> LatticeDomain:
@@ -165,10 +201,6 @@ class BoundedSolution:
     @property
     def iterations(self) -> int:
         return self.trace.iterations
-
-    @property
-    def residual_sup(self) -> float:
-        return self.trace.steps[-1].residual_sup
 
 
 def boundary_flux(f: Field) -> float:
@@ -201,12 +233,62 @@ def solve_bounded(
     max_steps: int = 500,
     linear_opts: LinearSolveOptions = LinearSolveOptions(),
 ) -> BoundedSolution:
-    """Iterate from f_0 = 0 until ||f_k - f_{k-1}||_inf < tol_nonlinear.
+    """Maximal solution on dom, certified within tol_nonlinear in sup norm.
 
-    Termination additionally requires the interior residual to fall below
-    RESIDUAL_FACTOR * tol_nonlinear, guarding against premature stalls.
-    Monotonicity and energy descent are checked on every step; max_steps
-    exhaustion raises ConvergenceError with the trace attached.
+    Schedule.  Monotone steps run from f_0 = 0 until one moves less than
+    the switch, NEWTON_SWITCH at first.  newton_solve then starts from
+    min(f_k, 0) and aims at a residual of NEWTON_TOL_FACTOR * tol_nonlinear;
+    its root f*, clipped to f* <= 0, is returned when the test below proves
+    ||f* - f_max||_inf <= tol_nonlinear.  If Newton raises ConvergenceError
+    or the test fails, the switch shrinks by NEWTON_SWITCH_FACTOR and the
+    monotone steps go on from f_k; the tries end once the switch falls
+    below tol_nonlinear.  Without a certificate the solve stops as the plain
+    monotone scheme does, once sup_diff < tol_nonlinear and the residual is
+    at most RESIDUAL_FACTOR * tol_nonlinear, and returns f_k with
+    certificate None.  A step that moves nothing (sup_diff == 0) while the
+    residual is above that target raises ConvergenceError, as max_steps
+    exhaustion does; both carry the trace.  Monotonicity and energy descent
+    are checked on every monotone step.
+
+    Certificate.  Write r(f) = L f - N(f) - g on the interior; f is an
+    upper solution if r(f) <= 0 and a lower solution if r(f) >= 0.  Let
+    delta = tol_nonlinear, m(x) the least N' over the bracket
+    [f*(x) - delta, max(f_k(x), f*(x)) + MONOTONE_TOL] (a closed form: N'
+    falls to its one minimum at f = -2 ln(a+1)/a and rises after it), and
+    A = diag(m) - L.  One linear_solve gives w with A w = 1.  The test asks
+    w > 0 and A w >= mu > 0 pointwise and, with rho = ||r(f*)||_inf and
+    t = rho / mu, that the bound t * max w is at most delta.
+
+    1. f_max <= f_k, and f_k is an upper solution.  A step gives
+       r(f_k) = (K - N'(xi)) (f_k - f_{k-1}) with xi between the iterates,
+       and K > a lam >= N' on f <= 0, so r(f_k) <= 0.  For any solution f,
+       (L - K)(f_k - f) = (N'(xi) - K)(f_{k-1} - f) with (L - K)^{-1} <= 0
+       entrywise, so f <= f_k by induction from f <= 0 = f_0 (every
+       solution is <= 0 by the maximum principle).
+    2. v = f* - t w is a lower solution.  r(v) = r(f*) + t (diag(c) - L) w
+       with c = N'(xi), xi in [f* - t w, f*], which lies in the bracket as
+       t w <= delta; so c >= m, (diag(c) - L) w >= A w >= mu, and
+       r(v) >= -rho + t mu = 0.
+    3. f_max lies in the bracket.  The induction of step 1, with r(v) >= 0
+       on the right, keeps the iterates from 0 above the lower solution
+       v <= f* <= 0, so f* - delta <= v <= f_max <= f_k.
+    4. |f_max - f*| <= t w.  d = f_max - f* solves (diag(c) - L) d = r(f*)
+       with c = N'(xi), xi between f* and f_max, in the bracket by 1 and 3,
+       so c >= m.  The Z-matrix B = diag(c) - L has B w >= A w > 0, so it
+       is a nonsingular M-matrix (Varga's positive-vector criterion) and
+       B^{-1} >= 0.  B (t w - d) and B (t w + d) are >= t mu - rho = 0,
+       so -t w <= d <= t w.  The same argument, applied to the difference
+       of two solutions in the bracket, makes f_max the only one there.
+
+    Exact and rounded.  Steps 1 and 3 speak of the exact iterates.  The
+    computed f_k carries the error of each CG solve (relative tol_linear),
+    absorbed by MONOTONE_TOL on the bracket's top: the margin by which
+    iterate_once lets a computed step rise.  Steps 2 and 4 are exact
+    statements about the stored vectors f* and w, except that r(f*) and
+    A w are evaluated in floating point.  Each entry is a sum of 2n + 3
+    terms, so it errs by at most about (2n + 3) unit roundoffs times the sum
+    of the terms' sizes, plus a few more for exp and products; rho is raised
+    and mu lowered by (2n + ROUNDING_ULPS) unit roundoffs times that sum.
     """
     validate_stopping(tol_nonlinear, max_steps)
     g = assemble_source(dom, vc)
@@ -215,6 +297,8 @@ def solve_bounded(
     energy = energy_eval(f, g, params)
     res_sup = float(np.max(np.abs(residual(f, g, params)))) if dom.n_interior else 0.0
     trace.append(TraceStep(0, 0.0, energy, res_sup, 0.0))
+    target = RESIDUAL_FACTOR * tol_nonlinear
+    switch = NEWTON_SWITCH
 
     for k in range(1, max_steps + 1):
         f_next = iterate_once(f, g, params, linear_opts, x0=f.interior_values)
@@ -235,8 +319,27 @@ def solve_bounded(
                 f"energy {energy_next:.3e} positive at step {k}", trace=trace
             )
         f, energy = f_next, energy_next
-        if sup_diff < tol_nonlinear and res_sup <= RESIDUAL_FACTOR * tol_nonlinear:
-            return BoundedSolution(field=f, trace=trace, params=params, vortex=vc)
+        if sup_diff < switch and switch >= tol_nonlinear:
+            certified = _newton_finish(f, vc, g, params, tol_nonlinear, switch)
+            if certified is not None:
+                root, cert = certified
+                return BoundedSolution(
+                    root, trace, params, vc,
+                    residual_sup=float(np.max(np.abs(residual(root, g, params)))),
+                    energy=energy_eval(root, g, params),
+                    certificate=cert,
+                )
+            switch *= NEWTON_SWITCH_FACTOR
+        if sup_diff < tol_nonlinear and res_sup <= target:
+            return BoundedSolution(f, trace, params, vc, res_sup, energy, certificate=None)
+        if sup_diff == 0.0:
+            raise ConvergenceError(
+                f"monotone steps stalled at step {k}: a step moved nothing while the "
+                f"residual {res_sup:.3e} is above the target {target:.3e}",
+                best=f,
+                residual=res_sup,
+                trace=trace,
+            )
 
     raise ConvergenceError(
         f"no convergence to tol={tol_nonlinear} within {max_steps} steps "
@@ -247,6 +350,47 @@ def solve_bounded(
     )
 
 
+def _newton_finish(
+    f_k: Field, vc: VortexConfig, g: Field, params: Params, tol: float, switch: float
+) -> tuple[Field, MaximalityCertificate] | None:
+    """Newton from min(f_k, 0) and the test of solve_bounded; None if either fails."""
+    dom = f_k.domain
+    start = Field.from_interior(dom, np.minimum(f_k.interior_values, 0.0))
+    try:
+        root = newton_solve(dom, vc, params, start, tol=NEWTON_TOL_FACTOR * tol)
+    except ConvergenceError:
+        return None
+    root = Field.from_interior(dom, np.minimum(root.interior_values, 0.0))
+    fs = root.interior_values
+    a = params.a
+    lo = fs - tol
+    hi = np.maximum(f_k.interior_values, fs) + MONOTONE_TOL
+    m = nonlinearity_deriv(np.clip(-2.0 * math.log1p(a) / a, lo, hi), params)
+    try:
+        w = linear_solve(LinearSystem(dom, m, -np.ones(dom.n_interior))).interior_values
+    except ConvergenceError:
+        return None
+    if not np.all(w > 0.0):
+        return None
+    # A w and r(f*), each widened by its rounding allowance; the terms of N'
+    # are at most lam (a + 2) in size on f <= 0
+    rounding = (dom.degree + ROUNDING_ULPS) * np.finfo(float).eps / 2
+    w_sum = neighbor_sum(dom, Field.from_interior(dom, w).values)
+    aw = (m + dom.degree) * w - w_sum
+    aw_size = (np.abs(m) + dom.degree + params.lam * (a + 2.0)) * w + w_sum
+    mu = float(np.min(aw - rounding * aw_size))
+    if not mu > 0.0:
+        return None
+    r_size = (neighbor_sum(dom, np.abs(root.values)) + dom.degree * np.abs(fs)
+              + np.abs(nonlinearity(fs, params)) + g.interior_values)
+    rho = float(np.max(np.abs(residual(root, g, params)) + rounding * r_size))
+    max_w = float(np.max(w))
+    bound = rho / mu * max_w
+    if not bound <= tol:
+        return None
+    return root, MaximalityCertificate(bound, rho, max_w, mu, switch)
+
+
 def newton_solve(
     dom: LatticeDomain,
     vc: VortexConfig,
@@ -255,19 +399,24 @@ def newton_solve(
     tol: float = 1e-10,
     max_steps: int = 60,
 ) -> Field:
-    """Damped Newton iteration on the residual; oracle for maximality tests.
+    """Damped Newton iteration on the residual from a nonpositive start.
 
-    The Newton step s solves (L - N'(f)) s = -r, the symmetric Jacobian
+    solve_bounded's finish and the verify suite's maximality oracle.  A
+    start above zero by at most FIELD_SIGN_TOL (roundoff in a monotone
+    iterate) is clipped to zero; a larger value raises ValueError.  The Newton step s solves (L - N'(f)) s = -r, the symmetric Jacobian
     taken as the linear solver's operator with per-point shift K = N'(f):
     one matrix-free CG solve, no N x N matrix.  Steps are halved (up to
     30 times) until the sup-norm residual decreases.  Divergence, or a
     Jacobian that CG finds not negative definite, raises ConvergenceError
-    carrying the last Newton iterate; that is acceptable for an oracle.
+    carrying the last Newton iterate.
     """
-    if float(np.max(f_init.values)) > 0.0:
-        raise ValueError("newton_solve expects a nonpositive initial field")
+    if float(np.max(f_init.values)) > FIELD_SIGN_TOL:
+        raise ValueError(
+            f"newton_solve expects a nonpositive initial field (up to FIELD_SIGN_TOL="
+            f"{FIELD_SIGN_TOL:.0e}), got a value {float(np.max(f_init.values)):.3e}"
+        )
     g = assemble_source(dom, vc)
-    f = f_init.interior_values.copy()
+    f = np.minimum(f_init.interior_values, 0.0)
 
     def res_of(fi: np.ndarray) -> np.ndarray:
         return residual(Field.from_interior(dom, fi), g, params)

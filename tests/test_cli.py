@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cslattice.cli import (
@@ -155,6 +156,35 @@ class TestExitCodes:
 
 
 class TestSolve:
+    def test_small_lambda_certified_with_flux_identity(self, tmp_path):
+        # the plain monotone stop rule left a one-signed residual here whose
+        # sum missed FLUX_TOL (gap 3.4e-8)
+        path = write_config(tmp_path, radii=[40], **{"lambda": 0.1})
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--output-dir", str(out), "--quiet"]) == EXIT_OK
+        report = read_report(out)
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["flux_identity"]["passed"]
+        cert = by_name["maximality_certificate"]
+        assert cert["passed"] and cert["value"] <= cert["threshold"] == 1e-10
+        assert report["radii"][0]["iterations"] < 50
+
+    def test_field_csv_matches_per_value_formatting(self, tmp_path):
+        from cslattice import Field, build_domain
+        from cslattice.cli import write_field_csv
+
+        dom = build_domain(2, 1)
+        values = np.zeros(dom.n_closure)
+        values[: dom.n_interior] = [-0.0, 5e-324, 1e-300, -1.0, -1 / 3]
+        f = Field(dom, values)
+        write_field_csv(tmp_path / "f.csv", f)
+        lines = ["x1,x2,d,f"] + [
+            ",".join([str(c) for c in p] + [str(d), f"{v:.17g}"])
+            for p, d, v in zip(dom.coords.tolist(), dom.distances.tolist(), f.values)
+        ]
+        assert (tmp_path / "f.csv").read_text() == "\n".join(lines) + "\n"
+        assert lines[1:3] == ["-1,0,1,-0", "0,-1,1,4.9406564584124654e-324"]
+
     def test_empty_vortices_zero_field(self, tmp_path):
         path = write_config(tmp_path, vortices=[], radii=[4])
         out = tmp_path / "out"
@@ -214,6 +244,8 @@ class TestExhaust:
         assert "decay_rate" in names
         assert "barrier_inequality" in names
         assert "coercivity_positive" in names
+        for radius in (6, 10, 14):
+            assert f"R{radius}.maximality_certificate" in names
 
     def test_artifacts_exist(self, completed):
         _, out = completed
@@ -293,14 +325,19 @@ class TestVerify:
         assert by_name["maximality_newton"]["passed"]
         assert by_name["maximality_newton"]["detail"] == "10/10 starts converged"
 
-    def test_sabotaged_linear_tolerance_fails_monotonicity(self, tmp_path):
+    def test_sabotaged_linear_tolerance_is_caught(self, tmp_path):
+        # the linear checks catch tol_linear = 0.5; the solve itself stays
+        # right, because its certified Newton finish does not use tol_linear
         path = write_config(tmp_path, radii=[6, 9], tol_linear=0.5)
         out = tmp_path / "out"
         rc = main(["verify", str(path), "--output-dir", str(out), "--quiet"])
         assert rc == EXIT_CHECK_FAILED
         report = read_report(out)
         by_name = {c["name"]: c for c in report["checks"]}
-        assert not by_name["monotone_iterates"]["passed"]
+        assert not by_name["linear_oracle"]["passed"]
+        assert not by_name["linear_minimizer"]["passed"]
+        assert by_name["maximality_certificate"]["passed"]
+        assert by_name["monotone_iterates"]["passed"]
         assert not report["all_checks_passed"]
 
     def test_off_origin_vortex_skips_symmetry(self, tmp_path):

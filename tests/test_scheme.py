@@ -21,7 +21,8 @@ from cslattice import (
     residual,
     solve_bounded,
 )
-from cslattice.scheme import MAXIMALITY_TOL
+import cslattice.scheme as scheme_mod
+from cslattice.scheme import FIELD_SIGN_TOL, MAXIMALITY_TOL, RESIDUAL_FACTOR
 
 from conftest import bisection_root
 
@@ -207,23 +208,19 @@ class TestSolveBounded:
         assert worst <= 1e-10
 
     def test_limit_independent_of_k(self):
-        # both runs approach the same K-free solution from above; the
-        # distance left at the stopping point is bounded a posteriori by
-        # sup_diff * rho / (1 - rho) with rho the observed contraction rate
+        # both runs certify their field within its bound of the K-free
+        # maximal solution, so the fields differ by at most the two bounds
         dom = build_domain(2, 6)
         tol = 1e-11
         fields, bounds = [], []
         for K in (2.0, 6.0):
-            sol = solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0, K),
-                                tol_nonlinear=tol, max_steps=2000)
-            sup = sol.trace.column("sup_diff")
-            rho = float(np.exp(np.mean(np.log(sup[-4:] / sup[-5:-1]))))
-            assert rho < 1.0
+            sol = solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0, K), tol_nonlinear=tol)
+            assert sol.certificate is not None
             fields.append(sol.field.values)
-            bounds.append(sup[-1] * rho / (1.0 - rho))
+            bounds.append(sol.certificate.bound)
         gap = float(np.max(np.abs(fields[0] - fields[1])))
-        assert gap <= 1.2 * (bounds[0] + bounds[1])
-        assert gap <= 100.0 * tol
+        assert gap <= bounds[0] + bounds[1]
+        assert max(bounds) <= tol
 
     def test_rejects_bad_tolerance(self, b2):
         with pytest.raises(ValueError, match="tol_nonlinear"):
@@ -287,7 +284,103 @@ class TestNewtonOracle:
         g = assemble_source(dom, ONE_VORTEX)
         assert err.value.residual == np.max(np.abs(residual(start, g, params)))
 
+    def test_roundoff_above_zero_is_clipped(self):
+        # a monotone iterate may sit 1e-24 above zero (seen at 2D R=80)
+        dom = build_domain(2, 5)
+        params = Params(1.0, 1.0)
+        start = np.zeros(dom.n_closure)
+        start[dom.locate((5, 0))] = 1e-24
+        root = newton_solve(dom, ONE_VORTEX, params, Field(dom, start))
+        from_zero = newton_solve(dom, ONE_VORTEX, params, Field.zeros(dom))
+        assert np.array_equal(root.values, from_zero.values)
+        # without vortices the clipped start is already a root, returned as is
+        root = newton_solve(dom, VortexConfig([]), params, Field(dom, start))
+        assert not np.any(root.values)
+        start[dom.locate((5, 0))] = 10 * FIELD_SIGN_TOL
+        with pytest.raises(ValueError, match="nonpositive"):
+            newton_solve(dom, ONE_VORTEX, params, Field(dom, start))
+
     def test_rejects_positive_start(self, b2):
         with pytest.raises(ValueError, match="nonpositive"):
             newton_solve(b2, ONE_VORTEX, Params(1.0, 1.0),
                          Field(b2, np.ones(b2.n_closure)))
+
+
+def _no_newton(monkeypatch, newton=None):
+    """Make every Newton finish of solve_bounded fail, or return newton(start)."""
+
+    def failing(dom, vc, params, f_init, **_kwargs):
+        if newton is not None:
+            return newton(f_init)
+        raise ConvergenceError("Newton disabled")
+
+    monkeypatch.setattr(scheme_mod, "newton_solve", failing)
+
+
+class TestCertificate:
+    def test_bound_covers_distance_to_tight_reference(self):
+        # the monotone iterates decrease to f_max: run them to sup_diff < 1e-14
+        # and bound what is left by sup_diff * rho / (1 - rho)
+        dom = build_domain(2, 10)
+        params = Params(1.0, 1.0)
+        sol = solve_bounded(dom, ONE_VORTEX, params)
+        assert sol.certificate is not None
+        assert sol.certificate.bound <= 1e-10
+        g = assemble_source(dom, ONE_VORTEX)
+        f, sups = Field.zeros(dom), []
+        while not sups or sups[-1] >= 1e-14:
+            nxt = iterate_once(f, g, params, LinearSolveOptions(tol_rel=1e-15),
+                               x0=f.interior_values)
+            sups.append(float(np.max(np.abs(nxt.values - f.values))))
+            f = nxt
+            assert len(sups) < 1000
+        rho = (sups[-1] / sups[-5]) ** 0.25
+        assert 0.0 < rho < 1.0
+        tail = sups[-1] * rho / (1.0 - rho)
+        distance = float(np.max(np.abs(sol.field.values - f.values)))
+        assert distance <= sol.certificate.bound + tail
+
+    def test_two_vortices_within_default_max_steps(self):
+        # the plain monotone stop rule needs 1024 steps here
+        dom = build_domain(2, 80)
+        vc = VortexConfig([((0, 0), 2), ((3, 0), 1)])
+        sol = solve_bounded(dom, vc, Params(1.0, 1.0))
+        assert sol.certificate is not None
+        assert sol.certificate.bound <= 1e-10
+        assert sol.iterations <= 500
+
+    def test_uncertified_root_falls_back_to_monotone_stop_rule(self, monkeypatch):
+        # a "root" that is the unconverged start must fail the test at every switch
+        _no_newton(monkeypatch, newton=lambda start: start)
+        dom = build_domain(2, 5)
+        sol = solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0))
+        assert sol.certificate is None
+        last = sol.trace.steps[-1]
+        assert last.sup_diff < 1e-10
+        assert sol.residual_sup == last.residual_sup <= RESIDUAL_FACTOR * 1e-10
+        assert sol.energy == last.energy
+
+    def test_fallback_matches_plain_monotone_iteration(self, monkeypatch):
+        _no_newton(monkeypatch)
+        dom = build_domain(2, 5)
+        params = Params(1.0, 1.0)
+        sol = solve_bounded(dom, ONE_VORTEX, params)
+        assert sol.certificate is None
+        g = assemble_source(dom, ONE_VORTEX)
+        f = Field.zeros(dom)
+        for _ in range(sol.iterations):
+            f = iterate_once(f, g, params, x0=f.interior_values)
+        assert np.array_equal(sol.field.values, f.values)
+
+    def test_stalled_fallback_fails_fast(self, monkeypatch):
+        # with tol_rel = 0.5 the CG warm start soon satisfies the linear
+        # tolerance as it stands, so a step moves nothing
+        _no_newton(monkeypatch)
+        dom = build_domain(2, 6)
+        with pytest.raises(ConvergenceError, match=r"residual .* above the target 1\.000e-08") as err:
+            solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0),
+                          linear_opts=LinearSolveOptions(tol_rel=0.5))
+        trace = err.value.trace
+        assert trace.steps[-1].sup_diff == 0.0
+        assert trace.iterations < 500
+        assert err.value.residual == trace.steps[-1].residual_sup > 1e-8
