@@ -3,11 +3,14 @@
 The whole-lattice maximal solution is approximated by solving on an
 increasing family of Manhattan balls and extending by zero.  Along such a
 family the solutions decrease pointwise and their l2 norms stay uniformly
-bounded, so the tail of the norm sequence stabilizes.  The far-field decay
-obeys |f(x)| = O(e^{-alpha (1-eps) d(x)}) with alpha = ln(1 + lam*a/(2n))
-for every eps in (0, 1); this module fits the observed shell-max decay and
-produces the certificate constant, and separately verifies the two
-pointwise inequalities behind that estimate:
+bounded, so the tail of the norm sequence stabilizes.  The pointwise
+decrease also makes each radius's last monotone iterate, extended by zero,
+an upper solution on the next ball, so the solve there starts from it.
+
+The far-field decay obeys |f(x)| = O(e^{-alpha (1-eps) d(x)}) with
+alpha = ln(1 + lam*a/(2n)) for every eps in (0, 1); this module fits the
+observed shell-max decay and produces the certificate constant, and
+separately verifies the two pointwise inequalities behind that estimate:
 
   * the comparison barrier v(x) = -e^{-alpha(1-eps) d(x)} satisfies
     L v >= c1 v with c1 = 2n [(1 + lam*a/(2n))^{1-eps} - 1] on every shell;
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError, ConvergenceError
-from .fields import norm
+from .fields import Field, extend_by_zero, norm
 from .lattice import Params, VortexConfig, build_domain, manhattan_norm, shell_size
 from .linear import LinearSolveOptions
 from .scheme import BoundedSolution, solve_bounded
@@ -80,17 +83,21 @@ def run_exhaustion(
 ) -> ExhaustionResult:
     """Solve on each radius, extend by zero, and record the nesting data.
 
-    The radii are validated by validate_radii.  A failed solve raises
-    ConvergenceError with the completed smaller radii attached as
-    ``partial``.
+    The radii are validated by validate_radii.  The first radius is solved
+    from zero; every later one is warm-started from the previous radius's
+    solution extended by zero (solve_bounded's ``previous``), so its
+    ``iterations`` count only the monotone steps taken from that start.  A
+    failed solve raises ConvergenceError with the completed smaller radii
+    attached as ``partial``.
     """
     radii = validate_radii(radii, vc)
     solutions: list[BoundedSolution] = []
     for r in radii:
+        previous = solutions[-1] if solutions else None
         try:
-            solutions.append(
-                solve_bounded(build_domain(n, r), vc, params, tol, max_steps, linear_opts)
-            )
+            solutions.append(solve_bounded(
+                build_domain(n, r), vc, params, tol, max_steps, linear_opts, previous
+            ))
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"bounded solve failed at radius {r}: {exc}",
@@ -132,8 +139,7 @@ def _assemble(radii, solutions) -> ExhaustionResult:
     l2 = tuple(norm(s.field, 2) for s in solutions)
     sup = tuple(norm(s.field, math.inf) for s in solutions)
     deltas = tuple(
-        float(np.max(b.field.values[b.domain.locate(a.domain.coords)] - a.field.values))
-        for a, b in zip(solutions, solutions[1:])
+        _nested_delta(a.field, b.field) for a, b in zip(solutions, solutions[1:])
     )
     return ExhaustionResult(
         radii=tuple(radii),
@@ -143,6 +149,12 @@ def _assemble(radii, solutions) -> ExhaustionResult:
         sup_norms=sup,
         pointwise_deltas=deltas,
     )
+
+
+def _nested_delta(small: Field, big: Field) -> float:
+    """max over the closure of small's ball of big - small: the nesting margin."""
+    on_small = big.domain.distances <= small.domain.radius + 1
+    return float(np.max((big.values - extend_by_zero(small, big.domain).values)[on_small]))
 
 
 def shell_profile(sol: BoundedSolution) -> list[tuple[int, float, float]]:

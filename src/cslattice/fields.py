@@ -80,6 +80,16 @@ class Field:
         return float(self.values[self.domain.locate(point)])
 
 
+def extend_by_zero(f: Field, domain: "LatticeDomain") -> Field:
+    """f on a domain whose closure contains f's closure, zero elsewhere.
+
+    Raises KeyError if a closure point of f lies outside domain's closure.
+    """
+    values = np.zeros(domain.n_closure)
+    values[domain.locate(f.domain.coords)] = f.values
+    return Field(domain, values)
+
+
 def _require_same_domain(f: Field, g: Field) -> None:
     if f.domain is not g.domain and f.domain.key != g.domain.key:
         raise ValueError(f"domain mismatch: {f.domain.key} vs {g.domain.key}")

@@ -1,12 +1,13 @@
 """Monotone iteration for the vortex equation on a bounded domain.
 
 The equation is  L f = lam * e^f (e^{a f} - 1) + g  with zero Dirichlet
-data, g the Dirac vortex source.  Starting from f_0 = 0 and a fixed
-K > a*lam, each step solves the linear problem
+data, g the Dirac vortex source.  Starting from f_0 = 0, or from an upper
+solution above the maximal one, and a fixed K > a*lam, each step solves the
+linear problem
 
     (L - K) f_k = lam e^{f_{k-1}} (e^{a f_{k-1}} - 1) + g - K f_{k-1},
 
-which produces a pointwise nonincreasing sequence 0 = f_0 >= f_1 >= ...
+which produces a pointwise nonincreasing sequence f_0 >= f_1 >= ...
 converging to the maximal solution on the domain.  The associated energy
 
     I(f) = 1/2 int |grad f|^2 + lam/(a+1) int (e^{(a+1)f} - 1)
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, SchemeIntegrityError
-from .fields import Field, grad_energy, laplacian, neighbor_sum
+from .fields import Field, extend_by_zero, grad_energy, laplacian, neighbor_sum
 from .lattice import LatticeDomain, Params, VortexConfig, assemble_source
 from .linear import LinearSolveOptions, LinearSystem, linear_solve
 # Unused here, kept until perfbench/spans.py stops patching this name.
@@ -181,9 +182,10 @@ class MaximalityCertificate:
 class BoundedSolution:
     """Maximal solution on one bounded domain, with its monotone history.
 
-    ``residual_sup`` and ``energy`` belong to ``field``.  ``certificate`` is
-    None when no Newton finish was certified and ``field`` is the last
-    monotone iterate.
+    ``residual_sup`` and ``energy`` belong to ``field``.  ``upper`` is the
+    last monotone iterate: an upper solution above the maximal solution and
+    the top of the certificate's bracket.  ``certificate`` is None when no
+    Newton finish was certified and ``field`` is ``upper``.
     """
 
     field: Field
@@ -193,6 +195,7 @@ class BoundedSolution:
     residual_sup: float
     energy: float
     certificate: MaximalityCertificate | None
+    upper: Field
 
     @property
     def domain(self) -> LatticeDomain:
@@ -232,13 +235,19 @@ def solve_bounded(
     tol_nonlinear: float = 1e-10,
     max_steps: int = 500,
     linear_opts: LinearSolveOptions = LinearSolveOptions(),
+    previous: BoundedSolution | None = None,
 ) -> BoundedSolution:
     """Maximal solution on dom, certified within tol_nonlinear in sup norm.
 
-    Schedule.  Monotone steps run from f_0 = 0 until one moves less than
-    the switch, NEWTON_SWITCH at first.  newton_solve then starts from
-    min(f_k, 0) and aims at a residual of NEWTON_TOL_FACTOR * tol_nonlinear;
-    its root f*, clipped to f* <= 0, is returned when the test below proves
+    Schedule.  Monotone steps run from f_0 until one moves less than the
+    switch, NEWTON_SWITCH at first.  f_0 is 0, a cold start, unless
+    ``previous`` is given: a solution on a ball of the same dimension and at
+    most dom's radius, with the same vortices and params (ValueError
+    otherwise).  Then f_0 is the zero extension of previous.upper, a warm
+    start.  newton_solve starts from min(f_k, 0), on its first try after a
+    warm start from the zero extension of previous.field instead, and aims
+    at a residual of NEWTON_TOL_FACTOR * tol_nonlinear; its root f*,
+    clipped to f* <= 0, is returned when the test below proves
     ||f* - f_max||_inf <= tol_nonlinear.  If Newton raises ConvergenceError
     or the test fails, the switch shrinks by NEWTON_SWITCH_FACTOR and the
     monotone steps go on from f_k; the tries end once the switch falls
@@ -259,19 +268,32 @@ def solve_bounded(
     w > 0 and A w >= mu > 0 pointwise and, with rho = ||r(f*)||_inf and
     t = rho / mu, that the bound t * max w is at most delta.
 
-    1. f_max <= f_k, and f_k is an upper solution.  A step gives
-       r(f_k) = (K - N'(xi)) (f_k - f_{k-1}) with xi between the iterates,
-       and K > a lam >= N' on f <= 0, so r(f_k) <= 0.  For any solution f,
-       (L - K)(f_k - f) = (N'(xi) - K)(f_{k-1} - f) with (L - K)^{-1} <= 0
-       entrywise, so f <= f_k by induction from f <= 0 = f_0 (every
-       solution is <= 0 by the maximum principle).
+    1. f_max <= f_k, and f_k is an upper solution, given that f_0 is an
+       upper solution with f_max <= f_0.  A step gives
+       (L - K)(f_k - f_{k-1}) = -r(f_{k-1}) and
+       r(f_k) = (K - N'(xi)) (f_k - f_{k-1}) with xi between the iterates;
+       as (L - K)^{-1} <= 0 entrywise and K > a lam >= N' on f <= 0, by
+       induction f_k <= f_{k-1} and r(f_k) <= 0.  For any solution
+       f <= f_0, (L - K)(f_k - f) = (N'(xi) - K)(f_{k-1} - f), so f <= f_k
+       by induction.  f_0 = 0 qualifies: r(0) = -g <= 0, and every solution
+       is <= 0 by the maximum principle.  So does the zero extension f_0 of
+       the last iterate u on a smaller ball B: on the interior of B,
+       r(f_0) = r(u) <= 0 (by this step on B), as the stencil stays in B's
+       closure; on B's sphere f_0 = 0, so N(f_0) = 0, g = 0 (validate_radii
+       keeps every vortex inside the smallest ball) and L f_0 is a sum of
+       values of u <= 0; elsewhere r(f_0) = 0.  f_max on dom, restricted to
+       B, solves the equation inside B and is <= 0 on B's sphere, so it is
+       a lower solution there and lies below B's maximal solution (the
+       argument of step 3), hence below u; outside B, f_max <= 0 = f_0.
+       This is the paper's nested monotonicity.
     2. v = f* - t w is a lower solution.  r(v) = r(f*) + t (diag(c) - L) w
        with c = N'(xi), xi in [f* - t w, f*], which lies in the bracket as
        t w <= delta; so c >= m, (diag(c) - L) w >= A w >= mu, and
        r(v) >= -rho + t mu = 0.
     3. f_max lies in the bracket.  The induction of step 1, with r(v) >= 0
-       on the right, keeps the iterates from 0 above the lower solution
-       v <= f* <= 0, so f* - delta <= v <= f_max <= f_k.
+       on the right, keeps the monotone iterates from 0, which decrease to
+       f_max whatever f_0 the solve started from, above the lower solution
+       v <= f* <= 0; so f* - delta <= v <= f_max <= f_k.
     4. |f_max - f*| <= t w.  d = f_max - f* solves (diag(c) - L) d = r(f*)
        with c = N'(xi), xi between f* and f_max, in the bracket by 1 and 3,
        so c >= m.  The Z-matrix B = diag(c) - L has B w >= A w > 0, so it
@@ -283,16 +305,30 @@ def solve_bounded(
     Exact and rounded.  Steps 1 and 3 speak of the exact iterates.  The
     computed f_k carries the error of each CG solve (relative tol_linear),
     absorbed by MONOTONE_TOL on the bracket's top: the margin by which
-    iterate_once lets a computed step rise.  Steps 2 and 4 are exact
-    statements about the stored vectors f* and w, except that r(f*) and
-    A w are evaluated in floating point.  Each entry is a sum of 2n + 3
-    terms, so it errs by at most about (2n + 3) unit roundoffs times the sum
-    of the terms' sizes, plus a few more for exp and products; rho is raised
-    and mu lowered by (2n + ROUNDING_ULPS) unit roundoffs times that sum.
+    iterate_once lets a computed step rise.  After a warm start the solves
+    on the smaller balls add errors of the same relative size through f_0.
+    Steps 2 and 4 are exact statements about the stored vectors f* and w,
+    except that r(f*) and A w are evaluated in floating point.  Each entry
+    is a sum of 2n + 3 terms, so it errs by at most about (2n + 3) unit
+    roundoffs times the sum of the terms' sizes, plus a few more for exp and
+    products; rho is raised and mu lowered by (2n + ROUNDING_ULPS) unit
+    roundoffs times that sum.
     """
     validate_stopping(tol_nonlinear, max_steps)
     g = assemble_source(dom, vc)
-    f = Field.zeros(dom)
+    if previous is None:
+        f, newton_start = Field.zeros(dom), None
+    else:
+        prev_dom = previous.domain
+        if (prev_dom.dim, previous.vortex, previous.params) != (dom.dim, vc, params) \
+                or prev_dom.radius > dom.radius:
+            raise ValueError(
+                f"a warm start needs a solution on a ball of Z^{dom.dim} inside "
+                f"B_{dom.radius} with the same vortices and params, got one on "
+                f"B_{prev_dom.radius} of Z^{prev_dom.dim}"
+            )
+        f = extend_by_zero(previous.upper, dom)
+        newton_start = extend_by_zero(previous.field, dom)
     trace = IterationTrace()
     energy = energy_eval(f, g, params)
     res_sup = float(np.max(np.abs(residual(f, g, params)))) if dom.n_interior else 0.0
@@ -320,7 +356,7 @@ def solve_bounded(
             )
         f, energy = f_next, energy_next
         if sup_diff < switch and switch >= tol_nonlinear:
-            certified = _newton_finish(f, vc, g, params, tol_nonlinear, switch)
+            certified = _newton_finish(f, vc, g, params, tol_nonlinear, switch, newton_start)
             if certified is not None:
                 root, cert = certified
                 return BoundedSolution(
@@ -328,10 +364,12 @@ def solve_bounded(
                     residual_sup=float(np.max(np.abs(residual(root, g, params)))),
                     energy=energy_eval(root, g, params),
                     certificate=cert,
+                    upper=f,
                 )
             switch *= NEWTON_SWITCH_FACTOR
+            newton_start = None
         if sup_diff < tol_nonlinear and res_sup <= target:
-            return BoundedSolution(f, trace, params, vc, res_sup, energy, certificate=None)
+            return BoundedSolution(f, trace, params, vc, res_sup, energy, None, upper=f)
         if sup_diff == 0.0:
             raise ConvergenceError(
                 f"monotone steps stalled at step {k}: a step moved nothing while the "
@@ -351,11 +389,16 @@ def solve_bounded(
 
 
 def _newton_finish(
-    f_k: Field, vc: VortexConfig, g: Field, params: Params, tol: float, switch: float
+    f_k: Field, vc: VortexConfig, g: Field, params: Params, tol: float, switch: float,
+    start: Field | None = None,
 ) -> tuple[Field, MaximalityCertificate] | None:
-    """Newton from min(f_k, 0) and the test of solve_bounded; None if either fails."""
+    """Newton from start, min(f_k, 0) by default, and the test of solve_bounded.
+
+    None if either fails.
+    """
     dom = f_k.domain
-    start = Field.from_interior(dom, np.minimum(f_k.interior_values, 0.0))
+    if start is None:
+        start = Field.from_interior(dom, np.minimum(f_k.interior_values, 0.0))
     try:
         root = newton_solve(dom, vc, params, start, tol=NEWTON_TOL_FACTOR * tol)
     except ConvergenceError:
@@ -403,7 +446,9 @@ def newton_solve(
 
     solve_bounded's finish and the verify suite's maximality oracle.  A
     start above zero by at most FIELD_SIGN_TOL (roundoff in a monotone
-    iterate) is clipped to zero; a larger value raises ValueError.  The Newton step s solves (L - N'(f)) s = -r, the symmetric Jacobian
+    iterate) is clipped to zero; a larger value raises ValueError.
+
+    The Newton step s solves (L - N'(f)) s = -r, the symmetric Jacobian
     taken as the linear solver's operator with per-point shift K = N'(f):
     one matrix-free CG solve, no N x N matrix.  Steps are halved (up to
     30 times) until the sup-norm residual decreases.  Divergence, or a

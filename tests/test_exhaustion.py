@@ -10,6 +10,7 @@ from cslattice import (
     ConvergenceError,
     Params,
     VortexConfig,
+    assemble_source,
     barrier_check,
     barrier_constant,
     build_domain,
@@ -17,13 +18,19 @@ from cslattice import (
     coercivity_default_grid,
     decay_fit,
     decay_rate_theory,
+    energy_eval,
     lp_summary,
+    residual,
     run_exhaustion,
     shell_profile,
     shell_size,
     solve_bounded,
 )
+import cslattice.scheme as scheme_mod
+from cslattice.exhaustion import NESTED_TOL
+from cslattice.fields import extend_by_zero
 from cslattice.lattice import manhattan_norm
+from cslattice.scheme import MAXIMALITY_TOL, MONOTONE_TOL
 
 ONE_VORTEX = VortexConfig([((0, 0), 1)])
 PARAMS = Params(1.0, 1.0)
@@ -80,6 +87,86 @@ class TestRunExhaustion:
         assert partial is not None
         assert partial.radii == (4,)
         assert len(partial.solutions) == 1
+
+
+WARM_CASES = [
+    (2, ONE_VORTEX, Params(1.0, 1.0), [6, 10, 14]),
+    (2, ONE_VORTEX, Params(0.1, 1.0), [8, 12, 16]),
+    (3, VortexConfig([((0, 0, 0), 1)]), Params(1.0, 1.0), [3, 5, 7]),
+    (3, VortexConfig([((0, 0, 0), 1)]), Params(0.1, 1.0), [3, 5, 7]),
+    (4, VortexConfig([((0, 0, 0, 0), 1)]), Params(1.0, 1.0), [2, 4, 5]),
+    (4, VortexConfig([((0, 0, 0, 0), 1)]), Params(0.1, 1.0), [2, 4, 5]),
+    (2, VortexConfig([((0, 0), 2), ((3, 0), 1)]), Params(1.0, 1.0), [4, 8, 12]),
+]
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("n, radii", [(2, (6, 10)), (3, (3, 5))])
+    def test_extended_last_iterate_is_upper_solution(self, n, radii):
+        vc = VortexConfig([((0,) * n, 1)])
+        small = solve_bounded(build_domain(n, radii[0]), vc, PARAMS)
+        dom = build_domain(n, radii[1])
+        start = extend_by_zero(small.upper, dom)
+        assert np.max(residual(start, assemble_source(dom, vc), PARAMS)) <= MONOTONE_TOL
+        cold = solve_bounded(dom, vc, PARAMS)
+        assert cold.certificate is not None
+        # f_max >= cold.field - bound, and start >= f_max up to the CG error
+        assert np.all(start.values >= cold.field.values - cold.certificate.bound - MONOTONE_TOL)
+
+    @pytest.mark.parametrize("n, vc, params, radii", WARM_CASES)
+    def test_warm_agrees_with_cold_within_certified_bounds(self, n, vc, params, radii):
+        warm = run_exhaustion(n, vc, params, radii)
+        for r, sol in zip(radii, warm.solutions):
+            cold = solve_bounded(build_domain(n, r), vc, params)
+            assert sol.certificate is not None and cold.certificate is not None
+            gap = float(np.max(np.abs(sol.field.values - cold.field.values)))
+            assert gap <= sol.certificate.bound + cold.certificate.bound
+        assert max(warm.pointwise_deltas) <= NESTED_TOL
+
+    def test_later_radii_take_few_monotone_steps(self):
+        res = run_exhaustion(2, ONE_VORTEX, PARAMS, [10, 20, 30])
+        assert [s.iterations <= 2 for s in res.solutions] == [False, True, True]
+        for small, big in zip(res.solutions, res.solutions[1:]):
+            start = extend_by_zero(small.upper, big.domain)
+            g = assemble_source(big.domain, ONE_VORTEX)
+            assert big.trace.steps[0].energy == energy_eval(start, g, PARAMS) < 0.0
+
+    def test_failed_first_newton_try_falls_back_to_min_fk(self, monkeypatch):
+        small = solve_bounded(build_domain(2, 6), ONE_VORTEX, PARAMS)
+        dom = build_domain(2, 10)
+        cold = solve_bounded(dom, ONE_VORTEX, PARAMS)
+        real = scheme_mod.newton_solve
+        starts = []
+
+        def first_fails(dom, vc, params, f_init, **kwargs):
+            starts.append(f_init.values.copy())
+            if len(starts) == 1:
+                raise ConvergenceError("first Newton try disabled")
+            return real(dom, vc, params, f_init, **kwargs)
+
+        monkeypatch.setattr(scheme_mod, "newton_solve", first_fails)
+        sol = solve_bounded(dom, ONE_VORTEX, PARAMS, previous=small)
+        assert np.array_equal(starts[0], extend_by_zero(small.field, dom).values)
+        gap = float(np.max(np.abs(sol.field.values - cold.field.values)))
+        if sol.certificate is None:
+            assert sol.trace.steps[-1].sup_diff < 1e-10
+            assert gap <= MAXIMALITY_TOL
+        else:
+            # the certified try started from min(f_k, 0), f_k its bracket top
+            assert len(starts) >= 2
+            assert np.array_equal(starts[-1], np.minimum(sol.upper.values, 0.0))
+            assert gap <= sol.certificate.bound + cold.certificate.bound
+
+    @pytest.mark.parametrize("dim, vc, params, radius", [
+        (3, VortexConfig([((0, 0, 0), 1)]), PARAMS, 10),
+        (2, VortexConfig([((0, 0), 2)]), PARAMS, 10),
+        (2, ONE_VORTEX, Params(0.5, 1.0), 10),
+        (2, ONE_VORTEX, PARAMS, 4),
+    ])
+    def test_mismatched_previous_rejected(self, dim, vc, params, radius):
+        small = solve_bounded(build_domain(2, 6), ONE_VORTEX, PARAMS)
+        with pytest.raises(ValueError, match="warm start"):
+            solve_bounded(build_domain(dim, radius), vc, params, previous=small)
 
 
 class TestShellProfile:

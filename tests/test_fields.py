@@ -16,7 +16,7 @@ from cslattice import (
     norm,
     sum_by_parts_defect,
 )
-from cslattice.fields import neighbor_sum
+from cslattice.fields import extend_by_zero, neighbor_sum
 
 
 def indicator(dom, point):
@@ -198,3 +198,18 @@ def test_norm_inequalities(rng):
         assert np_ <= size ** (1.0 / p) * norm(f, math.inf) * (1 + 1e-13)
     # monotone in the vertex set
     assert norm(f, 2, "interior") <= norm(f, 2, "closure")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_extend_by_zero_pointwise(n, rng):
+    small, big = build_domain(n, 2), build_domain(n, 4)
+    f = Field(small, rng.standard_normal(small.n_closure))
+    ext = extend_by_zero(f, big)
+    for p, value in zip(small.coords.tolist(), f.values):
+        assert ext(p) == value
+    outside = big.distances > small.radius + 1
+    assert np.count_nonzero(outside) == big.n_closure - small.n_closure
+    assert not np.any(ext.values[outside])
+    assert np.array_equal(extend_by_zero(f, small).values, f.values)
+    with pytest.raises(KeyError, match="outside the closure"):
+        extend_by_zero(ext, small)
