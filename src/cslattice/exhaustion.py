@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError, ConvergenceError
-from .fields import Field, extend_by_zero, norm
+from .fields import Field, norm
 from .lattice import Params, VortexConfig, build_domain, manhattan_norm, shell_size
 from .linear import LinearSolveOptions
 from .scheme import BoundedSolution, solve_bounded
@@ -153,8 +153,7 @@ def _assemble(radii, solutions) -> ExhaustionResult:
 
 def _nested_delta(small: Field, big: Field) -> float:
     """max over the closure of small's ball of big - small: the nesting margin."""
-    on_small = big.domain.distances <= small.domain.radius + 1
-    return float(np.max((big.values - extend_by_zero(small, big.domain).values)[on_small]))
+    return float(np.max(big.values[big.domain.locate_closure(small.domain)] - small.values))
 
 
 def shell_profile(sol: BoundedSolution) -> list[tuple[int, float, float]]:

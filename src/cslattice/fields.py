@@ -86,7 +86,7 @@ def extend_by_zero(f: Field, domain: "LatticeDomain") -> Field:
     Raises KeyError if a closure point of f lies outside domain's closure.
     """
     values = np.zeros(domain.n_closure)
-    values[domain.locate(f.domain.coords)] = f.values
+    values[domain.locate_closure(f.domain)] = f.values
     return Field(domain, values)
 
 

@@ -14,7 +14,8 @@ vertex, lexicographic within the interior and within the boundary,
 interior first.  That ordering fixes the dense index used by every value
 array in this package, and it makes construction deterministic: equal
 inputs yield identical arrays.  ``LatticeDomain.locate`` maps points back
-to indices through a mixed-radix key of their coordinates.
+to indices through a mixed-radix key of their coordinates; the one cache a
+domain holds is that lookup for the closures of smaller balls.
 """
 
 from __future__ import annotations
@@ -83,12 +84,13 @@ class LatticeDomain:
     ``coords`` (n_closure x n) holds the closure's points, interior rows
     first, each block in lexicographic order; ``distances`` holds their
     Manhattan norms and ``point_keys`` their mixed-radix keys (sorted within
-    each block).  ``locate`` maps points to closure indices.  The ``neighbors``
-    array (shape n_interior x 2n) lists, for each interior vertex, the
-    closure indices of its 2n lattice neighbours, in the column order
-    x_1 - 1, x_1 + 1, ..., x_n - 1, x_n + 1.  It is stored column-major, so
-    each stencil direction ``neighbors[:, j]`` is one contiguous index
-    array, the layout ``fields.neighbor_sum`` gathers from.
+    each block).  ``locate`` maps points to closure indices, and
+    ``locate_closure`` the closure of a smaller ball, kept once located.
+    The ``neighbors`` array (shape n_interior x 2n) lists, for each interior
+    vertex, the closure indices of its 2n lattice neighbours, in the column
+    order x_1 - 1, x_1 + 1, ..., x_n - 1, x_n + 1.  It is stored
+    column-major, so each stencil direction ``neighbors[:, j]`` is one
+    contiguous index array, the layout ``fields.neighbor_sum`` gathers from.
     ``edge_tail``/``edge_head`` hold every closure edge exactly once with
     tail < head.
     """
@@ -102,6 +104,7 @@ class LatticeDomain:
     neighbors: np.ndarray = field(repr=False)
     edge_tail: np.ndarray = field(repr=False)
     edge_head: np.ndarray = field(repr=False)
+    _embedded: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_closure(self) -> int:
@@ -133,6 +136,20 @@ class LatticeDomain:
                 f"{pts[outside][0].tolist()} lies outside the closure of B_{self.radius}"
             )
         return _index(self.point_keys, self.n_interior, self.radius, pts)
+
+    def locate_closure(self, other: "LatticeDomain") -> np.ndarray:
+        """``locate`` of another ball's closure points, kept per ball.
+
+        A warm-started radius extends two fields of the smaller ball and
+        then compares the two solutions; all three use this one lookup.
+        The result is read-only.
+        """
+        index = self._embedded.get(other.key)
+        if index is None:
+            index = self.locate(other.coords)
+            index.flags.writeable = False
+            self._embedded[other.key] = index
+        return index
 
 
 def validate_dimension(n: int) -> None:

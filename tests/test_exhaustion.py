@@ -8,6 +8,7 @@ import cslattice.exhaustion as exhaustion_mod
 from cslattice import (
     AnalysisError,
     ConvergenceError,
+    LatticeDomain,
     Params,
     VortexConfig,
     assemble_source,
@@ -156,6 +157,21 @@ class TestWarmStart:
             assert len(starts) >= 2
             assert np.array_equal(starts[-1], np.minimum(sol.upper.values, 0.0))
             assert gap <= sol.certificate.bound + cold.certificate.bound
+
+    def test_each_radius_pair_locates_the_smaller_ball_once(self, monkeypatch):
+        # two zero extensions in the warm start and the nested delta share it
+        radii = [6, 10, 14]
+        shapes = []
+        real = LatticeDomain.locate
+
+        def recording(self, pts):
+            shapes.append(np.shape(pts))
+            return real(self, pts)
+
+        monkeypatch.setattr(LatticeDomain, "locate", recording)
+        res = run_exhaustion(2, ONE_VORTEX, PARAMS, radii)
+        closures = [s.domain.coords.shape for s in res.solutions[:-1]]
+        assert [s for s in shapes if len(s) == 2] == closures
 
     @pytest.mark.parametrize("dim, vc, params, radius", [
         (3, VortexConfig([((0, 0, 0), 1)]), PARAMS, 10),

@@ -5,6 +5,7 @@ import pytest
 
 from cslattice import (
     Field,
+    LatticeDomain,
     Params,
     VortexConfig,
     assemble_source,
@@ -148,6 +149,27 @@ def test_locate_rejects_points_off_the_closure(point):
         Field.zeros(dom)(point)
     with pytest.raises(KeyError):
         dom.locate(np.array([(0, 0) + (0,) * (len(point) - 2), point]))
+
+
+def test_locate_closure_is_kept_and_read_only(monkeypatch):
+    small, big = build_domain(3, 2), build_domain(3, 4)
+    expected = big.locate(small.coords)
+    calls = []
+    real = LatticeDomain.locate
+
+    def counting(self, pts):
+        calls.append(np.shape(pts))
+        return real(self, pts)
+
+    monkeypatch.setattr(LatticeDomain, "locate", counting)
+    first = big.locate_closure(small)
+    assert np.array_equal(first, expected)
+    assert big.locate_closure(build_domain(3, 2)) is first
+    assert calls == [small.coords.shape]
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0
+    with pytest.raises(KeyError):
+        small.locate_closure(big)
 
 
 def test_build_domain_rejects_bad_inputs():

@@ -15,14 +15,24 @@ from cslattice import (
     build_domain,
     energy_eval,
     iterate_once,
+    laplacian,
     newton_solve,
     nonlinearity,
     nonlinearity_deriv,
     residual,
     solve_bounded,
 )
+import cslattice.linear as linear_mod
 import cslattice.scheme as scheme_mod
-from cslattice.scheme import FIELD_SIGN_TOL, MAXIMALITY_TOL, RESIDUAL_FACTOR
+from cslattice.scheme import (
+    FIELD_SIGN_TOL,
+    MAXIMALITY_TOL,
+    NEWTON_FORCING_FLOOR,
+    NEWTON_FORCING_MAX,
+    NEWTON_SWITCH,
+    NEWTON_TOL_FACTOR,
+    RESIDUAL_FACTOR,
+)
 
 from conftest import bisection_root
 
@@ -300,6 +310,49 @@ class TestNewtonOracle:
         with pytest.raises(ValueError, match="nonpositive"):
             newton_solve(dom, ONE_VORTEX, params, Field(dom, start))
 
+    def test_newton_steps_use_forcing_tolerances(self, monkeypatch):
+        dom = build_domain(2, 40)
+        tol = 1e-12
+        real = scheme_mod.linear_solve
+        steps = []
+
+        def recording(system, opts=LinearSolveOptions(), x0=None):
+            steps.append((opts.tol_rel, system.rhs.copy()))  # rhs = -r
+            return real(system, opts, x0)
+
+        monkeypatch.setattr(scheme_mod, "linear_solve", recording)
+        newton_solve(dom, ONE_VORTEX, Params(0.1, 1.0), Field.zeros(dom), tol=tol)
+        assert len(steps) >= 3
+        floored = 0
+        for eta, rhs in steps:
+            floor = NEWTON_FORCING_FLOOR * tol / float(np.linalg.norm(rhs))
+            assert floor <= eta <= NEWTON_FORCING_MAX
+            assert eta == max(min(NEWTON_FORCING_MAX, float(np.max(np.abs(rhs)))), floor)
+            floored += eta == floor
+        # the last step is floored instead of solved to ||r||_inf
+        assert floored >= 1 and steps[-1][0] > float(np.max(np.abs(steps[-1][1])))
+
+    def test_newton_matvec_budget(self, monkeypatch):
+        # solve_bounded's finish at 2D R=40, lam=0.1: 214 matvecs with the
+        # forcing terms, 514 with every step solved to tol_rel 1e-12
+        dom = build_domain(2, 40)
+        params = Params(0.1, 1.0)
+        sol = solve_bounded(dom, ONE_VORTEX, params)
+        start = Field.from_interior(dom, np.minimum(sol.upper.interior_values, 0.0))
+        real = linear_mod._apply_shifted
+        matvecs = []
+
+        def counting(*args):
+            matvecs.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(linear_mod, "_apply_shifted", counting)
+        tol = NEWTON_TOL_FACTOR * 1e-10
+        root = newton_solve(dom, ONE_VORTEX, params, start, tol=tol)
+        assert len(matvecs) <= 260
+        g = assemble_source(dom, ONE_VORTEX)
+        assert np.max(np.abs(residual(root, g, params))) <= tol
+
     def test_rejects_positive_start(self, b2):
         with pytest.raises(ValueError, match="nonpositive"):
             newton_solve(b2, ONE_VORTEX, Params(1.0, 1.0),
@@ -348,6 +401,44 @@ class TestCertificate:
         assert sol.certificate is not None
         assert sol.certificate.bound <= 1e-10
         assert sol.iterations <= 500
+
+    def test_two_vortices_at_small_lambda(self):
+        # the rounding allowance at the double vortex keeps the bound above
+        # 1e-10 until the switch reaches 1e-4, after 1223 monotone steps
+        dom = build_domain(2, 40)
+        vc = VortexConfig([((0, 0), 2), ((3, 0), 1)])
+        sol = solve_bounded(dom, vc, Params(0.1, 1.0), max_steps=1300)
+        assert sol.certificate is not None
+        assert sol.certificate.bound <= 1e-10
+        assert sol.iterations <= 1223
+
+    @pytest.mark.parametrize("spoil", ["aw_negative", "w_nonpositive"])
+    def test_spoiled_w_is_refused(self, monkeypatch, spoil):
+        dom = build_domain(2, 8)
+        params = Params(1.0, 1.0)
+        sol = solve_bounded(dom, ONE_VORTEX, params)
+        g = assemble_source(dom, ONE_VORTEX)
+        args = (sol.upper, ONE_VORTEX, g, params, 1e-10, NEWTON_SWITCH)
+        assert scheme_mod._newton_finish(*args) is not None
+        centre = dom.locate((0, 0))
+        real = scheme_mod.linear_solve
+
+        def spoiled_w(system, opts=LinearSolveOptions(), x0=None):
+            u = real(system, opts, x0)
+            if not np.all(system.rhs == -1.0):  # a Newton step
+                return u
+            w = u.interior_values.copy()
+            if spoil == "aw_negative":
+                # w stays positive; -L w at the centre is about -4 w there
+                w[centre] *= 1e-3
+                assert np.all(w > 0)
+                assert laplacian(Field.from_interior(dom, w))[centre] > 3 * w[centre]
+            else:
+                w[centre] = 0.0
+            return Field.from_interior(dom, w)
+
+        monkeypatch.setattr(scheme_mod, "linear_solve", spoiled_w)
+        assert scheme_mod._newton_finish(*args) is None
 
     def test_uncertified_root_falls_back_to_monotone_stop_rule(self, monkeypatch):
         # a "root" that is the unconverged start must fail the test at every switch
