@@ -56,6 +56,8 @@ from .exhaustion import (
     validate_radii,
 )
 from .scheme import (
+    DEFAULT_MAX_STEPS,
+    DEFAULT_TOL_NONLINEAR,
     ENERGY_SLACK,
     FIELD_SIGN_TOL,
     FLUX_TOL,
@@ -79,58 +81,52 @@ EXIT_NO_CONVERGENCE = 3
 
 _SEED = 20260809
 
+# The config keys: the required ones, and the optional ones with their values
+# when absent.  The solver settings default to the library's own defaults.
+REQUIRED = ("dimension", "lambda", "a", "vortices")
+DEFAULTS = {
+    "K": None,  # Params sets a*lambda + 1
+    "radii": [10, 20, 30, 40],
+    "epsilon": 0.1,
+    "tol_nonlinear": DEFAULT_TOL_NONLINEAR,
+    "tol_linear": LinearSolveOptions.tol_rel,
+    "max_steps": DEFAULT_MAX_STEPS,
+    "output_dir": "out",
+    "emit": {"field_csv": True, "trace_csv": True, "report_json": True},
+}
 
-@dataclass
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; mirrors the solver parameter objects."""
+    """Validated run configuration: the library objects a run uses."""
 
     dimension: int
-    lam: float
-    a: float
-    K: float
-    vortices: list[tuple[tuple[int, ...], int]]
+    params: Params
+    vortex_config: VortexConfig
     radii: list[int]
-    epsilon: float = 0.1
-    tol_nonlinear: float = 1e-10
-    tol_linear: float = 1e-12
-    max_steps: int = 500
-    output_dir: str = "out"
-    emit_field_csv: bool = True
-    emit_trace_csv: bool = True
-    emit_report_json: bool = True
-
-    @property
-    def params(self) -> Params:
-        return Params(lam=self.lam, a=self.a, K=self.K)
-
-    @property
-    def vortex_config(self) -> VortexConfig:
-        return VortexConfig(self.vortices)
-
-    @property
-    def linear_opts(self) -> LinearSolveOptions:
-        return LinearSolveOptions(tol_rel=self.tol_linear)
+    epsilon: float
+    tol_nonlinear: float
+    max_steps: int
+    linear_opts: LinearSolveOptions
+    output_dir: str
+    emit: dict[str, bool]  # the keys of DEFAULTS["emit"]
 
     def to_dict(self) -> dict:
         return {
             "dimension": self.dimension,
-            "lambda": self.lam,
-            "a": self.a,
-            "K": self.K,
+            "lambda": self.params.lam,
+            "a": self.params.a,
+            "K": self.params.K,
             "vortices": [
-                {"point": list(p), "multiplicity": m} for p, m in self.vortices
+                {"point": list(p), "multiplicity": m} for p, m in self.vortex_config.vortices
             ],
             "radii": list(self.radii),
             "epsilon": self.epsilon,
             "tol_nonlinear": self.tol_nonlinear,
-            "tol_linear": self.tol_linear,
+            "tol_linear": self.linear_opts.tol_rel,
             "max_steps": self.max_steps,
             "output_dir": self.output_dir,
-            "emit": {
-                "field_csv": self.emit_field_csv,
-                "trace_csv": self.emit_trace_csv,
-                "report_json": self.emit_report_json,
-            },
+            "emit": dict(self.emit),
         }
 
     @classmethod
@@ -138,26 +134,22 @@ class RunConfig:
         """Check the JSON types and shapes here; the library checks the values."""
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {
-            "dimension", "lambda", "a", "K", "vortices", "radii", "epsilon",
-            "tol_nonlinear", "tol_linear", "max_steps", "output_dir", "emit",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - set(REQUIRED) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
 
-        def need(key):
-            if key not in raw:
+        def get(key):
+            if key in REQUIRED and key not in raw:
                 raise ConfigError(f"missing required config field '{key}'")
-            return raw[key]
+            return raw.get(key, DEFAULTS.get(key))
 
-        dimension = _as_int(need("dimension"), "dimension")
-        lam = _as_float(need("lambda"), "lambda")
-        a = _as_float(need("a"), "a")
-        K = None if raw.get("K") is None else _as_float(raw["K"], "K")
+        dimension = _as_int(get("dimension"), "dimension")
+        lam = _as_float(get("lambda"), "lambda")
+        a = _as_float(get("a"), "a")
+        K = None if get("K") is None else _as_float(get("K"), "K")
 
         vortices = []
-        raw_vortices = need("vortices")
+        raw_vortices = get("vortices")
         if not isinstance(raw_vortices, list):
             raise ConfigError("vortices: must be a list of {point, multiplicity} objects")
         for i, entry in enumerate(raw_vortices):
@@ -174,52 +166,38 @@ class RunConfig:
             m = _as_int(entry["multiplicity"], f"vortices[{i}].multiplicity")
             vortices.append((p, m))
 
-        radii = raw.get("radii", [10, 20, 30, 40])
+        radii = get("radii")
         if not isinstance(radii, list):
             raise ConfigError("radii: must be a list of integers")
         radii = [_as_int(r, f"radii[{i}]") for i, r in enumerate(radii)]
-        epsilon = _as_float(raw.get("epsilon", 0.1), "epsilon")
-        tol_nonlinear = _as_float(raw.get("tol_nonlinear", 1e-10), "tol_nonlinear")
-        tol_linear = _as_float(raw.get("tol_linear", 1e-12), "tol_linear")
-        max_steps = _as_int(raw.get("max_steps", 500), "max_steps")
-        output_dir = raw.get("output_dir", "out")
+        epsilon = _as_float(get("epsilon"), "epsilon")
+        tol_nonlinear = _as_float(get("tol_nonlinear"), "tol_nonlinear")
+        tol_linear = _as_float(get("tol_linear"), "tol_linear")
+        max_steps = _as_int(get("max_steps"), "max_steps")
+        output_dir = get("output_dir")
         if not isinstance(output_dir, str):
             raise ConfigError("output_dir: must be a string")
 
-        emit = raw.get("emit", {})
-        if not isinstance(emit, dict) or set(emit) - {"field_csv", "trace_csv", "report_json"}:
+        emit = get("emit")
+        if not isinstance(emit, dict) or set(emit) - set(DEFAULTS["emit"]):
             raise ConfigError(
                 "emit: must be an object with keys among field_csv, trace_csv, report_json"
             )
-        flags = {k: _as_bool(emit.get(k, True), f"emit.{k}")
-                 for k in ("field_csv", "trace_csv", "report_json")}
+        emit = {k: _as_bool(emit.get(k, on), f"emit.{k}") for k, on in DEFAULTS["emit"].items()}
 
         try:
             validate_dimension(dimension)
             params = Params(lam, a, K)
-            validate_radii(radii, VortexConfig(vortices))
+            vortex_config = VortexConfig(vortices)
+            validate_radii(radii, vortex_config)
             validate_epsilon(epsilon)
             validate_stopping(tol_nonlinear, max_steps)
-            LinearSolveOptions(tol_rel=tol_linear)
+            linear_opts = LinearSolveOptions(tol_rel=tol_linear)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-        return cls(
-            dimension=dimension,
-            lam=lam,
-            a=a,
-            K=params.K,
-            vortices=vortices,
-            radii=radii,
-            epsilon=epsilon,
-            tol_nonlinear=tol_nonlinear,
-            tol_linear=tol_linear,
-            max_steps=max_steps,
-            output_dir=output_dir,
-            emit_field_csv=flags["field_csv"],
-            emit_trace_csv=flags["trace_csv"],
-            emit_report_json=flags["report_json"],
-        )
+        return cls(dimension, params, vortex_config, radii, epsilon, tol_nonlinear,
+                   max_steps, linear_opts, output_dir, emit)
 
 
 def _as_int(value, name: str) -> int:
@@ -311,22 +289,21 @@ def _check(name: str, passed: bool, value: float | None = None,
     return entry
 
 
+def _at_most(name: str, value: float, threshold: float, detail: str = "") -> dict:
+    """The check value <= threshold."""
+    return _check(name, value <= threshold, value, threshold, detail)
+
+
 def solution_checks(sol: BoundedSolution, cfg: RunConfig) -> list[dict]:
     f = sol.field
     # Unused result, kept until perfbench/spans.py stops timing this call.
     assemble_source(sol.domain, sol.vortex)
     checks = [
-        _check("monotone_iterates", sol.trace.max_monotone_violation <= MONOTONE_TOL,
-               sol.trace.max_monotone_violation, MONOTONE_TOL),
-        _check("energy_nonincreasing", sol.trace.max_energy_increase <= ENERGY_SLACK,
-               sol.trace.max_energy_increase, ENERGY_SLACK),
-        _check("energy_nonpositive",
-               max(s.energy for s in sol.trace.steps) <= ENERGY_SLACK,
-               max(s.energy for s in sol.trace.steps), ENERGY_SLACK),
-        _check("field_nonpositive", float(np.max(f.values)) <= FIELD_SIGN_TOL,
-               float(np.max(f.values)), FIELD_SIGN_TOL),
-        _check("terminal_residual", sol.residual_sup <= RESIDUAL_FACTOR * cfg.tol_nonlinear,
-               sol.residual_sup, RESIDUAL_FACTOR * cfg.tol_nonlinear),
+        _at_most("monotone_iterates", sol.trace.max_monotone_violation, MONOTONE_TOL),
+        _at_most("energy_nonincreasing", sol.trace.max_energy_increase, ENERGY_SLACK),
+        _at_most("energy_nonpositive", max(s.energy for s in sol.trace.steps), ENERGY_SLACK),
+        _at_most("field_nonpositive", float(np.max(f.values)), FIELD_SIGN_TOL),
+        _at_most("terminal_residual", sol.residual_sup, RESIDUAL_FACTOR * cfg.tol_nonlinear),
         _certificate_check(sol, cfg.tol_nonlinear),
     ]
     flux_gap = abs(
@@ -334,7 +311,7 @@ def solution_checks(sol: BoundedSolution, cfg: RunConfig) -> list[dict]:
         + sol.vortex.total_flux
         - boundary_flux(f)
     )
-    checks.append(_check("flux_identity", flux_gap <= FLUX_TOL, flux_gap, FLUX_TOL))
+    checks.append(_at_most("flux_identity", flux_gap, FLUX_TOL))
     if sol.vortex.vortices:
         worst = max(f(p) for p, _ in sol.vortex.vortices)
         checks.append(_check("vortex_strictly_negative", worst < VORTEX_VALUE_BOUND,
@@ -347,10 +324,9 @@ def _certificate_check(sol: BoundedSolution, tol_nonlinear: float) -> dict:
     if cert is None:
         return _check("maximality_certificate", False, threshold=tol_nonlinear,
                       detail="not obtained: the field is the last monotone iterate")
-    return _check("maximality_certificate", cert.bound <= tol_nonlinear, cert.bound,
-                  tol_nonlinear,
-                  detail=f"max w / min Aw = {cert.max_w / cert.min_aw:.6g}, "
-                         f"Newton from step size < {cert.switch:.0e}")
+    return _at_most("maximality_certificate", cert.bound, tol_nonlinear,
+                    detail=f"max w / min Aw = {cert.max_w / cert.min_aw:.6g}, "
+                           f"Newton from step size < {cert.switch:.0e}")
 
 
 def _radius_block(sol: BoundedSolution) -> dict:
@@ -375,41 +351,31 @@ def _radius_block(sol: BoundedSolution) -> dict:
 # commands
 
 def cmd_solve(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report: dict = {"command": "solve", "config": cfg.to_dict(), "version": __version__}
+    report = _start("solve", cfg, out_dir)
     try:
         sol = _solve(cfg, cfg.radii[-1])
     except (ConvergenceError, SchemeIntegrityError) as exc:
-        if cfg.emit_trace_csv and exc.trace is not None:
+        if cfg.emit["trace_csv"] and exc.trace is not None:
             write_trace_csv(out_dir / "trace.csv", exc.trace)
         return _solver_failure(exc, report, cfg, out_dir, quiet)
 
     checks = solution_checks(sol, cfg)
     report["radii"] = [_radius_block(sol)]
-    report["checks"] = checks
-    report["all_checks_passed"] = all(c["passed"] for c in checks)
-
-    if cfg.emit_field_csv:
+    if cfg.emit["field_csv"]:
         write_field_csv(out_dir / "field.csv", sol.field)
-    if cfg.emit_trace_csv:
+    if cfg.emit["trace_csv"]:
         write_trace_csv(out_dir / "trace.csv", sol.trace)
-    if cfg.emit_report_json:
-        write_report(out_dir / "report.json", report)
-    _say(quiet, f"radius {sol.domain.radius}: {sol.iterations} iterations, "
-                f"residual {sol.residual_sup:.3e}")
-    _say(quiet, _verdict(checks))
-    return EXIT_OK if report["all_checks_passed"] else EXIT_CHECK_FAILED
+    return _epilogue(report, checks, cfg, out_dir, quiet)
 
 
 def cmd_exhaust(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     if len(cfg.radii) < 2:
         raise ConfigError("radii: exhaustion needs at least two radii")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report: dict = {"command": "exhaust", "config": cfg.to_dict(), "version": __version__}
+    report = _start("exhaust", cfg, out_dir)
     try:
         result = run_exhaustion(
             cfg.dimension, cfg.vortex_config, cfg.params, cfg.radii,
-            tol=cfg.tol_nonlinear, max_steps=cfg.max_steps,
+            tol_nonlinear=cfg.tol_nonlinear, max_steps=cfg.max_steps,
             linear_opts=cfg.linear_opts,
         )
     except (ConvergenceError, SchemeIntegrityError) as exc:
@@ -422,14 +388,12 @@ def cmd_exhaust(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
             checks.append(c)
 
     worst_delta = max(result.pointwise_deltas)
-    checks.append(_check("nested_monotonicity", worst_delta <= NESTED_TOL,
-                         worst_delta, NESTED_TOL))
+    checks.append(_at_most("nested_monotonicity", worst_delta, NESTED_TOL))
     l2 = result.l2_norms
     l2_drop = max((a - b) for a, b in zip(l2, l2[1:]))
-    checks.append(_check("l2_nondecreasing", l2_drop <= L2_DROP_TOL, l2_drop, L2_DROP_TOL))
+    checks.append(_at_most("l2_nondecreasing", l2_drop, L2_DROP_TOL))
     l2_gap = abs(l2[-1] - l2[-2])
-    checks.append(_check("l2_stabilization", l2_gap <= L2_STABILIZATION_TOL,
-                         l2_gap, L2_STABILIZATION_TOL))
+    checks.append(_at_most("l2_stabilization", l2_gap, L2_STABILIZATION_TOL))
 
     largest = result.largest
     try:
@@ -445,9 +409,8 @@ def cmd_exhaust(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         checks.append(_check("decay_certificate_finite", math.isfinite(fit.c_fit),
                              fit.c_fit))
         if summary.l1_tail_bound is not None:
-            checks.append(_check("l1_tail_within_bound",
-                                 summary.l1_diffs[-1] <= summary.l1_tail_bound,
-                                 summary.l1_diffs[-1], summary.l1_tail_bound))
+            checks.append(_at_most("l1_tail_within_bound", summary.l1_diffs[-1],
+                                   summary.l1_tail_bound))
         report["decay"] = {
             "alpha_theory": fit.alpha_theory,
             "epsilon": fit.epsilon,
@@ -455,6 +418,7 @@ def cmd_exhaust(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
             "fitted_rate": fit.fitted_rate,
             "c_fit": fit.c_fit,
         }
+        write_decay_csv(out_dir / "decay.csv", shell_profile(largest), fit)
     checks.append(_check("lp_norms_finite", summary.all_finite))
     barrier, coercivity, report["verification"] = _constant_checks(cfg)
     checks += [barrier, coercivity]
@@ -469,50 +433,27 @@ def cmd_exhaust(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     report["lp"] = {
         ("inf" if math.isinf(p) else _fmt(p)): v for p, v in summary.norms.items()
     }
-    report["checks"] = checks
-    report["all_checks_passed"] = all(c["passed"] for c in checks)
 
-    if cfg.emit_field_csv:
+    if cfg.emit["field_csv"]:
         for s in result.solutions:
             write_field_csv(out_dir / f"field_R{s.domain.radius}.csv", s.field)
-    if fit is not None:
-        write_decay_csv(out_dir / "decay.csv", shell_profile(largest), fit)
-    if cfg.emit_report_json:
-        write_report(out_dir / "report.json", report)
-    for s in result.solutions:
-        _say(quiet, f"radius {s.domain.radius}: {s.iterations} iterations, "
-                    f"residual {s.residual_sup:.3e}")
-    _say(quiet, _verdict(checks))
-    return EXIT_OK if report["all_checks_passed"] else EXIT_CHECK_FAILED
+    return _epilogue(report, checks, cfg, out_dir, quiet)
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     """Run the desk-scale property suite and report each check with margin."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    report = _start("verify", cfg, out_dir)
     rng = np.random.default_rng(_SEED)
-    checks: list[dict] = []
-
-    checks.append(_sum_by_parts_check(cfg, rng))
-    checks.append(_linear_oracle_check(cfg, rng))
-    checks.append(_minimizer_check(cfg, rng))
-    checks.append(_max_principle_check(cfg, rng))
-    checks.extend(_scheme_checks(cfg))
-    checks.append(_maximality_check(cfg, rng))
-    barrier, coercivity, verification = _constant_checks(cfg)
-    checks += [coercivity, barrier]
-
-    report = {
-        "command": "verify",
-        "config": cfg.to_dict(),
-        "version": __version__,
-        "verification": verification,
-        "checks": checks,
-        "all_checks_passed": all(c["passed"] for c in checks),
-    }
-    if cfg.emit_report_json:
-        write_report(out_dir / "report.json", report)
-    _say(quiet, _verdict(checks))
-    return EXIT_OK if report["all_checks_passed"] else EXIT_CHECK_FAILED
+    checks = [
+        _sum_by_parts_check(cfg, rng),
+        _linear_oracle_check(cfg, rng),
+        _minimizer_check(cfg, rng),
+        _max_principle_check(cfg, rng),
+        *_scheme_checks(cfg),
+        _maximality_check(cfg, rng),
+    ]
+    barrier, coercivity, report["verification"] = _constant_checks(cfg)
+    return _epilogue(report, checks + [coercivity, barrier], cfg, out_dir, quiet)
 
 
 def _solve(cfg: RunConfig, radius: int) -> BoundedSolution:
@@ -528,7 +469,7 @@ def _solve(cfg: RunConfig, radius: int) -> BoundedSolution:
 def _constant_checks(cfg: RunConfig) -> tuple[dict, dict, dict]:
     """The barrier and coercivity checks, and the report's verification block."""
     barrier = barrier_check(cfg.dimension, cfg.params, cfg.epsilon)
-    coercivity = coercivity_check(cfg.a, coercivity_default_grid())
+    coercivity = coercivity_check(cfg.params.a, coercivity_default_grid())
     verification = {
         "coercivity_c_est": coercivity.c_est,
         "barrier_min_margin": barrier.min_margin,
@@ -550,17 +491,16 @@ def _sum_by_parts_check(cfg: RunConfig, rng) -> dict:
             g = Field.from_interior(dom, rng.standard_normal(dom.n_interior))
             scale = 1.0 + norm(f, math.inf, "closure") * norm(g, math.inf, "closure") * dom.n_closure
             worst = max(worst, abs(sum_by_parts_defect(f, g)) / scale)
-    return _check("sum_by_parts", worst <= SUM_BY_PARTS_COEFF, worst, SUM_BY_PARTS_COEFF)
+    return _at_most("sum_by_parts", worst, SUM_BY_PARTS_COEFF)
 
 
 def _linear_oracle_check(cfg: RunConfig, rng) -> dict:
     worst = 0.0
-    detail = ""
     radii = [2 + i % 3 if cfg.dimension >= 3 else 3 + i % 5 for i in range(20)]
     domains = {r: build_domain(cfg.dimension, r) for r in sorted(set(radii))}
     for radius in radii:
         dom = domains[radius]
-        sys_ = LinearSystem(dom, cfg.K, rng.standard_normal(dom.n_interior))
+        sys_ = LinearSystem(dom, cfg.params.K, rng.standard_normal(dom.n_interior))
         exact = dense_solve(sys_).interior_values
         try:
             approx = linear_solve(sys_, cfg.linear_opts).interior_values
@@ -568,25 +508,25 @@ def _linear_oracle_check(cfg: RunConfig, rng) -> dict:
             return _check("linear_oracle", False, detail=f"iterative solve failed: {exc}")
         rel = float(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
         worst = max(worst, rel)
-    return _check("linear_oracle", worst <= ORACLE_REL_TOL, worst, ORACLE_REL_TOL, detail)
+    return _at_most("linear_oracle", worst, ORACLE_REL_TOL)
 
 
 def _minimizer_check(cfg: RunConfig, rng) -> dict:
     dom = build_domain(cfg.dimension, 4)
     v = rng.standard_normal(dom.n_interior)
-    sys_ = LinearSystem(dom, cfg.K, v)
+    sys_ = LinearSystem(dom, cfg.params.K, v)
     try:
         u = linear_solve(sys_, cfg.linear_opts)
     except ConvergenceError as exc:
         return _check("linear_minimizer", False, detail=f"solve failed: {exc}")
-    base = linear_energy_eval(u, v, cfg.K)
+    base = linear_energy_eval(u, v, cfg.params.K)
     worst = math.inf
     for _ in range(100):
         phi = rng.standard_normal(dom.n_interior)
         phi /= np.linalg.norm(phi)
         for t in (1e-2, -1e-2, 1e-4, -1e-4):
             trial = Field.from_interior(dom, u.interior_values + t * phi)
-            worst = min(worst, linear_energy_eval(trial, v, cfg.K) - base)
+            worst = min(worst, linear_energy_eval(trial, v, cfg.params.K) - base)
     return _check("linear_minimizer", worst >= MINIMIZER_SLACK, worst, MINIMIZER_SLACK)
 
 
@@ -596,11 +536,11 @@ def _max_principle_check(cfg: RunConfig, rng) -> dict:
     for _ in range(20):
         v = np.abs(rng.standard_normal(dom.n_interior))
         try:
-            u = linear_solve(LinearSystem(dom, cfg.K, v), cfg.linear_opts)
+            u = linear_solve(LinearSystem(dom, cfg.params.K, v), cfg.linear_opts)
         except ConvergenceError as exc:
             return _check("linear_max_principle", False, detail=f"solve failed: {exc}")
         worst = max(worst, float(np.max(u.values)))
-    return _check("linear_max_principle", worst <= MAX_PRINCIPLE_TOL, worst, MAX_PRINCIPLE_TOL)
+    return _at_most("linear_max_principle", worst, MAX_PRINCIPLE_TOL)
 
 
 def _scheme_checks(cfg: RunConfig) -> list[dict]:
@@ -627,7 +567,7 @@ def _symmetry_check(sol: BoundedSolution) -> dict:
         return _check("symmetry_equivariance", True,
                       detail="skipped: needs a single vortex at the origin")
     dev = symmetry_deviation(sol.field)
-    return _check("symmetry_equivariance", dev <= SYMMETRY_TOL, dev, SYMMETRY_TOL)
+    return _at_most("symmetry_equivariance", dev, SYMMETRY_TOL)
 
 
 def symmetry_deviation(f: Field) -> float:
@@ -646,7 +586,7 @@ def symmetry_deviation(f: Field) -> float:
 
 
 def _maximality_check(cfg: RunConfig, rng) -> dict:
-    radius = max(8, max((manhattan_norm(p) for p, _ in cfg.vortices), default=0))
+    radius = max(8, max((manhattan_norm(p) for p, _ in cfg.vortex_config.vortices), default=0))
     try:
         reference = _solve(cfg, radius)
     except (ConvergenceError, SchemeIntegrityError) as exc:
@@ -664,8 +604,30 @@ def _maximality_check(cfg: RunConfig, rng) -> dict:
         worst = max(worst, float(np.max(root.values - reference.field.values)))
     if converged == 0:
         return _check("maximality_newton", False, detail="no Newton start converged")
-    return _check("maximality_newton", worst <= MAXIMALITY_TOL, worst, MAXIMALITY_TOL,
-                  detail=f"{converged}/10 starts converged")
+    return _at_most("maximality_newton", worst, MAXIMALITY_TOL,
+                    detail=f"{converged}/10 starts converged")
+
+
+def _start(command: str, cfg: RunConfig, out_dir: Path) -> dict:
+    """Create the output directory and return the report's header."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return {"command": command, "config": cfg.to_dict(), "version": __version__}
+
+
+def _epilogue(report: dict, checks: list[dict], cfg: RunConfig, out_dir: Path,
+              quiet: bool) -> int:
+    """Record the checks, write the report, print one line per solved radius
+    and the verdict; return the exit code."""
+    passed = sum(1 for c in checks if c["passed"])
+    report["checks"] = checks
+    report["all_checks_passed"] = ok = passed == len(checks)
+    if cfg.emit["report_json"]:
+        write_report(out_dir / "report.json", report)
+    for block in report.get("radii", []):
+        _say(quiet, f"radius {block['radius']}: {block['iterations']} iterations, "
+                    f"residual {block['terminal_residual_sup']:.3e}")
+    _say(quiet, f"checks: {passed}/{len(checks)} passed [{'ok' if ok else 'FAILED'}]")
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _solver_failure(exc: ConvergenceError | SchemeIntegrityError, report: dict,
@@ -682,19 +644,13 @@ def _solver_failure(exc: ConvergenceError | SchemeIntegrityError, report: dict,
         report["all_checks_passed"] = False
     elif exc.partial is not None:
         report["radii"] = [_radius_block(s) for s in exc.partial.solutions]
-        if cfg.emit_field_csv:
+        if cfg.emit["field_csv"]:
             for s in exc.partial.solutions:
                 write_field_csv(out_dir / f"field_R{s.domain.radius}.csv", s.field)
-    if cfg.emit_report_json:
+    if cfg.emit["report_json"]:
         write_report(out_dir / "report.json", report)
     _say(quiet, f"{kind.replace('_', ' ')} failure: {exc}")
     return EXIT_CHECK_FAILED if integrity else EXIT_NO_CONVERGENCE
-
-
-def _verdict(checks: list[dict]) -> str:
-    passed = sum(1 for c in checks if c["passed"])
-    tag = "ok" if passed == len(checks) else "FAILED"
-    return f"checks: {passed}/{len(checks)} passed [{tag}]"
 
 
 def _say(quiet: bool, message: str) -> None:

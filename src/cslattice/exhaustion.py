@@ -31,7 +31,7 @@ from .errors import AnalysisError, ConvergenceError
 from .fields import Field, norm
 from .lattice import Params, VortexConfig, build_domain, manhattan_norm, shell_size
 from .linear import LinearSolveOptions
-from .scheme import BoundedSolution, solve_bounded
+from .scheme import DEFAULT_MAX_STEPS, DEFAULT_TOL_NONLINEAR, BoundedSolution, solve_bounded
 
 SHELL_VALUE_GUARD = 1e-300  # double-precision floor before taking logs
 
@@ -42,6 +42,8 @@ L2_STABILIZATION_TOL = 1e-3    # |l2(R_last) - l2(R_prev)| <= this
 RATE_MARGIN = 0.01             # fitted rate >= certified rate - this
 BARRIER_MARGIN_FLOOR = -1e-15  # barrier margins (L v - c1 v)/|v| >= this
 COERCIVITY_FLOOR = 0.0         # the coercivity constant is > this: strict, no slack
+
+BARRIER_SHELLS = (2, 20)       # barrier_check covers the shells d = 2..20
 
 
 def decay_rate_theory(params: Params, n: int) -> float:
@@ -77,8 +79,8 @@ def run_exhaustion(
     vc: VortexConfig,
     params: Params,
     radii,
-    tol: float = 1e-10,
-    max_steps: int = 500,
+    tol_nonlinear: float = DEFAULT_TOL_NONLINEAR,
+    max_steps: int = DEFAULT_MAX_STEPS,
     linear_opts: LinearSolveOptions = LinearSolveOptions(),
 ) -> ExhaustionResult:
     """Solve on each radius, extend by zero, and record the nesting data.
@@ -96,7 +98,7 @@ def run_exhaustion(
         previous = solutions[-1] if solutions else None
         try:
             solutions.append(solve_bounded(
-                build_domain(n, r), vc, params, tol, max_steps, linear_opts, previous
+                build_domain(n, r), vc, params, tol_nonlinear, max_steps, linear_opts, previous
             ))
         except ConvergenceError as exc:
             raise ConvergenceError(
@@ -183,25 +185,19 @@ class DecayFit:
         return self.alpha_theory * (1.0 - self.epsilon)
 
 
-def decay_fit(
-    sol: BoundedSolution,
-    epsilon: float,
-    window: tuple[int, int] | None = None,
-) -> DecayFit:
+def decay_fit(sol: BoundedSolution, epsilon: float) -> DecayFit:
     """Fit the shell-max decay and compute the covering constant C.
 
-    The default window [R/4, R/2] keeps the fit away from the vortex core
-    and from the artificial zero boundary, whose proximity over-steepens
-    the tail.  Shells whose maximum falls below the underflow guard are
-    dropped; an empty window raises AnalysisError.
+    The window [R/4, R/2] keeps the fit away from the vortex core and from
+    the artificial zero boundary, whose proximity over-steepens the tail.
+    Shells whose maximum falls below the underflow guard are dropped; an
+    empty window raises AnalysisError.
     """
     validate_epsilon(epsilon)
     dom = sol.domain
     n = dom.dim
     alpha = decay_rate_theory(sol.params, n)
-    if window is None:
-        window = (max(1, dom.radius // 4), dom.radius // 2)
-    lo, hi = window
+    lo, hi = max(1, dom.radius // 4), dom.radius // 2
     prof = shell_profile(sol)
     ds = np.array([d for d, mx, _ in prof if lo <= d <= hi and mx > SHELL_VALUE_GUARD])
     maxima = np.array([mx for d, mx, _ in prof if lo <= d <= hi and mx > SHELL_VALUE_GUARD])
@@ -233,13 +229,8 @@ class BarrierReport:
     all_hold: bool
 
 
-def barrier_check(
-    n: int,
-    params: Params,
-    epsilon: float,
-    shell_range: tuple[int, int] = (2, 20),
-) -> BarrierReport:
-    """Evaluate the barrier inequality exactly at every point of the shells.
+def barrier_check(n: int, params: Params, epsilon: float) -> BarrierReport:
+    """Evaluate the barrier inequality exactly at every point of BARRIER_SHELLS.
 
     v(x) = -e^{-alpha(1-eps) d(x)}.  Each axis contributes through the two
     neighbours x +- e_i, whose distances are d +- 1 when x_i != 0 and both
@@ -250,9 +241,7 @@ def barrier_check(
     per-point evaluation would; ``points_checked`` counts the points.
     """
     validate_epsilon(epsilon)
-    r_lo, r_hi = shell_range
-    if r_lo < 1 or r_hi < r_lo:
-        raise ValueError(f"need 1 <= R1 <= R2, got {shell_range}")
+    r_lo, r_hi = BARRIER_SHELLS
     alpha = decay_rate_theory(params, n)
     beta = alpha * (1.0 - epsilon)
     c1 = barrier_constant(params, n, epsilon)
@@ -273,7 +262,7 @@ def barrier_check(
             worst = min(worst, (lap - c1 * v) / abs(v))
     return BarrierReport(
         c1=c1,
-        shell_range=(r_lo, r_hi),
+        shell_range=BARRIER_SHELLS,
         points_checked=sum(shell_size(n, s) for s in range(r_lo, r_hi + 1)),
         min_margin=worst,
         all_hold=worst >= BARRIER_MARGIN_FLOOR,

@@ -57,13 +57,19 @@ SYMMETRY_TOL = 1e-10      # |f(sigma x) - f(x)| <= this for a vortex at 0
 MAXIMALITY_TOL = 1e-8     # a Newton root exceeds the maximal solution by <= this
 ROUNDING_ULPS = 10        # r(f) and A w round by <= (2n + this) unit roundoffs of their terms' sizes
 
+# Default stop rule of solve_bounded, shared by run_exhaustion and the CLI.
+DEFAULT_TOL_NONLINEAR = 1e-10
+DEFAULT_MAX_STEPS = 500
+
 # Schedule of solve_bounded's Newton finish: the first try comes once a
 # monotone step moves less than NEWTON_SWITCH; after a failed try the switch
 # shrinks by NEWTON_SWITCH_FACTOR.  Newton aims at a residual of
-# NEWTON_TOL_FACTOR * tol_nonlinear.
+# NEWTON_TOL_FACTOR * tol_nonlinear.  newton_solve gives up after
+# NEWTON_MAX_STEPS steps.
 NEWTON_SWITCH = 1e-1
 NEWTON_SWITCH_FACTOR = 0.1
 NEWTON_TOL_FACTOR = 1e-2
+NEWTON_MAX_STEPS = 60
 
 # Inner tolerances of the solves whose results are checked a posteriori: the
 # forcing terms of newton_solve's steps (see its docstring), and the
@@ -243,8 +249,8 @@ def solve_bounded(
     dom: LatticeDomain,
     vc: VortexConfig,
     params: Params,
-    tol_nonlinear: float = 1e-10,
-    max_steps: int = 500,
+    tol_nonlinear: float = DEFAULT_TOL_NONLINEAR,
+    max_steps: int = DEFAULT_MAX_STEPS,
     linear_opts: LinearSolveOptions = LinearSolveOptions(),
     previous: BoundedSolution | None = None,
 ) -> BoundedSolution:
@@ -460,7 +466,6 @@ def newton_solve(
     params: Params,
     f_init: Field,
     tol: float = 1e-10,
-    max_steps: int = 60,
 ) -> Field:
     """Damped Newton iteration on the residual from a nonpositive start.
 
@@ -477,9 +482,9 @@ def newton_solve(
     quadratic, the floor stops the last step at a linear residual of
     NEWTON_FORCING_FLOOR * tol instead of solving it further.  eta < 1, as
     the loop runs only while ||r||_inf > tol.  Steps are halved (up to
-    30 times) until the sup-norm residual decreases.  Divergence, or a
-    Jacobian that CG finds not negative definite, raises ConvergenceError
-    carrying the last Newton iterate.
+    30 times) until the sup-norm residual decreases.  Divergence, no root
+    within NEWTON_MAX_STEPS steps, or a Jacobian that CG finds not negative
+    definite raises ConvergenceError carrying the last Newton iterate.
     """
     if float(np.max(f_init.values)) > FIELD_SIGN_TOL:
         raise ValueError(
@@ -494,7 +499,7 @@ def newton_solve(
 
     r = res_of(f)
     r_norm = float(np.max(np.abs(r)))
-    for _ in range(max_steps):
+    for _ in range(NEWTON_MAX_STEPS):
         if r_norm <= tol:
             return Field.from_interior(dom, f)
         jacobian = LinearSystem(dom, nonlinearity_deriv(f, params), -r)
@@ -526,7 +531,7 @@ def newton_solve(
     if r_norm <= tol:
         return Field.from_interior(dom, f)
     raise ConvergenceError(
-        f"Newton did not reach tol={tol} in {max_steps} steps (residual {r_norm:.3e})",
+        f"Newton did not reach tol={tol} in {NEWTON_MAX_STEPS} steps (residual {r_norm:.3e})",
         best=Field.from_interior(dom, f),
         residual=r_norm,
     )

@@ -77,7 +77,7 @@ def r20_run():
 @pytest.fixture(scope="module")
 def exhaustion_result():
     t0 = time.perf_counter()
-    res = run_exhaustion(2, ONE_VORTEX, Params(1.0, 1.0), [10, 20, 30], tol=1e-10)
+    res = run_exhaustion(2, ONE_VORTEX, Params(1.0, 1.0), [10, 20, 30], tol_nonlinear=1e-10)
     return res, time.perf_counter() - t0
 
 
@@ -246,7 +246,7 @@ def test_criterion_08_barrier_inequality():
     worst = math.inf
     for n in (2, 3):
         for eps in (0.1, 0.5):
-            rep = barrier_check(n, Params(1.0, 1.0), eps, (2, 20))
+            rep = barrier_check(n, Params(1.0, 1.0), eps)
             worst = min(worst, rep.min_margin)
     criterion(
         8, "barrier inequality on all shells",

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cslattice.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    REQUIRED,
     RunConfig,
     load_config,
     main,
@@ -42,13 +44,20 @@ def read_report(out_dir):
 class TestConfig:
     def test_load_and_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        assert cfg.K == pytest.approx(2.0)  # a*lambda + 1
+        assert cfg.params.K == pytest.approx(2.0)  # a*lambda + 1
         assert cfg.tol_nonlinear == 1e-10
-        assert cfg.emit_report_json is True
+        assert cfg.emit["report_json"] is True
 
     def test_round_trip(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_example_file_spells_out_the_defaults(self):
+        # every optional key of the example carries its default value
+        example = Path(__file__).resolve().parents[1] / "config.example.json"
+        raw = json.loads(example.read_text())
+        assert len(REQUIRED) == 4
+        assert load_config(example) == RunConfig.from_dict({k: raw[k] for k in REQUIRED})
 
     def test_rejects_small_k(self, tmp_path):
         path = write_config(tmp_path, K=0.5)
@@ -271,7 +280,7 @@ class TestExhaust:
         report = read_report(out)
         echoed = RunConfig.from_dict(report["config"])
         assert echoed.radii == [6, 10, 14]
-        assert echoed.lam == 1.0
+        assert echoed.params.lam == 1.0
 
     def test_coercivity_value_reported(self, completed):
         _, out = completed

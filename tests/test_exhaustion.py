@@ -28,7 +28,7 @@ from cslattice import (
     solve_bounded,
 )
 import cslattice.scheme as scheme_mod
-from cslattice.exhaustion import NESTED_TOL
+from cslattice.exhaustion import BARRIER_SHELLS, NESTED_TOL
 from cslattice.fields import extend_by_zero
 from cslattice.lattice import manhattan_norm
 from cslattice.scheme import MAXIMALITY_TOL, MONOTONE_TOL
@@ -39,7 +39,7 @@ PARAMS = Params(1.0, 1.0)
 
 @pytest.fixture(scope="module")
 def small_run():
-    return run_exhaustion(2, ONE_VORTEX, PARAMS, [4, 6, 8], tol=1e-10)
+    return run_exhaustion(2, ONE_VORTEX, PARAMS, [4, 6, 8], tol_nonlinear=1e-10)
 
 
 class TestRunExhaustion:
@@ -239,7 +239,7 @@ class TestDecayFit:
 
 class TestBarrier:
     def test_margins_nonnegative(self):
-        rep = barrier_check(2, PARAMS, 0.1, (2, 20))
+        rep = barrier_check(2, PARAMS, 0.1)
         assert rep.all_hold
         assert rep.min_margin >= 0.0
         assert rep.points_checked == sum(shell_size(2, d) for d in range(2, 21))
@@ -260,16 +260,20 @@ class TestBarrier:
         assert lap == pytest.approx(n * per_axis, rel=1e-14)
 
     def test_brute_force_margin_oracle(self):
-        # recompute the minimum margin by direct stencil evaluation
+        # recompute the minimum margin by direct stencil evaluation at every
+        # point of the checked shells
         n, eps = 2, 0.25
         params = Params(0.8, 1.7)
-        rep = barrier_check(n, params, eps, (2, 6))
+        rep = barrier_check(n, params, eps)
+        lo, hi = BARRIER_SHELLS
         beta = decay_rate_theory(params, n) * (1 - eps)
         worst = math.inf
-        for p in itertools.product(range(-6, 7), repeat=n):
+        visited = 0
+        for p in itertools.product(range(-hi, hi + 1), repeat=n):
             s = manhattan_norm(p)
-            if not 2 <= s <= 6:
+            if not lo <= s <= hi:
                 continue
+            visited += 1
             v = -math.exp(-beta * s)
             lap = 0.0
             for axis in range(n):
@@ -277,6 +281,7 @@ class TestBarrier:
                     q = p[:axis] + (p[axis] + step,) + p[axis + 1 :]
                     lap += -math.exp(-beta * manhattan_norm(q)) - v
             worst = min(worst, (lap - rep.c1 * v) / abs(v))
+        assert rep.points_checked == visited
         assert rep.min_margin == pytest.approx(worst, rel=1e-12)
 
     def test_constant_limit_is_lambda_a(self):
@@ -284,10 +289,6 @@ class TestBarrier:
         assert barrier_constant(params, 2, 0.0) == pytest.approx(
             params.lam * params.a, rel=1e-12
         )
-
-    def test_shell_range_validation(self):
-        with pytest.raises(ValueError, match="R1"):
-            barrier_check(2, PARAMS, 0.1, (0, 5))
 
 
 class TestCoercivity:
