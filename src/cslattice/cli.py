@@ -81,6 +81,10 @@ EXIT_NO_CONVERGENCE = 3
 
 _SEED = 20260809
 
+# write_field_csv formats this many rows per write, so a large closure's
+# text never sits in memory whole.
+CSV_BLOCK_ROWS = 4096
+
 # The config keys: the required ones, and the optional ones with their values
 # when absent.  The solver settings default to the library's own defaults.
 REQUIRED = ("dimension", "lambda", "a", "vortices")
@@ -247,12 +251,17 @@ def _fmt(x: float) -> str:
 
 
 def write_field_csv(path: Path, f: Field) -> None:
+    """One row per closure point, formatted CSV_BLOCK_ROWS rows at a time."""
     dom = f.domain
     header = ",".join([f"x{i + 1}" for i in range(dom.dim)] + ["d", "f"])
-    row = ",".join(["%d"] * (dom.dim + 1) + ["%.17g"])  # _fmt's format for f
-    columns = [*dom.coords.T.tolist(), dom.distances.tolist(), f.values.tolist()]
-    rows = map(row.__mod__, zip(*columns))
-    path.write_text("\n".join([header, *rows]) + "\n")
+    row = ",".join(["%d"] * (dom.dim + 1) + ["%.17g"]) + "\n"  # _fmt's format for f
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, dom.n_closure, CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            columns = [*dom.coords[block].T.tolist(), dom.distances[block].tolist(),
+                       f.values[block].tolist()]
+            fh.write("".join(map(row.__mod__, zip(*columns))))
 
 
 def write_trace_csv(path: Path, trace) -> None:

@@ -6,10 +6,14 @@ the interior (Laplacians, residuals, right-hand sides) are plain numpy
 arrays aligned with the interior ordering.
 
 Conventions:
-  neighbor_sum   (Sv)(x) = sum_{y ~ x} v(y), interior x, closure y: the one
-                   stencil kernel of the package, shared by the Laplacian
-                   and the matrix-free operator of linear.py.  It gathers
-                   one column of the column-major neighbour table at a time.
+  gather_sum     row sums of values gathered through a column-major index
+                   table, one column at a time: the one stencil kernel of
+                   the package.  Its tables are the domain's neighbour
+                   table and the two tables of LatticeDomain.red_black,
+                   which give the halves of linear.py's reduced operator.
+  neighbor_sum   (Sv)(x) = sum_{y ~ x} v(y), interior x, closure y:
+                   gather_sum over the neighbour table, for the Laplacian
+                   and the maximality certificate.
   Laplacian      (Lf)(x) = sum_{y ~ x} (f(y) - f(x)) = (Sf)(x) - 2n f(x).
   grad_energy(f) = sum over unordered closure edges of (f(y) - f(x))^2,
                    i.e. 1/2 the sum over ordered pairs; only edges with both
@@ -95,19 +99,17 @@ def _require_same_domain(f: Field, g: Field) -> None:
         raise ValueError(f"domain mismatch: {f.domain.key} vs {g.domain.key}")
 
 
-def neighbor_sum(dom: "LatticeDomain", values: np.ndarray) -> np.ndarray:
-    """Sum of closure ``values`` over the 2n neighbours of each interior vertex.
+def gather_sum(nbr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row sums of ``values.take(nbr)`` for a column-major index table ``nbr``.
 
-    One gather per stencil direction (a contiguous column of
-    ``dom.neighbors``), accumulated in place.  The additions follow the
-    order in which numpy sums each row of the gathered n_interior x 2n
-    table, so results are bitwise those of that row sum: left to right
-    below eight columns; from eight on, eight lanes that each add every
-    eighth column of the leading multiple of eight, combined as
+    One gather per column (a contiguous index array), accumulated in place.
+    The additions follow the order in which numpy sums each row of the
+    gathered table, so results are bitwise those of that row sum: left to
+    right below eight columns; from eight on, eight lanes that each add
+    every eighth column of the leading multiple of eight, combined as
     ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), then the remaining columns left
     to right.
     """
-    nbr = dom.neighbors
     width = nbr.shape[1]
     if width < 8:
         out = values.take(nbr[:, 0])
@@ -136,6 +138,11 @@ def neighbor_sum(dom: "LatticeDomain", values: np.ndarray) -> np.ndarray:
     for j in range(full, width):
         out += values.take(nbr[:, j])
     return out
+
+
+def neighbor_sum(dom: "LatticeDomain", values: np.ndarray) -> np.ndarray:
+    """Sum of closure ``values`` over the 2n neighbours of each interior vertex."""
+    return gather_sum(dom.neighbors, values)
 
 
 def laplacian(f: Field) -> np.ndarray:

@@ -14,14 +14,17 @@ vertex, lexicographic within the interior and within the boundary,
 interior first.  That ordering fixes the dense index used by every value
 array in this package, and it makes construction deterministic: equal
 inputs yield identical arrays.  ``LatticeDomain.locate`` maps points back
-to indices through a mixed-radix key of their coordinates; the one cache a
-domain holds is that lookup for the closures of smaller balls.
+to indices through a mixed-radix key of their coordinates.  A domain keeps
+two things once computed: that lookup for the closures of smaller balls, and
+the even-odd (red-black) split of its interior that the linear solver
+reduces every system on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +81,27 @@ def _index(keys: np.ndarray, n_interior: int, radius: int, points) -> np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
+class RedBlack:
+    """The interior split by the parity of the Manhattan norm.
+
+    Every lattice edge joins an even and an odd norm, so each neighbour of a
+    red (even) interior point is black (odd) or on the boundary, and vice
+    versa.  ``red`` and ``black`` hold the interior indices of each colour,
+    increasing.  ``red_neighbors`` (n_red x 2n, column-major, the column
+    order of ``LatticeDomain.neighbors``) gives each red point's neighbours
+    as positions in ``black``, a boundary neighbour as n_black: the slot
+    after the last black value, which the caller keeps at zero, so a gather
+    through the table reads the Dirichlet data there.  ``black_neighbors``
+    is the same table from black into red.
+    """
+
+    red: np.ndarray = field(repr=False)
+    black: np.ndarray = field(repr=False)
+    red_neighbors: np.ndarray = field(repr=False)
+    black_neighbors: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True, eq=False)
 class LatticeDomain:
     """A Manhattan ball B_R in Z^n together with its vertex boundary, as arrays.
 
@@ -90,7 +114,10 @@ class LatticeDomain:
     vertex, the closure indices of its 2n lattice neighbours, in the column
     order x_1 - 1, x_1 + 1, ..., x_n - 1, x_n + 1.  It is stored
     column-major, so each stencil direction ``neighbors[:, j]`` is one
-    contiguous index array, the layout ``fields.neighbor_sum`` gathers from.
+    contiguous index array, the layout ``fields.gather_sum`` reads.
+    ``red_black`` splits the interior by parity into two such tables, one
+    into each colour (see RedBlack); it is built on first use, at most once
+    per domain, because only the linear solver needs it.
     ``edge_tail``/``edge_head`` hold every closure edge exactly once with
     tail < head.
     """
@@ -150,6 +177,26 @@ class LatticeDomain:
             index.flags.writeable = False
             self._embedded[other.key] = index
         return index
+
+    @cached_property
+    def red_black(self) -> RedBlack:
+        """The even-odd split of the interior, built from ``distances`` and ``neighbors``.
+
+        Its arrays are read-only.
+        """
+        odd = self.distances[: self.n_interior] % 2 == 1
+        colours = (np.flatnonzero(~odd), np.flatnonzero(odd))
+        tables = []
+        for rows, other in (colours, colours[::-1]):
+            position = np.full(self.n_closure, len(other), dtype=np.int64)
+            position[other] = np.arange(len(other))
+            table = np.empty((len(rows), self.degree), dtype=np.int64, order="F")
+            for col in range(self.degree):
+                table[:, col] = position.take(self.neighbors[:, col].take(rows))
+            tables.append(table)
+        for array in (*colours, *tables):
+            array.flags.writeable = False
+        return RedBlack(*colours, *tables)
 
 
 def validate_dimension(n: int) -> None:

@@ -178,21 +178,24 @@ class TestSolve:
         assert cert["passed"] and cert["value"] <= cert["threshold"] == 1e-10
         assert report["radii"][0]["iterations"] < 50
 
-    def test_field_csv_matches_per_value_formatting(self, tmp_path):
+    def test_field_csv_matches_per_value_formatting(self, tmp_path, monkeypatch):
         from cslattice import Field, build_domain
-        from cslattice.cli import write_field_csv
+        from cslattice import cli as cli_mod
 
         dom = build_domain(2, 1)
         values = np.zeros(dom.n_closure)
         values[: dom.n_interior] = [-0.0, 5e-324, 1e-300, -1.0, -1 / 3]
         f = Field(dom, values)
-        write_field_csv(tmp_path / "f.csv", f)
         lines = ["x1,x2,d,f"] + [
             ",".join([str(c) for c in p] + [str(d), f"{v:.17g}"])
             for p, d, v in zip(dom.coords.tolist(), dom.distances.tolist(), f.values)
         ]
-        assert (tmp_path / "f.csv").read_text() == "\n".join(lines) + "\n"
         assert lines[1:3] == ["-1,0,1,-0", "0,-1,1,4.9406564584124654e-324"]
+        # one block, and blocks of 4 rows: 13 rows end in a partial block
+        for block in (cli_mod.CSV_BLOCK_ROWS, 4):
+            monkeypatch.setattr(cli_mod, "CSV_BLOCK_ROWS", block)
+            cli_mod.write_field_csv(tmp_path / "f.csv", f)
+            assert (tmp_path / "f.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_empty_vortices_zero_field(self, tmp_path):
         path = write_config(tmp_path, vortices=[], radii=[4])

@@ -172,6 +172,30 @@ def test_locate_closure_is_kept_and_read_only(monkeypatch):
         small.locate_closure(big)
 
 
+@pytest.mark.parametrize("n,radius", [(2, 0), (2, 5), (3, 3), (4, 2)])
+def test_red_black_split(n, radius):
+    dom = build_domain(n, radius)
+    assert "red_black" not in vars(dom)  # built on first use only
+    split = dom.red_black
+    assert dom.red_black is split
+    n_int = dom.n_interior
+    assert np.array_equal(np.sort(np.concatenate([split.red, split.black])), np.arange(n_int))
+    assert np.all(dom.distances[split.red] % 2 == 0)
+    assert np.all(dom.distances[split.black] % 2 == 1)
+    for rows, other, table in ((split.red, split.black, split.red_neighbors),
+                               (split.black, split.red, split.black_neighbors)):
+        assert table.shape == (len(rows), 2 * n) and table.flags.f_contiguous
+        assert not table.flags.writeable
+        nbr = dom.neighbors[rows]
+        boundary = nbr >= n_int
+        # every neighbour is of the other colour or on the boundary
+        assert np.all(np.isin(nbr[~boundary], other))
+        # entry by entry, the table names dom.neighbors: a position in the
+        # other colour, or the zero slot after it for a boundary point
+        assert np.array_equal(np.append(other, -1)[table], np.where(boundary, -1, nbr))
+        assert np.all((table == len(other)) == boundary)
+
+
 def test_build_domain_rejects_bad_inputs():
     with pytest.raises(ValueError, match="dimension"):
         build_domain(1, 3)

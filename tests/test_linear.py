@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,8 @@ from cslattice import (
     linear_solve,
     system_matrix,
 )
-from cslattice.linear import DENSE_MAX_UNKNOWNS
+from cslattice import linear as linear_mod
+from cslattice.linear import DENSE_MAX_UNKNOWNS, ORACLE_REL_TOL
 
 TIGHT = LinearSolveOptions(tol_rel=1e-13)
 
@@ -190,3 +192,60 @@ def test_warm_start_still_meets_tolerance(rng):
     u = linear_solve(LinearSystem(dom, 2.0, v), TIGHT, x0=x0)
     A = system_matrix(dom, 2.0)
     assert np.linalg.norm(A @ u.interior_values + v) <= 1e-13 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n,radius", [(2, 7), (3, 4), (4, 3)])
+@pytest.mark.parametrize("per_point", [False, True])
+@pytest.mark.parametrize("warm", [False, True])
+def test_reduced_cg_meets_full_residual_and_oracle(n, radius, per_point, warm, rng):
+    dom = build_domain(n, radius)
+    n_int = dom.n_interior
+    # per point: shifts down to -0.05 keep K - L positive definite on these balls
+    K = rng.uniform(-0.05, 2.0, n_int) if per_point else 1.5
+    A = system_matrix(dom, 0.0) + np.diag(np.broadcast_to(K, n_int))
+    assert np.min(np.linalg.eigvalsh(A)) > 0
+    assert not per_point or np.min(K) < 0
+    v = rng.standard_normal(n_int)
+    x0 = rng.standard_normal(n_int) if warm else None
+    system = LinearSystem(dom, K, v)
+    u = linear_solve(system, TIGHT, x0=x0)
+    assert u.is_dirichlet()
+    ui = u.interior_values
+    # red and black rows alike: (K I - L) u + v = -((L - K) u - v)
+    assert np.linalg.norm(A @ ui + v) <= TIGHT.tol_rel * np.linalg.norm(v)
+    exact = dense_solve(system).interior_values
+    assert np.linalg.norm(ui - exact) <= ORACLE_REL_TOL * np.linalg.norm(exact)
+
+
+def _never(*_args):
+    raise AssertionError("conjugate gradients iterated")
+
+
+@pytest.mark.parametrize("k_value", [-4.0, -4.5])
+def test_nonpositive_diagonal_raises_before_iterating(monkeypatch, rng, k_value):
+    dom = build_domain(2, 8)
+    K = np.ones(dom.n_interior)
+    i = int(dom.locate((2, -3)))
+    K[i] = k_value  # K + 2n = 0 or -0.5 there
+    monkeypatch.setattr(linear_mod, "_apply_reduced", _never)
+    with pytest.raises(ConvergenceError,
+                       match=re.escape(f"{k_value + 4:.3e} at interior index {i} (2, -3)")
+                       + ".*positive definite"):
+        linear_solve(LinearSystem(dom, K, rng.standard_normal(dom.n_interior)))
+
+
+def test_max_iter_counts_reduced_iterations(monkeypatch, rng):
+    dom = build_domain(2, 6)
+    real = linear_mod._apply_reduced
+    applied = []
+
+    def counting(*args):
+        applied.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(linear_mod, "_apply_reduced", counting)
+    with pytest.raises(ConvergenceError, match="within 3 iterations"):
+        linear_solve(LinearSystem(dom, 2.0, rng.standard_normal(dom.n_interior)),
+                     LinearSolveOptions(tol_rel=1e-13, max_iter=3))
+    assert len(applied) == 3
+
