@@ -173,7 +173,6 @@ class RunConfig:
         radii = get("radii")
         if not isinstance(radii, list):
             raise ConfigError("radii: must be a list of integers")
-        radii = [_as_int(r, f"radii[{i}]") for i, r in enumerate(radii)]
         epsilon = _as_float(get("epsilon"), "epsilon")
         tol_nonlinear = _as_float(get("tol_nonlinear"), "tol_nonlinear")
         tol_linear = _as_float(get("tol_linear"), "tol_linear")
@@ -193,7 +192,7 @@ class RunConfig:
             validate_dimension(dimension)
             params = Params(lam, a, K)
             vortex_config = VortexConfig(vortices)
-            validate_radii(radii, vortex_config)
+            radii = validate_radii(radii, vortex_config)
             validate_epsilon(epsilon)
             validate_stopping(tol_nonlinear, max_steps)
             linear_opts = LinearSolveOptions(tol_rel=tol_linear)
@@ -444,8 +443,7 @@ def cmd_exhaust(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     }
 
     if cfg.emit["field_csv"]:
-        for s in result.solutions:
-            write_field_csv(out_dir / f"field_R{s.domain.radius}.csv", s.field)
+        write_field_csv(out_dir / f"field_R{largest.domain.radius}.csv", largest.field)
     return _epilogue(report, checks, cfg, out_dir, quiet)
 
 
@@ -653,9 +651,9 @@ def _solver_failure(exc: ConvergenceError | SchemeIntegrityError, report: dict,
         report["all_checks_passed"] = False
     elif exc.partial is not None:
         report["radii"] = [_radius_block(s) for s in exc.partial.solutions]
-        if cfg.emit["field_csv"]:
-            for s in exc.partial.solutions:
-                write_field_csv(out_dir / f"field_R{s.domain.radius}.csv", s.field)
+        if cfg.emit["field_csv"] and exc.partial.solutions:
+            last = exc.partial.largest
+            write_field_csv(out_dir / f"field_R{last.domain.radius}.csv", last.field)
     if cfg.emit["report_json"]:
         write_report(out_dir / "report.json", report)
     _say(quiet, f"{kind.replace('_', ' ')} failure: {exc}")

@@ -112,10 +112,14 @@ def run_exhaustion(
 def validate_radii(radii, vc: VortexConfig) -> list[int]:
     """The radius schedule as ints; raises ValueError unless it is usable.
 
-    It must be nonempty, nonnegative and strictly increasing, and the
-    smallest ball must contain every vortex.
+    It must be a nonempty, strictly increasing list of nonnegative integers
+    (not bools or floats), and the smallest ball must contain every vortex.
     """
-    radii = [int(r) for r in radii]
+    radii = list(radii)
+    for i, r in enumerate(radii):
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+            raise ValueError(f"radii[{i}] must be an integer, got {r!r}")
+        radii[i] = int(r)
     if not radii:
         raise ValueError("radii must be a nonempty list")
     if radii[0] < 0:
@@ -163,11 +167,10 @@ def shell_profile(sol: BoundedSolution) -> list[tuple[int, float, float]]:
     dom = sol.domain
     absvals = np.abs(sol.field.interior_values)
     dists = dom.distances[: dom.n_interior]
-    out = []
-    for d in range(dom.radius + 1):
-        on_shell = absvals[dists == d]
-        out.append((d, float(on_shell.max()), float(on_shell.min())))
-    return out
+    hi, lo = np.full(dom.radius + 1, -np.inf), np.full(dom.radius + 1, np.inf)
+    np.maximum.at(hi, dists, absvals)
+    np.minimum.at(lo, dists, absvals)
+    return list(zip(range(dom.radius + 1), hi.tolist(), lo.tolist()))
 
 
 @dataclass(frozen=True)

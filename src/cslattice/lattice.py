@@ -70,16 +70,6 @@ def _radix_keys(points: np.ndarray, radius: int) -> np.ndarray:
     return np.ravel_multi_index(tuple(digits), (2 * radius + 3,) * digits.shape[0])
 
 
-def _index(keys: np.ndarray, n_interior: int, radius: int, points) -> np.ndarray:
-    """Closure indices of closure points, unchecked; each block of ``keys`` is sorted."""
-    query = _radix_keys(points, radius)
-    return np.where(
-        np.abs(points).sum(axis=-1) <= radius,
-        np.searchsorted(keys[:n_interior], query),
-        n_interior + np.searchsorted(keys[n_interior:], query),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class RedBlack:
     """The interior split by the parity of the Manhattan norm.
@@ -107,9 +97,10 @@ class LatticeDomain:
 
     ``coords`` (n_closure x n) holds the closure's points, interior rows
     first, each block in lexicographic order; ``distances`` holds their
-    Manhattan norms and ``point_keys`` their mixed-radix keys (sorted within
-    each block).  ``locate`` maps points to closure indices, and
-    ``locate_closure`` the closure of a smaller ball, kept once located.
+    Manhattan norms, ``point_keys`` their mixed-radix keys and ``key_order``
+    the permutation that sorts those keys.  ``locate`` maps points to
+    closure indices, and ``locate_closure`` the closure of a smaller ball,
+    kept once located.
     The ``neighbors`` array (shape n_interior x 2n) lists, for each interior
     vertex, the closure indices of its 2n lattice neighbours, in the column
     order x_1 - 1, x_1 + 1, ..., x_n - 1, x_n + 1.  It is stored
@@ -128,6 +119,7 @@ class LatticeDomain:
     coords: np.ndarray = field(repr=False)
     distances: np.ndarray = field(repr=False)
     point_keys: np.ndarray = field(repr=False)
+    key_order: np.ndarray = field(repr=False)
     neighbors: np.ndarray = field(repr=False)
     edge_tail: np.ndarray = field(repr=False)
     edge_head: np.ndarray = field(repr=False)
@@ -162,7 +154,8 @@ class LatticeDomain:
             raise KeyError(
                 f"{pts[outside][0].tolist()} lies outside the closure of B_{self.radius}"
             )
-        return _index(self.point_keys, self.n_interior, self.radius, pts)
+        query = _radix_keys(pts, self.radius)
+        return self.key_order.take(np.searchsorted(self.point_keys, query, sorter=self.key_order))
 
     def locate_closure(self, other: "LatticeDomain") -> np.ndarray:
         """``locate`` of another ball's closure points, kept per ball.
@@ -237,11 +230,16 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
     point_keys = _radix_keys(coords, radius)
     n_int = int(np.count_nonzero(inner))
 
+    # x +- e_i has the key key(x) +- (2R+3)^(n-1-i): |x_i| <= R, so digit i
+    # moves with no carry.  The interior keys are sorted, so each column's
+    # queries are too; they are searched in the closure's keys, sorted once.
+    key_order = np.argsort(point_keys, kind="stable")
+    sorted_keys = point_keys.take(key_order)
     neighbors = np.empty((n_int, 2 * n), dtype=np.int64, order="F")
     for col in range(2 * n):
-        shifted = coords[:n_int].copy()
-        shifted[:, col // 2] += 1 if col % 2 else -1
-        neighbors[:, col] = _index(point_keys, n_int, radius, shifted)
+        step = (2 * radius + 3) ** (n - 1 - col // 2)
+        query = point_keys[:n_int] + (step if col % 2 else -step)
+        neighbors[:, col] = key_order.take(np.searchsorted(sorted_keys, query))
 
     # Every closure edge has at least one interior endpoint (two boundary
     # points are never adjacent, by the parity of the Manhattan norm), so
@@ -257,6 +255,7 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
         coords=coords,
         distances=distances,
         point_keys=point_keys,
+        key_order=key_order,
         neighbors=neighbors,
         edge_tail=np.repeat(rows, np.count_nonzero(keep, axis=1)),
         edge_head=neighbors[keep],
@@ -299,22 +298,22 @@ class VortexConfig:
 
 @dataclass(frozen=True)
 class Params:
-    """Physical constants lambda > 0, a > 0 and iteration constant K > a*lambda."""
+    """Finite physical constants lambda > 0, a > 0 and iteration constant K > a*lambda."""
 
     lam: float
     a: float
     K: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if not self.a > 0:
-            raise ValueError(f"a must be positive, got {self.a}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"a must be positive and finite, got {self.a}")
         if self.K is None:
             object.__setattr__(self, "K", self.a * self.lam + 1.0)
-        if not self.K > self.a * self.lam:
+        if not self.a * self.lam < self.K < math.inf:
             raise ValueError(
-                f"K must satisfy K > a*lambda "
+                f"K must be finite and satisfy K > a*lambda "
                 f"(got K={self.K}, a*lambda={self.a * self.lam})"
             )
 

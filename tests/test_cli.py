@@ -108,6 +108,8 @@ class TestConfig:
         *(({key: value}, f"{key}: must be a finite number")
           for key in ("lambda", "K", "tol_nonlinear") for value in (math.inf, math.nan)),
         ({"lambda": 10**400}, "lambda: must be a finite number"),
+        ({"radii": [4.5, 6]}, "radii[0] must be an integer, got 4.5"),
+        ({"radii": [4, True]}, "radii[1] must be an integer, got True"),
     ])
     def test_library_checks_exit_2_and_name_the_field(self, tmp_path, capsys,
                                                       overrides, message):
@@ -149,19 +151,20 @@ class TestExitCodes:
         real = exhaustion_mod.solve_bounded
 
         def failing(dom, *args, **kwargs):
-            if dom.radius > 4:
+            if dom.radius > 6:
                 raise ConvergenceError("forced failure")
             return real(dom, *args, **kwargs)
 
         monkeypatch.setattr(exhaustion_mod, "solve_bounded", failing)
-        path = write_config(tmp_path, radii=[4, 6])
+        path = write_config(tmp_path, radii=[4, 6, 8])
         out = tmp_path / "out"
         rc = main(["exhaust", str(path), "--output-dir", str(out), "--quiet"])
         assert rc == EXIT_NO_CONVERGENCE
-        assert (out / "field_R4.csv").exists()
+        # only the largest completed radius keeps its field
+        assert sorted(p.name for p in out.glob("field*.csv")) == ["field_R6.csv"]
         report = read_report(out)
         assert report["error"]["type"] == "convergence"
-        assert [b["radius"] for b in report["radii"]] == [4]
+        assert [b["radius"] for b in report["radii"]] == [4, 6]
 
 
 class TestSolve:
@@ -261,9 +264,10 @@ class TestExhaust:
 
     def test_artifacts_exist(self, completed):
         _, out = completed
-        for name in ("field_R6.csv", "field_R10.csv", "field_R14.csv",
-                     "decay.csv", "report.json"):
+        for name in ("field_R14.csv", "decay.csv", "report.json"):
             assert (out / name).exists()
+        # the smaller radii are steps on the way: only the largest keeps its field
+        assert sorted(out.glob("field*.csv")) == [out / "field_R14.csv"]
 
     def test_decay_csv_columns(self, completed):
         _, out = completed
@@ -273,7 +277,7 @@ class TestExhaust:
 
     def test_field_csv_distance_column(self, completed):
         _, out = completed
-        rows = (out / "field_R6.csv").read_text().strip().splitlines()[1:]
+        rows = (out / "field_R14.csv").read_text().strip().splitlines()[1:]
         for row in rows[:20]:
             parts = row.split(",")
             assert int(parts[2]) == abs(int(parts[0])) + abs(int(parts[1]))
@@ -298,7 +302,7 @@ class TestDeterminism:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["exhaust", str(path), "--output-dir", str(out1), "--quiet"])
         main(["exhaust", str(path), "--output-dir", str(out2), "--quiet"])
-        for name in ("report.json", "field_R4.csv", "field_R7.csv", "decay.csv"):
+        for name in ("report.json", "field_R7.csv", "decay.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_byte_identical_artifacts_4d(self, tmp_path):

@@ -51,6 +51,15 @@ class TestRunExhaustion:
         with pytest.raises(ValueError, match="smallest"):
             run_exhaustion(2, VortexConfig([((5, 0), 1)]), PARAMS, [4, 6])
 
+    def test_radii_must_be_integers(self):
+        # int() would truncate 2.5 to 2 and read True as 1
+        for radii, bad in (([2.5, 4.9], r"radii\[0\].*2\.5"), ([1, True], r"radii\[1\].*True"),
+                           ([2, 4.0], r"radii\[1\].*4\.0"), ([np.float64(3), 5], r"radii\[0\]")):
+            with pytest.raises(ValueError, match=bad):
+                exhaustion_mod.validate_radii(radii, ONE_VORTEX)
+        radii = exhaustion_mod.validate_radii([np.int32(2), np.int64(4), 6], ONE_VORTEX)
+        assert radii == [2, 4, 6] and all(type(r) is int for r in radii)
+
     def test_empty_vortices_all_zero(self):
         res = run_exhaustion(2, VortexConfig([]), PARAMS, [5])
         assert not np.any(res.largest.field.values)
@@ -186,6 +195,18 @@ class TestWarmStart:
 
 
 class TestShellProfile:
+    def test_matches_per_shell_masks(self):
+        sol = solve_bounded(build_domain(3, 5), VortexConfig([((1, 0, 0), 1)]), PARAMS)
+        absvals = np.abs(sol.field.interior_values)
+        dists = sol.domain.distances[: sol.domain.n_interior]
+        reference = [
+            (d, float(absvals[dists == d].max()), float(absvals[dists == d].min()))
+            for d in range(sol.domain.radius + 1)
+        ]
+        prof = shell_profile(sol)
+        assert prof == reference
+        assert all(type(d) is int and type(mx) is float for d, mx, _ in prof)
+
     def test_zero_field(self):
         sol = solve_bounded(build_domain(2, 4), VortexConfig([]), PARAMS)
         prof = shell_profile(sol)

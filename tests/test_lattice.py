@@ -228,6 +228,12 @@ def test_params_validation():
         Params(lam=0.0, a=1.0)
     with pytest.raises(ValueError, match="a must be"):
         Params(lam=1.0, a=-1.0)
+    # K = inf used to pass and fail later inside CG; lam = inf blamed K
+    for kwargs, name in (({"K": math.inf}, "K"), ({"K": math.nan}, "K"),
+                         ({"lam": math.inf}, "lambda"), ({"lam": math.nan}, "lambda"),
+                         ({"a": math.inf}, "a"), ({"a": math.nan}, "a")):
+        with pytest.raises(ValueError, match=f"^{name} must be .*finite"):
+            Params(**{"lam": 1.0, "a": 1.0, **kwargs})
 
 
 def test_assemble_source_examples():
