@@ -166,9 +166,7 @@ class RunConfig:
                 raise ConfigError(
                     f"vortices[{i}].point: must be a list of {dimension} integers"
                 )
-            p = tuple(_as_int(c, f"vortices[{i}].point[{j}]") for j, c in enumerate(point))
-            m = _as_int(entry["multiplicity"], f"vortices[{i}].multiplicity")
-            vortices.append((p, m))
+            vortices.append((point, entry["multiplicity"]))
 
         radii = get("radii")
         if not isinstance(radii, list):

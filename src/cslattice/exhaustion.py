@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import AnalysisError, ConvergenceError
 from .fields import Field, norm
-from .lattice import Params, VortexConfig, build_domain, manhattan_norm, shell_size
+from .lattice import Params, VortexConfig, build_domain, manhattan_norm, shell_size, validate_int
 from .linear import LinearSolveOptions
 from .scheme import DEFAULT_MAX_STEPS, DEFAULT_TOL_NONLINEAR, BoundedSolution, solve_bounded
 
@@ -115,11 +115,7 @@ def validate_radii(radii, vc: VortexConfig) -> list[int]:
     It must be a nonempty, strictly increasing list of nonnegative integers
     (not bools or floats), and the smallest ball must contain every vortex.
     """
-    radii = list(radii)
-    for i, r in enumerate(radii):
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
-            raise ValueError(f"radii[{i}] must be an integer, got {r!r}")
-        radii[i] = int(r)
+    radii = [validate_int(r, f"radii[{i}]") for i, r in enumerate(radii)]
     if not radii:
         raise ValueError("radii must be a nonempty list")
     if radii[0] < 0:

@@ -1,9 +1,10 @@
 """Fields on domain closures and the discrete calculus over them.
 
 A Field stores one real value per closure vertex in the domain's canonical
-index order (interior first, then boundary).  Quantities defined only on
-the interior (Laplacians, residuals, right-hand sides) are plain numpy
-arrays aligned with the interior ordering.
+index order, shell by shell from the origin: interior first, then boundary,
+and a smaller ball's closure before the rest, so extending by zero pads.
+Quantities defined only on the interior (Laplacians, residuals,
+right-hand sides) are plain numpy arrays aligned with the interior ordering.
 
 Conventions:
   gather_sum     row sums of values gathered through a column-major index
@@ -87,7 +88,8 @@ class Field:
 def extend_by_zero(f: Field, domain: "LatticeDomain") -> Field:
     """f on a domain whose closure contains f's closure, zero elsewhere.
 
-    Raises KeyError if a closure point of f lies outside domain's closure.
+    Raises KeyError unless domain is a ball of f's dimension and at least its
+    radius; f's values fill its first rows (LatticeDomain.locate_closure).
     """
     values = np.zeros(domain.n_closure)
     values[domain.locate_closure(f.domain)] = f.values
@@ -95,8 +97,9 @@ def extend_by_zero(f: Field, domain: "LatticeDomain") -> Field:
 
 
 def _require_same_domain(f: Field, g: Field) -> None:
-    if f.domain is not g.domain and f.domain.key != g.domain.key:
-        raise ValueError(f"domain mismatch: {f.domain.key} vs {g.domain.key}")
+    a, b = f.domain, g.domain
+    if (a.dim, a.radius) != (b.dim, b.radius):
+        raise ValueError(f"domain mismatch: B_{a.radius} in Z^{a.dim} vs B_{b.radius} in Z^{b.dim}")
 
 
 def gather_sum(nbr: np.ndarray, values: np.ndarray) -> np.ndarray:

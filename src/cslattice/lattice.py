@@ -10,14 +10,15 @@ Manhattan norms of opposite parity, so no point at distance > R + 1 can
 touch the ball).
 
 A domain is held as arrays only: the closure's coordinates, one row per
-vertex, lexicographic within the interior and within the boundary,
-interior first.  That ordering fixes the dense index used by every value
+vertex, shell by shell from the origin (by Manhattan norm, lexicographic
+within a shell).  That ordering fixes the dense index used by every value
 array in this package, and it makes construction deterministic: equal
-inputs yield identical arrays.  ``LatticeDomain.locate`` maps points back
-to indices through a mixed-radix key of their coordinates.  A domain keeps
-two things once computed: that lookup for the closures of smaller balls, and
-the even-odd (red-black) split of its interior that the linear solver
-reduces every system on.
+inputs yield identical arrays.  The boundary is the last shell, so the
+interior comes first, and every array of a smaller ball is a prefix of the
+larger ball's.  ``LatticeDomain.locate`` maps points back to indices
+through a mixed-radix key of their coordinates.  A domain keeps the
+even-odd (red-black) split of its interior that the linear solver reduces
+every system on, once computed.
 """
 
 from __future__ import annotations
@@ -95,12 +96,11 @@ class RedBlack:
 class LatticeDomain:
     """A Manhattan ball B_R in Z^n together with its vertex boundary, as arrays.
 
-    ``coords`` (n_closure x n) holds the closure's points, interior rows
-    first, each block in lexicographic order; ``distances`` holds their
-    Manhattan norms, ``point_keys`` their mixed-radix keys and ``key_order``
-    the permutation that sorts those keys.  ``locate`` maps points to
-    closure indices, and ``locate_closure`` the closure of a smaller ball,
-    kept once located.
+    ``coords`` (n_closure x n) holds the closure's points shell by shell
+    (interior rows first) and ``distances`` their Manhattan norms;
+    ``sorted_keys`` holds their mixed-radix keys in increasing order and
+    ``key_order`` the closure index of each.  ``locate`` maps points to
+    closure indices.
     The ``neighbors`` array (shape n_interior x 2n) lists, for each interior
     vertex, the closure indices of its 2n lattice neighbours, in the column
     order x_1 - 1, x_1 + 1, ..., x_n - 1, x_n + 1.  It is stored
@@ -110,7 +110,9 @@ class LatticeDomain:
     into each colour (see RedBlack); it is built on first use, at most once
     per domain, because only the linear solver needs it.
     ``edge_tail``/``edge_head`` hold every closure edge exactly once with
-    tail < head.
+    tail < head, ordered by tail.
+    For r <= R each of these arrays of B_r is a prefix of B_R's, the colour
+    tables once clipped to B_r's colour counts (see ``locate_closure``).
     """
 
     dim: int
@@ -118,12 +120,11 @@ class LatticeDomain:
     n_interior: int
     coords: np.ndarray = field(repr=False)
     distances: np.ndarray = field(repr=False)
-    point_keys: np.ndarray = field(repr=False)
+    sorted_keys: np.ndarray = field(repr=False)
     key_order: np.ndarray = field(repr=False)
     neighbors: np.ndarray = field(repr=False)
     edge_tail: np.ndarray = field(repr=False)
     edge_head: np.ndarray = field(repr=False)
-    _embedded: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_closure(self) -> int:
@@ -132,11 +133,6 @@ class LatticeDomain:
     @property
     def degree(self) -> int:
         return 2 * self.dim
-
-    @property
-    def key(self) -> tuple[int, int]:
-        """Identity of the domain; construction is deterministic in it."""
-        return (self.dim, self.radius)
 
     def locate(self, points) -> np.ndarray:
         """Closure indices of integer points: shape (..., dim) to shape (...).
@@ -155,21 +151,17 @@ class LatticeDomain:
                 f"{pts[outside][0].tolist()} lies outside the closure of B_{self.radius}"
             )
         query = _radix_keys(pts, self.radius)
-        return self.key_order.take(np.searchsorted(self.point_keys, query, sorter=self.key_order))
+        return self.key_order.take(np.searchsorted(self.sorted_keys, query))
 
-    def locate_closure(self, other: "LatticeDomain") -> np.ndarray:
-        """``locate`` of another ball's closure points, kept per ball.
-
-        A warm-started radius extends two fields of the smaller ball and
-        then compares the two solutions; all three use this one lookup.
-        The result is read-only.
-        """
-        index = self._embedded.get(other.key)
-        if index is None:
-            index = self.locate(other.coords)
-            index.flags.writeable = False
-            self._embedded[other.key] = index
-        return index
+    def locate_closure(self, other: "LatticeDomain") -> slice:
+        """The rows of another ball's closure in this one, its first n_closure;
+        KeyError unless it is a ball of this dimension and at most this radius."""
+        if other.dim != self.dim or other.radius > self.radius:
+            raise KeyError(
+                f"the closure of B_{other.radius} in Z^{other.dim} lies outside "
+                f"the closure of B_{self.radius} in Z^{self.dim}"
+            )
+        return slice(0, other.n_closure)
 
     @cached_property
     def red_black(self) -> RedBlack:
@@ -190,6 +182,13 @@ class LatticeDomain:
         for array in (*colours, *tables):
             array.flags.writeable = False
         return RedBlack(*colours, *tables)
+
+
+def validate_int(value, name: str) -> int:
+    """A Python or numpy integer as an int; anything else raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def validate_dimension(n: int) -> None:
@@ -223,23 +222,33 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
     if (2 * radius + 3) ** n > np.iinfo(np.int64).max:
         raise ValueError(f"B_{radius} in Z^{n} is too large for int64 point keys")
 
+    # _ball enumerates the closure in key order; a stable sort by norm puts
+    # it in shell order (numpy sorts 8- and 16-bit integers by radix sort).
     coords, distances = _ball(n, radius + 1)
-    inner = distances <= radius
-    order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
+    sorted_keys = _radix_keys(coords, radius)
+    order = np.argsort(distances.astype(np.min_scalar_type(radius + 1)), kind="stable")
+    key_order = np.empty_like(order)
+    key_order[order] = np.arange(order.size)
+    lex_inner = np.flatnonzero(distances <= radius)
+    n_int = lex_inner.size
     coords, distances = coords[order], distances[order]
-    point_keys = _radix_keys(coords, radius)
-    n_int = int(np.count_nonzero(inner))
 
     # x +- e_i has the key key(x) +- (2R+3)^(n-1-i): |x_i| <= R, so digit i
-    # moves with no carry.  The interior keys are sorted, so each column's
-    # queries are too; they are searched in the closure's keys, sorted once.
-    key_order = np.argsort(point_keys, kind="stable")
-    sorted_keys = point_keys.take(key_order)
+    # moves with no carry.  The interior is queried in key order, so each
+    # column's queries are sorted, and the answers are renumbered into shell
+    # order.  Along the last axis _ball's rows are consecutive, so x +- e_n
+    # needs no search.
+    inner_keys = sorted_keys.take(lex_inner)
+    shell_rows = key_order.take(lex_inner)
     neighbors = np.empty((n_int, 2 * n), dtype=np.int64, order="F")
     for col in range(2 * n):
-        step = (2 * radius + 3) ** (n - 1 - col // 2)
-        query = point_keys[:n_int] + (step if col % 2 else -step)
-        neighbors[:, col] = key_order.take(np.searchsorted(sorted_keys, query))
+        step = 1 if col % 2 else -1
+        if col // 2 == n - 1:
+            found = lex_inner + step
+        else:
+            step *= (2 * radius + 3) ** (n - 1 - col // 2)
+            found = np.searchsorted(sorted_keys, inner_keys + step)
+        neighbors[shell_rows, col] = key_order.take(found)
 
     # Every closure edge has at least one interior endpoint (two boundary
     # points are never adjacent, by the parity of the Manhattan norm), so
@@ -254,7 +263,7 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
         n_interior=n_int,
         coords=coords,
         distances=distances,
-        point_keys=point_keys,
+        sorted_keys=sorted_keys,
         key_order=key_order,
         neighbors=neighbors,
         edge_tail=np.repeat(rows, np.count_nonzero(keep, axis=1)),
@@ -264,28 +273,24 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
 
 @dataclass(frozen=True)
 class VortexConfig:
-    """Vortex points p_j with positive integer multiplicities n_j."""
+    """Vortex points p_j with positive integer multiplicities n_j, given as
+    Python or numpy integers; any other value raises ValueError naming it."""
 
     vortices: tuple[tuple[Point, int], ...]
 
     def __init__(self, vortices) -> None:
-        norm = []
-        seen = set()
-        dim = None
-        for entry in vortices:
-            p, m = entry
-            p = tuple(int(c) for c in p)
-            if dim is None:
-                dim = len(p)
-            elif len(p) != dim:
+        norm: dict[Point, int] = {}
+        for i, (p, m) in enumerate(vortices):
+            p = tuple(validate_int(c, f"vortices[{i}].point[{j}]") for j, c in enumerate(p))
+            dim = len(next(iter(norm), p))
+            if len(p) != dim:
                 raise ValueError(f"vortex {p} has dimension {len(p)}, expected {dim}")
-            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-                raise ValueError(f"multiplicity for vortex {p} must be a positive integer, got {m!r}")
-            if p in seen:
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+                raise ValueError(f"vortices[{i}].multiplicity must be a positive integer, got {m!r}")
+            if p in norm:
                 raise ValueError(f"duplicate vortex point {p}")
-            seen.add(p)
-            norm.append((p, m))
-        object.__setattr__(self, "vortices", tuple(norm))
+            norm[p] = int(m)
+        object.__setattr__(self, "vortices", tuple(norm.items()))
 
     def __len__(self) -> int:
         return len(self.vortices)

@@ -155,9 +155,6 @@ class IterationTrace:
 
     steps: list[TraceStep] = field(default_factory=list)
 
-    def append(self, step: TraceStep) -> None:
-        self.steps.append(step)
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -355,7 +352,7 @@ def solve_bounded(
     trace = IterationTrace()
     energy = energy_eval(f, g, params)
     res_sup = float(np.max(np.abs(residual(f, g, params)))) if dom.n_interior else 0.0
-    trace.append(TraceStep(0, 0.0, energy, res_sup, 0.0))
+    trace.steps.append(TraceStep(0, 0.0, energy, res_sup, 0.0))
     target = RESIDUAL_FACTOR * tol_nonlinear
     switch = NEWTON_SWITCH
 
@@ -366,7 +363,7 @@ def solve_bounded(
         max_inc = float(np.max(diff)) if diff.size else 0.0
         energy_next = energy_eval(f_next, g, params)
         res_sup = float(np.max(np.abs(residual(f_next, g, params))))
-        trace.append(TraceStep(k, sup_diff, energy_next, res_sup, max_inc))
+        trace.steps.append(TraceStep(k, sup_diff, energy_next, res_sup, max_inc))
 
         if energy_next > energy + ENERGY_SLACK:
             raise SchemeIntegrityError(

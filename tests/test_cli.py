@@ -110,6 +110,12 @@ class TestConfig:
         ({"lambda": 10**400}, "lambda: must be a finite number"),
         ({"radii": [4.5, 6]}, "radii[0] must be an integer, got 4.5"),
         ({"radii": [4, True]}, "radii[1] must be an integer, got True"),
+        ({"vortices": [{"point": [0, 2.5], "multiplicity": 1}]},
+         "vortices[0].point[1] must be an integer, got 2.5"),
+        ({"vortices": [{"point": [True, 0], "multiplicity": 1}]},
+         "vortices[0].point[0] must be an integer, got True"),
+        ({"vortices": [{"point": [0, 0], "multiplicity": 1.0}]},
+         "vortices[0].multiplicity must be a positive integer, got 1.0"),
     ])
     def test_library_checks_exit_2_and_name_the_field(self, tmp_path, capsys,
                                                       overrides, message):
@@ -193,7 +199,8 @@ class TestSolve:
             ",".join([str(c) for c in p] + [str(d), f"{v:.17g}"])
             for p, d, v in zip(dom.coords.tolist(), dom.distances.tolist(), f.values)
         ]
-        assert lines[1:3] == ["-1,0,1,-0", "0,-1,1,4.9406564584124654e-324"]
+        # rows run shell by shell from the origin
+        assert lines[1:3] == ["0,0,0,-0", "-1,0,1,4.9406564584124654e-324"]
         # one block, and blocks of 4 rows: 13 rows end in a partial block
         for block in (cli_mod.CSV_BLOCK_ROWS, 4):
             monkeypatch.setattr(cli_mod, "CSV_BLOCK_ROWS", block)

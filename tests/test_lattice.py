@@ -118,17 +118,46 @@ def test_interior_connected():
     assert len(seen) == dom.n_interior
 
 
-def test_ordering_lexicographic_and_deterministic():
-    a = build_domain(2, 4)
-    b = build_domain(2, 4)
-    assert np.array_equal(a.coords, b.coords)
-    assert np.array_equal(a.neighbors, b.neighbors)
-    interior, boundary = points(a.coords[: a.n_interior]), points(a.coords[a.n_interior :])
-    assert interior == sorted(interior)
-    assert boundary == sorted(boundary)
-    # interior indexed before boundary
-    assert np.all(a.distances[: a.n_interior] <= a.radius)
-    assert np.all(a.distances[a.n_interior :] == a.radius + 1)
+def test_ordering_by_shell_and_deterministic():
+    for n, radius in ((2, 4), (3, 3)):
+        a = build_domain(n, radius)
+        b = build_domain(n, radius)
+        assert np.array_equal(a.coords, b.coords)
+        assert np.array_equal(a.neighbors, b.neighbors)
+        # shell by shell from the origin, lexicographic within each shell
+        assert np.all(np.diff(a.distances) >= 0)
+        pts = points(a.coords)
+        for d in range(radius + 2):
+            shell = [p for p, dist in zip(pts, a.distances.tolist()) if dist == d]
+            assert shell == sorted(shell)
+        # so the interior is indexed before the boundary
+        assert np.all(a.distances[: a.n_interior] <= a.radius)
+        assert np.all(a.distances[a.n_interior :] == a.radius + 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_smaller_ball_is_a_prefix(n):
+    domains = [build_domain(n, r) for r in range(5 if n == 5 else 9)]
+    for big in domains:
+        split = big.red_black
+        for small in domains[: big.radius]:
+            m, k, e = small.n_closure, small.n_interior, len(small.edge_tail)
+            assert np.array_equal(big.coords[:m], small.coords)
+            assert np.array_equal(big.distances[:m], small.distances)
+            assert np.array_equal(big.neighbors[:k], small.neighbors)
+            # edges come by tail, so small's are those with tail < k
+            assert np.array_equal(big.edge_tail[:e], small.edge_tail)
+            assert np.array_equal(big.edge_head[:e], small.edge_head)
+            assert np.all(big.edge_tail[e:] >= k)
+            sub = small.red_black
+            n_red, n_black = len(sub.red), len(sub.black)
+            assert np.array_equal(split.red[:n_red], sub.red)
+            assert np.array_equal(split.black[:n_black], sub.black)
+            # small's boundary lies past its colour counts in big's colour lists
+            assert np.array_equal(np.minimum(split.red_neighbors[:n_red], n_black),
+                                  sub.red_neighbors)
+            assert np.array_equal(np.minimum(split.black_neighbors[:n_black], n_red),
+                                  sub.black_neighbors)
 
 
 @pytest.mark.parametrize("n,radius", [(2, 0), (2, 5), (3, 3), (4, 2), (5, 2)])
@@ -151,9 +180,9 @@ def test_locate_rejects_points_off_the_closure(point):
         dom.locate(np.array([(0, 0) + (0,) * (len(point) - 2), point]))
 
 
-def test_locate_closure_is_kept_and_read_only(monkeypatch):
+def test_locate_closure_is_the_prefix_slice(monkeypatch):
     small, big = build_domain(3, 2), build_domain(3, 4)
-    expected = big.locate(small.coords)
+    assert np.array_equal(big.locate(small.coords), np.arange(small.n_closure))
     calls = []
     real = LatticeDomain.locate
 
@@ -162,14 +191,12 @@ def test_locate_closure_is_kept_and_read_only(monkeypatch):
         return real(self, pts)
 
     monkeypatch.setattr(LatticeDomain, "locate", counting)
-    first = big.locate_closure(small)
-    assert np.array_equal(first, expected)
-    assert big.locate_closure(build_domain(3, 2)) is first
-    assert calls == [small.coords.shape]
-    with pytest.raises(ValueError, match="read-only"):
-        first[0] = 0
-    with pytest.raises(KeyError):
-        small.locate_closure(big)
+    assert big.locate_closure(small) == slice(0, small.n_closure)
+    assert big.locate_closure(big) == slice(0, big.n_closure)
+    assert calls == []
+    for outside in (build_domain(3, 3), big, build_domain(2, 1), build_domain(4, 1)):
+        with pytest.raises(KeyError, match="outside the closure"):
+            small.locate_closure(outside)
 
 
 @pytest.mark.parametrize("n,radius", [(2, 0), (2, 5), (3, 3), (4, 2)])
@@ -217,6 +244,17 @@ def test_vortex_config_validation():
         VortexConfig([((0, 0), 1.5)])
     with pytest.raises(ValueError, match="dimension"):
         VortexConfig([((0, 0), 1), ((0, 0, 0), 1)])
+    # floats and bools were truncated to a lattice point; numpy integers pass
+    for bad, name in ((((0.7, 2.9), 1), r"vortices\[0\]\.point\[0\] .*got 0\.7"),
+                      (((True, 0), 1), r"vortices\[0\]\.point\[0\] .*got True"),
+                      (((0, 0), True), r"vortices\[0\]\.multiplicity .*got True")):
+        with pytest.raises(ValueError, match=name):
+            VortexConfig([bad])
+    with pytest.raises(ValueError, match=r"vortices\[1\]\.point\[1\] must be an integer"):
+        VortexConfig([((0, 0), 1), ((1, 2.0), 1)])
+    vc = VortexConfig([((np.int64(1), np.int32(-2)), np.int64(2))])
+    assert vc.vortices == (((1, -2), 2),)
+    assert all(type(v) is int for v in (*vc.vortices[0][0], vc.vortices[0][1]))
 
 
 def test_params_validation():
