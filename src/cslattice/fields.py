@@ -8,10 +8,12 @@ right-hand sides) are plain numpy arrays aligned with the interior ordering.
 
 Conventions:
   gather_sum     row sums of values gathered through a column-major index
-                   table, one column at a time: the one stencil kernel of
-                   the package.  Its tables are the domain's neighbour
-                   table and the two tables of LatticeDomain.red_black,
-                   which give the halves of linear.py's reduced operator.
+                   table, columns added left to right, in one take for a
+                   small table and a column at a time above ONE_TAKE_MAX
+                   entries: the one stencil kernel of the package.  Its
+                   tables are the domain's neighbour table and the two
+                   tables of LatticeDomain.red_black, which give the
+                   halves of linear.py's reduced operator.
   neighbor_sum   (Sv)(x) = sum_{y ~ x} v(y), interior x, closure y:
                    gather_sum over the neighbour table, for the Laplacian
                    and the maximality certificate.
@@ -39,6 +41,9 @@ _SETS = ("interior", "closure")
 
 # Bound on |sum_by_parts_defect(f, g)| / (1 + |f|_inf |g|_inf |closure|).
 SUM_BY_PARTS_COEFF = 1e-12
+
+# Largest table gather_sum gathers in one take: 2^15 entries, a 256 KB block.
+ONE_TAKE_MAX = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,40 +110,20 @@ def _require_same_domain(f: Field, g: Field) -> None:
 def gather_sum(nbr: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Row sums of ``values.take(nbr)`` for a column-major index table ``nbr``.
 
-    One gather per column (a contiguous index array), accumulated in place.
-    The additions follow the order in which numpy sums each row of the
-    gathered table, so results are bitwise those of that row sum: left to
-    right below eight columns; from eight on, eight lanes that each add
-    every eighth column of the leading multiple of eight, combined as
-    ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), then the remaining columns left
-    to right.
+    The columns are added left to right, whatever the width.  A table of
+    at most ONE_TAKE_MAX entries and more than one row is gathered in one
+    take of its transpose (C-contiguous) and reduced over the leading axis,
+    which numpy does row after row: two numpy calls, where a small table's
+    cost is per call.  A larger table gathers one column at a time and adds
+    in place; its gathered block would leave the cache before a reduction
+    read it, and the one take was slower on 4D R=14.  A single row goes
+    that way too, because numpy sums a lone row of eight or more pairwise.
+    Both paths give the same bits.
     """
-    width = nbr.shape[1]
-    if width < 8:
-        out = values.take(nbr[:, 0])
-        for j in range(1, width):
-            out += values.take(nbr[:, j])
-        return out
-
-    full = width - width % 8
-
-    def lane(j: int) -> np.ndarray:
-        acc = values.take(nbr[:, j])
-        for c in range(j + 8, full, 8):
-            acc += values.take(nbr[:, c])
-        return acc
-
-    def pair(j: int) -> np.ndarray:
-        acc = lane(j)
-        acc += lane(j + 1)
-        return acc
-
-    out = pair(0)
-    out += pair(2)
-    right = pair(4)
-    right += pair(6)
-    out += right
-    for j in range(full, width):
+    if len(nbr) > 1 and nbr.size <= ONE_TAKE_MAX:
+        return np.add.reduce(values.take(nbr.T), axis=0)
+    out = values.take(nbr[:, 0])
+    for j in range(1, nbr.shape[1]):
         out += values.take(nbr[:, j])
     return out
 

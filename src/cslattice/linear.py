@@ -17,12 +17,12 @@ red system (DeGrand & Rossi, Comput. Phys. Commun. 60, 1990)
     x_b = D_b^-1 (b_b + S_br x_r).
 
 linear_solve runs conjugate gradients on it.  One application of the
-reduced operator is the same 2n gathers as one product with A, half of
-them per colour, on vectors half as long; for scalar K its condition
-number is 1 / (1 - rho^2) against A's (1 + rho) / (1 - rho), with
-rho <= 2n / D, so CG needs about half the iterations.  Both halves are
-fields.gather_sum over the red-black tables, the kernel the Laplacian
-uses.  Every D must be positive (checked before iterating), and then A is
+reduced operator is two calls of fields.gather_sum, the kernel the
+Laplacian uses: one over each red-black table, which together hold as
+many entries as the neighbour table, on vectors half as long.  For scalar
+K its condition number is 1 / (1 - rho^2) against A's (1 + rho) /
+(1 - rho), with rho <= 2n / D, so CG needs about half the iterations.
+Every D must be positive (checked before iterating), and then A is
 positive definite exactly when the reduced operator is (Haynsworth
 inertia additivity), so a search direction with p.Ap <= 0 raises
 ConvergenceError instead of dividing by it.  The reduced residual is the
@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .fields import Field, gather_sum, grad_energy
+from .lattice import validate_int
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .lattice import LatticeDomain, RedBlack
@@ -70,8 +71,11 @@ class LinearSolveOptions:
     def __post_init__(self) -> None:
         if not 0 < self.tol_rel < 1:
             raise ValueError(f"tol_rel must lie in (0, 1), got {self.tol_rel}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
+        if self.max_iter is not None:
+            max_iter = validate_int(self.max_iter, "max_iter")
+            if max_iter < 1:
+                raise ValueError(f"max_iter must be positive, got {max_iter}")
+            object.__setattr__(self, "max_iter", max_iter)
 
 
 @dataclass(frozen=True, eq=False)

@@ -313,17 +313,19 @@ class TestDeterminism:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_byte_identical_artifacts_4d(self, tmp_path):
-        # n = 4 gives an 8-column stencil, where the neighbour sum is not
-        # accumulated left to right.
-        path = write_config(
-            tmp_path, dimension=4, vortices=[{"point": [1, 0, 0, 0], "multiplicity": 1}],
-            radii=[3, 4],
-        )
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        for out in (out1, out2):
-            assert main(["solve", str(path), "--output-dir", str(out), "--quiet"]) == EXIT_OK
-        for name in ("report.json", "field.csv", "trace.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # n = 4 gives an 8-column stencil.  At R=9 the neighbour table is
+        # above fields.ONE_TAKE_MAX and the red-black tables are below it,
+        # so that solve runs both gather_sum paths.
+        for radius in (4, 9):
+            path = write_config(
+                tmp_path, dimension=4, vortices=[{"point": [1, 0, 0, 0], "multiplicity": 1}],
+                radii=[3, radius],
+            )
+            out1, out2 = tmp_path / f"a{radius}", tmp_path / f"b{radius}"
+            for out in (out1, out2):
+                assert main(["solve", str(path), "--output-dir", str(out), "--quiet"]) == EXIT_OK
+            for name in ("report.json", "field.csv", "trace.csv"):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestVerify:

@@ -16,7 +16,7 @@ from cslattice import (
     norm,
     sum_by_parts_defect,
 )
-from cslattice.fields import extend_by_zero, neighbor_sum
+from cslattice.fields import ONE_TAKE_MAX, extend_by_zero, gather_sum, neighbor_sum
 
 
 def indicator(dom, point):
@@ -69,19 +69,30 @@ def test_laplacian_of_linear_coordinate_field():
     assert np.max(np.abs(laplacian(f))) == 0.0
 
 
-@pytest.mark.parametrize("n, radius", [(2, 6), (3, 4), (4, 3), (5, 2), (6, 2)])
+@pytest.mark.parametrize(
+    "n, radius", [(2, 6), (3, 4), (4, 3), (5, 2), (6, 2), (2, 80), (4, 9), (4, 1)]
+)
 def test_neighbor_sum_bitwise_equals_row_sum(n, radius, rng):
-    # On the column-major table, pins the summation order (left to right
-    # below 8 columns, numpy's eight-lane order from 8 on) that keeps
-    # artifacts byte-identical.
+    # Pins the summation order that keeps artifacts byte-identical: each row
+    # of the neighbour table and of both red-black tables adds its columns
+    # left to right.  2D R=80 and 4D R=9 have neighbour tables above
+    # ONE_TAKE_MAX; 4D R=1 has a one-row red table.
     dom = build_domain(n, radius)
-    assert dom.neighbors.flags.f_contiguous
-    values = rng.standard_normal(dom.n_closure) * 10.0 ** rng.integers(
-        -12, 13, size=dom.n_closure
-    )
-    expected = values[np.ascontiguousarray(dom.neighbors)].sum(axis=1)
-    got = neighbor_sum(dom, values)
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    split = dom.red_black
+    tables = (dom.neighbors, split.red_neighbors, split.black_neighbors)
+    assert all(t.flags.f_contiguous for t in tables)
+    assert (dom.neighbors.size > ONE_TAKE_MAX) == ((n, radius) in {(2, 80), (4, 9)})
+    for table in tables:
+        size = int(table.max()) + 1
+        # A single row shows a wrong order in only about a third of the draws.
+        for _ in range(16):
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 13, size=size)
+            gathered = values[table]
+            expected = gathered[:, 0].copy()
+            for j in range(1, table.shape[1]):
+                expected = expected + gathered[:, j]
+            got = neighbor_sum(dom, values) if table is dom.neighbors else gather_sum(table, values)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_integral_examples():

@@ -101,8 +101,10 @@ def test_convergence_failure_carries_final_iterate_and_true_residual(rng):
 def test_options_validation():
     with pytest.raises(ValueError, match="tol_rel"):
         LinearSolveOptions(tol_rel=1.5)
-    with pytest.raises(ValueError, match="max_iter"):
-        LinearSolveOptions(max_iter=0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="max_iter"):
+            LinearSolveOptions(max_iter=bad)
+    assert LinearSolveOptions(max_iter=np.int64(7)).max_iter == 7
 
 
 def test_system_validation(b2):
