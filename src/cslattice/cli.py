@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -500,19 +501,18 @@ def _sum_by_parts_check(cfg: RunConfig, rng) -> dict:
 
 
 def _linear_oracle_check(cfg: RunConfig, rng) -> dict:
-    worst = 0.0
     radii = [2 + i % 3 if cfg.dimension >= 3 else 3 + i % 5 for i in range(20)]
     domains = {r: build_domain(cfg.dimension, r) for r in sorted(set(radii))}
-    for radius in radii:
-        dom = domains[radius]
-        sys_ = LinearSystem(dom, cfg.params.K, rng.standard_normal(dom.n_interior))
-        exact = dense_solve(sys_).interior_values
-        try:
-            approx = linear_solve(sys_, cfg.linear_opts).interior_values
-        except ConvergenceError as exc:
-            return _check("linear_oracle", False, detail=f"iterative solve failed: {exc}")
-        rel = float(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
-        worst = max(worst, rel)
+    rhs = [rng.standard_normal(domains[r].n_interior) for r in radii]
+    worst = 0.0
+    for radius, dom in domains.items():
+        group = np.array([v for r, v in zip(radii, rhs) if r == radius])
+        block = LinearSystem(dom, cfg.params.K, group)
+        for approx, exact in zip(linear_solve(block, cfg.linear_opts), dense_solve(block)):
+            if isinstance(approx, ConvergenceError):
+                return _check("linear_oracle", False, detail=f"iterative solve failed: {approx}")
+            gap = approx.interior_values - exact.interior_values
+            worst = max(worst, float(np.linalg.norm(gap) / np.linalg.norm(exact.interior_values)))
     return _at_most("linear_oracle", worst, ORACLE_REL_TOL)
 
 
@@ -525,26 +525,25 @@ def _minimizer_check(cfg: RunConfig, rng) -> dict:
     except ConvergenceError as exc:
         return _check("linear_minimizer", False, detail=f"solve failed: {exc}")
     base = linear_energy_eval(u, v, cfg.params.K)
+    phi = rng.standard_normal((100, dom.n_interior))
+    for row in phi:
+        row /= np.linalg.norm(row)
     worst = math.inf
-    for _ in range(100):
-        phi = rng.standard_normal(dom.n_interior)
-        phi /= np.linalg.norm(phi)
-        for t in (1e-2, -1e-2, 1e-4, -1e-4):
-            trial = Field.from_interior(dom, u.interior_values + t * phi)
-            worst = min(worst, linear_energy_eval(trial, v, cfg.params.K) - base)
+    # blocks of 25 trials: one block of all 400 raised the peak RSS by 5 MB
+    for t, rows in product((1e-2, -1e-2, 1e-4, -1e-4), np.split(phi, 4)):
+        trials = [Field.from_interior(dom, u.interior_values + t * row) for row in rows]
+        worst = min(worst, float(np.min(linear_energy_eval(trials, v, cfg.params.K))) - base)
     return _check("linear_minimizer", worst >= MINIMIZER_SLACK, worst, MINIMIZER_SLACK)
 
 
 def _max_principle_check(cfg: RunConfig, rng) -> dict:
-    worst = -math.inf
     dom = build_domain(cfg.dimension, 3)
-    for _ in range(20):
-        v = np.abs(rng.standard_normal(dom.n_interior))
-        try:
-            u = linear_solve(LinearSystem(dom, cfg.params.K, v), cfg.linear_opts)
-        except ConvergenceError as exc:
-            return _check("linear_max_principle", False, detail=f"solve failed: {exc}")
-        worst = max(worst, float(np.max(u.values)))
+    v = np.abs(rng.standard_normal((20, dom.n_interior)))
+    solutions = linear_solve(LinearSystem(dom, cfg.params.K, v), cfg.linear_opts)
+    for u in solutions:
+        if isinstance(u, ConvergenceError):
+            return _check("linear_max_principle", False, detail=f"solve failed: {u}")
+    worst = max(float(np.max(u.values)) for u in solutions)
     return _at_most("linear_max_principle", worst, MAX_PRINCIPLE_TOL)
 
 
@@ -597,20 +596,14 @@ def _maximality_check(cfg: RunConfig, rng) -> dict:
     except (ConvergenceError, SchemeIntegrityError) as exc:
         return _check("maximality_newton", False, detail=f"reference solve failed: {exc}")
     dom = reference.domain
-    worst = -math.inf
-    converged = 0
-    for _ in range(10):
-        start = Field.from_interior(dom, -3.0 * rng.random(dom.n_interior))
-        try:
-            root = newton_solve(dom, cfg.vortex_config, cfg.params, start)
-        except ConvergenceError:
-            continue
-        converged += 1
-        worst = max(worst, float(np.max(root.values - reference.field.values)))
-    if converged == 0:
+    starts = [Field.from_interior(dom, x) for x in -3.0 * rng.random((10, dom.n_interior))]
+    roots = [root for root in newton_solve(dom, cfg.vortex_config, cfg.params, starts)
+             if isinstance(root, Field)]
+    if not roots:
         return _check("maximality_newton", False, detail="no Newton start converged")
+    worst = max(float(np.max(root.values - reference.field.values)) for root in roots)
     return _at_most("maximality_newton", worst, MAXIMALITY_TOL,
-                    detail=f"{converged}/10 starts converged")
+                    detail=f"{len(roots)}/10 starts converged")
 
 
 def _start(command: str, cfg: RunConfig, out_dir: Path) -> dict:

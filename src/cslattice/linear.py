@@ -30,18 +30,26 @@ red rows of A x - b once x_b is eliminated; a solution is accepted only on
 the residual recomputed over all rows, red and black.  A dense LU route
 over the explicitly assembled matrix serves as the independent oracle; it
 refuses more than DENSE_MAX_UNKNOWNS unknowns.
+
+An rhs with m rows is a block of m systems, which linear_solve runs as one
+batched CG in lockstep (no shared search space, unlike block Krylov): each
+operator application gathers the whole block, each column takes its own
+alpha, beta, tolerance and true-residual test with a solo solve's calls and
+bits, and leaves once accepted or failed, the failure its own entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import compress
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .fields import Field, gather_sum, grad_energy
+from .fields import Field, gather_sum
 from .lattice import validate_int
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -60,17 +68,21 @@ DENSE_MAX_UNKNOWNS = 4096
 class LinearSolveOptions:
     """Relative residual target and iteration cap of linear_solve.
 
+    tol_rel is one value for all columns of a block, or a tuple of one each.
     max_iter counts CG iterations on the reduced red system, each one
     application of the reduced operator; the default is 10 times the number
     of red unknowns, the size of that system.
     """
 
-    tol_rel: float = 1e-12
+    tol_rel: float | tuple[float, ...] = 1e-12
     max_iter: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.tol_rel < 1:
+        tol_rel = np.asarray(self.tol_rel, dtype=float)
+        if not np.all((tol_rel > 0) & (tol_rel < 1)):
             raise ValueError(f"tol_rel must lie in (0, 1), got {self.tol_rel}")
+        tol_rel = tol_rel.item() if tol_rel.ndim == 0 else tuple(tol_rel.tolist())
+        object.__setattr__(self, "tol_rel", tol_rel)
         if self.max_iter is not None:
             max_iter = validate_int(self.max_iter, "max_iter")
             if max_iter < 1:
@@ -83,7 +95,8 @@ class LinearSystem:
     """Domain, shift K, and interior right-hand side v.
 
     K is a scalar > 0 or one finite value per interior point; a per-point
-    shift may be negative where the operator stays positive definite.
+    shift may be negative where the operator stays positive definite.  An
+    (m, n_interior) rhs is a block of m systems, with K shared or per row.
     """
 
     domain: "LatticeDomain"
@@ -91,24 +104,21 @@ class LinearSystem:
     rhs: np.ndarray
 
     def __post_init__(self) -> None:
+        n_int = self.domain.n_interior
+        rhs = np.ascontiguousarray(self.rhs, dtype=float)
+        if rhs.shape[-1:] != (n_int,) or rhs.ndim > 2:
+            raise ValueError(f"rhs needs {n_int} interior values, got {rhs.shape}")
+        object.__setattr__(self, "rhs", rhs)
         if np.ndim(self.K) == 0:
             if not self.K > 0:
                 raise ValueError(f"K must be positive, got {self.K}")
         else:
-            K = np.asarray(self.K, dtype=float)
-            if K.shape != (self.domain.n_interior,):
-                raise ValueError(
-                    f"K needs a scalar or {self.domain.n_interior} interior values, got {K.shape}"
-                )
+            K = np.ascontiguousarray(self.K, dtype=float)
+            if K.shape not in {(n_int,), rhs.shape}:
+                raise ValueError(f"K needs a scalar or {n_int} interior values, got {K.shape}")
             if not np.all(np.isfinite(K)):
                 raise ValueError("K must be finite at every interior point")
             object.__setattr__(self, "K", K)
-        rhs = np.asarray(self.rhs, dtype=float)
-        if rhs.shape != (self.domain.n_interior,):
-            raise ValueError(
-                f"rhs needs {self.domain.n_interior} interior values, got {rhs.shape}"
-            )
-        object.__setattr__(self, "rhs", rhs)
 
 
 def system_matrix(domain: "LatticeDomain", K: float | np.ndarray) -> np.ndarray:
@@ -135,27 +145,30 @@ def system_matrix(domain: "LatticeDomain", K: float | np.ndarray) -> np.ndarray:
 
 def _apply_reduced(
     split: "RedBlack", d_r: float | np.ndarray, inv_b: float | np.ndarray,
-    p: np.ndarray, t: np.ndarray,
-) -> np.ndarray:
-    """(D_r - S_rb D_b^-1 S_br) p on red values p, with t as black scratch.
+    p: np.ndarray, t: np.ndarray, out: np.ndarray,
+) -> None:
+    """(D_r - S_rb D_b^-1 S_br) p into out, for a block of red rows p, with t as black scratch.
 
-    p and t each carry one trailing zero slot that boundary neighbours read.
+    Each row of p and t ends in a zero slot that boundary neighbours read.
     """
-    np.multiply(gather_sum(split.black_neighbors, p), inv_b, out=t[:-1])
-    return d_r * p[:-1] - gather_sum(split.red_neighbors, t)
+    np.multiply(gather_sum(split.black_neighbors, p), inv_b, out=t[:, :-1])
+    np.subtract(d_r * p[:, :-1], gather_sum(split.red_neighbors, t), out=out)
 
 
-def dense_solve(system: LinearSystem) -> Field:
-    """Direct LU solution of (L - K) u = v; the reference oracle."""
-    u = np.linalg.solve(system_matrix(system.domain, system.K), -system.rhs)
-    return Field.from_interior(system.domain, u)
+def dense_solve(system: LinearSystem) -> Field | list[Field]:
+    """Direct LU solution of (L - K) u = v; the reference oracle; one LU for a block's shared K."""
+    if np.ndim(system.K) == 2:
+        raise ValueError("dense_solve needs one K for every column of a block")
+    u = np.linalg.solve(system_matrix(system.domain, system.K), -np.atleast_2d(system.rhs).T)
+    fields = [Field.from_interior(system.domain, column) for column in u.T]
+    return fields if system.rhs.ndim == 2 else fields[0]
 
 
 def linear_solve(
     system: LinearSystem,
     opts: LinearSolveOptions = LinearSolveOptions(),
     x0: np.ndarray | None = None,
-) -> Field:
+) -> Field | list[Field | ConvergenceError]:
     """Solve (L - K) u = v with zero Dirichlet data, by CG on the reduced red system.
 
     Guarantees ||(L - K) u - v||_2 <= tol_rel * ||v||_2 over the interior,
@@ -167,105 +180,161 @@ def linear_solve(
     K + 2n at an interior point, or a search direction with p.Ap <= 0,
     means K - L is not positive definite and raises ConvergenceError
     before the next iteration.
+
+    A block (rhs and x0 of shape (m, n_interior)) returns a list with, per
+    column, the Field or the ConvergenceError of its solo solve.
     """
     dom = system.domain
-    diag = system.K + dom.degree
-    if np.ndim(diag) and not np.all(diag > 0):
-        i = int(np.argmin(diag > 0))
-        raise ConvergenceError(
-            f"K + 2n = {diag[i]:.3e} at interior index {i} {tuple(dom.coords[i].tolist())} "
-            "is not positive: K - L is not positive definite"
-        )
-    b = -system.rhs
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return Field.zeros(dom)
-    tol_abs = opts.tol_rel * b_norm
+    b = -(system.rhs if system.rhs.ndim == 2 else system.rhs[None])
+    m = len(b)
+    diag = system.K + dom.degree  # a scalar, one row shared, or one row per column
+    rank = np.ndim(diag)
+    # per column j: tolerance, ||b||, absolute tolerance and result
+    tol_rel = list(opts.tol_rel) if isinstance(opts.tol_rel, tuple) else [opts.tol_rel] * m
+    if len(tol_rel) != m:
+        raise ValueError(f"tol_rel needs one value per column ({m}), got {len(tol_rel)}")
+    b_norm = [math.sqrt(np.dot(b[j], b[j])) for j in range(m)]  # indexing beats iterating rows
+    tol = [t * bn for t, bn in zip(tol_rel, b_norm)]
+    out: list = [None] * m
+    for j in range(m):
+        d = diag[j] if rank == 2 else diag
+        if rank and not (d > 0).all():
+            i = int(np.argmin(d > 0))
+            out[j] = ConvergenceError(
+                f"K + 2n = {d[i]:.3e} at interior index {i} "
+                f"{tuple(dom.coords[i].tolist())} is not positive: K - L is not positive definite"
+            )
+        elif b_norm[j] == 0.0:
+            out[j] = Field.zeros(dom)
 
+    live = [j for j in range(m) if out[j] is None]
     split = dom.red_black
     red, black = split.red, split.black
-    n_r, n_b = len(red), len(black)
-    max_iter = opts.max_iter if opts.max_iter is not None else 10 * n_r
-    d_r, d_b = (diag, diag) if np.ndim(diag) == 0 else (diag[red], diag[black])
-    inv_b = 1.0 / d_b
-    b_r, b_b = b[red], b[black]
-    # Vectors the tables gather from carry one trailing zero slot, which
-    # boundary neighbours read; x_r, x_b and p are views without it.
-    x_r_pad, x_b_pad, p_pad, t_pad = (np.zeros(m + 1) for m in (n_r, n_b, n_r, n_b))
-    x_r, x_b, p = x_r_pad[:n_r], x_b_pad[:n_b], p_pad[:n_r]
+    max_iter = opts.max_iter if opts.max_iter is not None else 10 * len(red)
+    if len(live) < m:
+        b, diag = b[live], np.broadcast_to(diag, (m, b.shape[1]))[live] if rank else diag
+        x0 = None if x0 is None else np.reshape(x0, (m, -1))[live]
+    d_r, d_b = (diag, diag) if rank == 0 else (diag.take(red, -1), diag.take(black, -1))
+    # One row per live column, dropped when it leaves; the rows the tables gather
+    # from end in a zero slot, which boundary neighbours read.
+    s = SimpleNamespace(
+        b_r=b.take(red, -1), b_b=b.take(black, -1), d_r=d_r, d_b=d_b, inv_b=1.0 / d_b,
+        x_r=np.zeros((len(live), len(red) + 1)), x_b=np.zeros((len(live), len(black) + 1)),
+    )
+    s.p, s.t, s.Ap = np.zeros(s.x_r.shape), np.zeros(s.x_b.shape), np.zeros((len(live), len(red)))
 
-    def true_residual(s_b: np.ndarray) -> tuple[np.ndarray, float]:
-        """Red rows of b - A x and the norm over all rows, given s_b = S_br x_r."""
-        r_r = b_r - d_r * x_r + gather_sum(split.red_neighbors, x_b_pad)
-        r_b = b_b - d_b * x_b + s_b
-        return r_r, math.hypot(np.linalg.norm(r_r), np.linalg.norm(r_b))
+    def keep() -> int:
+        """Drop the rows of the columns that have left; the number still live."""
+        rows = [out[j] is None for j in live]
+        if not all(rows):
+            if any(rows):
+                for name, value in vars(s).items():
+                    if isinstance(value, np.ndarray) and value.ndim == 2:  # not a shared row
+                        setattr(s, name, value[rows])
+                s.vectors = columns()
+            live[:] = compress(live, rows)
+        return len(live)
 
-    def eliminate(s_b: np.ndarray) -> tuple[np.ndarray, float]:
-        """x_b = D_b^-1 (b_b + S_br x_r); its red residual is the reduced one."""
-        x_b[:] = (b_b + s_b) * inv_b
-        return true_residual(s_b)
+    def columns() -> list[tuple[np.ndarray, ...]]:
+        """Each column's x_r, p, r and A p, which its own steps update in place."""
+        return [(s.x_r[i, :-1], s.p[i, :-1], s.r[i], s.Ap[i]) for i in range(len(s.r))]
 
-    def solution() -> Field:
+    def solution(i: int) -> Field:
         values = np.zeros(dom.n_closure)
-        values[red] = x_r
-        values[black] = x_b
+        values[red], values[black] = s.x_r[i, :-1], s.x_b[i, :-1]
         return Field(dom, values)
 
+    def true_residual(s_b: np.ndarray, eliminate: bool = True) -> tuple[np.ndarray, list[float]]:
+        """Red rows of b - A x, after x_b = D_b^-1 (b_b + s_b) unless not to eliminate
+        (s_b = S_br x_r), and each column's norm over all rows, with a solo solve's bits."""
+        if eliminate:
+            s.x_b[:, :-1] = (s.b_b + s_b) * s.inv_b
+        r_r = s.b_r - s.d_r * s.x_r[:, :-1] + gather_sum(split.red_neighbors, s.x_b)
+        r_b = s.b_b - s.d_b * s.x_b[:, :-1] + s_b
+        return r_r, [math.hypot(math.sqrt(np.dot(r_r[i], r_r[i])),
+                                math.sqrt(np.dot(r_b[i], r_b[i]))) for i in range(len(r_r))]
+
     if x0 is None:
-        r, r_norm = eliminate(np.zeros(n_b))
+        s_b = np.zeros((len(live), len(black)))
     else:
-        x0 = np.asarray(x0, dtype=float)
-        x_r[:], x_b[:] = x0[red], x0[black]
-        s_b = gather_sum(split.black_neighbors, x_r_pad)
-        if true_residual(s_b)[1] <= tol_abs:
-            return solution()
-        r, r_norm = eliminate(s_b)
-    if r_norm <= tol_abs:
-        return solution()
-
-    p[:] = r
-    rs = float(np.dot(r, r))
-    for it in range(max_iter):
-        if rs**0.5 <= tol_abs:
+        x0 = np.asarray(x0, dtype=float).reshape(b.shape)
+        s.x_r[:, :-1], s.x_b[:, :-1] = x0.take(red, -1), x0.take(black, -1)
+        s_b = gather_sum(split.black_neighbors, s.x_r)
+        for i, (j, norm) in enumerate(zip(live, true_residual(s_b, eliminate=False)[1])):
+            if norm <= tol[j]:
+                out[j] = solution(i)
+    s.r, r_norm = true_residual(s_b)
+    for i, (j, norm) in enumerate(zip(live, r_norm)):
+        if norm <= tol[j] and out[j] is None:
+            out[j] = solution(i)
+    s.p[:, :-1] = s.r
+    rs = {j: float(np.dot(s.r[i], s.r[i])) for i, j in enumerate(live)}
+    s.vectors = columns()
+    near = True  # some column's recursive residual may meet its tolerance
+    for it in range(max_iter if keep() else 0):
+        if near and any(rs[j] ** 0.5 <= tol[j] for j in live):
             # accept only on the true residual; restart the recursion otherwise
-            r, r_norm = eliminate(gather_sum(split.black_neighbors, x_r_pad))
-            if r_norm <= tol_abs:
-                return solution()
-            p[:] = r
-            rs = float(np.dot(r, r))
-        Ap = _apply_reduced(split, d_r, inv_b, p_pad, t_pad)
-        curvature = float(np.dot(p, Ap))
-        if not curvature > 0:
-            raise ConvergenceError(
-                f"conjugate gradients found p.Ap = {curvature:.3e} at iteration {it}: "
-                "K - L is not positive definite"
+            r, r_norm = true_residual(gather_sum(split.black_neighbors, s.x_r))
+            for i, j in enumerate(live):
+                if not rs[j] ** 0.5 <= tol[j]:
+                    continue
+                if r_norm[i] <= tol[j]:
+                    out[j] = solution(i)
+                else:
+                    s.r[i] = s.p[i, :-1] = r[i]
+                    rs[j] = float(np.dot(r[i], r[i]))
+            if not keep():
+                break
+        near = failed = False
+        _apply_reduced(split, s.d_r, s.inv_b, s.p, s.t, s.Ap)
+        for j, (x, p, r, ap) in zip(live, s.vectors):
+            curvature = float(np.dot(p, ap))
+            if not curvature > 0:
+                out[j] = failed = ConvergenceError(
+                    f"conjugate gradients found p.Ap = {curvature:.3e} at iteration {it}: "
+                    "K - L is not positive definite"
+                )
+                continue
+            alpha = rs[j] / curvature
+            x += alpha * p
+            r -= alpha * ap
+            rs_new = float(np.dot(r, r))
+            p *= rs_new / rs[j]
+            p += r
+            rs[j] = rs_new
+            near = near or rs_new**0.5 <= tol[j]
+        if failed and not keep():
+            break
+
+    if live:
+        r_norm = true_residual(gather_sum(split.black_neighbors, s.x_r))[1]
+        for i, j in enumerate(live):
+            out[j] = solution(i) if r_norm[i] <= tol[j] else ConvergenceError(
+                f"conjugate gradients did not reach tol_rel={tol_rel[j]} "
+                f"within {max_iter} iterations (final true residual {r_norm[i]:.3e})",
+                best=solution(i),
+                residual=r_norm[i],
             )
-        alpha = rs / curvature
-        x_r += alpha * p
-        r -= alpha * Ap
-        rs_new = float(np.dot(r, r))
-        p *= rs_new / rs
-        p += r
-        rs = rs_new
-
-    r, r_norm = eliminate(gather_sum(split.black_neighbors, x_r_pad))
-    if r_norm <= tol_abs:
-        return solution()
-    raise ConvergenceError(
-        f"conjugate gradients did not reach tol_rel={opts.tol_rel} "
-        f"within {max_iter} iterations (final true residual {r_norm:.3e})",
-        best=solution(),
-        residual=r_norm,
-    )
+    if system.rhs.ndim == 1 and isinstance(out[0], ConvergenceError):
+        raise out[0]
+    return out if system.rhs.ndim == 2 else out[0]
 
 
-def linear_energy_eval(u: Field, v: np.ndarray, K: float) -> float:
+def linear_energy_eval(u: Field | Sequence[Field], v: np.ndarray, K: float) -> float | np.ndarray:
     """Variational functional F(u) = 1/2 int |grad u|^2 + 1/2 int K u^2 + int v u.
 
     Solutions of (L - K) u = v with zero boundary data are exactly the
-    minimizers of F over Dirichlet fields.
+    minimizers of F over Dirichlet fields.  A sequence of fields on one
+    domain is evaluated as one block, into an array of their values.
     """
-    if not u.is_dirichlet():
+    fields = [u] if isinstance(u, Field) else u
+    dom = fields[0].domain
+    values = np.array([f.values for f in fields])
+    if not np.all(values[:, dom.n_interior :] == 0.0):
         raise ValueError("F(u) is defined for fields vanishing on the boundary")
-    ui = u.interior_values
-    return 0.5 * grad_energy(u) + 0.5 * K * float(np.dot(ui, ui)) + float(np.dot(v, ui))
+    # grad_energy's edge differences; take, unlike [:, idx], keeps the rows unit-stride
+    df = values.take(dom.edge_head, -1)
+    df -= values.take(dom.edge_tail, -1)
+    F = [0.5 * float(np.dot(d, d)) + 0.5 * K * float(np.dot(x, x)) + float(np.dot(v, x))
+         for d, x in zip(df, values[:, : dom.n_interior])]
+    return F[0] if isinstance(u, Field) else np.array(F)

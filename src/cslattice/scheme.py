@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, SchemeIntegrityError
 from .fields import Field, extend_by_zero, grad_energy, laplacian, neighbor_sum
-from .lattice import LatticeDomain, Params, VortexConfig, assemble_source
+from .lattice import LatticeDomain, Params, VortexConfig, assemble_source, validate_int
 from .linear import LinearSolveOptions, LinearSystem, linear_solve
 # Unused here, kept until perfbench/spans.py stops patching this name.
 from .linear import system_matrix
@@ -235,10 +236,10 @@ def boundary_flux(f: Field) -> float:
 
 
 def validate_stopping(tol_nonlinear: float, max_steps: int) -> None:
-    """solve_bounded's stop rule needs tol_nonlinear > 0 and max_steps >= 1."""
+    """solve_bounded's stop rule needs tol_nonlinear > 0 and an integer max_steps >= 1."""
     if not tol_nonlinear > 0:
         raise ValueError(f"tol_nonlinear must be positive, got {tol_nonlinear}")
-    if max_steps < 1:
+    if validate_int(max_steps, "max_steps") < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
 
@@ -461,14 +462,15 @@ def newton_solve(
     dom: LatticeDomain,
     vc: VortexConfig,
     params: Params,
-    f_init: Field,
+    f_init: Field | Sequence[Field],
     tol: float = 1e-10,
-) -> Field:
+) -> Field | list[Field | ConvergenceError]:
     """Damped Newton iteration on the residual from a nonpositive start.
 
     solve_bounded's finish and the verify suite's maximality oracle.  A
     start above zero by at most FIELD_SIGN_TOL (roundoff in a monotone
-    iterate) is clipped to zero; a larger value raises ValueError.
+    iterate) is clipped to zero; a larger value, or tol <= 0, raises
+    ValueError.
 
     The Newton step s solves (L - N'(f)) s = -r, the symmetric Jacobian
     taken as the linear solver's operator with per-point shift K = N'(f):
@@ -482,53 +484,62 @@ def newton_solve(
     30 times) until the sup-norm residual decreases.  Divergence, no root
     within NEWTON_MAX_STEPS steps, or a Jacobian that CG finds not negative
     definite raises ConvergenceError carrying the last Newton iterate.
+
+    A sequence of starts runs in lockstep: each step solves the Newton
+    systems of all running starts as one linear_solve block, each to its
+    own forcing term, then runs each start's own line search.  A start
+    leaves once it has its root or fails.  The result is a list with, per
+    start, its root or the ConvergenceError of its solo run, bit for bit.
     """
-    if float(np.max(f_init.values)) > FIELD_SIGN_TOL:
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    starts = [f_init] if isinstance(f_init, Field) else list(f_init)
+    top = max((float(np.max(start.values)) for start in starts), default=0.0)
+    if top > FIELD_SIGN_TOL:
         raise ValueError(
             f"newton_solve expects a nonpositive initial field (up to FIELD_SIGN_TOL="
-            f"{FIELD_SIGN_TOL:.0e}), got a value {float(np.max(f_init.values)):.3e}"
+            f"{FIELD_SIGN_TOL:.0e}), got a value {top:.3e}"
         )
     g = assemble_source(dom, vc)
-    f = np.minimum(f_init.interior_values, 0.0)
+    # per start: its iterate, residual and the residual's sup norm, and its result
+    f = [np.minimum(start.interior_values, 0.0) for start in starts]
+    r = [residual(Field.from_interior(dom, fi), g, params) for fi in f]
+    r_norm = [float(np.max(np.abs(ri))) for ri in r]
+    out: list = [None] * len(starts)
 
-    def res_of(fi: np.ndarray) -> np.ndarray:
-        return residual(Field.from_interior(dom, fi), g, params)
+    def leave(j: int, failure: str | None = None) -> None:
+        best = Field.from_interior(dom, f[j])
+        out[j] = best if failure is None else ConvergenceError(
+            failure, best=best, residual=r_norm[j])
 
-    r = res_of(f)
-    r_norm = float(np.max(np.abs(r)))
-    for _ in range(NEWTON_MAX_STEPS):
-        if r_norm <= tol:
-            return Field.from_interior(dom, f)
-        jacobian = LinearSystem(dom, nonlinearity_deriv(f, params), -r)
-        eta = max(min(NEWTON_FORCING_MAX, r_norm),
-                  NEWTON_FORCING_FLOOR * tol / float(np.linalg.norm(r)))
-        try:
-            step = linear_solve(jacobian, LinearSolveOptions(tol_rel=eta)).interior_values
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"Newton step failed at residual {r_norm:.3e}: {exc}",
-                best=Field.from_interior(dom, f),
-                residual=r_norm,
-            ) from exc
-        t = 1.0
-        for _ in range(30):
-            trial = f + t * step
-            r_trial = res_of(trial)
-            r_trial_norm = float(np.max(np.abs(r_trial)))
-            if r_trial_norm < r_norm:
-                f, r, r_norm = trial, r_trial, r_trial_norm
-                break
-            t *= 0.5
-        else:
-            raise ConvergenceError(
-                f"Newton stalled at residual {r_norm:.3e}",
-                best=Field.from_interior(dom, f),
-                residual=r_norm,
-            )
-    if r_norm <= tol:
-        return Field.from_interior(dom, f)
-    raise ConvergenceError(
-        f"Newton did not reach tol={tol} in {NEWTON_MAX_STEPS} steps (residual {r_norm:.3e})",
-        best=Field.from_interior(dom, f),
-        residual=r_norm,
-    )
+    for k in range(NEWTON_MAX_STEPS + 1):
+        for j in range(len(starts)):
+            if out[j] is None and (r_norm[j] <= tol or k == NEWTON_MAX_STEPS):
+                leave(j, None if r_norm[j] <= tol else f"Newton did not reach tol={tol} in "
+                      f"{NEWTON_MAX_STEPS} steps (residual {r_norm[j]:.3e})")
+        running = [j for j in range(len(starts)) if out[j] is None]
+        if not running:
+            break
+        jacobian = LinearSystem(dom, nonlinearity_deriv(np.array([f[j] for j in running]), params),
+                                -np.array([r[j] for j in running]))
+        eta = [max(min(NEWTON_FORCING_MAX, r_norm[j]),
+                   NEWTON_FORCING_FLOOR * tol / math.sqrt(np.dot(r[j], r[j]))) for j in running]
+        for j, step in zip(running, linear_solve(jacobian, LinearSolveOptions(tol_rel=eta))):
+            if isinstance(step, ConvergenceError):
+                leave(j, f"Newton step failed at residual {r_norm[j]:.3e}: {step}")
+                out[j].__cause__ = step
+                continue
+            t = 1.0
+            for _ in range(30):
+                trial = f[j] + t * step.interior_values
+                r_trial = residual(Field.from_interior(dom, trial), g, params)
+                r_trial_norm = float(np.max(np.abs(r_trial)))
+                if r_trial_norm < r_norm[j]:
+                    f[j], r[j], r_norm[j] = trial, r_trial, r_trial_norm
+                    break
+                t *= 0.5
+            else:
+                leave(j, f"Newton stalled at residual {r_norm[j]:.3e}")
+    if isinstance(f_init, Field) and isinstance(out[0], ConvergenceError):
+        raise out[0]
+    return out[0] if isinstance(f_init, Field) else out

@@ -75,8 +75,9 @@ def test_laplacian_of_linear_coordinate_field():
 def test_neighbor_sum_bitwise_equals_row_sum(n, radius, rng):
     # Pins the summation order that keeps artifacts byte-identical: each row
     # of the neighbour table and of both red-black tables adds its columns
-    # left to right.  2D R=80 and 4D R=9 have neighbour tables above
-    # ONE_TAKE_MAX; 4D R=1 has a one-row red table.
+    # left to right, also for a block of vectors with a leading batch axis.
+    # 2D R=80 and 4D R=9 have neighbour tables above ONE_TAKE_MAX; 4D R=1
+    # has a one-row red table.
     dom = build_domain(n, radius)
     split = dom.red_black
     tables = (dom.neighbors, split.red_neighbors, split.black_neighbors)
@@ -93,6 +94,13 @@ def test_neighbor_sum_bitwise_equals_row_sum(n, radius, rng):
                 expected = expected + gathered[:, j]
             got = neighbor_sum(dom, values) if table is dom.neighbors else gather_sum(table, values)
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        block = rng.standard_normal((3, size)) * 10.0 ** rng.integers(-12, 13, size=(3, size))
+        gathered = block[:, table]
+        expected = gathered[:, :, 0].copy()
+        for j in range(1, table.shape[1]):
+            expected = expected + gathered[:, :, j]
+        got = neighbor_sum(dom, block) if table is dom.neighbors else gather_sum(table, block)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_integral_examples():

@@ -11,11 +11,13 @@ from cslattice import (
     LinearSystem,
     build_domain,
     dense_solve,
+    grad_energy,
     linear_energy_eval,
     linear_solve,
     system_matrix,
 )
 from cslattice import linear as linear_mod
+from cslattice.fields import ONE_TAKE_MAX
 from cslattice.linear import DENSE_MAX_UNKNOWNS, ORACLE_REL_TOL
 
 TIGHT = LinearSolveOptions(tol_rel=1e-13)
@@ -251,3 +253,103 @@ def test_max_iter_counts_reduced_iterations(monkeypatch, rng):
                      LinearSolveOptions(tol_rel=1e-13, max_iter=3))
     assert len(applied) == 3
 
+
+
+def _solo_outcome(system, opts, x0):
+    try:
+        return linear_solve(system, opts, x0=x0)
+    except ConvergenceError as exc:
+        return exc
+
+
+def _assert_same_outcome(block_entry, solo):
+    if isinstance(solo, ConvergenceError):
+        assert isinstance(block_entry, ConvergenceError)
+        assert str(block_entry) == str(solo) and block_entry.residual == solo.residual
+        if solo.best is not None:
+            assert np.array_equal(block_entry.best.values, solo.best.values)
+    else:
+        assert np.array_equal(block_entry.values, solo.values)
+
+
+@pytest.mark.parametrize("n,radius", [(2, 7), (3, 4), (4, 3), (4, 10)])
+@pytest.mark.parametrize("shift", ["scalar", "shared", "per_column"])
+def test_block_columns_equal_solo_solves_bitwise(n, radius, shift, rng):
+    # Columns with their own tolerances leave the block at different
+    # iterations; a zero column leaves before the first and a warm start
+    # that already meets its tolerance is returned as it stands.  On 4D
+    # R=10 the red table lies above ONE_TAKE_MAX, so the column-loop gather
+    # runs with a batch axis.
+    dom = build_domain(n, radius)
+    n_int, m = dom.n_interior, 5
+    split = dom.red_black
+    largest = max(split.red_neighbors.size, split.black_neighbors.size)
+    assert (largest > ONE_TAKE_MAX) == (radius == 10)
+    K = {"scalar": 1.5, "shared": rng.uniform(0.5, 2.0, n_int),
+         "per_column": rng.uniform(0.5, 2.0, (m, n_int))}[shift]
+    rhs = rng.standard_normal((m, n_int))
+    rhs[2] = 0.0
+    x0 = rng.standard_normal((m, n_int))
+    tols = np.array([1e-12, 1e-4, 1e-12, 1e-8, 1e-10])
+    per_column = [K[j] if shift == "per_column" else K for j in range(m)]
+    x0[4] = linear_solve(LinearSystem(dom, per_column[4], rhs[4]), TIGHT).interior_values
+    block = linear_solve(LinearSystem(dom, K, rhs), LinearSolveOptions(tol_rel=tols), x0=x0)
+    assert len(block) == m and not np.any(block[2].values)
+    for j in range(m):
+        solo = linear_solve(LinearSystem(dom, per_column[j], rhs[j]),
+                            LinearSolveOptions(tol_rel=tols[j]), x0=x0[j])
+        assert np.array_equal(block[j].values, solo.values)
+    assert np.array_equal(block[4].interior_values, x0[4])
+
+
+def test_block_failures_stay_in_their_columns(monkeypatch, rng):
+    # A nonpositive K + 2n, a search direction with p.Ap <= 0 and an
+    # unreachable tolerance each fail their own column, with the error of
+    # its solo solve; the other columns are solved as they are alone.
+    dom = build_domain(2, 8)
+    n_int = dom.n_interior
+    K = rng.uniform(0.5, 2.0, (4, n_int))
+    K[1, 7] = -4.5           # K + 2n < 0 at one point
+    K[2] = -1.0              # K - L indefinite: p.Ap <= 0 at some iteration
+    rhs = rng.standard_normal((4, n_int))
+    tols = np.array([1e-6, 1e-6, 1e-6, 1e-15])  # column 3 cannot meet 1e-15 in 12 iterations
+    opts = LinearSolveOptions(tol_rel=tols, max_iter=12)
+    block = linear_solve(LinearSystem(dom, K, rhs), opts)
+    assert isinstance(block[0], Field)
+    assert [type(entry) for entry in block[1:]] == [ConvergenceError] * 3
+    assert "interior index 7" in str(block[1]) and "p.Ap" in str(block[2])
+    assert "within 12 iterations" in str(block[3])
+    for j in range(4):
+        solo = _solo_outcome(LinearSystem(dom, K[j], rhs[j]),
+                             LinearSolveOptions(tol_rel=tols[j], max_iter=12), None)
+        _assert_same_outcome(block[j], solo)
+
+
+def test_per_column_tolerances_must_match_the_block(b2):
+    block = LinearSystem(b2, 1.0, np.ones((2, b2.n_interior)))
+    for tols in ((0.1,), (0.1, 0.1, 0.1)):
+        with pytest.raises(ValueError, match="one value per column"):
+            linear_solve(block, LinearSolveOptions(tol_rel=tols))
+
+
+def test_dense_block_shares_one_factorization(rng):
+    dom = build_domain(3, 3)
+    rhs = rng.standard_normal((3, dom.n_interior))
+    block = dense_solve(LinearSystem(dom, 2.0, rhs))
+    for u, v in zip(block, rhs):
+        single = dense_solve(LinearSystem(dom, 2.0, v)).interior_values
+        assert np.linalg.norm(u.interior_values - single) <= 1e-14 * np.linalg.norm(single)
+    with pytest.raises(ValueError, match="one K"):
+        dense_solve(LinearSystem(dom, np.ones((3, dom.n_interior)), rhs))
+
+
+def test_block_energy_equals_single_evaluations_bitwise(rng):
+    dom = build_domain(3, 4)
+    v = rng.standard_normal(dom.n_interior)
+    fields = [Field.from_interior(dom, rng.standard_normal(dom.n_interior)) for _ in range(7)]
+    block = linear_energy_eval(fields, v, 2.0)
+    # the definition, one field at a time, as plain floats
+    expected = [0.5 * grad_energy(f) + 0.5 * 2.0 * float(np.dot(fi, fi)) + float(np.dot(v, fi))
+                for f in fields for fi in [f.interior_values]]
+    assert np.array_equal(block, expected)
+    assert linear_energy_eval(fields[3], v, 2.0) == expected[3]

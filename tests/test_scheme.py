@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,8 +236,13 @@ class TestSolveBounded:
     def test_rejects_bad_tolerance(self, b2):
         with pytest.raises(ValueError, match="tol_nonlinear"):
             solve_bounded(b2, ONE_VORTEX, Params(1.0, 1.0), tol_nonlinear=0.0)
-        with pytest.raises(ValueError, match="max_steps"):
-            solve_bounded(b2, ONE_VORTEX, Params(1.0, 1.0), max_steps=0)
+        # a float or a bool is no step count: 2.5 reached range() as a
+        # TypeError, and True ran one step
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError, match="max_steps"):
+                solve_bounded(b2, ONE_VORTEX, Params(1.0, 1.0), max_steps=bad)
+        sol = solve_bounded(b2, ONE_VORTEX, Params(1.0, 1.0), max_steps=np.int64(50))
+        assert 1 <= sol.iterations <= 50
 
 
 class TestNewtonOracle:
@@ -317,7 +323,9 @@ class TestNewtonOracle:
         steps = []
 
         def recording(system, opts=LinearSolveOptions(), x0=None):
-            steps.append((opts.tol_rel, system.rhs.copy()))  # rhs = -r
+            # each step is a block of one: one tolerance and one rhs row, -r
+            (eta,), (rhs,) = opts.tol_rel, system.rhs
+            steps.append((eta, rhs.copy()))
             return real(system, opts, x0)
 
         monkeypatch.setattr(scheme_mod, "linear_solve", recording)
@@ -353,6 +361,44 @@ class TestNewtonOracle:
         assert 0 < len(matvecs) <= 125
         g = assemble_source(dom, ONE_VORTEX)
         assert np.max(np.abs(residual(root, g, params))) <= tol
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_rejects_nonpositive_tol(self, b2, tol):
+        # before iterating: these ran until "Newton stalled at residual 1.8e-15"
+        with pytest.raises(ValueError, match="tol must be positive"):
+            newton_solve(b2, ONE_VORTEX, Params(1.0, 1.0), Field.zeros(b2), tol=tol)
+
+    def test_block_of_starts_equals_solo_runs_bitwise(self, rng):
+        dom = build_domain(3, 4)
+        params = Params(1.0, 1.0)
+        vc = VortexConfig([((0, 0, 0), 1)])
+        starts = [Field.from_interior(dom, -3.0 * rng.random(dom.n_interior)) for _ in range(10)]
+        roots = newton_solve(dom, vc, params, starts)
+        assert len(roots) == 10
+        for start, root in zip(starts, roots):
+            assert isinstance(root, Field)
+            assert np.array_equal(root.values, newton_solve(dom, vc, params, start).values)
+
+    def test_failing_start_leaves_the_block_alone(self, rng):
+        # the indefinite start of test_indefinite_jacobian_raises_with_newton_iterate
+        # among good ones: they converge as they do alone, it is reported
+        dom = build_domain(2, 8)
+        params = Params(1.0, 1.0)
+        bad = Field.from_interior(dom, np.full(dom.n_interior, math.log(0.25)))
+        good = [Field.zeros(dom)] + [
+            Field.from_interior(dom, -3.0 * rng.random(dom.n_interior)) for _ in range(3)
+        ]
+        starts = good[:2] + [bad] + good[2:]
+        results = newton_solve(dom, ONE_VORTEX, params, starts)
+        failure = results.pop(2)
+        assert isinstance(failure, ConvergenceError)
+        assert re.search("Newton step failed.*positive definite", str(failure))
+        assert np.array_equal(failure.best.values, bad.values)
+        with pytest.raises(ConvergenceError) as solo:
+            newton_solve(dom, ONE_VORTEX, params, bad)
+        assert str(solo.value) == str(failure) and solo.value.residual == failure.residual
+        for start, root in zip(good, results):
+            assert np.array_equal(root.values, newton_solve(dom, ONE_VORTEX, params, start).values)
 
     def test_rejects_positive_start(self, b2):
         with pytest.raises(ValueError, match="nonpositive"):
