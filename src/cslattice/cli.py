@@ -333,7 +333,7 @@ def _certificate_check(sol: BoundedSolution, tol_nonlinear: float) -> dict:
                       detail="not obtained: the field is the last monotone iterate")
     return _at_most("maximality_certificate", cert.bound, tol_nonlinear,
                     detail=f"max w / min Aw = {cert.max_w / cert.min_aw:.6g}, "
-                           f"Newton from step size < {cert.switch:.0e}")
+                           f"Newton after monotone step {sol.iterations}")
 
 
 def _radius_block(sol: BoundedSolution) -> dict:

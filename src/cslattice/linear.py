@@ -94,9 +94,10 @@ class LinearSolveOptions:
 class LinearSystem:
     """Domain, shift K, and interior right-hand side v.
 
-    K is a scalar > 0 or one finite value per interior point; a per-point
-    shift may be negative where the operator stays positive definite.  An
-    (m, n_interior) rhs is a block of m systems, with K shared or per row.
+    K is a finite scalar > 0 or one finite value per interior point; a
+    per-point shift may be negative where the operator stays positive
+    definite.  rhs is finite.  An (m, n_interior) rhs is a block of m
+    systems, with K shared or per row.
     """
 
     domain: "LatticeDomain"
@@ -108,10 +109,15 @@ class LinearSystem:
         rhs = np.ascontiguousarray(self.rhs, dtype=float)
         if rhs.shape[-1:] != (n_int,) or rhs.ndim > 2:
             raise ValueError(f"rhs needs {n_int} interior values, got {rhs.shape}")
+        finite = np.isfinite(rhs)
+        if not finite.all():
+            *row, i = np.argwhere(~finite)[0].tolist()
+            raise ValueError(f"rhs must be finite, got {rhs[(*row, i)]} at interior index {i}"
+                             + (f" of row {row[0]}" if row else ""))
         object.__setattr__(self, "rhs", rhs)
         if np.ndim(self.K) == 0:
-            if not self.K > 0:
-                raise ValueError(f"K must be positive, got {self.K}")
+            if not 0 < self.K < math.inf:
+                raise ValueError(f"K must be positive and finite, got {self.K}")
         else:
             K = np.ascontiguousarray(self.K, dtype=float)
             if K.shape not in {(n_int,), rhs.shape}:

@@ -17,13 +17,14 @@ is nonincreasing along the iterates and nonpositive from step one; both
 facts are monitored at runtime and violations raise SchemeIntegrityError.
 
 The monotone steps contract slowly (their count grows like 1/lam), so
-solve_bounded runs them only to a loose step size and finishes with a
-damped Newton iteration on the residual.  Its Jacobian L - N'(f) is never
-assembled: each Newton step is one matrix-free conjugate-gradient solve
-through linear_solve, with the per-point shift K = N'(f).  The steps are
-inexact (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996): each CG solve
-stops at a forcing tolerance that shrinks with the residual, because Newton
-accepts a root only on its recomputed residual.  The Newton root is
+solve_bounded tries a damped Newton iteration on the residual right after
+the first one: every iterate from f_1 on is an upper solution above the
+maximal one, which is all its certificate needs.  Its Jacobian L - N'(f) is
+never assembled: each Newton step is one matrix-free conjugate-gradient
+solve through linear_solve, with the per-point shift K = N'(f).  The steps
+are inexact (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996): each CG
+solve stops at a forcing tolerance that shrinks with the residual, because
+Newton accepts a root only on its recomputed residual.  The Newton root is
 returned only with a certificate that it lies within tol_nonlinear of the
 maximal solution (see solve_bounded), whose tests are likewise recomputed
 from the stored vectors; newton_solve from arbitrary starts also serves
@@ -62,9 +63,11 @@ ROUNDING_ULPS = 10        # r(f) and A w round by <= (2n + this) unit roundoffs 
 DEFAULT_TOL_NONLINEAR = 1e-10
 DEFAULT_MAX_STEPS = 500
 
-# Schedule of solve_bounded's Newton finish: the first try comes once a
-# monotone step moves less than NEWTON_SWITCH; after a failed try the switch
-# shrinks by NEWTON_SWITCH_FACTOR.  Newton aims at a residual of
+# Schedule of solve_bounded's Newton finish: the first try comes right after
+# monotone step 1.  NEWTON_SWITCH sets the second: after a failed try the
+# next comes once a monotone step moves less than the switch, which starts
+# at NEWTON_SWITCH and shrinks by NEWTON_SWITCH_FACTOR after each failed
+# try such a step started.  Newton aims at a residual of
 # NEWTON_TOL_FACTOR * tol_nonlinear.  newton_solve gives up after
 # NEWTON_MAX_STEPS steps.
 NEWTON_SWITCH = 1e-1
@@ -190,7 +193,6 @@ class MaximalityCertificate:
     rho: float     # ||r(f)||_inf plus its rounding allowance
     max_w: float   # largest entry of w
     min_aw: float  # smallest entry of A w, less its rounding allowance
-    switch: float  # the step size below which the monotone steps handed over
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,8 +256,8 @@ def solve_bounded(
 ) -> BoundedSolution:
     """Maximal solution on dom, certified within tol_nonlinear in sup norm.
 
-    Schedule.  Monotone steps run from f_0 until one moves less than the
-    switch, NEWTON_SWITCH at first.  f_0 is 0, a cold start, unless
+    Schedule.  The first Newton try follows the first monotone step from
+    f_0, whatever the step's size.  f_0 is 0, a cold start, unless
     ``previous`` is given: a solution on a ball of the same dimension and at
     most dom's radius, with the same vortices and params (ValueError
     otherwise).  Then f_0 is the zero extension of previous.upper, a warm
@@ -264,9 +266,11 @@ def solve_bounded(
     at a residual of NEWTON_TOL_FACTOR * tol_nonlinear; its root f*,
     clipped to f* <= 0, is returned when the test below proves
     ||f* - f_max||_inf <= tol_nonlinear.  If Newton raises ConvergenceError
-    or the test fails, the switch shrinks by NEWTON_SWITCH_FACTOR and the
-    monotone steps go on from f_k; the tries end once the switch falls
-    below tol_nonlinear.  Without a certificate the solve stops as the plain
+    or the test fails, the monotone steps go on from f_k, with a try after
+    each step that moves less than the switch, NEWTON_SWITCH at first; each
+    failed try there, at step 1 too, shrinks the switch tenfold
+    (NEWTON_SWITCH_FACTOR), and the tries end once it falls below
+    tol_nonlinear.  Without a certificate the solve stops as the plain
     monotone scheme does, once sup_diff < tol_nonlinear and the residual is
     at most RESIDUAL_FACTOR * tol_nonlinear, and returns f_k with
     certificate None.  A step that moves nothing (sup_diff == 0) while the
@@ -367,27 +371,21 @@ def solve_bounded(
         trace.steps.append(TraceStep(k, sup_diff, energy_next, res_sup, max_inc))
 
         if energy_next > energy + ENERGY_SLACK:
-            raise SchemeIntegrityError(
-                f"energy rose from {energy:.12e} to {energy_next:.12e} at step {k}",
-                trace=trace,
-            )
+            raise SchemeIntegrityError(f"energy rose from {energy:.12e} to {energy_next:.12e} "
+                                       f"at step {k}", trace=trace)
         if energy_next > ENERGY_SLACK:
-            raise SchemeIntegrityError(
-                f"energy {energy_next:.3e} positive at step {k}", trace=trace
-            )
+            raise SchemeIntegrityError(f"energy {energy_next:.3e} positive at step {k}",
+                                       trace=trace)
         f, energy = f_next, energy_next
-        if sup_diff < switch and switch >= tol_nonlinear:
-            certified = _newton_finish(f, vc, g, params, tol_nonlinear, switch, newton_start)
+        if k == 1 or sup_diff < switch and switch >= tol_nonlinear:
+            certified = _newton_finish(f, vc, g, params, tol_nonlinear, newton_start)
             if certified is not None:
                 root, cert = certified
-                return BoundedSolution(
-                    root, trace, params, vc,
-                    residual_sup=float(np.max(np.abs(residual(root, g, params)))),
-                    energy=energy_eval(root, g, params),
-                    certificate=cert,
-                    upper=f,
-                )
-            switch *= NEWTON_SWITCH_FACTOR
+                root_res = float(np.max(np.abs(residual(root, g, params))))
+                return BoundedSolution(root, trace, params, vc, root_res,
+                                       energy_eval(root, g, params), cert, upper=f)
+            if sup_diff < switch:
+                switch *= NEWTON_SWITCH_FACTOR
             newton_start = None
         if sup_diff < tol_nonlinear and res_sup <= target:
             return BoundedSolution(f, trace, params, vc, res_sup, energy, None, upper=f)
@@ -395,22 +393,16 @@ def solve_bounded(
             raise ConvergenceError(
                 f"monotone steps stalled at step {k}: a step moved nothing while the "
                 f"residual {res_sup:.3e} is above the target {target:.3e}",
-                best=f,
-                residual=res_sup,
-                trace=trace,
-            )
+                best=f, residual=res_sup, trace=trace)
 
     raise ConvergenceError(
         f"no convergence to tol={tol_nonlinear} within {max_steps} steps "
         f"(last sup_diff {trace.steps[-1].sup_diff:.3e})",
-        best=f,
-        residual=trace.steps[-1].residual_sup,
-        trace=trace,
-    )
+        best=f, residual=trace.steps[-1].residual_sup, trace=trace)
 
 
 def _newton_finish(
-    f_k: Field, vc: VortexConfig, g: Field, params: Params, tol: float, switch: float,
+    f_k: Field, vc: VortexConfig, g: Field, params: Params, tol: float,
     start: Field | None = None,
 ) -> tuple[Field, MaximalityCertificate] | None:
     """Newton from start, min(f_k, 0) by default, and the test of solve_bounded.
@@ -455,7 +447,7 @@ def _newton_finish(
     bound = rho / mu * max_w
     if not bound <= tol:
         return None
-    return root, MaximalityCertificate(bound, rho, max_w, mu, switch)
+    return root, MaximalityCertificate(bound, rho, max_w, mu)
 
 
 def newton_solve(

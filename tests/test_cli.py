@@ -138,7 +138,15 @@ class TestExitCodes:
         path = write_config(tmp_path, radii=[6])
         assert main(["exhaust", str(path), "--quiet"]) == EXIT_CONFIG
 
-    def test_convergence_failure_exit(self, tmp_path):
+    def test_convergence_failure_exit(self, tmp_path, monkeypatch):
+        import cslattice.scheme as scheme_mod
+        from cslattice.errors import ConvergenceError
+
+        def failing(*args, **kwargs):
+            raise ConvergenceError("Newton disabled")
+
+        # a certified Newton finish ends this solve after one step
+        monkeypatch.setattr(scheme_mod, "newton_solve", failing)
         path = write_config(tmp_path, radii=[6], max_steps=3)
         out = tmp_path / "out"
         rc = main(["solve", str(path), "--output-dir", str(out), "--quiet"])
@@ -185,7 +193,8 @@ class TestSolve:
         assert by_name["flux_identity"]["passed"]
         cert = by_name["maximality_certificate"]
         assert cert["passed"] and cert["value"] <= cert["threshold"] == 1e-10
-        assert report["radii"][0]["iterations"] < 50
+        assert report["radii"][0]["iterations"] == 1
+        assert cert["detail"].endswith("Newton after monotone step 1")
 
     def test_field_csv_matches_per_value_formatting(self, tmp_path, monkeypatch):
         from cslattice import Field, build_domain

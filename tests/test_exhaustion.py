@@ -133,7 +133,19 @@ class TestWarmStart:
             assert gap <= sol.certificate.bound + cold.certificate.bound
         assert max(warm.pointwise_deltas) <= NESTED_TOL
 
-    def test_later_radii_take_few_monotone_steps(self):
+    def test_later_radii_take_few_monotone_steps(self, monkeypatch):
+        # the first radius's first Newton try fails, so its monotone steps go
+        # on to the next try; the later radii start warm
+        real = scheme_mod.newton_solve
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ConvergenceError("first Newton try disabled")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scheme_mod, "newton_solve", first_fails)
         res = run_exhaustion(2, ONE_VORTEX, PARAMS, [10, 20, 30])
         assert [s.iterations <= 2 for s in res.solutions] == [False, True, True]
         for small, big in zip(res.solutions, res.solutions[1:]):

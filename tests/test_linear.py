@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -114,6 +115,24 @@ def test_system_validation(b2):
         LinearSystem(b2, 0.0, np.zeros(b2.n_interior))
     with pytest.raises(ValueError, match="rhs"):
         LinearSystem(b2, 1.0, np.zeros(3))
+
+
+def test_nonfinite_data_rejected():
+    # these reached CG, which blamed the operator: "p.Ap = nan ... not positive definite"
+    dom = build_domain(2, 4)
+    rhs = np.ones(dom.n_interior)
+    for K in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"K must be positive and finite, got {K}"):
+            LinearSystem(dom, K, rhs)
+    for bad in (math.nan, math.inf, -math.inf):
+        rhs = np.ones(dom.n_interior)
+        rhs[7] = bad
+        with pytest.raises(ValueError, match=f"rhs must be finite, got {bad} at interior index 7$"):
+            LinearSystem(dom, 1.0, rhs)
+        block = np.ones((3, dom.n_interior))
+        block[2, 7] = bad
+        with pytest.raises(ValueError, match=f"got {bad} at interior index 7 of row 2$"):
+            LinearSystem(dom, 1.0, block)
 
 
 def test_per_point_shift_validation(b2):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -197,7 +198,9 @@ class TestSolveBounded:
         mass = float(np.sum(nonlinearity(sol.field.interior_values, params)))
         assert mass + ONE_VORTEX.total_flux == pytest.approx(boundary_flux(sol.field), abs=1e-8)
 
-    def test_max_steps_exhaustion(self):
+    def test_max_steps_exhaustion(self, monkeypatch):
+        # a certified Newton finish ends this solve after one step
+        _no_newton(monkeypatch)
         dom = build_domain(2, 5)
         with pytest.raises(ConvergenceError) as err:
             solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0), max_steps=3)
@@ -341,9 +344,10 @@ class TestNewtonOracle:
         assert floored >= 1 and steps[-1][0] > float(np.max(np.abs(steps[-1][1])))
 
     def test_newton_matvec_budget(self, monkeypatch):
-        # solve_bounded's finish at 2D R=40, lam=0.1: 104 applications of the
-        # reduced red-black operator CG iterates on; CG on the full operator
-        # took 214 matvecs, and 514 with every step solved to tol_rel 1e-12
+        # solve_bounded's finish at 2D R=40, lam=0.1, from min(f_1, 0): 119
+        # applications of the reduced red-black operator CG iterates on (104
+        # from f_11, where the finish once started); CG on the full operator
+        # took 214 matvecs from f_11, and 514 with every step solved to tol_rel 1e-12
         dom = build_domain(2, 40)
         params = Params(0.1, 1.0)
         sol = solve_bounded(dom, ONE_VORTEX, params)
@@ -465,7 +469,7 @@ class TestCertificate:
         params = Params(1.0, 1.0)
         sol = solve_bounded(dom, ONE_VORTEX, params)
         g = assemble_source(dom, ONE_VORTEX)
-        args = (sol.upper, ONE_VORTEX, g, params, 1e-10, NEWTON_SWITCH)
+        args = (sol.upper, ONE_VORTEX, g, params, 1e-10)
         assert scheme_mod._newton_finish(*args) is not None
         centre = dom.locate((0, 0))
         real = scheme_mod.linear_solve
@@ -522,3 +526,52 @@ class TestCertificate:
         assert trace.steps[-1].sup_diff == 0.0
         assert trace.iterations < 500
         assert err.value.residual == trace.steps[-1].residual_sup > 1e-8
+
+
+class TestNewtonSchedule:
+    def test_cold_solve_certified_after_one_step(self, monkeypatch):
+        # the solve-2d-lam0.1 config; 11 monotone steps and 322 applications
+        # of the reduced operator when the first try waited for a step < 1e-1
+        real = linear_mod._apply_reduced
+        applications = []
+
+        def counting(*args):
+            applications.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(linear_mod, "_apply_reduced", counting)
+        sol = solve_bounded(build_domain(2, 40), ONE_VORTEX, Params(0.1, 1.0))
+        assert sol.certificate is not None
+        assert sol.iterations == 1
+        assert len(applications) <= 200
+
+    def test_failed_first_try_waits_for_newton_switch(self, monkeypatch):
+        real = scheme_mod.newton_solve
+        starts = []
+
+        def first_fails(dom, vc, params, f_init, **kwargs):
+            starts.append(f_init.values.copy())
+            if len(starts) == 1:
+                raise ConvergenceError("first Newton try disabled")
+            return real(dom, vc, params, f_init, **kwargs)
+
+        monkeypatch.setattr(scheme_mod, "newton_solve", first_fails)
+        sol = solve_bounded(build_domain(2, 10), ONE_VORTEX, Params(1.0, 1.0))
+        assert sol.certificate is not None and len(starts) == 2
+        # the first try came after step 1, the second at the first step below the switch
+        sup = sol.trace.column("sup_diff")
+        assert sup[1] >= NEWTON_SWITCH
+        assert sol.iterations > 1 and sup[sol.iterations] < NEWTON_SWITCH
+        assert np.all(sup[1 : sol.iterations] >= NEWTON_SWITCH)
+        assert np.array_equal(starts[1], np.minimum(sol.upper.values, 0.0))
+
+    @pytest.mark.parametrize("multiplicity", [1, 3])
+    def test_certified_across_parameters(self, multiplicity):
+        # a failed first try (as for a=5 or a triple vortex) must still end certified
+        dom = build_domain(2, 10)
+        vc = VortexConfig([((0, 0), multiplicity)])
+        for lam, a in itertools.product([0.05, 1.0, 5.0], [0.2, 1.0, 5.0]):
+            sol = solve_bounded(dom, vc, Params(lam, a))
+            assert sol.certificate is not None, (lam, a)
+            assert sol.certificate.bound <= 1e-10
+            assert np.max(sol.field.values) <= 0.0
