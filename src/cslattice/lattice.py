@@ -191,10 +191,12 @@ def validate_int(value, name: str) -> int:
     return int(value)
 
 
-def validate_dimension(n: int) -> None:
-    """The lattice Z^n needs n >= 2; raises ValueError otherwise."""
+def validate_dimension(n: int) -> int:
+    """The lattice Z^n needs an integer n >= 2; returns it as an int, or raises ValueError."""
+    n = validate_int(n, "dimension")
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
+    return n
 
 
 def _ball(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,8 +217,8 @@ def _ball(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_domain(n: int, radius: int) -> LatticeDomain:
-    """Construct B_radius in Z^n with its boundary sphere and adjacency."""
-    validate_dimension(n)
+    """Construct B_radius in Z^n (integers n >= 2, radius >= 0) with its boundary and adjacency."""
+    n, radius = validate_dimension(n), validate_int(radius, "radius")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if (2 * radius + 3) ** n > np.iinfo(np.int64).max:

@@ -35,16 +35,16 @@ An rhs with m rows is a block of m systems, which linear_solve runs as one
 batched CG in lockstep (no shared search space, unlike block Krylov): each
 operator application gathers the whole block, each column takes its own
 alpha, beta, tolerance and true-residual test with a solo solve's calls and
-bits, and leaves once accepted or failed, the failure its own entry.
+bits, and stops once accepted or failed, the failure its own entry.  A
+column that stops keeps its row, gathered but no longer stepped, so the
+block keeps one shape from the first iteration to the last.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from types import SimpleNamespace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -188,19 +188,19 @@ def linear_solve(
     before the next iteration.
 
     A block (rhs and x0 of shape (m, n_interior)) returns a list with, per
-    column, the Field or the ConvergenceError of its solo solve.
+    column, the Field or the ConvergenceError of its solo solve.  A column
+    with a nonpositive K + 2n or a zero rhs gets no row; every other keeps
+    its row to the last iteration, also once accepted (x0 too) or failed.
     """
     dom = system.domain
     b = -(system.rhs if system.rhs.ndim == 2 else system.rhs[None])
     m = len(b)
     diag = system.K + dom.degree  # a scalar, one row shared, or one row per column
     rank = np.ndim(diag)
-    # per column j: tolerance, ||b||, absolute tolerance and result
     tol_rel = list(opts.tol_rel) if isinstance(opts.tol_rel, tuple) else [opts.tol_rel] * m
     if len(tol_rel) != m:
         raise ValueError(f"tol_rel needs one value per column ({m}), got {len(tol_rel)}")
     b_norm = [math.sqrt(np.dot(b[j], b[j])) for j in range(m)]  # indexing beats iterating rows
-    tol = [t * bn for t, bn in zip(tol_rel, b_norm)]
     out: list = [None] * m
     for j in range(m):
         d = diag[j] if rank == 2 else diag
@@ -213,7 +213,9 @@ def linear_solve(
         elif b_norm[j] == 0.0:
             out[j] = Field.zeros(dom)
 
+    # Row i of the block is column live[i], with absolute tolerance tol[i].
     live = [j for j in range(m) if out[j] is None]
+    tol = [tol_rel[j] * b_norm[j] for j in live]
     split = dom.red_black
     red, black = split.red, split.black
     max_iter = opts.max_iter if opts.max_iter is not None else 10 * len(red)
@@ -221,42 +223,23 @@ def linear_solve(
         b, diag = b[live], np.broadcast_to(diag, (m, b.shape[1]))[live] if rank else diag
         x0 = None if x0 is None else np.reshape(x0, (m, -1))[live]
     d_r, d_b = (diag, diag) if rank == 0 else (diag.take(red, -1), diag.take(black, -1))
-    # One row per live column, dropped when it leaves; the rows the tables gather
-    # from end in a zero slot, which boundary neighbours read.
-    s = SimpleNamespace(
-        b_r=b.take(red, -1), b_b=b.take(black, -1), d_r=d_r, d_b=d_b, inv_b=1.0 / d_b,
-        x_r=np.zeros((len(live), len(red) + 1)), x_b=np.zeros((len(live), len(black) + 1)),
-    )
-    s.p, s.t, s.Ap = np.zeros(s.x_r.shape), np.zeros(s.x_b.shape), np.zeros((len(live), len(red)))
-
-    def keep() -> int:
-        """Drop the rows of the columns that have left; the number still live."""
-        rows = [out[j] is None for j in live]
-        if not all(rows):
-            if any(rows):
-                for name, value in vars(s).items():
-                    if isinstance(value, np.ndarray) and value.ndim == 2:  # not a shared row
-                        setattr(s, name, value[rows])
-                s.vectors = columns()
-            live[:] = compress(live, rows)
-        return len(live)
-
-    def columns() -> list[tuple[np.ndarray, ...]]:
-        """Each column's x_r, p, r and A p, which its own steps update in place."""
-        return [(s.x_r[i, :-1], s.p[i, :-1], s.r[i], s.Ap[i]) for i in range(len(s.r))]
+    inv_b, b_r, b_b = 1.0 / d_b, b.take(red, -1), b.take(black, -1)
+    # The rows the tables gather from end in a zero slot, which boundary neighbours read.
+    x_r, x_b = np.zeros((len(live), len(red) + 1)), np.zeros((len(live), len(black) + 1))
+    p, t, Ap = np.zeros(x_r.shape), np.zeros(x_b.shape), np.zeros((len(live), len(red)))
 
     def solution(i: int) -> Field:
         values = np.zeros(dom.n_closure)
-        values[red], values[black] = s.x_r[i, :-1], s.x_b[i, :-1]
+        values[red], values[black] = x_r[i, :-1], x_b[i, :-1]
         return Field(dom, values)
 
     def true_residual(s_b: np.ndarray, eliminate: bool = True) -> tuple[np.ndarray, list[float]]:
         """Red rows of b - A x, after x_b = D_b^-1 (b_b + s_b) unless not to eliminate
-        (s_b = S_br x_r), and each column's norm over all rows, with a solo solve's bits."""
+        (s_b = S_br x_r), and each row's norm over all rows, with a solo solve's bits."""
         if eliminate:
-            s.x_b[:, :-1] = (s.b_b + s_b) * s.inv_b
-        r_r = s.b_r - s.d_r * s.x_r[:, :-1] + gather_sum(split.red_neighbors, s.x_b)
-        r_b = s.b_b - s.d_b * s.x_b[:, :-1] + s_b
+            x_b[:, :-1] = (b_b + s_b) * inv_b
+        r_r = b_r - d_r * x_r[:, :-1] + gather_sum(split.red_neighbors, x_b)
+        r_b = b_b - d_b * x_b[:, :-1] + s_b
         return r_r, [math.hypot(math.sqrt(np.dot(r_r[i], r_r[i])),
                                 math.sqrt(np.dot(r_b[i], r_b[i]))) for i in range(len(r_r))]
 
@@ -264,59 +247,65 @@ def linear_solve(
         s_b = np.zeros((len(live), len(black)))
     else:
         x0 = np.asarray(x0, dtype=float).reshape(b.shape)
-        s.x_r[:, :-1], s.x_b[:, :-1] = x0.take(red, -1), x0.take(black, -1)
-        s_b = gather_sum(split.black_neighbors, s.x_r)
-        for i, (j, norm) in enumerate(zip(live, true_residual(s_b, eliminate=False)[1])):
-            if norm <= tol[j]:
-                out[j] = solution(i)
-    s.r, r_norm = true_residual(s_b)
-    for i, (j, norm) in enumerate(zip(live, r_norm)):
-        if norm <= tol[j] and out[j] is None:
-            out[j] = solution(i)
-    s.p[:, :-1] = s.r
-    rs = {j: float(np.dot(s.r[i], s.r[i])) for i, j in enumerate(live)}
-    s.vectors = columns()
-    near = True  # some column's recursive residual may meet its tolerance
-    for it in range(max_iter if keep() else 0):
-        if near and any(rs[j] ** 0.5 <= tol[j] for j in live):
+        x_r[:, :-1], x_b[:, :-1] = x0.take(red, -1), x0.take(black, -1)
+        s_b = gather_sum(split.black_neighbors, x_r)
+        for i, norm in enumerate(true_residual(s_b, eliminate=False)[1]):
+            if norm <= tol[i]:
+                out[live[i]] = solution(i)
+    r, r_norm = true_residual(s_b)
+    for i, norm in enumerate(r_norm):
+        if norm <= tol[i] and out[live[i]] is None:
+            out[live[i]] = solution(i)
+    p[:, :-1] = r
+    rs = [float(np.dot(r[i], r[i])) for i in range(len(live))]
+    # each row's x_r, p, r and A p, which its own steps update in place
+    rows = [(x_r[i, :-1], p[i, :-1], r[i], Ap[i]) for i in range(len(live))]
+    running = [i for i, j in enumerate(live) if out[j] is None]
+    near = True  # some row's recursive residual may meet its tolerance
+    for it in range(max_iter if running else 0):
+        if near and any(rs[i] ** 0.5 <= tol[i] for i in running):
             # accept only on the true residual; restart the recursion otherwise
-            r, r_norm = true_residual(gather_sum(split.black_neighbors, s.x_r))
-            for i, j in enumerate(live):
-                if not rs[j] ** 0.5 <= tol[j]:
+            r_true, r_norm = true_residual(gather_sum(split.black_neighbors, x_r))
+            for i in running:
+                if not rs[i] ** 0.5 <= tol[i]:
                     continue
-                if r_norm[i] <= tol[j]:
-                    out[j] = solution(i)
+                if r_norm[i] <= tol[i]:
+                    out[live[i]] = solution(i)
                 else:
-                    s.r[i] = s.p[i, :-1] = r[i]
-                    rs[j] = float(np.dot(r[i], r[i]))
-            if not keep():
+                    r[i] = p[i, :-1] = r_true[i]
+                    rs[i] = float(np.dot(r[i], r[i]))
+            running = [i for i in running if out[live[i]] is None]
+            if not running:
                 break
         near = failed = False
-        _apply_reduced(split, s.d_r, s.inv_b, s.p, s.t, s.Ap)
-        for j, (x, p, r, ap) in zip(live, s.vectors):
-            curvature = float(np.dot(p, ap))
+        _apply_reduced(split, d_r, inv_b, p, t, Ap)
+        for i in running:
+            x, pi, ri, ap = rows[i]
+            curvature = float(np.dot(pi, ap))
             if not curvature > 0:
-                out[j] = failed = ConvergenceError(
+                out[live[i]] = failed = ConvergenceError(
                     f"conjugate gradients found p.Ap = {curvature:.3e} at iteration {it}: "
                     "K - L is not positive definite"
                 )
                 continue
-            alpha = rs[j] / curvature
-            x += alpha * p
-            r -= alpha * ap
-            rs_new = float(np.dot(r, r))
-            p *= rs_new / rs[j]
-            p += r
-            rs[j] = rs_new
-            near = near or rs_new**0.5 <= tol[j]
-        if failed and not keep():
-            break
+            alpha = rs[i] / curvature
+            x += alpha * pi
+            ri -= alpha * ap
+            rs_new = float(np.dot(ri, ri))
+            pi *= rs_new / rs[i]
+            pi += ri
+            rs[i] = rs_new
+            near = near or rs_new**0.5 <= tol[i]
+        if failed:
+            running = [i for i in running if out[live[i]] is None]
+            if not running:
+                break
 
-    if live:
-        r_norm = true_residual(gather_sum(split.black_neighbors, s.x_r))[1]
-        for i, j in enumerate(live):
-            out[j] = solution(i) if r_norm[i] <= tol[j] else ConvergenceError(
-                f"conjugate gradients did not reach tol_rel={tol_rel[j]} "
+    if running:
+        r_norm = true_residual(gather_sum(split.black_neighbors, x_r))[1]
+        for i in running:
+            out[live[i]] = solution(i) if r_norm[i] <= tol[i] else ConvergenceError(
+                f"conjugate gradients did not reach tol_rel={tol_rel[live[i]]} "
                 f"within {max_iter} iterations (final true residual {r_norm[i]:.3e})",
                 best=solution(i),
                 residual=r_norm[i],
@@ -326,21 +315,26 @@ def linear_solve(
     return out if system.rhs.ndim == 2 else out[0]
 
 
-def linear_energy_eval(u: Field | Sequence[Field], v: np.ndarray, K: float) -> float | np.ndarray:
+def linear_energy_eval(system: LinearSystem, u: np.ndarray) -> float | np.ndarray:
     """Variational functional F(u) = 1/2 int |grad u|^2 + 1/2 int K u^2 + int v u.
 
-    Solutions of (L - K) u = v with zero boundary data are exactly the
-    minimizers of F over Dirichlet fields.  A sequence of fields on one
-    domain is evaluated as one block, into an array of their values.
+    u holds the interior values of a field that vanishes on the boundary:
+    one vector, or an (m, n_interior) block evaluated into an array of m
+    values.  K (a scalar) and v (one row) are the system's.  Solutions of
+    (L - K) u = v with zero boundary data are exactly the minimizers of F
+    over such fields.
     """
-    fields = [u] if isinstance(u, Field) else u
-    dom = fields[0].domain
-    values = np.array([f.values for f in fields])
-    if not np.all(values[:, dom.n_interior :] == 0.0):
-        raise ValueError("F(u) is defined for fields vanishing on the boundary")
+    dom = system.domain
+    if np.ndim(system.K) or system.rhs.ndim != 1:
+        raise ValueError("linear_energy_eval needs a system with a scalar K and one rhs")
+    if np.shape(u)[-1:] != (dom.n_interior,) or np.ndim(u) > 2:
+        raise ValueError(f"u needs {dom.n_interior} interior values, got {np.shape(u)}")
+    values = np.zeros((len(np.atleast_2d(u)), dom.n_closure))
+    values[:, : dom.n_interior] = u
     # grad_energy's edge differences; take, unlike [:, idx], keeps the rows unit-stride
     df = values.take(dom.edge_head, -1)
     df -= values.take(dom.edge_tail, -1)
+    K, v = system.K, system.rhs
     F = [0.5 * float(np.dot(d, d)) + 0.5 * K * float(np.dot(x, x)) + float(np.dot(v, x))
          for d, x in zip(df, values[:, : dom.n_interior])]
-    return F[0] if isinstance(u, Field) else np.array(F)
+    return F[0] if np.ndim(u) == 1 else np.array(F)

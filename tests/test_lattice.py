@@ -230,6 +230,12 @@ def test_build_domain_rejects_bad_inputs():
         build_domain(2, -1)
     with pytest.raises(ValueError, match="int64 point keys"):
         build_domain(20, 3)  # 9^20 keys
+    # bools and floats are refused by name, not truncated to a ball or left to numpy
+    for n, radius, name in ((2, True, "radius"), (2, 2.5, "radius"), (2, np.float64(3.0), "radius"),
+                            (2.0, 3, "dimension"), (True, 3, "dimension")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+            build_domain(n, radius)
+    assert build_domain(np.int64(2), np.int64(3)).n_interior == build_domain(2, 3).n_interior
 
 
 def test_vortex_config_validation():

@@ -178,34 +178,40 @@ def test_system_matrix_size_guard():
 
 
 def test_energy_zero_field(b2):
-    assert linear_energy_eval(Field.zeros(b2), np.zeros(b2.n_interior), 2.0) == 0.0
+    zero = np.zeros(b2.n_interior)
+    assert linear_energy_eval(LinearSystem(b2, 2.0, zero), zero) == 0.0
 
 
 def test_energy_hand_case():
     # single unknown, K=2, v=6, u=-1: 1/2*4 + 1/2*2 + (-6) = -3
     dom = build_domain(2, 0)
-    u = Field.from_interior(dom, np.array([-1.0]))
-    assert linear_energy_eval(u, np.array([6.0]), 2.0) == pytest.approx(-3.0, abs=1e-14)
+    energy = linear_energy_eval(LinearSystem(dom, 2.0, np.array([6.0])), np.array([-1.0]))
+    assert energy == pytest.approx(-3.0, abs=1e-14)
 
 
-def test_energy_requires_dirichlet(b2):
-    f = Field(b2, np.ones(b2.n_closure))
-    with pytest.raises(ValueError, match="boundary"):
-        linear_energy_eval(f, np.zeros(b2.n_interior), 1.0)
+def test_energy_validation(b2):
+    n_int = b2.n_interior
+    with pytest.raises(ValueError, match="scalar K and one rhs"):
+        linear_energy_eval(LinearSystem(b2, np.ones(n_int), np.zeros(n_int)), np.zeros(n_int))
+    with pytest.raises(ValueError, match="scalar K and one rhs"):
+        linear_energy_eval(LinearSystem(b2, 1.0, np.zeros((2, n_int))), np.zeros(n_int))
+    system = LinearSystem(b2, 1.0, np.zeros(n_int))
+    for bad in (np.zeros(1), np.zeros(b2.n_closure), np.zeros((2, 2, n_int))):
+        with pytest.raises(ValueError, match=f"u needs {n_int} interior values"):
+            linear_energy_eval(system, bad)
 
 
 def test_solution_minimizes_energy(rng):
     dom = build_domain(2, 4)
-    K = 2.0
     v = rng.standard_normal(dom.n_interior)
-    u = linear_solve(LinearSystem(dom, K, v), TIGHT)
-    base = linear_energy_eval(u, v, K)
+    system = LinearSystem(dom, 2.0, v)
+    u = linear_solve(system, TIGHT).interior_values
+    base = linear_energy_eval(system, u)
     for _ in range(100):
         phi = rng.standard_normal(dom.n_interior)
         phi /= np.linalg.norm(phi)
         for t in (1e-2, -1e-2, 1e-4, -1e-4):
-            trial = Field.from_interior(dom, u.interior_values + t * phi)
-            assert linear_energy_eval(trial, v, K) - base >= -1e-12
+            assert linear_energy_eval(system, u + t * phi) - base >= -1e-12
 
 
 def test_warm_start_still_meets_tolerance(rng):
@@ -273,6 +279,30 @@ def test_max_iter_counts_reduced_iterations(monkeypatch, rng):
     assert len(applied) == 3
 
 
+def test_block_runs_as_long_as_its_slowest_column(monkeypatch, rng):
+    # lockstep: one reduced application per iteration for the whole block,
+    # so a block costs its slowest column's solo count, not the sum
+    dom = build_domain(2, 6)
+    real = linear_mod._apply_reduced
+    applied = []
+
+    def counting(*args):
+        applied.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(linear_mod, "_apply_reduced", counting)
+    rhs = rng.standard_normal((3, dom.n_interior))
+    tols = (1e-2, 1e-12, 1e-6)
+    solo = []
+    for v, tol in zip(rhs, tols):
+        applied.clear()
+        linear_solve(LinearSystem(dom, 2.0, v), LinearSolveOptions(tol_rel=tol))
+        solo.append(len(applied))
+    assert len(set(solo)) == 3
+    applied.clear()
+    linear_solve(LinearSystem(dom, 2.0, rhs), LinearSolveOptions(tol_rel=tols))
+    assert len(applied) == max(solo)
+
 
 def _solo_outcome(system, opts, x0):
     try:
@@ -312,7 +342,9 @@ def test_block_columns_equal_solo_solves_bitwise(n, radius, shift, rng):
     tols = np.array([1e-12, 1e-4, 1e-12, 1e-8, 1e-10])
     per_column = [K[j] if shift == "per_column" else K for j in range(m)]
     x0[4] = linear_solve(LinearSystem(dom, per_column[4], rhs[4]), TIGHT).interior_values
-    block = linear_solve(LinearSystem(dom, K, rhs), LinearSolveOptions(tol_rel=tols), x0=x0)
+    # the rows of columns that have left stay in the block and are still gathered
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        block = linear_solve(LinearSystem(dom, K, rhs), LinearSolveOptions(tol_rel=tols), x0=x0)
     assert len(block) == m and not np.any(block[2].values)
     for j in range(m):
         solo = linear_solve(LinearSystem(dom, per_column[j], rhs[j]),
@@ -333,7 +365,9 @@ def test_block_failures_stay_in_their_columns(monkeypatch, rng):
     rhs = rng.standard_normal((4, n_int))
     tols = np.array([1e-6, 1e-6, 1e-6, 1e-15])  # column 3 cannot meet 1e-15 in 12 iterations
     opts = LinearSolveOptions(tol_rel=tols, max_iter=12)
-    block = linear_solve(LinearSystem(dom, K, rhs), opts)
+    # the failed columns' rows stay in the block and are still gathered
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        block = linear_solve(LinearSystem(dom, K, rhs), opts)
     assert isinstance(block[0], Field)
     assert [type(entry) for entry in block[1:]] == [ConvergenceError] * 3
     assert "interior index 7" in str(block[1]) and "p.Ap" in str(block[2])
@@ -365,10 +399,11 @@ def test_dense_block_shares_one_factorization(rng):
 def test_block_energy_equals_single_evaluations_bitwise(rng):
     dom = build_domain(3, 4)
     v = rng.standard_normal(dom.n_interior)
-    fields = [Field.from_interior(dom, rng.standard_normal(dom.n_interior)) for _ in range(7)]
-    block = linear_energy_eval(fields, v, 2.0)
-    # the definition, one field at a time, as plain floats
-    expected = [0.5 * grad_energy(f) + 0.5 * 2.0 * float(np.dot(fi, fi)) + float(np.dot(v, fi))
-                for f in fields for fi in [f.interior_values]]
+    u = rng.standard_normal((7, dom.n_interior))
+    system = LinearSystem(dom, 2.0, v)
+    block = linear_energy_eval(system, u)
+    # the definition, one Dirichlet field at a time, as plain floats
+    expected = [0.5 * grad_energy(Field.from_interior(dom, ui)) + 0.5 * 2.0 * float(np.dot(ui, ui))
+                + float(np.dot(v, ui)) for ui in u]
     assert np.array_equal(block, expected)
-    assert linear_energy_eval(fields[3], v, 2.0) == expected[3]
+    assert linear_energy_eval(system, u[3]) == expected[3]
