@@ -332,8 +332,8 @@ def _certificate_check(sol: BoundedSolution, tol_nonlinear: float) -> dict:
         return _check("maximality_certificate", False, threshold=tol_nonlinear,
                       detail="not obtained: the field is the last monotone iterate")
     return _at_most("maximality_certificate", cert.bound, tol_nonlinear,
-                    detail=f"max w / min Aw = {cert.max_w / cert.min_aw:.6g}, "
-                           f"Newton after monotone step {sol.iterations}")
+                    detail=f"max rho = {cert.rho:.6g}, "
+                           f"Newton root certified after monotone step {sol.iterations}")
 
 
 def _radius_block(sol: BoundedSolution) -> dict:

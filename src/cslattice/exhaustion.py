@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import AnalysisError, ConvergenceError
 from .fields import Field, norm
-from .lattice import Params, VortexConfig, build_domain, manhattan_norm, shell_size, validate_int
+from .lattice import (Params, VortexConfig, build_domain, manhattan_norm, shell_size,
+                      validate_dimension, validate_int)
 from .linear import LinearSolveOptions
 from .scheme import DEFAULT_MAX_STEPS, DEFAULT_TOL_NONLINEAR, BoundedSolution, solve_bounded
 
@@ -237,8 +238,10 @@ def barrier_check(n: int, params: Params, epsilon: float) -> BarrierReport:
     scale-free across shells.  The margin depends only on the shell s and
     on which axes are nonzero (k of them, 1 <= k <= min(n, s)), so each such
     class is evaluated once, adding the axis terms in axis order as a
-    per-point evaluation would; ``points_checked`` counts the points.
+    per-point evaluation would; ``points_checked`` counts the points.  n
+    must be an integer >= 2 (ValueError naming ``dimension`` otherwise).
     """
+    n = validate_dimension(n)
     validate_epsilon(epsilon)
     r_lo, r_hi = BARRIER_SHELLS
     alpha = decay_rate_theory(params, n)

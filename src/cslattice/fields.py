@@ -186,7 +186,7 @@ def norm(f: Field, p: float = 2.0, over: str = "interior") -> float:
         raise ValueError(f"over must be one of {_SETS}, got {over!r}")
     vals = f.interior_values if over == "interior" else f.values
     if math.isinf(p):
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
+        return float(np.max(np.abs(vals)))
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     return float(np.sum(np.abs(vals) ** p) ** (1.0 / p))

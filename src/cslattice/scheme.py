@@ -17,15 +17,16 @@ is nonincreasing along the iterates and nonpositive from step one; both
 facts are monitored at runtime and violations raise SchemeIntegrityError.
 
 The monotone steps contract slowly (their count grows like 1/lam), so
-solve_bounded tries a damped Newton iteration on the residual right after
-the first one: every iterate from f_1 on is an upper solution above the
-maximal one, which is all its certificate needs.  Its Jacobian L - N'(f) is
-never assembled: each Newton step is one matrix-free conjugate-gradient
-solve through linear_solve, with the per-point shift K = N'(f).  The steps
-are inexact (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996): each CG
-solve stops at a forcing tolerance that shrinks with the residual, because
-Newton accepts a root only on its recomputed residual.  The Newton root is
-returned only with a certificate that it lies within tol_nonlinear of the
+solve_bounded runs a damped Newton iteration on the residual right after
+the first one and keeps its root, which each later step re-tests: every
+iterate from f_1 on is an upper solution above the maximal one, which is
+all the root's certificate needs.  The Jacobian L - N'(f) is never
+assembled: each Newton step is one matrix-free conjugate-gradient solve
+through linear_solve, with the per-point shift K = N'(f).  The steps are
+inexact (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996): each CG solve
+stops at a forcing tolerance that shrinks with the residual, because Newton
+accepts a root only on its recomputed residual.  The root is returned only
+with a pointwise certificate that it lies within tol_nonlinear of the
 maximal solution (see solve_bounded), whose tests are likewise recomputed
 from the stored vectors; newton_solve from arbitrary starts also serves
 the verify suite as an independent maximality oracle.
@@ -57,30 +58,27 @@ VORTEX_VALUE_BOUND = 0.0  # f(p_j) < this at every vortex: strict, no slack
 FLUX_TOL = 1e-8           # |sum N(f) + 4 pi sum n_j - boundary flux| <= this
 SYMMETRY_TOL = 1e-10      # |f(sigma x) - f(x)| <= this for a vortex at 0
 MAXIMALITY_TOL = 1e-8     # a Newton root exceeds the maximal solution by <= this
-ROUNDING_ULPS = 10        # r(f) and A w round by <= (2n + this) unit roundoffs of their terms' sizes
+ROUNDING_ULPS = 10        # r(f), A z round by <= (2n + this) unit roundoffs of their terms' sizes
 
 # Default stop rule of solve_bounded, shared by run_exhaustion and the CLI.
 DEFAULT_TOL_NONLINEAR = 1e-10
 DEFAULT_MAX_STEPS = 500
 
-# Schedule of solve_bounded's Newton finish: the first try comes right after
-# monotone step 1.  NEWTON_SWITCH sets the second: after a failed try the
-# next comes once a monotone step moves less than the switch, which starts
-# at NEWTON_SWITCH and shrinks by NEWTON_SWITCH_FACTOR after each failed
-# try such a step started.  Newton aims at a residual of
-# NEWTON_TOL_FACTOR * tol_nonlinear.  newton_solve gives up after
+# Schedule of solve_bounded's Newton finish: Newton runs after monotone step
+# 1, and again after each later step that follows a run that raised; a root
+# it returns is kept and re-tested after every later step.  Newton aims at a
+# residual of NEWTON_TOL_FACTOR * tol_nonlinear.  newton_solve gives up after
 # NEWTON_MAX_STEPS steps.
-NEWTON_SWITCH = 1e-1
-NEWTON_SWITCH_FACTOR = 0.1
 NEWTON_TOL_FACTOR = 1e-2
 NEWTON_MAX_STEPS = 60
 
 # Inner tolerances of the solves whose results are checked a posteriori: the
 # forcing terms of newton_solve's steps (see its docstring), and the
-# certificate's w solve, which stops once ||A w - 1||_inf <= CERTIFICATE_W_TOL.
+# certificate's z solve, whose right-hand side adds CERTIFICATE_SLACK * max rho
+# to rho and which stops once ||A z - rhs||_inf <= CERTIFICATE_SLACK * max rho.
 NEWTON_FORCING_MAX = 0.1
 NEWTON_FORCING_FLOOR = 1e-2
-CERTIFICATE_W_TOL = 0.1
+CERTIFICATE_SLACK = 0.1
 
 
 def nonlinearity(f_value, params: Params):
@@ -135,7 +133,7 @@ def iterate_once(
     fp = f_prev.interior_values
     rhs = nonlinearity(fp, params) + g.interior_values - params.K * fp
     f_next = linear_solve(LinearSystem(f_prev.domain, params.K, rhs), opts, x0=x0)
-    worst = float(np.max(f_next.interior_values - fp)) if fp.size else 0.0
+    worst = float(np.max(f_next.interior_values - fp))
     if worst > MONOTONE_TOL:
         raise SchemeIntegrityError(
             f"iterate rose by {worst:.3e} above its predecessor "
@@ -183,16 +181,15 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class MaximalityCertificate:
-    """A posteriori proof that the returned field f has ||f - f_max||_inf <= bound.
+    """A posteriori proof that the returned field f has |f - f_max| <= z pointwise.
 
-    solve_bounded's docstring gives the argument; w solves A w = 1 with
-    A = diag(m) - L, m the least N' over the bracket around f.
+    solve_bounded's docstring gives the argument; z solves A z = rho +
+    CERTIFICATE_SLACK * max rho with A = diag(m) - L, m the least N' over
+    the bracket around f, and rho = |r(f)| plus its rounding allowance.
     """
 
-    bound: float   # t * max w, with t = rho / min(A w)
-    rho: float     # ||r(f)||_inf plus its rounding allowance
-    max_w: float   # largest entry of w
-    min_aw: float  # smallest entry of A w, less its rounding allowance
+    bound: float   # max z, a bound on ||f - f_max||_inf
+    rho: float     # max rho: ||r(f)||_inf plus its rounding allowance
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,9 +235,9 @@ def boundary_flux(f: Field) -> float:
 
 
 def validate_stopping(tol_nonlinear: float, max_steps: int) -> None:
-    """solve_bounded's stop rule needs tol_nonlinear > 0 and an integer max_steps >= 1."""
-    if not tol_nonlinear > 0:
-        raise ValueError(f"tol_nonlinear must be positive, got {tol_nonlinear}")
+    """solve_bounded's stop rule needs a finite tol_nonlinear > 0 and an integer max_steps >= 1."""
+    if not 0 < tol_nonlinear < math.inf:
+        raise ValueError(f"tol_nonlinear must be positive and finite, got {tol_nonlinear}")
     if validate_int(max_steps, "max_steps") < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
@@ -256,21 +253,17 @@ def solve_bounded(
 ) -> BoundedSolution:
     """Maximal solution on dom, certified within tol_nonlinear in sup norm.
 
-    Schedule.  The first Newton try follows the first monotone step from
-    f_0, whatever the step's size.  f_0 is 0, a cold start, unless
-    ``previous`` is given: a solution on a ball of the same dimension and at
-    most dom's radius, with the same vortices and params (ValueError
-    otherwise).  Then f_0 is the zero extension of previous.upper, a warm
-    start.  newton_solve starts from min(f_k, 0), on its first try after a
-    warm start from the zero extension of previous.field instead, and aims
-    at a residual of NEWTON_TOL_FACTOR * tol_nonlinear; its root f*,
-    clipped to f* <= 0, is returned when the test below proves
-    ||f* - f_max||_inf <= tol_nonlinear.  If Newton raises ConvergenceError
-    or the test fails, the monotone steps go on from f_k, with a try after
-    each step that moves less than the switch, NEWTON_SWITCH at first; each
-    failed try there, at step 1 too, shrinks the switch tenfold
-    (NEWTON_SWITCH_FACTOR), and the tries end once it falls below
-    tol_nonlinear.  Without a certificate the solve stops as the plain
+    Schedule.  f_0 is 0, a cold start, unless ``previous`` is given: a
+    solution on a ball of the same dimension and at most dom's radius, with
+    the same vortices and params (ValueError otherwise).  Then f_0 is the
+    zero extension of previous.upper, a warm start.  newton_solve runs after
+    the first monotone step, from the zero extension of previous.field after
+    a warm start and from min(f_1, 0) otherwise, aiming at a residual of
+    NEWTON_TOL_FACTOR * tol_nonlinear.  The solve keeps its root f*, clipped
+    to f* <= 0, and after this and every later step k runs only the test
+    below against f_k's bracket; f* is returned once it passes.  Only a run
+    that raises ConvergenceError is followed by another, from min(f_k, 0)
+    after the next step k.  Without a certificate the solve stops as the plain
     monotone scheme does, once sup_diff < tol_nonlinear and the residual is
     at most RESIDUAL_FACTOR * tol_nonlinear, and returns f_k with
     certificate None.  A step that moves nothing (sup_diff == 0) while the
@@ -278,18 +271,19 @@ def solve_bounded(
     exhaustion does; both carry the trace.  Monotonicity and energy descent
     are checked on every monotone step.  linear_opts (the configured
     tol_linear) sets the CG tolerance of the monotone steps only: Newton's
-    steps use forcing tolerances (newton_solve), and the certificate's w
-    solve stops at ||A w - 1||_inf <= CERTIFICATE_W_TOL, w being checked
-    a posteriori by the test below.
+    steps use forcing tolerances (newton_solve), and the certificate's z
+    solve stops at ||A z - rhs||_inf <= CERTIFICATE_SLACK * max rho, z
+    being checked a posteriori by the test below.
 
     Certificate.  Write r(f) = L f - N(f) - g on the interior; f is an
     upper solution if r(f) <= 0 and a lower solution if r(f) >= 0.  Let
     delta = tol_nonlinear, m(x) the least N' over the bracket
     [f*(x) - delta, max(f_k(x), f*(x)) + MONOTONE_TOL] (a closed form: N'
-    falls to its one minimum at f = -2 ln(a+1)/a and rises after it), and
-    A = diag(m) - L.  One linear_solve gives w with A w = 1.  The test asks
-    w > 0 and A w >= mu > 0 pointwise and, with rho = ||r(f*)||_inf and
-    t = rho / mu, that the bound t * max w is at most delta.
+    falls to its one minimum at f = -2 ln(a+1)/a and rises after it),
+    A = diag(m) - L, and rho(x) = |r(f*)(x)| plus its rounding allowance.
+    One linear_solve gives z with A z = rho + eta max rho, eta =
+    CERTIFICATE_SLACK.  The test asks z > 0, A z >= rho and A z > 0
+    pointwise, and that the bound max z is at most delta.
 
     1. f_max <= f_k, and f_k is an upper solution, given that f_0 is an
        upper solution with f_max <= f_0.  A step gives
@@ -309,35 +303,35 @@ def solve_bounded(
        a lower solution there and lies below B's maximal solution (the
        argument of step 3), hence below u; outside B, f_max <= 0 = f_0.
        This is the paper's nested monotonicity.
-    2. v = f* - t w is a lower solution.  r(v) = r(f*) + t (diag(c) - L) w
-       with c = N'(xi), xi in [f* - t w, f*], which lies in the bracket as
-       t w <= delta; so c >= m, (diag(c) - L) w >= A w >= mu, and
-       r(v) >= -rho + t mu = 0.
+    2. v = f* - z is a lower solution.  r(v) = r(f*) + (diag(c) - L) z
+       with c = N'(xi), xi in [f* - z, f*], which lies in the bracket as
+       z <= delta; so c >= m, (diag(c) - L) z >= A z >= rho as z > 0, and
+       r(v) >= -rho + rho = 0.
     3. f_max lies in the bracket.  The induction of step 1, with r(v) >= 0
        on the right, keeps the monotone iterates from 0, which decrease to
        f_max whatever f_0 the solve started from, above the lower solution
        v <= f* <= 0; so f* - delta <= v <= f_max <= f_k.
-    4. |f_max - f*| <= t w.  d = f_max - f* solves (diag(c) - L) d = r(f*)
+    4. |f_max - f*| <= z.  d = f_max - f* solves (diag(c) - L) d = r(f*)
        with c = N'(xi), xi between f* and f_max, in the bracket by 1 and 3,
-       so c >= m.  The Z-matrix B = diag(c) - L has B w >= A w > 0, so it
-       is a nonsingular M-matrix (Varga's positive-vector criterion) and
-       B^{-1} >= 0.  B (t w - d) and B (t w + d) are >= t mu - rho = 0,
-       so -t w <= d <= t w.  The same argument, applied to the difference
-       of two solutions in the bracket, makes f_max the only one there.
+       so c >= m.  The Z-matrix B = diag(c) - L has B z >= A z > 0 with
+       z > 0, so it is a nonsingular M-matrix (Varga's positive-vector
+       criterion) and B^{-1} >= 0.  B (z -+ d) >= rho - |r(f*)| >= 0, so
+       -z <= d <= z.  The same argument, applied to the difference of two
+       solutions in the bracket, makes f_max the only one there.
 
     Exact and rounded.  Steps 1 and 3 speak of the exact iterates.  The
     computed f_k carries the error of each CG solve (relative tol_linear),
     absorbed by MONOTONE_TOL on the bracket's top: the margin by which
     iterate_once lets a computed step rise.  After a warm start the solves
     on the smaller balls add errors of the same relative size through f_0.
-    Steps 2 and 4 are exact statements about the stored vectors f* and w,
-    except that r(f*) and A w are evaluated in floating point.  Each entry
+    Steps 2 and 4 are exact statements about the stored vectors f* and z,
+    except that r(f*) and A z are evaluated in floating point.  Each entry
     is a sum of 2n + 3 terms, so it errs by at most about (2n + 3) unit
     roundoffs times the sum of the terms' sizes, plus a few more for exp and
-    products; rho is raised and mu lowered by (2n + ROUNDING_ULPS) unit
-    roundoffs times that sum.  How inexactly Newton and the w solve ran
-    does not enter the proof: steps 2 and 4 hold for whatever f* and w were
-    stored, once the test passes on them.
+    products; rho is raised and A z lowered, point by point, by
+    (2n + ROUNDING_ULPS) unit roundoffs times that sum.  How inexactly
+    Newton and the z solve ran does not enter the proof: steps 2 and 4 hold
+    for whatever f* and z were stored, once the test passes on them.
     """
     validate_stopping(tol_nonlinear, max_steps)
     g = assemble_source(dom, vc)
@@ -356,16 +350,16 @@ def solve_bounded(
         newton_start = extend_by_zero(previous.field, dom)
     trace = IterationTrace()
     energy = energy_eval(f, g, params)
-    res_sup = float(np.max(np.abs(residual(f, g, params)))) if dom.n_interior else 0.0
+    res_sup = float(np.max(np.abs(residual(f, g, params))))
     trace.steps.append(TraceStep(0, 0.0, energy, res_sup, 0.0))
     target = RESIDUAL_FACTOR * tol_nonlinear
-    switch = NEWTON_SWITCH
+    kept = None  # the kept Newton root, its residual's sup norm and rho; None until a run returns
 
     for k in range(1, max_steps + 1):
         f_next = iterate_once(f, g, params, linear_opts, x0=f.interior_values)
         diff = f_next.interior_values - f.interior_values
-        sup_diff = float(np.max(np.abs(diff))) if diff.size else 0.0
-        max_inc = float(np.max(diff)) if diff.size else 0.0
+        sup_diff = float(np.max(np.abs(diff)))
+        max_inc = float(np.max(diff))
         energy_next = energy_eval(f_next, g, params)
         res_sup = float(np.max(np.abs(residual(f_next, g, params))))
         trace.steps.append(TraceStep(k, sup_diff, energy_next, res_sup, max_inc))
@@ -377,16 +371,14 @@ def solve_bounded(
             raise SchemeIntegrityError(f"energy {energy_next:.3e} positive at step {k}",
                                        trace=trace)
         f, energy = f_next, energy_next
-        if k == 1 or sup_diff < switch and switch >= tol_nonlinear:
-            certified = _newton_finish(f, vc, g, params, tol_nonlinear, newton_start)
-            if certified is not None:
-                root, cert = certified
-                root_res = float(np.max(np.abs(residual(root, g, params))))
-                return BoundedSolution(root, trace, params, vc, root_res,
-                                       energy_eval(root, g, params), cert, upper=f)
-            if sup_diff < switch:
-                switch *= NEWTON_SWITCH_FACTOR
+        if kept is None:
+            kept = _newton_root(f, vc, g, params, tol_nonlinear, newton_start)
             newton_start = None
+        cert = None if kept is None else _certify(kept, f, params, tol_nonlinear)
+        if cert is not None:
+            root, root_res, _ = kept
+            return BoundedSolution(root, trace, params, vc, root_res,
+                                   energy_eval(root, g, params), cert, upper=f)
         if sup_diff < tol_nonlinear and res_sup <= target:
             return BoundedSolution(f, trace, params, vc, res_sup, energy, None, upper=f)
         if sup_diff == 0.0:
@@ -401,14 +393,12 @@ def solve_bounded(
         best=f, residual=trace.steps[-1].residual_sup, trace=trace)
 
 
-def _newton_finish(
-    f_k: Field, vc: VortexConfig, g: Field, params: Params, tol: float,
-    start: Field | None = None,
-) -> tuple[Field, MaximalityCertificate] | None:
-    """Newton from start, min(f_k, 0) by default, and the test of solve_bounded.
-
-    None if either fails.
-    """
+def _newton_root(
+    f_k: Field, vc: VortexConfig, g: Field, params: Params, tol: float, start: Field | None,
+) -> tuple[Field, float, np.ndarray] | None:
+    """Newton from start, or from min(f_k, 0) if None: None if it raises, else
+    the root f*, clipped to f* <= 0, the sup norm of r(f*), and rho = |r(f*)|
+    raised point by point by its rounding allowance."""
     dom = f_k.domain
     if start is None:
         start = Field.from_interior(dom, np.minimum(f_k.interior_values, 0.0))
@@ -418,36 +408,42 @@ def _newton_finish(
         return None
     root = Field.from_interior(dom, np.minimum(root.interior_values, 0.0))
     fs = root.interior_values
-    a = params.a
-    lo = fs - tol
-    hi = np.maximum(f_k.interior_values, fs) + MONOTONE_TOL
-    m = nonlinearity_deriv(np.clip(-2.0 * math.log1p(a) / a, lo, hi), params)
-    # ||A w - 1||_2 <= tol_rel * sqrt(n) bounds ||A w - 1||_inf by CERTIFICATE_W_TOL;
-    # the tests below decide on A w recomputed from the stored w
-    w_opts = LinearSolveOptions(tol_rel=CERTIFICATE_W_TOL / math.sqrt(dom.n_interior))
-    try:
-        w = linear_solve(LinearSystem(dom, m, -np.ones(dom.n_interior)), w_opts).interior_values
-    except ConvergenceError:
-        return None
-    if not np.all(w > 0.0):
-        return None
-    # A w and r(f*), each widened by its rounding allowance; the terms of N'
-    # are at most lam (a + 2) in size on f <= 0
-    rounding = (dom.degree + ROUNDING_ULPS) * np.finfo(float).eps / 2
-    w_sum = neighbor_sum(dom, Field.from_interior(dom, w).values)
-    aw = (m + dom.degree) * w - w_sum
-    aw_size = (np.abs(m) + dom.degree + params.lam * (a + 2.0)) * w + w_sum
-    mu = float(np.min(aw - rounding * aw_size))
-    if not mu > 0.0:
-        return None
+    r = np.abs(residual(root, g, params))
     r_size = (neighbor_sum(dom, np.abs(root.values)) + dom.degree * np.abs(fs)
               + np.abs(nonlinearity(fs, params)) + g.interior_values)
-    rho = float(np.max(np.abs(residual(root, g, params)) + rounding * r_size))
-    max_w = float(np.max(w))
-    bound = rho / mu * max_w
-    if not bound <= tol:
+    rounding = (dom.degree + ROUNDING_ULPS) * np.finfo(float).eps / 2
+    return root, float(np.max(r)), r + rounding * r_size
+
+
+def _certify(
+    kept: tuple[Field, float, np.ndarray], f_k: Field, params: Params, tol: float,
+) -> MaximalityCertificate | None:
+    """solve_bounded's test of a _newton_root result against f_k's bracket; None if it fails."""
+    root, _, rho = kept
+    dom, fs, a = root.domain, root.interior_values, params.a
+    rho_max = float(np.max(rho))
+    if rho_max == 0.0:
+        # no residual and no rounding: f* = 0 and g = 0, so f* solves and f_max <= 0 = f* <= f_max
+        return MaximalityCertificate(0.0, 0.0)
+    bracket = (fs - tol, np.maximum(f_k.interior_values, fs) + MONOTONE_TOL)
+    m = nonlinearity_deriv(np.clip(-2.0 * math.log1p(a) / a, *bracket), params)
+    # ||rhs||_2 <= sqrt(n) (1 + eta) max rho, so this tol_rel bounds ||A z - rhs||_inf
+    # by eta max rho; the tests below decide on A z recomputed from the stored z
+    eta = CERTIFICATE_SLACK
+    z_opts = LinearSolveOptions(tol_rel=eta / ((1.0 + eta) * math.sqrt(dom.n_interior)))
+    try:
+        z = linear_solve(LinearSystem(dom, m, -(rho + eta * rho_max)), z_opts).interior_values
+    except ConvergenceError:
         return None
-    return root, MaximalityCertificate(bound, rho, max_w, mu)
+    # A z less its rounding allowance; the terms of N' are at most lam (a + 2) on f <= 0
+    z_sum = neighbor_sum(dom, Field.from_interior(dom, z).values)
+    az_size = (np.abs(m) + dom.degree + params.lam * (a + 2.0)) * z + z_sum
+    rounding = (dom.degree + ROUNDING_ULPS) * np.finfo(float).eps / 2
+    az_low = (m + dom.degree) * z - z_sum - rounding * az_size
+    if not (np.all(z > 0.0) and np.all(az_low >= rho) and np.all(az_low > 0.0)
+            and np.max(z) <= tol):
+        return None
+    return MaximalityCertificate(float(np.max(z)), rho_max)
 
 
 def newton_solve(
@@ -461,8 +457,8 @@ def newton_solve(
 
     solve_bounded's finish and the verify suite's maximality oracle.  A
     start above zero by at most FIELD_SIGN_TOL (roundoff in a monotone
-    iterate) is clipped to zero; a larger value, or tol <= 0, raises
-    ValueError.
+    iterate) is clipped to zero; a larger value, or a tol that is not
+    positive and finite, raises ValueError.
 
     The Newton step s solves (L - N'(f)) s = -r, the symmetric Jacobian
     taken as the linear solver's operator with per-point shift K = N'(f):
@@ -483,8 +479,8 @@ def newton_solve(
     leaves once it has its root or fails.  The result is a list with, per
     start, its root or the ConvergenceError of its solo run, bit for bit.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     starts = [f_init] if isinstance(f_init, Field) else list(f_init)
     top = max((float(np.max(start.values)) for start in starts), default=0.0)
     if top > FIELD_SIGN_TOL:

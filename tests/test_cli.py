@@ -194,7 +194,7 @@ class TestSolve:
         cert = by_name["maximality_certificate"]
         assert cert["passed"] and cert["value"] <= cert["threshold"] == 1e-10
         assert report["radii"][0]["iterations"] == 1
-        assert cert["detail"].endswith("Newton after monotone step 1")
+        assert cert["detail"].endswith("Newton root certified after monotone step 1")
 
     def test_field_csv_matches_per_value_formatting(self, tmp_path, monkeypatch):
         from cslattice import Field, build_domain

@@ -134,19 +134,20 @@ class TestWarmStart:
         assert max(warm.pointwise_deltas) <= NESTED_TOL
 
     def test_later_radii_take_few_monotone_steps(self, monkeypatch):
-        # the first radius's first Newton try fails, so its monotone steps go
-        # on to the next try; the later radii start warm
+        # the first radius's first three Newton runs fail, so it takes four
+        # monotone steps; the later radii start warm
         real = scheme_mod.newton_solve
         calls = []
 
         def first_fails(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 1:
-                raise ConvergenceError("first Newton try disabled")
+            if len(calls) <= 3:
+                raise ConvergenceError("first Newton runs disabled")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(scheme_mod, "newton_solve", first_fails)
         res = run_exhaustion(2, ONE_VORTEX, PARAMS, [10, 20, 30])
+        assert res.solutions[0].iterations == 4
         assert [s.iterations <= 2 for s in res.solutions] == [False, True, True]
         for small, big in zip(res.solutions, res.solutions[1:]):
             start = extend_by_zero(small.upper, big.domain)
@@ -275,6 +276,14 @@ class TestBarrier:
         assert rep.all_hold
         assert rep.min_margin >= 0.0
         assert rep.points_checked == sum(shell_size(2, d) for d in range(2, 21))
+
+    def test_rejects_bad_dimension(self):
+        # 0 divided by zero, 2.5 reached itertools as a TypeError, and 1 and
+        # True checked Z^1
+        for bad in (0, 1, 2.5, True):
+            with pytest.raises(ValueError, match="dimension"):
+                barrier_check(bad, PARAMS, 0.1)
+        assert barrier_check(np.int64(2), PARAMS, 0.1) == barrier_check(2, PARAMS, 0.1)
 
     def test_axis_contribution_formula(self):
         # at a point with all coordinates nonzero each axis contributes

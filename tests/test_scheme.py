@@ -31,7 +31,6 @@ from cslattice.scheme import (
     MAXIMALITY_TOL,
     NEWTON_FORCING_FLOOR,
     NEWTON_FORCING_MAX,
-    NEWTON_SWITCH,
     NEWTON_TOL_FACTOR,
     RESIDUAL_FACTOR,
 )
@@ -237,8 +236,10 @@ class TestSolveBounded:
         assert max(bounds) <= tol
 
     def test_rejects_bad_tolerance(self, b2):
-        with pytest.raises(ValueError, match="tol_nonlinear"):
-            solve_bounded(b2, ONE_VORTEX, Params(1.0, 1.0), tol_nonlinear=0.0)
+        # an infinite tolerance returned a "certified" field with residual 4.7
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol_nonlinear"):
+                solve_bounded(b2, ONE_VORTEX, Params(1.0, 1.0), tol_nonlinear=bad)
         # a float or a bool is no step count: 2.5 reached range() as a
         # TypeError, and True ran one step
         for bad in (0, 2.5, True):
@@ -366,9 +367,10 @@ class TestNewtonOracle:
         g = assemble_source(dom, ONE_VORTEX)
         assert np.max(np.abs(residual(root, g, params))) <= tol
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf])
     def test_rejects_nonpositive_tol(self, b2, tol):
-        # before iterating: these ran until "Newton stalled at residual 1.8e-15"
+        # before iterating: 0 and -1 ran until "Newton stalled at residual
+        # 1.8e-15", and inf returned the start as a root
         with pytest.raises(ValueError, match="tol must be positive"):
             newton_solve(b2, ONE_VORTEX, Params(1.0, 1.0), Field.zeros(b2), tol=tol)
 
@@ -454,45 +456,56 @@ class TestCertificate:
         assert sol.iterations <= 500
 
     def test_two_vortices_at_small_lambda(self):
-        # the rounding allowance at the double vortex keeps the bound above
-        # 1e-10 until the switch reaches 1e-4, after 1223 monotone steps
+        # the rounding allowance at the double vortex kept the bound
+        # max w * max rho / min(A w) above 1e-10 for 1223 monotone steps;
+        # the pointwise bound certifies the root of the first Newton run
         dom = build_domain(2, 40)
         vc = VortexConfig([((0, 0), 2), ((3, 0), 1)])
-        sol = solve_bounded(dom, vc, Params(0.1, 1.0), max_steps=1300)
+        sol = solve_bounded(dom, vc, Params(0.1, 1.0))
         assert sol.certificate is not None
         assert sol.certificate.bound <= 1e-10
-        assert sol.iterations <= 1223
+        assert sol.iterations <= 145
 
-    @pytest.mark.parametrize("spoil", ["aw_negative", "w_nonpositive"])
-    def test_spoiled_w_is_refused(self, monkeypatch, spoil):
+    def test_one_vortex_at_very_small_lambda(self):
+        # the old bound stayed at 1.3e-10 from every bracket, and the solve
+        # ran out of its 500 steps
+        sol = solve_bounded(build_domain(2, 80), ONE_VORTEX, Params(0.005, 1.0))
+        assert sol.certificate is not None
+        assert sol.certificate.bound <= 1e-10
+        assert sol.iterations < 500
+
+    @pytest.mark.parametrize("spoil", ["az_below_rho", "z_nonpositive"])
+    def test_spoiled_z_is_refused(self, monkeypatch, spoil):
         dom = build_domain(2, 8)
         params = Params(1.0, 1.0)
         sol = solve_bounded(dom, ONE_VORTEX, params)
         g = assemble_source(dom, ONE_VORTEX)
-        args = (sol.upper, ONE_VORTEX, g, params, 1e-10)
-        assert scheme_mod._newton_finish(*args) is not None
+        kept = scheme_mod._newton_root(sol.upper, ONE_VORTEX, g, params, 1e-10, None)
+        args = (kept, sol.upper, params, 1e-10)
+        assert scheme_mod._certify(*args) is not None
         centre = dom.locate((0, 0))
         real = scheme_mod.linear_solve
 
-        def spoiled_w(system, opts=LinearSolveOptions(), x0=None):
-            u = real(system, opts, x0)
-            if not np.all(system.rhs == -1.0):  # a Newton step
-                return u
-            w = u.interior_values.copy()
-            if spoil == "aw_negative":
-                # w stays positive; -L w at the centre is about -4 w there
-                w[centre] *= 1e-3
-                assert np.all(w > 0)
-                assert laplacian(Field.from_interior(dom, w))[centre] > 3 * w[centre]
+        def spoiled_z(system, opts=LinearSolveOptions(), x0=None):
+            z = real(system, opts, x0).interior_values.copy()
+            if spoil == "az_below_rho":
+                # A z = (m + 4) z - (sum of the neighbours) falls to rho / 2 > 0
+                # at the centre; z stays positive, and its maximum does not grow
+                rho = kept[2][centre]
+                neighbours = laplacian(Field.from_interior(dom, z))[centre] + 4 * z[centre]
+                z[centre] = (neighbours + rho / 2) / (system.K[centre] + 4)
+                assert np.all(z > 0)
+                az = (system.K[centre] + 4) * z[centre] - neighbours
+                assert 0.4 * rho < az < 0.6 * rho
             else:
-                w[centre] = 0.0
-            return Field.from_interior(dom, w)
+                z[centre] = 0.0
+            return Field.from_interior(dom, z)
 
-        monkeypatch.setattr(scheme_mod, "linear_solve", spoiled_w)
-        assert scheme_mod._newton_finish(*args) is None
+        monkeypatch.setattr(scheme_mod, "linear_solve", spoiled_z)
+        assert scheme_mod._certify(*args) is None
 
     def test_uncertified_root_falls_back_to_monotone_stop_rule(self, monkeypatch):
-        # a "root" that is the unconverged start must fail the test at every switch
+        # a "root" that is the unconverged start must fail the test after every step
         _no_newton(monkeypatch, newton=lambda start: start)
         dom = build_domain(2, 5)
         sol = solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0))
@@ -545,25 +558,43 @@ class TestNewtonSchedule:
         assert sol.iterations == 1
         assert len(applications) <= 200
 
-    def test_failed_first_try_waits_for_newton_switch(self, monkeypatch):
+    def test_raised_newton_run_is_followed_by_one_after_step_2(self, monkeypatch):
         real = scheme_mod.newton_solve
         starts = []
 
         def first_fails(dom, vc, params, f_init, **kwargs):
             starts.append(f_init.values.copy())
             if len(starts) == 1:
-                raise ConvergenceError("first Newton try disabled")
+                raise ConvergenceError("first Newton run disabled")
             return real(dom, vc, params, f_init, **kwargs)
 
         monkeypatch.setattr(scheme_mod, "newton_solve", first_fails)
-        sol = solve_bounded(build_domain(2, 10), ONE_VORTEX, Params(1.0, 1.0))
+        dom, params = build_domain(2, 10), Params(1.0, 1.0)
+        sol = solve_bounded(dom, ONE_VORTEX, params)
         assert sol.certificate is not None and len(starts) == 2
-        # the first try came after step 1, the second at the first step below the switch
-        sup = sol.trace.column("sup_diff")
-        assert sup[1] >= NEWTON_SWITCH
-        assert sol.iterations > 1 and sup[sol.iterations] < NEWTON_SWITCH
-        assert np.all(sup[1 : sol.iterations] >= NEWTON_SWITCH)
+        # the first run came after step 1, the second after step 2, from min(f_2, 0)
+        g = assemble_source(dom, ONE_VORTEX)
+        f_1 = iterate_once(Field.zeros(dom), g, params, x0=np.zeros(dom.n_interior))
+        assert np.array_equal(starts[0], np.minimum(f_1.values, 0.0))
+        assert sol.iterations == 2
         assert np.array_equal(starts[1], np.minimum(sol.upper.values, 0.0))
+
+    def test_kept_root_is_retested_without_new_newton_runs(self, monkeypatch):
+        # the triple vortex's bracket after step 1 is too wide in the core;
+        # the root of the one Newton run passes against a later, tighter one
+        real = scheme_mod.newton_solve
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scheme_mod, "newton_solve", counting)
+        sol = solve_bounded(build_domain(2, 20), VortexConfig([((0, 0), 3)]), Params(1.0, 1.0))
+        assert sol.certificate is not None
+        assert sol.certificate.bound <= 1e-10
+        assert len(runs) == 1
+        assert 1 < sol.iterations <= 22
 
     @pytest.mark.parametrize("multiplicity", [1, 3])
     def test_certified_across_parameters(self, multiplicity):
