@@ -30,14 +30,15 @@ from .lattice import (
     validate_dimension,
 )
 from .linear import (
+    DEFAULT_TOL_REL,
     MAX_PRINCIPLE_TOL,
     MINIMIZER_SLACK,
     ORACLE_REL_TOL,
-    LinearSolveOptions,
     LinearSystem,
     dense_solve,
     linear_energy_eval,
     linear_solve,
+    validate_tol_rel,
 )
 from .exhaustion import (
     BARRIER_MARGIN_FLOOR,
@@ -94,7 +95,7 @@ DEFAULTS = {
     "radii": [10, 20, 30, 40],
     "epsilon": 0.1,
     "tol_nonlinear": DEFAULT_TOL_NONLINEAR,
-    "tol_linear": LinearSolveOptions.tol_rel,
+    "tol_linear": DEFAULT_TOL_REL,
     "max_steps": DEFAULT_MAX_STEPS,
     "output_dir": "out",
     "emit": {"field_csv": True, "trace_csv": True, "report_json": True},
@@ -112,7 +113,7 @@ class RunConfig:
     epsilon: float
     tol_nonlinear: float
     max_steps: int
-    linear_opts: LinearSolveOptions
+    tol_linear: float  # the verify suite's linear checks only; no solve reads it
     output_dir: str
     emit: dict[str, bool]  # the keys of DEFAULTS["emit"]
 
@@ -128,7 +129,7 @@ class RunConfig:
             "radii": list(self.radii),
             "epsilon": self.epsilon,
             "tol_nonlinear": self.tol_nonlinear,
-            "tol_linear": self.linear_opts.tol_rel,
+            "tol_linear": self.tol_linear,
             "max_steps": self.max_steps,
             "output_dir": self.output_dir,
             "emit": dict(self.emit),
@@ -148,11 +149,6 @@ class RunConfig:
                 raise ConfigError(f"missing required config field '{key}'")
             return raw.get(key, DEFAULTS.get(key))
 
-        dimension = _as_int(get("dimension"), "dimension")
-        lam = _as_float(get("lambda"), "lambda")
-        a = _as_float(get("a"), "a")
-        K = None if get("K") is None else _as_float(get("K"), "K")
-
         vortices = []
         raw_vortices = get("vortices")
         if not isinstance(raw_vortices, list):
@@ -162,20 +158,13 @@ class RunConfig:
                 raise ConfigError(
                     f"vortices[{i}]: expected an object with keys 'point' and 'multiplicity'"
                 )
-            point = entry["point"]
-            if not isinstance(point, list) or len(point) != dimension:
-                raise ConfigError(
-                    f"vortices[{i}].point: must be a list of {dimension} integers"
-                )
-            vortices.append((point, entry["multiplicity"]))
+            if not isinstance(entry["point"], list):
+                raise ConfigError(f"vortices[{i}].point: must be a list of integers")
+            vortices.append((entry["point"], entry["multiplicity"]))
 
         radii = get("radii")
         if not isinstance(radii, list):
             raise ConfigError("radii: must be a list of integers")
-        epsilon = _as_float(get("epsilon"), "epsilon")
-        tol_nonlinear = _as_float(get("tol_nonlinear"), "tol_nonlinear")
-        tol_linear = _as_float(get("tol_linear"), "tol_linear")
-        max_steps = _as_int(get("max_steps"), "max_steps")
         output_dir = get("output_dir")
         if not isinstance(output_dir, str):
             raise ConfigError("output_dir: must be a string")
@@ -188,36 +177,21 @@ class RunConfig:
         emit = {k: _as_bool(emit.get(k, on), f"emit.{k}") for k, on in DEFAULTS["emit"].items()}
 
         try:
-            validate_dimension(dimension)
-            params = Params(lam, a, K)
+            dimension = validate_dimension(get("dimension"))
+            params = Params(get("lambda"), get("a"), get("K"))
             vortex_config = VortexConfig(vortices)
             radii = validate_radii(radii, vortex_config)
-            validate_epsilon(epsilon)
-            validate_stopping(tol_nonlinear, max_steps)
-            linear_opts = LinearSolveOptions(tol_rel=tol_linear)
+            epsilon = validate_epsilon(get("epsilon"))
+            tol_nonlinear, max_steps = validate_stopping(get("tol_nonlinear"), get("max_steps"))
+            tol_linear = validate_tol_rel(get("tol_linear"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for i, (point, _) in enumerate(vortex_config.vortices):
+            if len(point) != dimension:
+                raise ConfigError(f"vortices[{i}].point: must be a list of {dimension} integers")
 
         return cls(dimension, params, vortex_config, radii, epsilon, tol_nonlinear,
-                   max_steps, linear_opts, output_dir, emit)
-
-
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name}: must be an integer, got {value!r}")
-    return value
-
-
-def _as_float(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name}: must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{name}: must be a finite number, got {value!r}")
-    return number
+                   max_steps, tol_linear, output_dir, emit)
 
 
 def _as_bool(value, name: str) -> bool:
@@ -328,9 +302,6 @@ def solution_checks(sol: BoundedSolution, cfg: RunConfig) -> list[dict]:
 
 def _certificate_check(sol: BoundedSolution, tol_nonlinear: float) -> dict:
     cert = sol.certificate
-    if cert is None:
-        return _check("maximality_certificate", False, threshold=tol_nonlinear,
-                      detail="not obtained: the field is the last monotone iterate")
     return _at_most("maximality_certificate", cert.bound, tol_nonlinear,
                     detail=f"max rho = {cert.rho:.6g}, "
                            f"Newton root certified after monotone step {sol.iterations}")
@@ -383,7 +354,6 @@ def cmd_exhaust(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         result = run_exhaustion(
             cfg.dimension, cfg.vortex_config, cfg.params, cfg.radii,
             tol_nonlinear=cfg.tol_nonlinear, max_steps=cfg.max_steps,
-            linear_opts=cfg.linear_opts,
         )
     except (ConvergenceError, SchemeIntegrityError) as exc:
         return _solver_failure(exc, report, cfg, out_dir, quiet)
@@ -468,7 +438,6 @@ def _solve(cfg: RunConfig, radius: int) -> BoundedSolution:
         build_domain(cfg.dimension, radius), cfg.vortex_config, cfg.params,
         tol_nonlinear=cfg.tol_nonlinear,
         max_steps=cfg.max_steps,
-        linear_opts=cfg.linear_opts,
     )
 
 
@@ -508,7 +477,7 @@ def _linear_oracle_check(cfg: RunConfig, rng) -> dict:
     for radius, dom in domains.items():
         group = np.array([v for r, v in zip(radii, rhs) if r == radius])
         block = LinearSystem(dom, cfg.params.K, group)
-        for approx, exact in zip(linear_solve(block, cfg.linear_opts), dense_solve(block)):
+        for approx, exact in zip(linear_solve(block, cfg.tol_linear), dense_solve(block)):
             if isinstance(approx, ConvergenceError):
                 return _check("linear_oracle", False, detail=f"iterative solve failed: {approx}")
             gap = approx.interior_values - exact.interior_values
@@ -521,7 +490,7 @@ def _minimizer_check(cfg: RunConfig, rng) -> dict:
     v = rng.standard_normal(dom.n_interior)
     sys_ = LinearSystem(dom, cfg.params.K, v)
     try:
-        u = linear_solve(sys_, cfg.linear_opts)
+        u = linear_solve(sys_, cfg.tol_linear)
     except ConvergenceError as exc:
         return _check("linear_minimizer", False, detail=f"solve failed: {exc}")
     base = linear_energy_eval(sys_, u.interior_values)
@@ -539,7 +508,7 @@ def _minimizer_check(cfg: RunConfig, rng) -> dict:
 def _max_principle_check(cfg: RunConfig, rng) -> dict:
     dom = build_domain(cfg.dimension, 3)
     v = np.abs(rng.standard_normal((20, dom.n_interior)))
-    solutions = linear_solve(LinearSystem(dom, cfg.params.K, v), cfg.linear_opts)
+    solutions = linear_solve(LinearSystem(dom, cfg.params.K, v), cfg.tol_linear)
     for u in solutions:
         if isinstance(u, ConvergenceError):
             return _check("linear_max_principle", False, detail=f"solve failed: {u}")

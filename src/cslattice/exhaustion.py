@@ -30,8 +30,7 @@ import numpy as np
 from .errors import AnalysisError, ConvergenceError
 from .fields import Field, norm
 from .lattice import (Params, VortexConfig, build_domain, manhattan_norm, shell_size,
-                      validate_dimension, validate_int)
-from .linear import LinearSolveOptions
+                      validate_dimension, validate_float, validate_int)
 from .scheme import DEFAULT_MAX_STEPS, DEFAULT_TOL_NONLINEAR, BoundedSolution, solve_bounded
 
 SHELL_VALUE_GUARD = 1e-300  # double-precision floor before taking logs
@@ -82,7 +81,6 @@ def run_exhaustion(
     radii,
     tol_nonlinear: float = DEFAULT_TOL_NONLINEAR,
     max_steps: int = DEFAULT_MAX_STEPS,
-    linear_opts: LinearSolveOptions = LinearSolveOptions(),
 ) -> ExhaustionResult:
     """Solve on each radius, extend by zero, and record the nesting data.
 
@@ -99,7 +97,7 @@ def run_exhaustion(
         previous = solutions[-1] if solutions else None
         try:
             solutions.append(solve_bounded(
-                build_domain(n, r), vc, params, tol_nonlinear, max_steps, linear_opts, previous
+                build_domain(n, r), vc, params, tol_nonlinear, max_steps, previous
             ))
         except ConvergenceError as exc:
             raise ConvergenceError(
@@ -131,10 +129,12 @@ def validate_radii(radii, vc: VortexConfig) -> list[int]:
     return radii
 
 
-def validate_epsilon(epsilon: float) -> None:
-    """The decay parameter must lie in (0, 1); raises ValueError otherwise."""
+def validate_epsilon(epsilon: float) -> float:
+    """The decay parameter as a float; raises ValueError unless it is a number in (0, 1)."""
+    epsilon = validate_float(epsilon, "epsilon")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    return epsilon
 
 
 def _assemble(radii, solutions) -> ExhaustionResult:
@@ -223,7 +223,6 @@ class BarrierReport:
     """Pointwise check of L v >= c1 v for the decay barrier on a shell range."""
 
     c1: float
-    shell_range: tuple[int, int]
     points_checked: int
     min_margin: float  # min over points of (L v - c1 v) / |v|
     all_hold: bool
@@ -264,7 +263,6 @@ def barrier_check(n: int, params: Params, epsilon: float) -> BarrierReport:
             worst = min(worst, (lap - c1 * v) / abs(v))
     return BarrierReport(
         c1=c1,
-        shell_range=BARRIER_SHELLS,
         points_checked=sum(shell_size(n, s) for s in range(r_lo, r_hi + 1)),
         min_margin=worst,
         all_hold=worst >= BARRIER_MARGIN_FLOOR,
@@ -275,15 +273,13 @@ def barrier_check(n: int, params: Params, epsilon: float) -> BarrierReport:
 class CoercivityReport:
     """Numerical infimum of the potential-density coercivity ratio."""
 
-    a: float
     c_est: float
     all_hold: bool
-    grid_size: int
 
 
-def coercivity_default_grid(reach: float = 50.0, size: int = 300) -> np.ndarray:
-    """Nonpositive grid: 0 plus -logspace covering [1e-8, reach]."""
-    return np.concatenate(([0.0], -np.logspace(-8.0, math.log10(reach), size)))
+def coercivity_default_grid() -> np.ndarray:
+    """Nonpositive grid: 0 plus 300 points -logspace covering [1e-8, 50]."""
+    return np.concatenate(([0.0], -np.logspace(-8.0, math.log10(50.0), 300)))
 
 
 def coercivity_check(a: float, x_grid) -> CoercivityReport:
@@ -307,9 +303,7 @@ def coercivity_check(a: float, x_grid) -> CoercivityReport:
         w = math.expm1(-k * t) / k - math.expm1(-t)
         ratios.append(w / (t / (1.0 + t)) ** 2)
     c_est = float(min(ratios))
-    return CoercivityReport(
-        a=a, c_est=c_est, all_hold=c_est > COERCIVITY_FLOOR, grid_size=len(ratios)
-    )
+    return CoercivityReport(c_est=c_est, all_hold=c_est > COERCIVITY_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -317,7 +311,6 @@ class LpSummary:
     """l^p norms of the largest-radius solution and l1 stabilization data."""
 
     norms: dict[float, float]
-    l1_norms: tuple[float, ...]
     l1_diffs: tuple[float, ...]
     l1_tail_bound: float | None
     all_finite: bool
@@ -351,7 +344,6 @@ def lp_summary(result: ExhaustionResult, p_list, fit: DecayFit | None = None) ->
     all_finite = all(math.isfinite(v) for v in norms.values())
     return LpSummary(
         norms=norms,
-        l1_norms=result.l1_norms,
         l1_diffs=l1_diffs,
         l1_tail_bound=tail_bound,
         all_finite=all_finite,

@@ -24,6 +24,7 @@ every system on, once computed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -191,6 +192,19 @@ def validate_int(value, name: str) -> int:
     return int(value)
 
 
+def validate_float(value, name: str) -> float:
+    """A finite real number (not a bool) as a float; anything else raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
 def validate_dimension(n: int) -> int:
     """The lattice Z^n needs an integer n >= 2; returns it as an int, or raises ValueError."""
     n = validate_int(n, "dimension")
@@ -312,17 +326,18 @@ class Params:
     K: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
-        if not 0 < self.a < math.inf:
-            raise ValueError(f"a must be positive and finite, got {self.a}")
-        if self.K is None:
-            object.__setattr__(self, "K", self.a * self.lam + 1.0)
-        if not self.a * self.lam < self.K < math.inf:
+        lam, a = validate_float(self.lam, "lambda"), validate_float(self.a, "a")
+        if not lam > 0:
+            raise ValueError(f"lambda must be positive, got {lam}")
+        if not a > 0:
+            raise ValueError(f"a must be positive, got {a}")
+        K = a * lam + 1.0 if self.K is None else validate_float(self.K, "K")
+        if not a * lam < K < math.inf:
             raise ValueError(
-                f"K must be finite and satisfy K > a*lambda "
-                f"(got K={self.K}, a*lambda={self.a * self.lam})"
+                f"K must be finite and satisfy K > a*lambda (got K={K}, a*lambda={a * lam})"
             )
+        for name, value in (("lam", lam), ("a", a), ("K", K)):
+            object.__setattr__(self, name, value)
 
 
 def assemble_source(dom: LatticeDomain, vc: VortexConfig) -> Field:

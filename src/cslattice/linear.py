@@ -38,19 +38,25 @@ alpha, beta, tolerance and true-residual test with a solo solve's calls and
 bits, and stops once accepted or failed, the failure its own entry.  A
 column that stops keeps its row, gathered but no longer stepped, so the
 block keeps one shape from the first iteration to the last.
+
+Each caller in the package takes tol_rel from the check its solution
+serves: a monotone step (scheme.iterate_once) from MONOTONE_TOL, a Newton
+step from its forcing term, the maximality certificate's z from its a
+posteriori test.  Only the verify suite's linear checks take a configured
+value, the CLI's tol_linear.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .fields import Field, gather_sum
-from .lattice import validate_int
+from .lattice import validate_float
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .lattice import LatticeDomain, RedBlack
@@ -63,31 +69,12 @@ MAX_PRINCIPLE_TOL = 1e-10   # u <= this for nonnegative right-hand sides
 # Largest interior size system_matrix assembles: 4096^2 doubles are 134 MB.
 DENSE_MAX_UNKNOWNS = 4096
 
+# linear_solve's relative residual target unless the caller gives one.
+DEFAULT_TOL_REL = 1e-12
 
-@dataclass(frozen=True)
-class LinearSolveOptions:
-    """Relative residual target and iteration cap of linear_solve.
-
-    tol_rel is one value for all columns of a block, or a tuple of one each.
-    max_iter counts CG iterations on the reduced red system, each one
-    application of the reduced operator; the default is 10 times the number
-    of red unknowns, the size of that system.
-    """
-
-    tol_rel: float | tuple[float, ...] = 1e-12
-    max_iter: int | None = None
-
-    def __post_init__(self) -> None:
-        tol_rel = np.asarray(self.tol_rel, dtype=float)
-        if not np.all((tol_rel > 0) & (tol_rel < 1)):
-            raise ValueError(f"tol_rel must lie in (0, 1), got {self.tol_rel}")
-        tol_rel = tol_rel.item() if tol_rel.ndim == 0 else tuple(tol_rel.tolist())
-        object.__setattr__(self, "tol_rel", tol_rel)
-        if self.max_iter is not None:
-            max_iter = validate_int(self.max_iter, "max_iter")
-            if max_iter < 1:
-                raise ValueError(f"max_iter must be positive, got {max_iter}")
-            object.__setattr__(self, "max_iter", max_iter)
+# linear_solve gives up after this many CG iterations per red unknown, each
+# iteration one application of the reduced operator.
+CG_ITERATIONS_PER_UNKNOWN = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,19 +157,30 @@ def dense_solve(system: LinearSystem) -> Field | list[Field]:
     return fields if system.rhs.ndim == 2 else fields[0]
 
 
+def validate_tol_rel(tol_rel) -> float:
+    """A relative residual target of linear_solve as a float; raises ValueError
+    unless it is a number in (0, 1)."""
+    tol_rel = validate_float(tol_rel, "tol_rel")
+    if not 0 < tol_rel < 1:
+        raise ValueError(f"tol_rel must lie in (0, 1), got {tol_rel}")
+    return tol_rel
+
+
 def linear_solve(
     system: LinearSystem,
-    opts: LinearSolveOptions = LinearSolveOptions(),
+    tol_rel: float | Sequence[float] = DEFAULT_TOL_REL,
     x0: np.ndarray | None = None,
 ) -> Field | list[Field | ConvergenceError]:
     """Solve (L - K) u = v with zero Dirichlet data, by CG on the reduced red system.
 
     Guarantees ||(L - K) u - v||_2 <= tol_rel * ||v||_2 over the interior,
     red and black rows, verified against the recomputed true residual (not
-    the CG recursion).  An x0 that already meets it is returned as it
-    stands; otherwise CG starts from its red values.  If max_iter is
-    exhausted first, raises ConvergenceError carrying the final iterate as
-    ``best`` and its true residual norm as ``residual``.  A nonpositive
+    the CG recursion).  tol_rel is one value for every column of a block or
+    one per column, each in (0, 1) (validate_tol_rel).  An x0 that already
+    meets it is returned as it stands; otherwise CG starts from its red
+    values.  If CG_ITERATIONS_PER_UNKNOWN iterations per red unknown pass
+    first, raises ConvergenceError carrying the final iterate as ``best``
+    and its true residual norm as ``residual``.  A nonpositive
     K + 2n at an interior point, or a search direction with p.Ap <= 0,
     means K - L is not positive definite and raises ConvergenceError
     before the next iteration.
@@ -197,7 +195,8 @@ def linear_solve(
     m = len(b)
     diag = system.K + dom.degree  # a scalar, one row shared, or one row per column
     rank = np.ndim(diag)
-    tol_rel = list(opts.tol_rel) if isinstance(opts.tol_rel, tuple) else [opts.tol_rel] * m
+    tol_rel = ([validate_tol_rel(t) for t in tol_rel] if np.ndim(tol_rel)
+               else [validate_tol_rel(tol_rel)] * m)
     if len(tol_rel) != m:
         raise ValueError(f"tol_rel needs one value per column ({m}), got {len(tol_rel)}")
     b_norm = [math.sqrt(np.dot(b[j], b[j])) for j in range(m)]  # indexing beats iterating rows
@@ -218,7 +217,7 @@ def linear_solve(
     tol = [tol_rel[j] * b_norm[j] for j in live]
     split = dom.red_black
     red, black = split.red, split.black
-    max_iter = opts.max_iter if opts.max_iter is not None else 10 * len(red)
+    cap = int(CG_ITERATIONS_PER_UNKNOWN * len(red))
     if len(live) < m:
         b, diag = b[live], np.broadcast_to(diag, (m, b.shape[1]))[live] if rank else diag
         x0 = None if x0 is None else np.reshape(x0, (m, -1))[live]
@@ -262,7 +261,7 @@ def linear_solve(
     rows = [(x_r[i, :-1], p[i, :-1], r[i], Ap[i]) for i in range(len(live))]
     running = [i for i, j in enumerate(live) if out[j] is None]
     near = True  # some row's recursive residual may meet its tolerance
-    for it in range(max_iter if running else 0):
+    for it in range(cap if running else 0):
         if near and any(rs[i] ** 0.5 <= tol[i] for i in running):
             # accept only on the true residual; restart the recursion otherwise
             r_true, r_norm = true_residual(gather_sum(split.black_neighbors, x_r))
@@ -306,7 +305,7 @@ def linear_solve(
         for i in running:
             out[live[i]] = solution(i) if r_norm[i] <= tol[i] else ConvergenceError(
                 f"conjugate gradients did not reach tol_rel={tol_rel[live[i]]} "
-                f"within {max_iter} iterations (final true residual {r_norm[i]:.3e})",
+                f"within {cap} iterations (final true residual {r_norm[i]:.3e})",
                 best=solution(i),
                 residual=r_norm[i],
             )

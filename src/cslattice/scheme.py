@@ -42,8 +42,9 @@ import numpy as np
 
 from .errors import ConvergenceError, SchemeIntegrityError
 from .fields import Field, extend_by_zero, grad_energy, laplacian, neighbor_sum
-from .lattice import LatticeDomain, Params, VortexConfig, assemble_source, validate_int
-from .linear import LinearSolveOptions, LinearSystem, linear_solve
+from .lattice import (LatticeDomain, Params, VortexConfig, assemble_source, validate_float,
+                      validate_int)
+from .linear import LinearSystem, linear_solve
 # Unused here, kept until perfbench/spans.py stops patching this name.
 from .linear import system_matrix
 
@@ -52,7 +53,7 @@ from .linear import system_matrix
 # others bound the post-solve checks on the solution.
 MONOTONE_TOL = 1e-10      # f_k - f_{k-1} <= this pointwise
 ENERGY_SLACK = 1e-10      # I(f_k) - I(f_{k-1}) <= this, and I(f_k) <= this
-RESIDUAL_FACTOR = 100.0   # a solve ends with residual <= this * tol_nonlinear
+RESIDUAL_FACTOR = 100.0   # a solution's residual is <= this * tol_nonlinear
 FIELD_SIGN_TOL = 1e-10    # the solution is <= this everywhere
 VORTEX_VALUE_BOUND = 0.0  # f(p_j) < this at every vortex: strict, no slack
 FLUX_TOL = 1e-8           # |sum N(f) + 4 pi sum n_j - boundary flux| <= this
@@ -122,17 +123,25 @@ def iterate_once(
     f_prev: Field,
     g: Field,
     params: Params,
-    opts: LinearSolveOptions = LinearSolveOptions(),
     x0: np.ndarray | None = None,
 ) -> Field:
     """One monotone step: solve (L - K) f_k = N(f_{k-1}) + g - K f_{k-1}.
 
-    The result satisfies f_k <= f_prev up to linear-solver tolerance; an
-    excursion beyond MONOTONE_TOL raises SchemeIntegrityError.
+    The step is solved just tightly enough for its check: to tol_rel =
+    K * MONOTONE_TOL / ||rhs||_2 (at most 1/2), so the computed f_k is
+    within MONOTONE_TOL of the exact step in sup norm.  With zero Dirichlet
+    data K - L >= K I on the interior, so an error e whose residual is r has
+    ||e||_inf <= ||e||_2 <= ||r||_2 / K <= tol_rel ||rhs||_2 / K <= MONOTONE_TOL.
+    From an upper solution the exact step has f_k <= f_prev; a computed f_k
+    that rises above f_prev by more than MONOTONE_TOL raises
+    SchemeIntegrityError.
     """
     fp = f_prev.interior_values
     rhs = nonlinearity(fp, params) + g.interior_values - params.K * fp
-    f_next = linear_solve(LinearSystem(f_prev.domain, params.K, rhs), opts, x0=x0)
+    # at most 1/2, inside linear_solve's range (0, 1); a smaller tol_rel keeps the bound
+    slack = params.K * MONOTONE_TOL
+    tol_rel = slack / max(math.sqrt(np.dot(rhs, rhs)), 2.0 * slack)
+    f_next = linear_solve(LinearSystem(f_prev.domain, params.K, rhs), tol_rel, x0=x0)
     worst = float(np.max(f_next.interior_values - fp))
     if worst > MONOTONE_TOL:
         raise SchemeIntegrityError(
@@ -198,8 +207,8 @@ class BoundedSolution:
 
     ``residual_sup`` and ``energy`` belong to ``field``.  ``upper`` is the
     last monotone iterate: an upper solution above the maximal solution and
-    the top of the certificate's bracket.  ``certificate`` is None when no
-    Newton finish was certified and ``field`` is ``upper``.
+    the top of the certificate's bracket.  ``field`` is the certified
+    Newton root, within ``certificate.bound`` of the maximal solution.
     """
 
     field: Field
@@ -208,7 +217,7 @@ class BoundedSolution:
     vortex: VortexConfig
     residual_sup: float
     energy: float
-    certificate: MaximalityCertificate | None
+    certificate: MaximalityCertificate
     upper: Field
 
     @property
@@ -234,12 +243,16 @@ def boundary_flux(f: Field) -> float:
     return float(np.sum(f.values[h] - f.values[t]))
 
 
-def validate_stopping(tol_nonlinear: float, max_steps: int) -> None:
-    """solve_bounded's stop rule needs a finite tol_nonlinear > 0 and an integer max_steps >= 1."""
-    if not 0 < tol_nonlinear < math.inf:
-        raise ValueError(f"tol_nonlinear must be positive and finite, got {tol_nonlinear}")
-    if validate_int(max_steps, "max_steps") < 1:
+def validate_stopping(tol_nonlinear: float, max_steps: int) -> tuple[float, int]:
+    """solve_bounded's stop rule as (float, int); raises ValueError unless
+    tol_nonlinear is a finite number > 0 and max_steps an integer >= 1."""
+    tol_nonlinear = validate_float(tol_nonlinear, "tol_nonlinear")
+    if not tol_nonlinear > 0:
+        raise ValueError(f"tol_nonlinear must be positive, got {tol_nonlinear}")
+    max_steps = validate_int(max_steps, "max_steps")
+    if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    return tol_nonlinear, max_steps
 
 
 def solve_bounded(
@@ -248,7 +261,6 @@ def solve_bounded(
     params: Params,
     tol_nonlinear: float = DEFAULT_TOL_NONLINEAR,
     max_steps: int = DEFAULT_MAX_STEPS,
-    linear_opts: LinearSolveOptions = LinearSolveOptions(),
     previous: BoundedSolution | None = None,
 ) -> BoundedSolution:
     """Maximal solution on dom, certified within tol_nonlinear in sup norm.
@@ -263,17 +275,18 @@ def solve_bounded(
     to f* <= 0, and after this and every later step k runs only the test
     below against f_k's bracket; f* is returned once it passes.  Only a run
     that raises ConvergenceError is followed by another, from min(f_k, 0)
-    after the next step k.  Without a certificate the solve stops as the plain
-    monotone scheme does, once sup_diff < tol_nonlinear and the residual is
-    at most RESIDUAL_FACTOR * tol_nonlinear, and returns f_k with
-    certificate None.  A step that moves nothing (sup_diff == 0) while the
-    residual is above that target raises ConvergenceError, as max_steps
-    exhaustion does; both carry the trace.  Monotonicity and energy descent
-    are checked on every monotone step.  linear_opts (the configured
-    tol_linear) sets the CG tolerance of the monotone steps only: Newton's
-    steps use forcing tolerances (newton_solve), and the certificate's z
-    solve stops at ||A z - rhs||_inf <= CERTIFICATE_SLACK * max rho, z
-    being checked a posteriori by the test below.
+    after the next step k.  A returned solution is always certified.  The
+    monotone steps give up without a certified root, raising
+    ConvergenceError with the last iterate as ``best`` and the trace, once
+    a step moves nothing (sup_diff == 0), once they have converged as the
+    plain monotone scheme counts it (sup_diff < tol_nonlinear and residual
+    at most RESIDUAL_FACTOR * tol_nonlinear), or after max_steps steps.
+    Monotonicity and energy descent are checked on every monotone step.
+    No solve reads a configured tolerance: each monotone step is solved
+    as tightly as its MONOTONE_TOL check needs (iterate_once), Newton's
+    steps to forcing tolerances (newton_solve), and the certificate's z
+    to ||A z - rhs||_inf <= CERTIFICATE_SLACK * max rho, z being checked a
+    posteriori by the test below.
 
     Certificate.  Write r(f) = L f - N(f) - g on the interior; f is an
     upper solution if r(f) <= 0 and a lower solution if r(f) >= 0.  Let
@@ -319,11 +332,14 @@ def solve_bounded(
        -z <= d <= z.  The same argument, applied to the difference of two
        solutions in the bracket, makes f_max the only one there.
 
-    Exact and rounded.  Steps 1 and 3 speak of the exact iterates.  The
-    computed f_k carries the error of each CG solve (relative tol_linear),
-    absorbed by MONOTONE_TOL on the bracket's top: the margin by which
-    iterate_once lets a computed step rise.  After a warm start the solves
-    on the smaller balls add errors of the same relative size through f_0.
+    Exact and rounded.  Steps 1 and 3 speak of the exact iterates.  Each
+    computed f_k is within MONOTONE_TOL in sup norm of the exact step from
+    the computed f_{k-1}: iterate_once stops its CG solve at a residual
+    ||r||_2 <= K MONOTONE_TOL, and K - L >= K I on the interior with zero
+    Dirichlet data, so the error e has ||e||_inf <= ||e||_2 <= ||r||_2 / K
+    <= MONOTONE_TOL.  That is the margin the bracket's top adds, and the
+    one by which iterate_once lets a computed step rise.  After a warm start
+    the solves on the smaller balls add errors of the same size through f_0.
     Steps 2 and 4 are exact statements about the stored vectors f* and z,
     except that r(f*) and A z are evaluated in floating point.  Each entry
     is a sum of 2n + 3 terms, so it errs by at most about (2n + 3) unit
@@ -333,7 +349,7 @@ def solve_bounded(
     Newton and the z solve ran does not enter the proof: steps 2 and 4 hold
     for whatever f* and z were stored, once the test passes on them.
     """
-    validate_stopping(tol_nonlinear, max_steps)
+    tol_nonlinear, max_steps = validate_stopping(tol_nonlinear, max_steps)
     g = assemble_source(dom, vc)
     if previous is None:
         f, newton_start = Field.zeros(dom), None
@@ -352,11 +368,10 @@ def solve_bounded(
     energy = energy_eval(f, g, params)
     res_sup = float(np.max(np.abs(residual(f, g, params))))
     trace.steps.append(TraceStep(0, 0.0, energy, res_sup, 0.0))
-    target = RESIDUAL_FACTOR * tol_nonlinear
     kept = None  # the kept Newton root, its residual's sup norm and rho; None until a run returns
 
     for k in range(1, max_steps + 1):
-        f_next = iterate_once(f, g, params, linear_opts, x0=f.interior_values)
+        f_next = iterate_once(f, g, params, x0=f.interior_values)
         diff = f_next.interior_values - f.interior_values
         sup_diff = float(np.max(np.abs(diff)))
         max_inc = float(np.max(diff))
@@ -379,12 +394,11 @@ def solve_bounded(
             root, root_res, _ = kept
             return BoundedSolution(root, trace, params, vc, root_res,
                                    energy_eval(root, g, params), cert, upper=f)
-        if sup_diff < tol_nonlinear and res_sup <= target:
-            return BoundedSolution(f, trace, params, vc, res_sup, energy, None, upper=f)
-        if sup_diff == 0.0:
+        converged = sup_diff < tol_nonlinear and res_sup <= RESIDUAL_FACTOR * tol_nonlinear
+        if sup_diff == 0.0 or converged:
             raise ConvergenceError(
-                f"monotone steps stalled at step {k}: a step moved nothing while the "
-                f"residual {res_sup:.3e} is above the target {target:.3e}",
+                f"monotone steps stopped at step {k} (sup_diff {sup_diff:.3e}, residual "
+                f"{res_sup:.3e}) with no certified Newton root",
                 best=f, residual=res_sup, trace=trace)
 
     raise ConvergenceError(
@@ -430,9 +444,9 @@ def _certify(
     # ||rhs||_2 <= sqrt(n) (1 + eta) max rho, so this tol_rel bounds ||A z - rhs||_inf
     # by eta max rho; the tests below decide on A z recomputed from the stored z
     eta = CERTIFICATE_SLACK
-    z_opts = LinearSolveOptions(tol_rel=eta / ((1.0 + eta) * math.sqrt(dom.n_interior)))
+    tol_rel = eta / ((1.0 + eta) * math.sqrt(dom.n_interior))
     try:
-        z = linear_solve(LinearSystem(dom, m, -(rho + eta * rho_max)), z_opts).interior_values
+        z = linear_solve(LinearSystem(dom, m, -(rho + eta * rho_max)), tol_rel).interior_values
     except ConvergenceError:
         return None
     # A z less its rounding allowance; the terms of N' are at most lam (a + 2) on f <= 0
@@ -512,7 +526,7 @@ def newton_solve(
                                 -np.array([r[j] for j in running]))
         eta = [max(min(NEWTON_FORCING_MAX, r_norm[j]),
                    NEWTON_FORCING_FLOOR * tol / math.sqrt(np.dot(r[j], r[j]))) for j in running]
-        for j, step in zip(running, linear_solve(jacobian, LinearSolveOptions(tol_rel=eta))):
+        for j, step in zip(running, linear_solve(jacobian, eta)):
             if isinstance(step, ConvergenceError):
                 leave(j, f"Newton step failed at residual {r_norm[j]:.3e}: {step}")
                 out[j].__cause__ = step

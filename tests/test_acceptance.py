@@ -15,7 +15,6 @@ import pytest
 from cslattice import (
     ConvergenceError,
     Field,
-    LinearSolveOptions,
     LinearSystem,
     Params,
     VortexConfig,
@@ -40,7 +39,7 @@ from conftest import bisection_root
 
 ONE_VORTEX = VortexConfig([((0, 0), 1)])
 FOUR_PI = 4 * math.pi
-TIGHT = LinearSolveOptions(tol_rel=1e-13)
+TIGHT = 1e-13  # tol_rel of the linear-solver criteria
 
 
 def criterion(num, name, ok, detail=""):
@@ -51,13 +50,13 @@ def criterion(num, name, ok, detail=""):
     assert ok, line
 
 
-def collect_iterates(dom, vc, params, tol, lin_opts, max_steps=800):
+def collect_iterates(dom, vc, params, tol, max_steps=800):
     """Manual iteration loop returning every iterate from f_0 = 0."""
     g = assemble_source(dom, vc)
     fields = [Field.zeros(dom)]
     for _ in range(max_steps):
         prev = fields[-1]
-        nxt = iterate_once(prev, g, params, lin_opts, x0=prev.interior_values)
+        nxt = iterate_once(prev, g, params, x0=prev.interior_values)
         fields.append(nxt)
         sup = float(np.max(np.abs(nxt.values - prev.values)))
         res = float(np.max(np.abs(residual(nxt, g, params))))
@@ -70,7 +69,7 @@ def collect_iterates(dom, vc, params, tol, lin_opts, max_steps=800):
 def r20_run():
     t0 = time.perf_counter()
     dom = build_domain(2, 20)
-    fields, g = collect_iterates(dom, ONE_VORTEX, Params(1.0, 1.0), 1e-11, TIGHT)
+    fields, g = collect_iterates(dom, ONE_VORTEX, Params(1.0, 1.0), 1e-11)
     return dom, fields, g, time.perf_counter() - t0
 
 
@@ -260,7 +259,7 @@ def test_criterion_09_coercivity_constant():
     ok = 0.49 <= rep1.c_est <= 0.51
     worsts = {1.0: rep1.c_est}
     for a in (0.5, 2.0, 5.0):
-        rep = coercivity_check(a, coercivity_default_grid(reach=50.0))
+        rep = coercivity_check(a, coercivity_default_grid())
         worsts[a] = rep.c_est
         ok = ok and rep.c_est > 0.0
     criterion(

@@ -105,9 +105,15 @@ class TestConfig:
         ({"tol_nonlinear": 0.0}, "tol_nonlinear must be positive"),
         ({"max_steps": 0}, "max_steps must be >= 1"),
         ({"tol_linear": 1.0}, "tol_rel must lie in (0, 1)"),
-        *(({key: value}, f"{key}: must be a finite number")
-          for key in ("lambda", "K", "tol_nonlinear") for value in (math.inf, math.nan)),
-        ({"lambda": 10**400}, "lambda: must be a finite number"),
+        # the non-finite cases keep their established ids "overridesN-<key>: must be
+        # a finite number", so that selecting them by name still works
+        *(pytest.param({key: value}, f"{key} must be a finite number",
+                       id=f"overrides{index}-{key}: must be a finite number")
+          for index, (key, value) in enumerate(
+              ((key, value) for key in ("lambda", "K", "tol_nonlinear")
+               for value in (math.inf, math.nan)), start=11)),
+        pytest.param({"lambda": 10**400}, "lambda must be a finite number",
+                     id="overrides17-lambda: must be a finite number"),
         ({"radii": [4.5, 6]}, "radii[0] must be an integer, got 4.5"),
         ({"radii": [4, True]}, "radii[1] must be an integer, got True"),
         ({"vortices": [{"point": [0, 2.5], "multiplicity": 1}]},
@@ -157,6 +163,20 @@ class TestExitCodes:
         assert len(trace) == 5  # header + k=0..3
         report = read_report(out)
         assert report["error"]["type"] == "convergence"
+
+    def test_uncertified_solve_exits_3_with_trace(self, tmp_path, monkeypatch):
+        import cslattice.scheme as scheme_mod
+
+        # a "root" that is the unconverged start is never certified: the
+        # monotone steps converge and the solve raises instead of returning
+        monkeypatch.setattr(scheme_mod, "newton_solve", lambda dom, vc, params, start, **kw: start)
+        path = write_config(tmp_path, radii=[6])
+        out = tmp_path / "out"
+        rc = main(["solve", str(path), "--output-dir", str(out), "--quiet"])
+        assert rc == EXIT_NO_CONVERGENCE
+        assert "no certified Newton root" in read_report(out)["error"]["message"]
+        assert len((out / "trace.csv").read_text().splitlines()) > 2
+        assert not (out / "field.csv").exists()
 
     def test_exhaust_convergence_failure_keeps_partials(self, tmp_path, monkeypatch):
         import cslattice.exhaustion as exhaustion_mod
@@ -361,7 +381,7 @@ class TestVerify:
 
     def test_sabotaged_linear_tolerance_is_caught(self, tmp_path):
         # the linear checks catch tol_linear = 0.5; the solve itself stays
-        # right, because its certified Newton finish does not use tol_linear
+        # right, because no solve reads tol_linear
         path = write_config(tmp_path, radii=[6, 9], tol_linear=0.5)
         out = tmp_path / "out"
         rc = main(["verify", str(path), "--output-dir", str(out), "--quiet"])

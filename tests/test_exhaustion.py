@@ -28,10 +28,10 @@ from cslattice import (
     solve_bounded,
 )
 import cslattice.scheme as scheme_mod
-from cslattice.exhaustion import BARRIER_SHELLS, NESTED_TOL
+from cslattice.exhaustion import BARRIER_SHELLS, NESTED_TOL, validate_epsilon
 from cslattice.fields import extend_by_zero
 from cslattice.lattice import manhattan_norm
-from cslattice.scheme import MAXIMALITY_TOL, MONOTONE_TOL
+from cslattice.scheme import MONOTONE_TOL
 
 ONE_VORTEX = VortexConfig([((0, 0), 1)])
 PARAMS = Params(1.0, 1.0)
@@ -171,14 +171,10 @@ class TestWarmStart:
         sol = solve_bounded(dom, ONE_VORTEX, PARAMS, previous=small)
         assert np.array_equal(starts[0], extend_by_zero(small.field, dom).values)
         gap = float(np.max(np.abs(sol.field.values - cold.field.values)))
-        if sol.certificate is None:
-            assert sol.trace.steps[-1].sup_diff < 1e-10
-            assert gap <= MAXIMALITY_TOL
-        else:
-            # the certified try started from min(f_k, 0), f_k its bracket top
-            assert len(starts) >= 2
-            assert np.array_equal(starts[-1], np.minimum(sol.upper.values, 0.0))
-            assert gap <= sol.certificate.bound + cold.certificate.bound
+        # the certified try started from min(f_k, 0), f_k its bracket top
+        assert len(starts) >= 2
+        assert np.array_equal(starts[-1], np.minimum(sol.upper.values, 0.0))
+        assert gap <= sol.certificate.bound + cold.certificate.bound
 
     def test_radius_pairs_locate_no_closure(self, monkeypatch):
         # a smaller ball's closure is a prefix of the larger one's, so the
@@ -268,6 +264,12 @@ class TestDecayFit:
     def test_epsilon_validation(self, small_run):
         with pytest.raises(ValueError, match="epsilon"):
             decay_fit(small_run.largest, 1.5)
+        # a string reached the range comparison as a bare TypeError
+        for bad, message in (("0.5", "must be a number"), (True, "must be a number"),
+                             (math.nan, "must be a finite number")):
+            with pytest.raises(ValueError, match=f"epsilon {message}"):
+                validate_epsilon(bad)
+        assert validate_epsilon(np.float32(0.5)) == 0.5
 
 
 class TestBarrier:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,18 @@ def test_params_validation():
                          ({"a": math.inf}, "a"), ({"a": math.nan}, "a")):
         with pytest.raises(ValueError, match=f"^{name} must be .*finite"):
             Params(**{"lam": 1.0, "a": 1.0, **kwargs})
+    # True built lam=True; a string raised a bare TypeError from a comparison;
+    # an integer beyond the float range is no finite number
+    for kwargs, message in (({"lam": True}, "lambda must be a number, got True"),
+                            ({"lam": "1"}, "lambda must be a number, got '1'"),
+                            ({"a": np.bool_(True)}, "a must be a number"),
+                            ({"K": "3"}, "K must be a number"),
+                            ({"lam": 10**400}, "lambda must be a finite number")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            Params(**{"lam": 1.0, "a": 1.0, **kwargs})
+    p = Params(np.int64(2), np.float32(0.5), 3)
+    assert (p.lam, p.a, p.K) == (2.0, 0.5, 3.0)
+    assert all(type(v) is float for v in (p.lam, p.a, p.K))
 
 
 def test_assemble_source_examples():

@@ -8,7 +8,6 @@ import pytest
 from cslattice import (
     ConvergenceError,
     Field,
-    LinearSolveOptions,
     LinearSystem,
     build_domain,
     dense_solve,
@@ -21,7 +20,13 @@ from cslattice import linear as linear_mod
 from cslattice.fields import ONE_TAKE_MAX
 from cslattice.linear import DENSE_MAX_UNKNOWNS, ORACLE_REL_TOL
 
-TIGHT = LinearSolveOptions(tol_rel=1e-13)
+TIGHT = 1e-13
+
+
+def _cap_iterations(monkeypatch, dom, iterations):
+    """Make linear_solve give up after this many CG iterations on dom."""
+    per_unknown = (iterations + 0.5) / len(dom.red_black.red)
+    monkeypatch.setattr(linear_mod, "CG_ITERATIONS_PER_UNKNOWN", per_unknown)
 
 
 def test_zero_rhs_gives_exact_zero(b3):
@@ -62,11 +67,10 @@ def test_iterative_matches_dense_oracle(rng):
 def test_residual_contract(rng):
     dom = build_domain(2, 5)
     v = rng.standard_normal(dom.n_interior)
-    opts = LinearSolveOptions(tol_rel=1e-12)
-    u = linear_solve(LinearSystem(dom, 2.0, v), opts)
+    u = linear_solve(LinearSystem(dom, 2.0, v), 1e-12)
     A = system_matrix(dom, 2.0)
     res = A @ u.interior_values - (-v)  # (K I - L) u + v = -((L - K)u - v)
-    assert np.linalg.norm(res) <= opts.tol_rel * np.linalg.norm(v)
+    assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(v)
 
 
 def test_solution_linear_in_rhs(rng):
@@ -88,11 +92,12 @@ def test_maximum_principle(rng):
         assert np.max(u.values) <= 1e-11
 
 
-def test_convergence_failure_carries_final_iterate_and_true_residual(rng):
+def test_convergence_failure_carries_final_iterate_and_true_residual(monkeypatch, rng):
     dom = build_domain(2, 6)
     v = rng.standard_normal(dom.n_interior)
+    _cap_iterations(monkeypatch, dom, 2)
     with pytest.raises(ConvergenceError, match="final true residual") as err:
-        linear_solve(LinearSystem(dom, 2.0, v), LinearSolveOptions(tol_rel=1e-13, max_iter=2))
+        linear_solve(LinearSystem(dom, 2.0, v), 1e-13)
     best = err.value.best
     assert isinstance(best, Field)
     # (K I - L) u + v = -((L - K) u - v): the true residual of the carried field
@@ -101,13 +106,17 @@ def test_convergence_failure_carries_final_iterate_and_true_residual(rng):
     assert err.value.residual == pytest.approx(true_res, rel=1e-12)
 
 
-def test_options_validation():
-    with pytest.raises(ValueError, match="tol_rel"):
-        LinearSolveOptions(tol_rel=1.5)
-    for bad in (0, 2.5, True):
-        with pytest.raises(ValueError, match="max_iter"):
-            LinearSolveOptions(max_iter=bad)
-    assert LinearSolveOptions(max_iter=np.int64(7)).max_iter == 7
+def test_tolerance_validation(b2):
+    system = LinearSystem(b2, 1.0, np.ones(b2.n_interior))
+    for bad, message in ((1.5, "must lie in"), (0.0, "must lie in"),
+                         (math.nan, "must be a finite number"), (True, "must be a number"),
+                         ("1e-12", "must be a number")):
+        with pytest.raises(ValueError, match=f"tol_rel {message}"):
+            linear_solve(system, bad)
+    block = LinearSystem(b2, 1.0, np.ones((2, b2.n_interior)))
+    with pytest.raises(ValueError, match="tol_rel must lie in"):
+        linear_solve(block, (0.1, 1.0))
+    assert linear_solve(system, np.float32(0.5)).is_dirichlet()
 
 
 def test_system_validation(b2):
@@ -241,7 +250,7 @@ def test_reduced_cg_meets_full_residual_and_oracle(n, radius, per_point, warm, r
     assert u.is_dirichlet()
     ui = u.interior_values
     # red and black rows alike: (K I - L) u + v = -((L - K) u - v)
-    assert np.linalg.norm(A @ ui + v) <= TIGHT.tol_rel * np.linalg.norm(v)
+    assert np.linalg.norm(A @ ui + v) <= TIGHT * np.linalg.norm(v)
     exact = dense_solve(system).interior_values
     assert np.linalg.norm(ui - exact) <= ORACLE_REL_TOL * np.linalg.norm(exact)
 
@@ -273,9 +282,9 @@ def test_max_iter_counts_reduced_iterations(monkeypatch, rng):
         return real(*args)
 
     monkeypatch.setattr(linear_mod, "_apply_reduced", counting)
+    _cap_iterations(monkeypatch, dom, 3)
     with pytest.raises(ConvergenceError, match="within 3 iterations"):
-        linear_solve(LinearSystem(dom, 2.0, rng.standard_normal(dom.n_interior)),
-                     LinearSolveOptions(tol_rel=1e-13, max_iter=3))
+        linear_solve(LinearSystem(dom, 2.0, rng.standard_normal(dom.n_interior)), 1e-13)
     assert len(applied) == 3
 
 
@@ -296,17 +305,17 @@ def test_block_runs_as_long_as_its_slowest_column(monkeypatch, rng):
     solo = []
     for v, tol in zip(rhs, tols):
         applied.clear()
-        linear_solve(LinearSystem(dom, 2.0, v), LinearSolveOptions(tol_rel=tol))
+        linear_solve(LinearSystem(dom, 2.0, v), tol)
         solo.append(len(applied))
     assert len(set(solo)) == 3
     applied.clear()
-    linear_solve(LinearSystem(dom, 2.0, rhs), LinearSolveOptions(tol_rel=tols))
+    linear_solve(LinearSystem(dom, 2.0, rhs), tols)
     assert len(applied) == max(solo)
 
 
-def _solo_outcome(system, opts, x0):
+def _solo_outcome(system, tol_rel, x0):
     try:
-        return linear_solve(system, opts, x0=x0)
+        return linear_solve(system, tol_rel, x0=x0)
     except ConvergenceError as exc:
         return exc
 
@@ -344,11 +353,11 @@ def test_block_columns_equal_solo_solves_bitwise(n, radius, shift, rng):
     x0[4] = linear_solve(LinearSystem(dom, per_column[4], rhs[4]), TIGHT).interior_values
     # the rows of columns that have left stay in the block and are still gathered
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        block = linear_solve(LinearSystem(dom, K, rhs), LinearSolveOptions(tol_rel=tols), x0=x0)
+        block = linear_solve(LinearSystem(dom, K, rhs), tols, x0=x0)
     assert len(block) == m and not np.any(block[2].values)
     for j in range(m):
         solo = linear_solve(LinearSystem(dom, per_column[j], rhs[j]),
-                            LinearSolveOptions(tol_rel=tols[j]), x0=x0[j])
+                            tols[j], x0=x0[j])
         assert np.array_equal(block[j].values, solo.values)
     assert np.array_equal(block[4].interior_values, x0[4])
 
@@ -364,17 +373,16 @@ def test_block_failures_stay_in_their_columns(monkeypatch, rng):
     K[2] = -1.0              # K - L indefinite: p.Ap <= 0 at some iteration
     rhs = rng.standard_normal((4, n_int))
     tols = np.array([1e-6, 1e-6, 1e-6, 1e-15])  # column 3 cannot meet 1e-15 in 12 iterations
-    opts = LinearSolveOptions(tol_rel=tols, max_iter=12)
+    _cap_iterations(monkeypatch, dom, 12)
     # the failed columns' rows stay in the block and are still gathered
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        block = linear_solve(LinearSystem(dom, K, rhs), opts)
+        block = linear_solve(LinearSystem(dom, K, rhs), tols)
     assert isinstance(block[0], Field)
     assert [type(entry) for entry in block[1:]] == [ConvergenceError] * 3
     assert "interior index 7" in str(block[1]) and "p.Ap" in str(block[2])
     assert "within 12 iterations" in str(block[3])
     for j in range(4):
-        solo = _solo_outcome(LinearSystem(dom, K[j], rhs[j]),
-                             LinearSolveOptions(tol_rel=tols[j], max_iter=12), None)
+        solo = _solo_outcome(LinearSystem(dom, K[j], rhs[j]), tols[j], None)
         _assert_same_outcome(block[j], solo)
 
 
@@ -382,7 +390,7 @@ def test_per_column_tolerances_must_match_the_block(b2):
     block = LinearSystem(b2, 1.0, np.ones((2, b2.n_interior)))
     for tols in ((0.1,), (0.1, 0.1, 0.1)):
         with pytest.raises(ValueError, match="one value per column"):
-            linear_solve(block, LinearSolveOptions(tol_rel=tols))
+            linear_solve(block, tols)
 
 
 def test_dense_block_shares_one_factorization(rng):

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from cslattice.cli import DEFAULTS, REQUIRED
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -18,3 +20,10 @@ def test_library_quickstart_runs(capsys):
     assert namespace["sol"].certificate.bound <= 1e-10
     assert namespace["fit"].fitted_rate > 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_config_table_lists_exactly_the_config_keys():
+    section = README.read_text().split("### Configuration\n", 1)[1].split("\n#", 1)[0]
+    first_cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    keys = {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)}
+    assert keys == set(REQUIRED) | set(DEFAULTS)

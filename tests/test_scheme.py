@@ -8,16 +8,18 @@ import pytest
 from cslattice import (
     ConvergenceError,
     Field,
-    LinearSolveOptions,
+    LinearSystem,
     Params,
     SchemeIntegrityError,
     VortexConfig,
     assemble_source,
     boundary_flux,
     build_domain,
+    dense_solve,
     energy_eval,
     iterate_once,
     laplacian,
+    linear_solve,
     newton_solve,
     nonlinearity,
     nonlinearity_deriv,
@@ -26,13 +28,16 @@ from cslattice import (
 )
 import cslattice.linear as linear_mod
 import cslattice.scheme as scheme_mod
+from cslattice.fields import extend_by_zero
 from cslattice.scheme import (
     FIELD_SIGN_TOL,
     MAXIMALITY_TOL,
+    MONOTONE_TOL,
     NEWTON_FORCING_FLOOR,
     NEWTON_FORCING_MAX,
     NEWTON_TOL_FACTOR,
     RESIDUAL_FACTOR,
+    validate_stopping,
 )
 
 from conftest import bisection_root
@@ -100,6 +105,37 @@ class TestIterateOnce:
         expected = -(math.exp(t1) * (math.exp(t1) - 1) + FOUR_PI - 2 * t1) / 6
         assert expected == pytest.approx(-2.7745301213233296, abs=1e-12)
         assert f2((0, 0)) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["cold", "warm", "large_rhs"])
+    def test_step_within_monotone_tol_of_dense_step(self, monkeypatch, case):
+        # linear_solve stops at tol_rel = K MONOTONE_TOL / ||rhs||_2, which
+        # bounds the sup-norm error of the step by MONOTONE_TOL (iterate_once)
+        params = Params(1.0, 1.0)
+        if case == "large_rhs":
+            dom, vc = build_domain(3, 8), VortexConfig([((0, 0, 0), 3)])
+        else:
+            dom, vc = build_domain(2, 20), ONE_VORTEX
+        f = Field.zeros(dom)
+        if case == "warm":
+            f = extend_by_zero(solve_bounded(build_domain(2, 10), vc, params).upper, dom)
+        g = assemble_source(dom, vc)
+        real, tolerances = scheme_mod.linear_solve, []
+
+        def recording(system, tol_rel, x0=None):
+            tolerances.append((tol_rel, float(np.linalg.norm(system.rhs))))
+            return real(system, tol_rel, x0)
+
+        monkeypatch.setattr(scheme_mod, "linear_solve", recording)
+        for _ in range(2):
+            step = iterate_once(f, g, params, x0=f.interior_values)
+            fp = f.interior_values
+            rhs = nonlinearity(fp, params) + g.interior_values - params.K * fp
+            exact = dense_solve(LinearSystem(dom, params.K, rhs))
+            assert np.max(np.abs(step.values - exact.values)) <= MONOTONE_TOL
+            f = step
+        for tol_rel, rhs_norm in tolerances:
+            assert tol_rel == pytest.approx(params.K * MONOTONE_TOL / rhs_norm, rel=1e-12)
+            assert tol_rel < 1e-10
 
     def test_monotonicity_violation_raises(self):
         # a negative point mass pushes the next iterate above zero
@@ -192,8 +228,7 @@ class TestSolveBounded:
     def test_flux_identity(self):
         dom = build_domain(2, 8)
         params = Params(1.0, 1.0)
-        sol = solve_bounded(dom, ONE_VORTEX, params, tol_nonlinear=1e-11,
-                            linear_opts=LinearSolveOptions(tol_rel=1e-13))
+        sol = solve_bounded(dom, ONE_VORTEX, params, tol_nonlinear=1e-11)
         mass = float(np.sum(nonlinearity(sol.field.interior_values, params)))
         assert mass + ONE_VORTEX.total_flux == pytest.approx(boundary_flux(sol.field), abs=1e-8)
 
@@ -236,8 +271,11 @@ class TestSolveBounded:
         assert max(bounds) <= tol
 
     def test_rejects_bad_tolerance(self, b2):
-        # an infinite tolerance returned a "certified" field with residual 4.7
-        for bad in (0.0, math.inf, math.nan):
+        # an infinite tolerance returned a "certified" field with residual 4.7;
+        # True passed as 1, and a string raised a bare TypeError
+        for bad in (0.0, math.inf, math.nan, True, "1e-10"):
+            with pytest.raises(ValueError, match="tol_nonlinear"):
+                validate_stopping(bad, 5)
             with pytest.raises(ValueError, match="tol_nonlinear"):
                 solve_bounded(b2, ONE_VORTEX, Params(1.0, 1.0), tol_nonlinear=bad)
         # a float or a bool is no step count: 2.5 reached range() as a
@@ -326,11 +364,11 @@ class TestNewtonOracle:
         real = scheme_mod.linear_solve
         steps = []
 
-        def recording(system, opts=LinearSolveOptions(), x0=None):
+        def recording(system, tol_rel, x0=None):
             # each step is a block of one: one tolerance and one rhs row, -r
-            (eta,), (rhs,) = opts.tol_rel, system.rhs
+            (eta,), (rhs,) = tol_rel, system.rhs
             steps.append((eta, rhs.copy()))
-            return real(system, opts, x0)
+            return real(system, tol_rel, x0)
 
         monkeypatch.setattr(scheme_mod, "linear_solve", recording)
         newton_solve(dom, ONE_VORTEX, Params(0.1, 1.0), Field.zeros(dom), tol=tol)
@@ -425,8 +463,9 @@ def _no_newton(monkeypatch, newton=None):
 
 class TestCertificate:
     def test_bound_covers_distance_to_tight_reference(self):
-        # the monotone iterates decrease to f_max: run them to sup_diff < 1e-14
-        # and bound what is left by sup_diff * rho / (1 - rho)
+        # the monotone iterates decrease to f_max: run them to sup_diff < 1e-14,
+        # each step solved far tighter than iterate_once's MONOTONE_TOL, and
+        # bound what is left by sup_diff * rho / (1 - rho)
         dom = build_domain(2, 10)
         params = Params(1.0, 1.0)
         sol = solve_bounded(dom, ONE_VORTEX, params)
@@ -435,8 +474,9 @@ class TestCertificate:
         g = assemble_source(dom, ONE_VORTEX)
         f, sups = Field.zeros(dom), []
         while not sups or sups[-1] >= 1e-14:
-            nxt = iterate_once(f, g, params, LinearSolveOptions(tol_rel=1e-15),
-                               x0=f.interior_values)
+            fp = f.interior_values
+            rhs = nonlinearity(fp, params) + g.interior_values - params.K * fp
+            nxt = linear_solve(LinearSystem(dom, params.K, rhs), 1e-15, x0=fp)
             sups.append(float(np.max(np.abs(nxt.values - f.values))))
             f = nxt
             assert len(sups) < 1000
@@ -486,8 +526,8 @@ class TestCertificate:
         centre = dom.locate((0, 0))
         real = scheme_mod.linear_solve
 
-        def spoiled_z(system, opts=LinearSolveOptions(), x0=None):
-            z = real(system, opts, x0).interior_values.copy()
+        def spoiled_z(system, tol_rel, x0=None):
+            z = real(system, tol_rel, x0).interior_values.copy()
             if spoil == "az_below_rho":
                 # A z = (m + 4) z - (sum of the neighbours) falls to rho / 2 > 0
                 # at the centre; z stays positive, and its maximum does not grow
@@ -504,41 +544,44 @@ class TestCertificate:
         monkeypatch.setattr(scheme_mod, "linear_solve", spoiled_z)
         assert scheme_mod._certify(*args) is None
 
-    def test_uncertified_root_falls_back_to_monotone_stop_rule(self, monkeypatch):
-        # a "root" that is the unconverged start must fail the test after every step
+    def test_uncertified_root_raises_at_monotone_stop_rule(self, monkeypatch):
+        # a "root" that is the unconverged start must fail the test after
+        # every step; a returned solution is always certified, so the solve
+        # raises once the monotone steps have converged
         _no_newton(monkeypatch, newton=lambda start: start)
         dom = build_domain(2, 5)
-        sol = solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0))
-        assert sol.certificate is None
-        last = sol.trace.steps[-1]
+        with pytest.raises(ConvergenceError, match="no certified Newton root") as err:
+            solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0))
+        last = err.value.trace.steps[-1]
+        assert f"step {last.k} " in str(err.value)
         assert last.sup_diff < 1e-10
-        assert sol.residual_sup == last.residual_sup <= RESIDUAL_FACTOR * 1e-10
-        assert sol.energy == last.energy
+        assert err.value.residual == last.residual_sup <= RESIDUAL_FACTOR * 1e-10
+        assert err.value.trace.iterations < 500
 
     def test_fallback_matches_plain_monotone_iteration(self, monkeypatch):
         _no_newton(monkeypatch)
         dom = build_domain(2, 5)
         params = Params(1.0, 1.0)
-        sol = solve_bounded(dom, ONE_VORTEX, params)
-        assert sol.certificate is None
+        with pytest.raises(ConvergenceError) as err:
+            solve_bounded(dom, ONE_VORTEX, params)
         g = assemble_source(dom, ONE_VORTEX)
         f = Field.zeros(dom)
-        for _ in range(sol.iterations):
+        for _ in range(err.value.trace.iterations):
             f = iterate_once(f, g, params, x0=f.interior_values)
-        assert np.array_equal(sol.field.values, f.values)
+        assert np.array_equal(err.value.best.values, f.values)
 
     def test_stalled_fallback_fails_fast(self, monkeypatch):
-        # with tol_rel = 0.5 the CG warm start soon satisfies the linear
-        # tolerance as it stands, so a step moves nothing
+        # a step stops once its warm start meets the linear tolerance as it
+        # stands, ||r||_2 <= K MONOTONE_TOL = 2e-10; with tol_nonlinear 1e-14
+        # the residual is then still above the stop rule's target 1e-12
         _no_newton(monkeypatch)
         dom = build_domain(2, 6)
-        with pytest.raises(ConvergenceError, match=r"residual .* above the target 1\.000e-08") as err:
-            solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0),
-                          linear_opts=LinearSolveOptions(tol_rel=0.5))
+        with pytest.raises(ConvergenceError, match="no certified Newton root") as err:
+            solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0), tol_nonlinear=1e-14)
         trace = err.value.trace
         assert trace.steps[-1].sup_diff == 0.0
         assert trace.iterations < 500
-        assert err.value.residual == trace.steps[-1].residual_sup > 1e-8
+        assert err.value.residual == trace.steps[-1].residual_sup > RESIDUAL_FACTOR * 1e-14
 
 
 class TestNewtonSchedule:
