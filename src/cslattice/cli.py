@@ -520,15 +520,7 @@ def _scheme_checks(cfg: RunConfig) -> list[dict]:
     try:
         sol = _solve(cfg, cfg.radii[0])
     except (SchemeIntegrityError, ConvergenceError) as exc:
-        aborted = isinstance(exc, SchemeIntegrityError)
-        reason = f"{'solve aborted' if aborted else 'no convergence'}: {exc}"
-        return [
-            _check("monotone_iterates", False, detail=reason),
-            _check("energy_nonincreasing", False, detail=reason),
-            _check("flux_identity", False, detail="not evaluated (solve failed)"),
-            _check("maximality_certificate", False, detail="not evaluated (solve failed)"),
-            _check("symmetry_equivariance", False, detail="not evaluated (solve failed)"),
-        ]
+        return [_check("bounded_solve", False, detail=f"{_failure_kind(exc)}: {exc}")]
     checks = solution_checks(sol, cfg)
     checks.append(_symmetry_check(sol))
     return checks
@@ -604,8 +596,8 @@ def _solver_failure(exc: ConvergenceError | SchemeIntegrityError, report: dict,
     A convergence failure exits 3; a broken scheme invariant counts as a
     failed check and exits 1.
     """
-    integrity = isinstance(exc, SchemeIntegrityError)
-    kind = "scheme_integrity" if integrity else "convergence"
+    kind = _failure_kind(exc)
+    integrity = kind == "scheme_integrity"
     report["error"] = {"type": kind, "message": str(exc)}
     if integrity:
         report["all_checks_passed"] = False
@@ -618,6 +610,10 @@ def _solver_failure(exc: ConvergenceError | SchemeIntegrityError, report: dict,
         write_report(out_dir / "report.json", report)
     _say(quiet, f"{kind.replace('_', ' ')} failure: {exc}")
     return EXIT_CHECK_FAILED if integrity else EXIT_NO_CONVERGENCE
+
+
+def _failure_kind(exc: ConvergenceError | SchemeIntegrityError) -> str:
+    return "scheme_integrity" if isinstance(exc, SchemeIntegrityError) else "convergence"
 
 
 def _say(quiet: bool, message: str) -> None:

@@ -114,11 +114,9 @@ def validate_radii(radii, vc: VortexConfig) -> list[int]:
     It must be a nonempty, strictly increasing list of nonnegative integers
     (not bools or floats), and the smallest ball must contain every vortex.
     """
-    radii = [validate_int(r, f"radii[{i}]") for i, r in enumerate(radii)]
+    radii = [validate_int(r, f"radii[{i}]", low=0) for i, r in enumerate(radii)]
     if not radii:
         raise ValueError("radii must be a nonempty list")
-    if radii[0] < 0:
-        raise ValueError(f"radii must be nonnegative, got {radii}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly increasing, got {radii}")
     for p, _ in vc.vortices:
@@ -131,10 +129,7 @@ def validate_radii(radii, vc: VortexConfig) -> list[int]:
 
 def validate_epsilon(epsilon: float) -> float:
     """The decay parameter as a float; raises ValueError unless it is a number in (0, 1)."""
-    epsilon = validate_float(epsilon, "epsilon")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return epsilon
+    return validate_float(epsilon, "epsilon", low=0, high=1)
 
 
 def _assemble(radii, solutions) -> ExhaustionResult:
@@ -287,15 +282,17 @@ def coercivity_check(a: float, x_grid) -> CoercivityReport:
 
     w(x) = [(e^{(a+1)x} - 1) + (a+1)(1 - e^x)]/(a+1).  At x = 0 both sides
     vanish and the ratio is taken as its limit a/2.  For a = 1 the density
-    is exactly (1 - e^x)^2 / 2 and the infimum is 1/2.
+    is exactly (1 - e^x)^2 / 2 and the infimum is 1/2.  a must be a number
+    > 0 and each grid point a finite number <= 0 (ValueError naming a or
+    the point otherwise).
     """
-    if not a > 0:
-        raise ValueError(f"a must be positive, got {a}")
+    a = validate_float(a, "a", low=0)
     k = a + 1.0
     ratios = []
-    for x in np.asarray(x_grid, dtype=float):
+    for i, x in enumerate(x_grid):
+        x = validate_float(x, f"x_grid[{i}]")
         if x > 0:
-            raise ValueError(f"grid point {x} is positive; the bound concerns x <= 0")
+            raise ValueError(f"x_grid[{i}] = {x} is positive; the bound concerns x <= 0")
         t = -x
         if t == 0.0:
             ratios.append(a / 2.0)

@@ -55,8 +55,7 @@ def shell_size(n: int, d: int) -> int:
     Counted by choosing the k nonzero coordinates, their signs, and a
     composition of d into k positive parts.
     """
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
+    n, d = validate_int(n, "n", low=1), validate_int(d, "d", low=0)
     if d == 0:
         return 1
     return sum(
@@ -185,15 +184,21 @@ class LatticeDomain:
         return RedBlack(*colours, *tables)
 
 
-def validate_int(value, name: str) -> int:
-    """A Python or numpy integer as an int; anything else raises ValueError naming it."""
+def validate_int(value, name: str, low: int | None = None) -> int:
+    """A Python or numpy integer (not a bool), at least low if given, as an int;
+    anything else raises ValueError naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
 
 
-def validate_float(value, name: str) -> float:
-    """A finite real number (not a bool) as a float; anything else raises ValueError naming it."""
+def validate_float(value, name: str, low: float | None = None, high: float | None = None) -> float:
+    """A finite real number (not a bool) in the open interval (low, high) as a float;
+    anything else raises ValueError naming it.  A bound left as None is
+    infinite.  This and validate_int are the package's one check of a
+    number's type, finiteness and range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
@@ -202,15 +207,17 @@ def validate_float(value, name: str) -> float:
         number = math.inf
     if not math.isfinite(number):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+    bottom = -math.inf if low is None else low
+    top = math.inf if high is None else high
+    if not bottom < number < top:
+        bound = "be positive" if (low, high) == (0, None) else f"lie in ({bottom}, {top})"
+        raise ValueError(f"{name} must {bound}, got {number}")
     return number
 
 
 def validate_dimension(n: int) -> int:
     """The lattice Z^n needs an integer n >= 2; returns it as an int, or raises ValueError."""
-    n = validate_int(n, "dimension")
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    return n
+    return validate_int(n, "dimension", low=2)
 
 
 def _ball(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,9 +239,7 @@ def _ball(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 def build_domain(n: int, radius: int) -> LatticeDomain:
     """Construct B_radius in Z^n (integers n >= 2, radius >= 0) with its boundary and adjacency."""
-    n, radius = validate_dimension(n), validate_int(radius, "radius")
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    n, radius = validate_dimension(n), validate_int(radius, "radius", low=0)
     if (2 * radius + 3) ** n > np.iinfo(np.int64).max:
         raise ValueError(f"B_{radius} in Z^{n} is too large for int64 point keys")
 
@@ -301,11 +306,10 @@ class VortexConfig:
             dim = len(next(iter(norm), p))
             if len(p) != dim:
                 raise ValueError(f"vortex {p} has dimension {len(p)}, expected {dim}")
-            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-                raise ValueError(f"vortices[{i}].multiplicity must be a positive integer, got {m!r}")
+            m = validate_int(m, f"vortices[{i}].multiplicity", low=1)
             if p in norm:
                 raise ValueError(f"duplicate vortex point {p}")
-            norm[p] = int(m)
+            norm[p] = m
         object.__setattr__(self, "vortices", tuple(norm.items()))
 
     def __len__(self) -> int:
@@ -326,16 +330,9 @@ class Params:
     K: float | None = None
 
     def __post_init__(self) -> None:
-        lam, a = validate_float(self.lam, "lambda"), validate_float(self.a, "a")
-        if not lam > 0:
-            raise ValueError(f"lambda must be positive, got {lam}")
-        if not a > 0:
-            raise ValueError(f"a must be positive, got {a}")
-        K = a * lam + 1.0 if self.K is None else validate_float(self.K, "K")
-        if not a * lam < K < math.inf:
-            raise ValueError(
-                f"K must be finite and satisfy K > a*lambda (got K={K}, a*lambda={a * lam})"
-            )
+        lam, a = validate_float(self.lam, "lambda", low=0), validate_float(self.a, "a", low=0)
+        K = validate_float(a * lam + 1.0 if self.K is None else self.K, "K")
+        validate_float(K - a * lam, "K - a*lambda", low=0)
         for name, value in (("lam", lam), ("a", a), ("K", K)):
             object.__setattr__(self, name, value)
 

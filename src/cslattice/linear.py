@@ -81,10 +81,11 @@ CG_ITERATIONS_PER_UNKNOWN = 10
 class LinearSystem:
     """Domain, shift K, and interior right-hand side v.
 
-    K is a finite scalar > 0 or one finite value per interior point; a
-    per-point shift may be negative where the operator stays positive
-    definite.  rhs is finite.  An (m, n_interior) rhs is a block of m
-    systems, with K shared or per row.
+    K is a number > 0 (lattice.validate_float, stored as a float) or one
+    finite value per interior point; a per-point shift may be negative
+    where the operator stays positive definite.  rhs is finite.  An
+    (m, n_interior) rhs is a block of m systems, with K shared or per row.
+    Each violation raises ValueError naming K or rhs.
     """
 
     domain: "LatticeDomain"
@@ -96,22 +97,25 @@ class LinearSystem:
         rhs = np.ascontiguousarray(self.rhs, dtype=float)
         if rhs.shape[-1:] != (n_int,) or rhs.ndim > 2:
             raise ValueError(f"rhs needs {n_int} interior values, got {rhs.shape}")
-        finite = np.isfinite(rhs)
-        if not finite.all():
-            *row, i = np.argwhere(~finite)[0].tolist()
-            raise ValueError(f"rhs must be finite, got {rhs[(*row, i)]} at interior index {i}"
-                             + (f" of row {row[0]}" if row else ""))
+        _require_finite(rhs, "rhs")
         object.__setattr__(self, "rhs", rhs)
         if np.ndim(self.K) == 0:
-            if not 0 < self.K < math.inf:
-                raise ValueError(f"K must be positive and finite, got {self.K}")
+            K = validate_float(self.K, "K", low=0)
         else:
             K = np.ascontiguousarray(self.K, dtype=float)
             if K.shape not in {(n_int,), rhs.shape}:
                 raise ValueError(f"K needs a scalar or {n_int} interior values, got {K.shape}")
-            if not np.all(np.isfinite(K)):
-                raise ValueError("K must be finite at every interior point")
-            object.__setattr__(self, "K", K)
+            _require_finite(K, "K")
+        object.__setattr__(self, "K", K)
+
+
+def _require_finite(values: np.ndarray, name: str) -> None:
+    """ValueError naming the first non-finite entry of an interior vector or block, if any."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        *row, i = np.argwhere(~finite)[0].tolist()
+        raise ValueError(f"{name} must be finite, got {values[(*row, i)]} at interior index {i}"
+                         + (f" of row {row[0]}" if row else ""))
 
 
 def system_matrix(domain: "LatticeDomain", K: float | np.ndarray) -> np.ndarray:
@@ -160,10 +164,7 @@ def dense_solve(system: LinearSystem) -> Field | list[Field]:
 def validate_tol_rel(tol_rel) -> float:
     """A relative residual target of linear_solve as a float; raises ValueError
     unless it is a number in (0, 1)."""
-    tol_rel = validate_float(tol_rel, "tol_rel")
-    if not 0 < tol_rel < 1:
-        raise ValueError(f"tol_rel must lie in (0, 1), got {tol_rel}")
-    return tol_rel
+    return validate_float(tol_rel, "tol_rel", low=0, high=1)
 
 
 def linear_solve(
@@ -176,14 +177,15 @@ def linear_solve(
     Guarantees ||(L - K) u - v||_2 <= tol_rel * ||v||_2 over the interior,
     red and black rows, verified against the recomputed true residual (not
     the CG recursion).  tol_rel is one value for every column of a block or
-    one per column, each in (0, 1) (validate_tol_rel).  An x0 that already
-    meets it is returned as it stands; otherwise CG starts from its red
-    values.  If CG_ITERATIONS_PER_UNKNOWN iterations per red unknown pass
-    first, raises ConvergenceError carrying the final iterate as ``best``
-    and its true residual norm as ``residual``.  A nonpositive
-    K + 2n at an interior point, or a search direction with p.Ap <= 0,
-    means K - L is not positive definite and raises ConvergenceError
-    before the next iteration.
+    one per column, each in (0, 1) (validate_tol_rel).  x0, if given, is a
+    finite start of the rhs's shape (ValueError naming x0 otherwise).  An
+    x0 that already meets the tolerance is returned as it stands; otherwise
+    CG starts from its red values.  If CG_ITERATIONS_PER_UNKNOWN iterations
+    per red unknown pass first, raises ConvergenceError carrying the final
+    iterate as ``best`` and its true residual norm as ``residual``.  A
+    nonpositive K + 2n at an interior point, or a search direction with
+    p.Ap <= 0, means K - L is not positive definite and raises
+    ConvergenceError before the next iteration.
 
     A block (rhs and x0 of shape (m, n_interior)) returns a list with, per
     column, the Field or the ConvergenceError of its solo solve.  A column
@@ -199,6 +201,11 @@ def linear_solve(
                else [validate_tol_rel(tol_rel)] * m)
     if len(tol_rel) != m:
         raise ValueError(f"tol_rel needs one value per column ({m}), got {len(tol_rel)}")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != system.rhs.shape:
+            raise ValueError(f"x0 needs the rhs's shape {system.rhs.shape}, got {x0.shape}")
+        _require_finite(x0, "x0")
     b_norm = [math.sqrt(np.dot(b[j], b[j])) for j in range(m)]  # indexing beats iterating rows
     out: list = [None] * m
     for j in range(m):
@@ -220,7 +227,7 @@ def linear_solve(
     cap = int(CG_ITERATIONS_PER_UNKNOWN * len(red))
     if len(live) < m:
         b, diag = b[live], np.broadcast_to(diag, (m, b.shape[1]))[live] if rank else diag
-        x0 = None if x0 is None else np.reshape(x0, (m, -1))[live]
+        x0 = None if x0 is None else x0.reshape(m, -1)[live]
     d_r, d_b = (diag, diag) if rank == 0 else (diag.take(red, -1), diag.take(black, -1))
     inv_b, b_r, b_b = 1.0 / d_b, b.take(red, -1), b.take(black, -1)
     # The rows the tables gather from end in a zero slot, which boundary neighbours read.
@@ -245,7 +252,7 @@ def linear_solve(
     if x0 is None:
         s_b = np.zeros((len(live), len(black)))
     else:
-        x0 = np.asarray(x0, dtype=float).reshape(b.shape)
+        x0 = x0.reshape(b.shape)
         x_r[:, :-1], x_b[:, :-1] = x0.take(red, -1), x0.take(black, -1)
         s_b = gather_sum(split.black_neighbors, x_r)
         for i, norm in enumerate(true_residual(s_b, eliminate=False)[1]):

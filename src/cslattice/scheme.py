@@ -246,13 +246,8 @@ def boundary_flux(f: Field) -> float:
 def validate_stopping(tol_nonlinear: float, max_steps: int) -> tuple[float, int]:
     """solve_bounded's stop rule as (float, int); raises ValueError unless
     tol_nonlinear is a finite number > 0 and max_steps an integer >= 1."""
-    tol_nonlinear = validate_float(tol_nonlinear, "tol_nonlinear")
-    if not tol_nonlinear > 0:
-        raise ValueError(f"tol_nonlinear must be positive, got {tol_nonlinear}")
-    max_steps = validate_int(max_steps, "max_steps")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    return tol_nonlinear, max_steps
+    return (validate_float(tol_nonlinear, "tol_nonlinear", low=0),
+            validate_int(max_steps, "max_steps", low=1))
 
 
 def solve_bounded(
@@ -407,6 +402,11 @@ def solve_bounded(
         best=f, residual=trace.steps[-1].residual_sup, trace=trace)
 
 
+def _rounding(dom: LatticeDomain) -> float:
+    """(2n + ROUNDING_ULPS) unit roundoffs, by which rho is raised and A z lowered per term size."""
+    return (dom.degree + ROUNDING_ULPS) * np.finfo(float).eps / 2
+
+
 def _newton_root(
     f_k: Field, vc: VortexConfig, g: Field, params: Params, tol: float, start: Field | None,
 ) -> tuple[Field, float, np.ndarray] | None:
@@ -425,8 +425,7 @@ def _newton_root(
     r = np.abs(residual(root, g, params))
     r_size = (neighbor_sum(dom, np.abs(root.values)) + dom.degree * np.abs(fs)
               + np.abs(nonlinearity(fs, params)) + g.interior_values)
-    rounding = (dom.degree + ROUNDING_ULPS) * np.finfo(float).eps / 2
-    return root, float(np.max(r)), r + rounding * r_size
+    return root, float(np.max(r)), r + _rounding(dom) * r_size
 
 
 def _certify(
@@ -452,8 +451,7 @@ def _certify(
     # A z less its rounding allowance; the terms of N' are at most lam (a + 2) on f <= 0
     z_sum = neighbor_sum(dom, Field.from_interior(dom, z).values)
     az_size = (np.abs(m) + dom.degree + params.lam * (a + 2.0)) * z + z_sum
-    rounding = (dom.degree + ROUNDING_ULPS) * np.finfo(float).eps / 2
-    az_low = (m + dom.degree) * z - z_sum - rounding * az_size
+    az_low = (m + dom.degree) * z - z_sum - _rounding(dom) * az_size
     if not (np.all(z > 0.0) and np.all(az_low >= rho) and np.all(az_low > 0.0)
             and np.max(z) <= tol):
         return None
@@ -465,14 +463,14 @@ def newton_solve(
     vc: VortexConfig,
     params: Params,
     f_init: Field | Sequence[Field],
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL_NONLINEAR,
 ) -> Field | list[Field | ConvergenceError]:
     """Damped Newton iteration on the residual from a nonpositive start.
 
     solve_bounded's finish and the verify suite's maximality oracle.  A
     start above zero by at most FIELD_SIGN_TOL (roundoff in a monotone
-    iterate) is clipped to zero; a larger value, or a tol that is not
-    positive and finite, raises ValueError.
+    iterate) is clipped to zero; a larger value, or a tol that is not a
+    positive number (lattice.validate_float), raises ValueError.
 
     The Newton step s solves (L - N'(f)) s = -r, the symmetric Jacobian
     taken as the linear solver's operator with per-point shift K = N'(f):
@@ -493,8 +491,7 @@ def newton_solve(
     leaves once it has its root or fails.  The result is a list with, per
     start, its root or the ConvergenceError of its solo run, bit for bit.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    tol = validate_float(tol, "tol", low=0)
     starts = [f_init] if isinstance(f_init, Field) else list(f_init)
     top = max((float(np.max(start.values)) for start in starts), default=0.0)
     if top > FIELD_SIGN_TOL:

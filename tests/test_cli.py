@@ -15,7 +15,8 @@ from cslattice.cli import (
     load_config,
     main,
 )
-from cslattice.errors import ConfigError
+from cslattice import cli
+from cslattice.errors import ConfigError, ConvergenceError, SchemeIntegrityError
 
 from conftest import bisection_root
 
@@ -61,7 +62,7 @@ class TestConfig:
 
     def test_rejects_small_k(self, tmp_path):
         path = write_config(tmp_path, K=0.5)
-        with pytest.raises(ConfigError, match=r"K > a\*lambda"):
+        with pytest.raises(ConfigError, match=r"K - a\*lambda must be positive, got -0\.5"):
             load_config(path)
 
     def test_rejects_unknown_keys(self, tmp_path):
@@ -99,7 +100,9 @@ class TestConfig:
         ({"vortices": [{"point": [0, 0], "multiplicity": 0}]}, "multiplicity"),
         ({"vortices": [{"point": [0, 0], "multiplicity": 1}] * 2}, "duplicate vortex"),
         ({"radii": [10, 6]}, "radii must be strictly increasing"),
-        ({"radii": [-1, 6], "vortices": []}, "radii must be nonnegative"),
+        # the id keeps the case's established name, so that selecting it still works
+        pytest.param({"radii": [-1, 6], "vortices": []}, "radii[0] must be >= 0, got -1",
+                     id="overrides5-radii must be nonnegative"),
         ({"dimension": 1, "vortices": []}, "dimension must be >= 2"),
         ({"epsilon": 1.0}, "epsilon must lie in (0, 1)"),
         ({"tol_nonlinear": 0.0}, "tol_nonlinear must be positive"),
@@ -121,7 +124,7 @@ class TestConfig:
         ({"vortices": [{"point": [True, 0], "multiplicity": 1}]},
          "vortices[0].point[0] must be an integer, got True"),
         ({"vortices": [{"point": [0, 0], "multiplicity": 1.0}]},
-         "vortices[0].multiplicity must be a positive integer, got 1.0"),
+         "vortices[0].multiplicity must be an integer, got 1.0"),
     ])
     def test_library_checks_exit_2_and_name_the_field(self, tmp_path, capsys,
                                                       overrides, message):
@@ -134,7 +137,7 @@ class TestExitCodes:
     def test_config_error_exit(self, tmp_path, capsys):
         path = write_config(tmp_path, K=0.5)
         assert main(["solve", str(path), "--quiet"]) == EXIT_CONFIG
-        assert "K > a*lambda" in capsys.readouterr().err
+        assert "K - a*lambda must be positive" in capsys.readouterr().err
 
     def test_radii_not_increasing_exit(self, tmp_path):
         path = write_config(tmp_path, radii=[4, 4, 8])
@@ -393,6 +396,23 @@ class TestVerify:
         assert by_name["maximality_certificate"]["passed"]
         assert by_name["monotone_iterates"]["passed"]
         assert not report["all_checks_passed"]
+
+    @pytest.mark.parametrize("error, kind", [(ConvergenceError, "convergence"),
+                                             (SchemeIntegrityError, "scheme_integrity")])
+    def test_failed_solve_is_one_bounded_solve_check(self, tmp_path, monkeypatch, error, kind):
+        # it was reported as failed monotone_iterates and energy_nonincreasing
+        def failing(*args, **kwargs):
+            raise error("solve sabotaged")
+
+        monkeypatch.setattr(cli, "solve_bounded", failing)
+        path = write_config(tmp_path, radii=[6, 9])
+        out = tmp_path / "out"
+        assert main(["verify", str(path), "--output-dir", str(out), "--quiet"]) == EXIT_CHECK_FAILED
+        by_name = {c["name"]: c for c in read_report(out)["checks"]}
+        assert by_name["bounded_solve"] == {"name": "bounded_solve", "passed": False,
+                                            "detail": f"{kind}: solve sabotaged"}
+        assert "monotone_iterates" not in by_name
+        assert by_name["linear_oracle"]["passed"]
 
     def test_off_origin_vortex_skips_symmetry(self, tmp_path):
         path = write_config(
