@@ -49,8 +49,8 @@ from .exhaustion import (
     RATE_MARGIN,
     barrier_check,
     coercivity_check,
-    coercivity_default_grid,
     decay_fit,
+    decay_rate_sharp,
     lp_summary,
     run_exhaustion,
     shell_profile,
@@ -390,6 +390,7 @@ def cmd_exhaust(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
                                    summary.l1_tail_bound))
         report["decay"] = {
             "alpha_theory": fit.alpha_theory,
+            "beta_star": decay_rate_sharp(cfg.params.lam * cfg.params.a, cfg.dimension),
             "epsilon": fit.epsilon,
             "window": list(fit.fit_window),
             "fitted_rate": fit.fitted_rate,
@@ -444,15 +445,15 @@ def _solve(cfg: RunConfig, radius: int) -> BoundedSolution:
 def _constant_checks(cfg: RunConfig) -> tuple[dict, dict, dict]:
     """The barrier and coercivity checks, and the report's verification block."""
     barrier = barrier_check(cfg.dimension, cfg.params, cfg.epsilon)
-    coercivity = coercivity_check(cfg.params.a, coercivity_default_grid())
+    coercivity = coercivity_check(cfg.params.a)
     verification = {
-        "coercivity_c_est": coercivity.c_est,
+        "coercivity_c": coercivity.c,
         "barrier_min_margin": barrier.min_margin,
         "barrier_c1": barrier.c1,
     }
     return (
         _check("barrier_inequality", barrier.all_hold, barrier.min_margin, BARRIER_MARGIN_FLOOR),
-        _check("coercivity_positive", coercivity.all_hold, coercivity.c_est, COERCIVITY_FLOOR),
+        _check("coercivity_positive", coercivity.all_hold, coercivity.c, COERCIVITY_FLOOR),
         verification,
     )
 

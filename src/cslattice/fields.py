@@ -181,12 +181,15 @@ def sum_by_parts_defect(f: Field, g: Field) -> float:
 
 
 def norm(f: Field, p: float = 2.0, over: str = "interior") -> float:
-    """l^p norm over the requested vertex set; p = inf gives sup |f|."""
+    """l^p norm over the requested vertex set for p >= 1; p = inf gives sup |f|."""
+    from .lattice import validate_float  # lattice imports this module
+
     if over not in _SETS:
         raise ValueError(f"over must be one of {_SETS}, got {over!r}")
     vals = f.interior_values if over == "interior" else f.values
-    if math.isinf(p):
+    if p == math.inf:
         return float(np.max(np.abs(vals)))
+    p = validate_float(p, "p")
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     return float(np.sum(np.abs(vals) ** p) ** (1.0 / p))

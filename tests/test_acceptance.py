@@ -22,7 +22,6 @@ from cslattice import (
     barrier_check,
     build_domain,
     coercivity_check,
-    coercivity_default_grid,
     decay_fit,
     dense_solve,
     energy_eval,
@@ -242,30 +241,51 @@ def test_criterion_07_decay_estimate(r40_solution):
 
 
 def test_criterion_08_barrier_inequality():
-    worst = math.inf
+    # the closed form against direct stencil arithmetic at every point of the
+    # shells d = 1..6, neighbour terms (v(q) - v(x)) / |v(x)| summed exactly
+    ok, worst = True, math.inf
     for n in (2, 3):
         for eps in (0.1, 0.5):
-            rep = barrier_check(n, Params(1.0, 1.0), eps)
+            params = Params(1.0, 1.0)
+            rep = barrier_check(n, params, eps)
+            beta = math.log(1 + params.lam * params.a / (2 * n)) * (1 - eps)
+            brute = math.inf
+            for p in np.ndindex(*(13,) * n):
+                x = [c - 6 for c in p]
+                s = sum(map(abs, x))
+                if not 1 <= s <= 6:
+                    continue
+                terms = [rep.c1]
+                for axis in range(n):
+                    for step in (-1, 1):
+                        d = s - abs(x[axis]) + abs(x[axis] + step)
+                        terms.append(-math.expm1(-beta * (d - s)))
+                brute = min(brute, math.fsum(terms))
+            ok = ok and rep.min_margin == pytest.approx(brute, rel=1e-12)
+            ok = ok and rep.min_margin == pytest.approx(2 * n * math.sinh(beta), rel=1e-12)
             worst = min(worst, rep.min_margin)
     criterion(
         8, "barrier inequality on all shells",
-        worst >= -1e-15,
-        f"min margin {worst:.3e} over n in {{2,3}}, eps in {{0.1,0.5}}",
+        ok and worst >= -1e-15,
+        f"min margin {worst:.3e} = 2n sinh(beta) = brute force over n in {{2,3}}, "
+        "eps in {0.1,0.5}",
     )
 
 
 def test_criterion_09_coercivity_constant():
-    rep1 = coercivity_check(1.0, coercivity_default_grid())
-    ok = 0.49 <= rep1.c_est <= 0.51
-    worsts = {1.0: rep1.c_est}
-    for a in (0.5, 2.0, 5.0):
-        rep = coercivity_check(a, coercivity_default_grid())
-        worsts[a] = rep.c_est
-        ok = ok and rep.c_est > 0.0
+    # c = min(a/2, a/(a+1)): the ratio's limit at x = 0 for a <= 1 and as
+    # x -> -inf for a >= 1, never undercut in between
+    expected = {0.05: 0.025, 0.5: 0.25, 1.0: 0.5, 2.0: 2 / 3, 5.0: 5 / 6}
+    got = {a: coercivity_check(a).c for a in expected}
+    ok = got == expected
+    for a, c in got.items():
+        for t in np.logspace(-3, 3, 61):
+            w = math.expm1(-(a + 1) * t) / (a + 1) - math.expm1(-t)
+            ok = ok and w / (t / (1 + t)) ** 2 >= c * (1 - 1e-12)
     criterion(
         9, "coercivity constant of the potential density",
         ok,
-        "c_est " + ", ".join(f"a={a}: {c:.4f}" for a, c in worsts.items()),
+        "c " + ", ".join(f"a={a}: {c:.4f}" for a, c in got.items()),
     )
 
 

@@ -331,8 +331,14 @@ class TestExhaust:
     def test_coercivity_value_reported(self, completed):
         _, out = completed
         report = read_report(out)
-        assert 0.49 <= report["verification"]["coercivity_c_est"] <= 0.51
+        assert report["verification"]["coercivity_c"] == 0.5
         assert report["verification"]["barrier_min_margin"] >= 0.0
+
+    def test_sharp_rate_reported(self, completed):
+        _, out = completed
+        decay = read_report(out)["decay"]
+        assert decay["beta_star"] == math.acosh(1.25)  # lambda*a = 1, n = 2
+        assert decay["alpha_theory"] < decay["beta_star"]
 
 
 class TestDeterminism:

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -16,8 +18,8 @@ from cslattice import (
     barrier_constant,
     build_domain,
     coercivity_check,
-    coercivity_default_grid,
     decay_fit,
+    decay_rate_sharp,
     decay_rate_theory,
     energy_eval,
     lp_summary,
@@ -267,6 +269,21 @@ class TestDecayFit:
         assert validate_epsilon(np.float32(0.5)) == 0.5
         assert type(validate_epsilon(np.float32(0.5))) is float
 
+    def test_numpy_epsilon_computes_in_python_floats(self, small_run):
+        # a float32 epsilon once reached the arithmetic unconverted: the
+        # reports held float32 values that json cannot write, and the
+        # certified rate was computed in single precision
+        eps = np.float32(0.1)
+        fit = decay_fit(small_run.largest, eps)
+        rep = barrier_check(2, PARAMS, eps)
+        assert fit == decay_fit(small_run.largest, float(eps))
+        assert rep == barrier_check(2, PARAMS, float(eps))
+        values = [fit.alpha_theory, fit.epsilon, fit.fitted_rate, fit.c_fit,
+                  fit.certified_rate, rep.c1, rep.min_margin]
+        assert all(type(v) is float for v in values)
+        assert fit.certified_rate == decay_rate_theory(PARAMS, 2) * (1 - float(eps))
+        json.dumps([dataclasses.asdict(fit), dataclasses.asdict(rep)])
+
 
 class TestBarrier:
     def test_margins_nonnegative(self):
@@ -300,28 +317,53 @@ class TestBarrier:
 
     def test_brute_force_margin_oracle(self):
         # recompute the minimum margin by direct stencil evaluation at every
-        # point of the checked shells
-        n, eps = 2, 0.25
-        params = Params(0.8, 1.7)
-        rep = barrier_check(n, params, eps)
-        lo, hi = BARRIER_SHELLS
-        beta = decay_rate_theory(params, n) * (1 - eps)
-        worst = math.inf
-        visited = 0
-        for p in itertools.product(range(-hi, hi + 1), repeat=n):
-            s = manhattan_norm(p)
-            if not lo <= s <= hi:
-                continue
-            visited += 1
-            v = -math.exp(-beta * s)
-            lap = 0.0
-            for axis in range(n):
-                for step in (-1, 1):
-                    q = p[:axis] + (p[axis] + step,) + p[axis + 1 :]
-                    lap += -math.exp(-beta * manhattan_norm(q)) - v
-            worst = min(worst, (lap - rep.c1 * v) / abs(v))
-        assert rep.points_checked == visited
-        assert rep.min_margin == pytest.approx(worst, rel=1e-12)
+        # point of the given shells: the checked ones in 2D, and in 3D and 4D
+        # also the shells d < n, where some axis is zero and the margin is
+        # larger.  Each neighbour term (v(q) - v(x)) / |v(x)| is
+        # -expm1(-beta (d(q) - d(x))), and the terms are added with fsum:
+        # adding the raw values of v loses digits as beta -> 0, to about
+        # 5e-13 relative at lambda*a = 5e-4
+        cases = ((2, Params(0.8, 1.7), 0.25, BARRIER_SHELLS),
+                 (3, Params(1e-3, 0.5), 0.25, (1, 8)),
+                 (4, Params(1e-3, 0.5), 0.1, (1, 5)),
+                 (4, Params(1.0, 3.0), 0.5, (1, 5)))
+        for n, params, eps, (lo, hi) in cases:
+            rep = barrier_check(n, params, eps)
+            beta = decay_rate_theory(params, n) * (1 - eps)
+            worst = inner_worst = math.inf
+            visited = 0
+            for p in itertools.product(range(-hi, hi + 1), repeat=n):
+                s = manhattan_norm(p)
+                if not lo <= s <= hi:
+                    continue
+                visited += 1
+                terms = [rep.c1]
+                for axis in range(n):
+                    for step in (-1, 1):
+                        q = p[:axis] + (p[axis] + step,) + p[axis + 1 :]
+                        terms.append(-math.expm1(-beta * (manhattan_norm(q) - s)))
+                margin = math.fsum(terms)
+                worst = min(worst, margin)
+                if s < n:
+                    inner_worst = min(inner_worst, margin)
+            if (lo, hi) == BARRIER_SHELLS:
+                assert rep.points_checked == visited
+            assert rep.min_margin == pytest.approx(worst, rel=1e-12)
+            assert inner_worst > rep.min_margin
+
+    def test_margin_vanishes_at_sharp_rate(self):
+        # L v >= c v holds exactly up to beta*(c): the closed-form margin
+        # c - 2n (cosh beta - 1) is 0 there and negative beyond it
+        for n in (2, 3, 4):
+            for c in (0.001, 1.0, 5.0):
+                beta = decay_rate_sharp(c, n)
+                assert c - 2 * n * (math.cosh(beta) - 1) == pytest.approx(0.0, abs=1e-14)
+                assert c - 2 * n * (math.cosh(1.05 * beta) - 1) < 0
+        assert decay_rate_sharp(1.0, 2) == math.acosh(1.25)
+        assert decay_rate_sharp(1.0, 2) == pytest.approx(math.log(2.0), rel=1e-15)
+        # alpha, the paper's rate, lies below the sharp one
+        for params, n in ((Params(1.0, 1.0), 2), (Params(0.1, 1.0), 3), (Params(1.0, 5.0), 4)):
+            assert decay_rate_theory(params, n) < decay_rate_sharp(params.lam * params.a, n)
 
     def test_constant_limit_is_lambda_a(self):
         params = Params(0.7, 1.3)
@@ -332,51 +374,71 @@ class TestBarrier:
 
 class TestCoercivity:
     def test_exact_constant_for_a_one(self):
-        rep = coercivity_check(1.0, coercivity_default_grid())
-        assert 0.49 <= rep.c_est <= 0.51
+        rep = coercivity_check(1.0)
+        assert rep.c == 0.5
         assert rep.all_hold
 
     def test_a_one_on_arbitrary_grids(self, rng):
         # for a = 1 the density is (1 - e^x)^2 / 2 and the ratio is >= 1/2
+        c = coercivity_check(1.0).c
         for _ in range(5):
-            grid = -np.abs(rng.standard_normal(40)) * 10.0
-            rep = coercivity_check(1.0, grid)
-            assert rep.c_est >= 0.49
+            t = np.abs(rng.standard_normal(40)) * 10.0
+            ratios = 0.5 * np.expm1(-t) ** 2 / (t / (1.0 + t)) ** 2
+            assert np.all(ratios >= c * (1 - 1e-14))
 
     def test_ratio_at_zero_is_half_a(self):
-        for a in (0.5, 1.0, 3.0):
-            rep = coercivity_check(a, [0.0])
-            assert rep.c_est == pytest.approx(a / 2.0, rel=1e-15)
+        # for a <= 1 the infimum is the ratio's limit a/2 at x = 0
+        for a in (0.05, 0.5, 1.0):
+            assert coercivity_check(a).c == a / 2.0
+        assert coercivity_check(0.05).c == 0.025
 
     def test_positive_over_spec_grids(self):
-        for a in (0.5, 2.0, 5.0):
-            rep = coercivity_check(a, coercivity_default_grid())
-            assert rep.c_est > 0.0
+        # the values of a the default grid was swept at, which the closed
+        # form replaces, and a tiny a, where c is still positive
+        for a in (0.5, 2.0, 5.0, 1e-300):
+            rep = coercivity_check(a)
+            assert rep.c > 0.0 and rep.all_hold
+
+    def test_limit_at_infinity_for_a_above_one(self):
+        # for a >= 1 the infimum is the ratio's limit a/(a+1) as x -> -inf
+        for a in (1.0, 2.0, 5.0, 10.0):
+            assert coercivity_check(a).c == a / (a + 1.0)
+        assert coercivity_check(2.0).c == 2 / 3
 
     def test_matches_plain_arithmetic_oracle(self):
+        # the ratio never falls below c and tends to it; the old grid stopped
+        # at x = -50, where the ratio is still 0.6936 against c = 2/3
         a = 2.0
-        grid = [-0.1, -1.0, -10.0, -50.0]
-        rep = coercivity_check(a, grid)
+        rep = coercivity_check(a)
+        grid = [-0.1, -1.0, -10.0, -50.0, -1e6]
         ratios = []
         for x in grid:
             lhs = ((math.exp((a + 1) * x) - 1) + (a + 1) * (1 - math.exp(x))) / (a + 1)
             ratios.append(lhs / (abs(x) / (1 + abs(x))) ** 2)
-        assert rep.c_est == pytest.approx(min(ratios), rel=1e-9)
-        assert all(r >= rep.c_est * (1 - 1e-9) for r in ratios)
+        assert all(r >= rep.c for r in ratios)
+        assert ratios[3] == pytest.approx(0.6936, abs=1e-4)
+        assert ratios[-1] == pytest.approx(rep.c, rel=1e-5)
+
+    def test_sharp_lower_bound_in_50_digits(self):
+        # w(x) / (|x|/(1+|x|))^2 >= c on a dense grid of t = -x, and within
+        # 1e-6 of c at the limit that sets it: t -> 0 for a <= 1, t -> inf
+        # for a >= 1.  Double precision cancels in w near t = 0.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            ts = [mpmath.mpf(10) ** (mpmath.mpf(k) / 4) for k in range(-80, 29)]
+            for a in (0.05, 0.5, 3.0, 50.0):
+                c = coercivity_check(a).c
+                k = mpmath.mpf(a) + 1
+                ratios = [(mpmath.expm1(-k * t) / k - mpmath.expm1(-t)) / (t / (1 + t)) ** 2
+                          for t in ts]
+                assert min(ratios) >= c
+                limit = ratios[0] if a <= 1 else ratios[-1]
+                assert abs(limit - c) <= 1e-6 * c
 
     def test_validation(self):
-        # a's type and range, and each grid point's: test_validation.py.  A NaN
-        # point made c_est NaN when it came first and was ignored elsewhere, as
-        # Python's min depends on the order; -inf gave a NaN ratio with only a
-        # RuntimeWarning
-        for grid, index in (([math.nan, -1.0], 0), ([-1.0, math.nan], 1),
-                            ([-1.0, -2.0, -math.inf], 2)):
-            with pytest.raises(ValueError, match=rf"^x_grid\[{index}\] must be a finite number"):
-                coercivity_check(1.0, grid)
-        with pytest.raises(ValueError, match=r"^x_grid\[1\] = 0\.5 is positive; .*x <= 0"):
-            coercivity_check(1.0, [-1.0, 0.5])
-        grid = np.array([0.0, -1.0], dtype=np.float32)
-        assert coercivity_check(np.float64(1.0), grid) == coercivity_check(1.0, [0.0, -1.0])
+        # a's type and range: test_validation.py
+        assert coercivity_check(np.float64(1.0)) == coercivity_check(1.0)
+        assert type(coercivity_check(np.float32(0.5)).c) is float
 
 
 class TestLpSummary:

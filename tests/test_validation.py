@@ -3,7 +3,8 @@ lattice.validate_float: a bool, a numeric string, NaN, +-inf or a value out
 of range raises ValueError naming the parameter, and a numpy scalar in
 range passes.  linear_solve's x0 is an array, whose entries a bool or a
 numeric string would enter as valid floats; its shape and finiteness checks
-are in test_linear.py::test_start_validated_by_name."""
+are in test_linear.py::test_start_validated_by_name.  fields.norm's p may be
+inf, so its checks have tests of their own at the end."""
 
 import functools
 import math
@@ -21,7 +22,9 @@ from cslattice import (
     build_domain,
     coercivity_check,
     decay_fit,
+    decay_rate_sharp,
     linear_solve,
+    norm,
     newton_solve,
     shell_size,
     solve_bounded,
@@ -66,10 +69,9 @@ INPUTS = {
                               np.float32(0.5)),
     "decay_fit.epsilon": (lambda v: decay_fit(_solution(), v), "epsilon", 0.0,
                           np.float64(0.1)),
-    "coercivity_check.a": (lambda v: coercivity_check(v, [0.0, -1.0]), "a", 0.0,
-                           np.float64(2.0)),
-    "coercivity_check.x_grid": (lambda v: coercivity_check(1.0, [0.0, v]), "x_grid[1]", 0.5,
-                                np.float64(-1.0)),
+    "coercivity_check.a": (lambda v: coercivity_check(v), "a", 0.0, np.float64(2.0)),
+    "decay_rate_sharp.c": (lambda v: decay_rate_sharp(v, 2), "c", 0.0, np.float32(1.0)),
+    "decay_rate_sharp.n": (lambda v: decay_rate_sharp(1.0, v), "dimension", 1, np.int64(3)),
 }
 BAD = {"True": True, "string": "1", "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
        "out_of_range": None}
@@ -87,3 +89,16 @@ def test_bad_number_raises_naming_it(param, bad):
 def test_numpy_value_in_range_passes(param):
     call, _, _, good = INPUTS[param]
     call(good)
+
+
+# p = inf is valid, so p cannot join INPUTS, whose bad values include inf
+@pytest.mark.parametrize("bad", [True, "2", math.nan, -math.inf, 0.5])
+def test_norm_p_rejected_naming_it(bad):
+    with pytest.raises(ValueError, match=r"^p must"):
+        norm(Field.zeros(DOM), bad)
+
+
+def test_norm_p_accepts_one_to_inf():
+    f = Field.from_interior(DOM, RHS)
+    for p in (1, 2, np.float64(2), math.inf):
+        assert norm(f, p) == pytest.approx(DOM.n_interior ** (1 / p), rel=1e-15)
