@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import AnalysisError, ConfigError, ConvergenceError, SchemeIntegrityError
 from .fields import SUM_BY_PARTS_COEFF, Field, norm, sum_by_parts_defect
+from .floattext import G17_WIDTH, g17_text
 from .lattice import (
     Params,
     VortexConfig,
@@ -83,9 +84,12 @@ EXIT_NO_CONVERGENCE = 3
 
 _SEED = 20260809
 
-# write_field_csv formats this many rows per write, so a large closure's
-# text never sits in memory whole.
-CSV_BLOCK_ROWS = 4096
+# write_field_csv lays out this many rows at a time in a byte buffer of
+# G17_WIDTH + (dimension + 1) * w bytes a row (w the widest "%d," token) and
+# writes each block with one call.  At 1024 rows its arrays peak near 0.3 MB
+# on a 4D field.  Larger blocks save some time (2-20% at 2048 rows) but raise
+# the peak RSS of a small 2D solve (by about 0.7 MB at 2048 rows).
+CSV_BLOCK_ROWS = 1024
 
 # The config keys: the required ones, and the optional ones with their values
 # when absent.  The solver settings default to the library's own defaults.
@@ -223,17 +227,31 @@ def _fmt(x: float) -> str:
 
 
 def write_field_csv(path: Path, f: Field) -> None:
-    """One row per closure point, formatted CSV_BLOCK_ROWS rows at a time."""
+    """Write one row ``"%d,...,%d,%.17g\\n" % (*point, d, value)`` per closure
+    point, byte for byte, without formatting each value in Python.
+
+    CSV_BLOCK_ROWS rows at a time are laid out in a byte buffer, each piece
+    of a row in a fixed-width slot padded with NUL bytes: the ``%d,`` tokens
+    from a table over the field's integers, the ``%.17g`` text from
+    floattext.g17_text (whose docstring proves it exact).  A block goes out
+    in one write with its NUL bytes deleted.
+    """
     dom = f.domain
-    header = ",".join([f"x{i + 1}" for i in range(dom.dim)] + ["d", "f"])
-    row = ",".join(["%d"] * (dom.dim + 1) + ["%.17g"]) + "\n"  # _fmt's format for f
-    with path.open("w") as fh:
-        fh.write(header + "\n")
+    low = int(dom.coords.min())  # <= 0: the ball holds the origin
+    tokens = [b"%d," % i for i in range(low, int(max(dom.coords.max(), dom.distances.max())) + 1)]
+    w = max(map(len, tokens))
+    token_text = np.frombuffer(b"".join(t.ljust(w, b"\0") for t in tokens), np.uint8).reshape(-1, w)
+    base = (dom.dim + 1) * w
+    header = ",".join([f"x{i + 1}" for i in range(dom.dim)] + ["d", "f"]) + "\n"
+    with path.open("wb") as fh:
+        fh.write(header.encode())
         for start in range(0, dom.n_closure, CSV_BLOCK_ROWS):
             block = slice(start, start + CSV_BLOCK_ROWS)
-            columns = [*dom.coords[block].T.tolist(), dom.distances[block].tolist(),
-                       f.values[block].tolist()]
-            fh.write("".join(map(row.__mod__, zip(*columns))))
+            ints = np.column_stack([dom.coords[block], dom.distances[block]]) - low
+            text = np.empty((len(ints), base + G17_WIDTH), np.uint8)
+            text[:, :base] = np.take(token_text, ints, axis=0).reshape(len(ints), base)
+            g17_text(f.values[block], text[:, base:])
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def write_trace_csv(path: Path, trace) -> None:

@@ -43,7 +43,9 @@ BARRIER_SHELLS = (2, 20)       # only counted into points_checked: see BarrierRe
 
 
 def decay_rate_theory(params: Params, n: int) -> float:
-    """alpha = ln(1 + lam*a/(2n)), the paper's decay rate; decay_rate_sharp(lam*a, n) is sharp."""
+    """alpha = ln(1 + lam*a/(2n)), the paper's decay rate; decay_rate_sharp(lam*a, n) is sharp.
+    n must be an integer >= 2 (ValueError naming ``dimension`` otherwise)."""
+    n = validate_dimension(n)
     return math.log(1.0 + params.lam * params.a / (2.0 * n))
 
 
@@ -57,7 +59,11 @@ def decay_rate_sharp(c: float, n: int) -> float:
 
 
 def barrier_constant(params: Params, n: int, epsilon: float) -> float:
-    """c1 = 2n [(1 + lam*a/(2n))^(1-eps) - 1]; equals lam*a in the eps -> 0 limit."""
+    """c1 = 2n [(1 + lam*a/(2n))^(1-eps) - 1]; equals lam*a at eps = 0.  n must be
+    an integer >= 2 and epsilon a number < 1 (ValueError naming ``dimension``
+    or ``epsilon`` otherwise); c1 > 0 exactly when eps < 1."""
+    n = validate_dimension(n)
+    epsilon = validate_float(epsilon, "epsilon", high=1)
     return 2.0 * n * ((1.0 + params.lam * params.a / (2.0 * n)) ** (1.0 - epsilon) - 1.0)
 
 

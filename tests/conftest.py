@@ -1,9 +1,21 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from cslattice import build_domain
+from cslattice import Field, build_domain
+from cslattice.cli import write_field_csv
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # The same examples on every run, so the tests stay deterministic; no
+    # example database and no deadline, whose timings vary from host to host.
+    settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+    settings.load_profile("deterministic")
 
 
 @pytest.fixture
@@ -55,3 +67,21 @@ def bisection_root(fn, lo, hi, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_field_csv(f) -> bytes:
+    """The field CSV formatted one value at a time with Python's %."""
+    dom = f.domain
+    row = ",".join(["%d"] * (dom.dim + 1) + ["%.17g"]) + "\n"
+    header = ",".join([f"x{i + 1}" for i in range(dom.dim)] + ["d", "f"]) + "\n"
+    columns = [*dom.coords.T.tolist(), dom.distances.tolist(), f.values.tolist()]
+    return (header + "".join(map(row.__mod__, zip(*columns)))).encode()
+
+
+def assert_field_csv_exact(path, values):
+    """write_field_csv of values, repeated to fill a ball's closure in Z^2,
+    equals the reference."""
+    dom = build_domain(2, math.isqrt(len(values) // 2) + 1)
+    f = Field(dom, np.resize(np.asarray(values, dtype=float), dom.n_closure))
+    write_field_csv(path, f)
+    assert path.read_bytes() == reference_field_csv(f)

@@ -18,7 +18,7 @@ from cslattice.cli import (
 from cslattice import cli
 from cslattice.errors import ConfigError, ConvergenceError, SchemeIntegrityError
 
-from conftest import bisection_root
+from conftest import assert_field_csv_exact, bisection_root, reference_field_csv
 
 BASE_CONFIG = {
     "dimension": 2,
@@ -275,6 +275,56 @@ class TestSolve:
         assert not (out / "field.csv").exists()
         assert not (out / "trace.csv").exists()
         assert (out / "report.json").exists()
+
+
+def exact_ties():
+    """Doubles m / 2^n exactly halfway between two 17-digit decimals: m 5^n has
+    18 digits and ends in 5, so "%.17g" rounds half to even."""
+    ties = []
+    for n in range(2, 26):
+        first = -(-10**17 // 5**n) | 1  # the least odd m with m 5^n >= 10^17
+        for m in (first, first + 2, first + 12_345_678_902, 10**18 // 5**n - 1):
+            if m % 2 and m < 2**53 and 10**17 <= m * 5**n < 10**18:
+                ties.append(math.ldexp(m, -n))
+    return ties
+
+
+class TestFieldCsvExact:
+    """write_field_csv computes the "%.17g" digits in numpy; these compare its
+    bytes with Python's per-value formatting (the property test over all
+    finite floats is in test_field_csv.py)."""
+
+    def test_edge_values(self, tmp_path, monkeypatch):
+        # each double nearest 10^j, and 3 ulps to either side: there
+        # floor(log10 x) can be one off, and some round up to 10^j
+        powers = np.array([float(10**j) if j >= 0 else 1 / 10**-j for j in range(-323, 309)])
+        near = [powers]
+        for toward in (0.0, np.inf):
+            x = powers
+            for _ in range(3):
+                x = np.nextafter(x, toward)
+                near.append(x)
+        # 1e98 is below 10^98, and its 17 digits carry to 10^98
+        assert int(1e98) < 10**98 and "%.17g" % 1e98 == "1e+98"
+        tiny = np.finfo(float).tiny
+        ties = exact_ties()
+        assert len(ties) > 50
+        edges = np.concatenate(near + [[0.0, 5e-324, np.nextafter(tiny, 0), tiny, 1e-270, 1e270,
+                                        np.finfo(float).max, 0.1, 1 / 3, 2.0**53 + 2], ties])
+        assert_field_csv_exact(tmp_path / "f.csv", np.concatenate([edges, -edges]))
+        # the digits do not rest on log10 being correctly rounded: floor(log10 x)
+        # one too high or too low near 10^j must give the same bytes
+        log10 = np.log10
+        for shift in (-1e-12, 1e-12):
+            monkeypatch.setattr(np, "log10", lambda a, shift=shift: log10(a) + shift)
+            assert_field_csv_exact(tmp_path / "f.csv", np.concatenate(near))
+
+    def test_solved_4d_field(self, tmp_path):
+        from cslattice import Params, VortexConfig, build_domain, solve_bounded
+
+        sol = solve_bounded(build_domain(4, 14), VortexConfig([((1, 0, 0, 0), 1)]), Params(1.0, 1.0))
+        cli.write_field_csv(tmp_path / "f.csv", sol.field)
+        assert (tmp_path / "f.csv").read_bytes() == reference_field_csv(sol.field)
 
 
 @pytest.fixture(scope="module")

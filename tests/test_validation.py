@@ -19,10 +19,12 @@ from cslattice import (
     Params,
     VortexConfig,
     barrier_check,
+    barrier_constant,
     build_domain,
     coercivity_check,
     decay_fit,
     decay_rate_sharp,
+    decay_rate_theory,
     linear_solve,
     norm,
     newton_solve,
@@ -72,6 +74,11 @@ INPUTS = {
     "coercivity_check.a": (lambda v: coercivity_check(v), "a", 0.0, np.float64(2.0)),
     "decay_rate_sharp.c": (lambda v: decay_rate_sharp(v, 2), "c", 0.0, np.float32(1.0)),
     "decay_rate_sharp.n": (lambda v: decay_rate_sharp(1.0, v), "dimension", 1, np.int64(3)),
+    "decay_rate_theory.n": (lambda v: decay_rate_theory(PARAMS, v), "dimension", 1, np.int64(3)),
+    "barrier_constant.n": (lambda v: barrier_constant(PARAMS, v, 0.1), "dimension", 1,
+                           np.int32(2)),
+    "barrier_constant.epsilon": (lambda v: barrier_constant(PARAMS, 2, v), "epsilon", 1.0,
+                                 np.float32(0.5)),
 }
 BAD = {"True": True, "string": "1", "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
        "out_of_range": None}
