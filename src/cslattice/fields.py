@@ -9,9 +9,8 @@ right-hand sides) are plain numpy arrays aligned with the interior ordering.
 Conventions:
   gather_sum     row sums of values gathered through a column-major index
                    table, columns added left to right, in one take for a
-                   small block and a column at a time above ONE_TAKE_MAX
-                   entries, for one vector or a block of them: the one
-                   stencil kernel of the package.  Its
+                   small table and a column at a time above ONE_TAKE_MAX
+                   entries: the one stencil kernel of the package.  Its
                    tables are the domain's neighbour table and the two
                    tables of LatticeDomain.red_black, which give the
                    halves of linear.py's reduced operator.
@@ -40,10 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 _SETS = ("interior", "closure")
 
-# Bound on |sum_by_parts_defect(f, g)| / (1 + |f|_inf |g|_inf |closure|).
-SUM_BY_PARTS_COEFF = 1e-12
-
-# Largest block gather_sum gathers in one take: 2^15 entries, 256 KB.
+# Largest table gather_sum gathers in one take: 2^15 entries, 256 KB.
 ONE_TAKE_MAX = 2**15
 
 
@@ -109,26 +105,23 @@ def _require_same_domain(f: Field, g: Field) -> None:
 
 
 def gather_sum(nbr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row sums of ``values.take(nbr, axis=-1)`` for a column-major index table ``nbr``.
+    """Row sums of ``values[nbr]`` for a vector ``values`` and a column-major index table ``nbr``.
 
-    The columns are added left to right, whatever the width.  ``values``
-    may carry a leading batch axis, a block of vectors gathered in the same
-    calls; each row of the result has the bits of its vector gathered alone.
-    A gathered block of at most ONE_TAKE_MAX entries (table entries times
-    vectors) from a table of more than one row is taken in one take of the
-    table's transpose (C-contiguous) and reduced over the table's column
-    axis, which numpy does row after row: two numpy calls, where a small
-    table's cost is per call.  A larger block is gathered one column at a
-    time and added in place; it would leave the cache before a reduction
-    read it, and the one take was slower on 4D R=14 and on 20 vectors at
-    3D R=8.  A single row goes that way too, because numpy sums a lone row
-    of eight or more pairwise.  Both paths give the same bits.
+    The columns are added left to right, whatever the width.  A table of at
+    most ONE_TAKE_MAX entries and more than one row is taken in one take of
+    its transpose (C-contiguous) and reduced over the table's column axis,
+    which numpy does row after row: two numpy calls, where a small table's
+    cost is per call.  A larger table is gathered one column at a time and
+    added in place; its take would leave the cache before a reduction read
+    it, and the one take was slower on 4D R=14.  A single row goes that way
+    too, because numpy sums a lone row of eight or more pairwise.  Both
+    paths give the same bits.
     """
-    if len(nbr) > 1 and nbr.size * (values.size // values.shape[-1]) <= ONE_TAKE_MAX:
-        return np.add.reduce(values.take(nbr.T, axis=-1), axis=-2)
-    out = values.take(nbr[:, 0], axis=-1)
+    if len(nbr) > 1 and nbr.size <= ONE_TAKE_MAX:
+        return np.add.reduce(values.take(nbr.T), axis=0)
+    out = values.take(nbr[:, 0])
     for j in range(1, nbr.shape[1]):
-        out += values.take(nbr[:, j], axis=-1)
+        out += values.take(nbr[:, j])
     return out
 
 

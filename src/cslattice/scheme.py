@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ConvergenceError, SchemeIntegrityError
@@ -462,9 +460,9 @@ def newton_solve(
     dom: LatticeDomain,
     vc: VortexConfig,
     params: Params,
-    f_init: Field | Sequence[Field],
+    f_init: Field,
     tol: float = DEFAULT_TOL_NONLINEAR,
-) -> Field | list[Field | ConvergenceError]:
+) -> Field:
     """Damped Newton iteration on the residual from a nonpositive start.
 
     solve_bounded's finish and the verify suite's maximality oracle.  A
@@ -484,61 +482,44 @@ def newton_solve(
     30 times) until the sup-norm residual decreases.  Divergence, no root
     within NEWTON_MAX_STEPS steps, or a Jacobian that CG finds not negative
     definite raises ConvergenceError carrying the last Newton iterate.
-
-    A sequence of starts runs in lockstep: each step solves the Newton
-    systems of all running starts as one linear_solve block, each to its
-    own forcing term, then runs each start's own line search.  A start
-    leaves once it has its root or fails.  The result is a list with, per
-    start, its root or the ConvergenceError of its solo run, bit for bit.
     """
     tol = validate_float(tol, "tol", low=0)
-    starts = [f_init] if isinstance(f_init, Field) else list(f_init)
-    top = max((float(np.max(start.values)) for start in starts), default=0.0)
+    top = float(np.max(f_init.values))
     if top > FIELD_SIGN_TOL:
         raise ValueError(
             f"newton_solve expects a nonpositive initial field (up to FIELD_SIGN_TOL="
             f"{FIELD_SIGN_TOL:.0e}), got a value {top:.3e}"
         )
     g = assemble_source(dom, vc)
-    # per start: its iterate, residual and the residual's sup norm, and its result
-    f = [np.minimum(start.interior_values, 0.0) for start in starts]
-    r = [residual(Field.from_interior(dom, fi), g, params) for fi in f]
-    r_norm = [float(np.max(np.abs(ri))) for ri in r]
-    out: list = [None] * len(starts)
+    f = np.minimum(f_init.interior_values, 0.0)
+    r = residual(Field.from_interior(dom, f), g, params)
+    r_norm = float(np.max(np.abs(r)))
 
-    def leave(j: int, failure: str | None = None) -> None:
-        best = Field.from_interior(dom, f[j])
-        out[j] = best if failure is None else ConvergenceError(
-            failure, best=best, residual=r_norm[j])
+    def failure(message: str) -> ConvergenceError:
+        return ConvergenceError(message, best=Field.from_interior(dom, f), residual=r_norm)
 
-    for k in range(NEWTON_MAX_STEPS + 1):
-        for j in range(len(starts)):
-            if out[j] is None and (r_norm[j] <= tol or k == NEWTON_MAX_STEPS):
-                leave(j, None if r_norm[j] <= tol else f"Newton did not reach tol={tol} in "
-                      f"{NEWTON_MAX_STEPS} steps (residual {r_norm[j]:.3e})")
-        running = [j for j in range(len(starts)) if out[j] is None]
-        if not running:
+    for _ in range(NEWTON_MAX_STEPS):
+        if r_norm <= tol:
             break
-        jacobian = LinearSystem(dom, nonlinearity_deriv(np.array([f[j] for j in running]), params),
-                                -np.array([r[j] for j in running]))
-        eta = [max(min(NEWTON_FORCING_MAX, r_norm[j]),
-                   NEWTON_FORCING_FLOOR * tol / math.sqrt(np.dot(r[j], r[j]))) for j in running]
-        for j, step in zip(running, linear_solve(jacobian, eta)):
-            if isinstance(step, ConvergenceError):
-                leave(j, f"Newton step failed at residual {r_norm[j]:.3e}: {step}")
-                out[j].__cause__ = step
-                continue
-            t = 1.0
-            for _ in range(30):
-                trial = f[j] + t * step.interior_values
-                r_trial = residual(Field.from_interior(dom, trial), g, params)
-                r_trial_norm = float(np.max(np.abs(r_trial)))
-                if r_trial_norm < r_norm[j]:
-                    f[j], r[j], r_norm[j] = trial, r_trial, r_trial_norm
-                    break
-                t *= 0.5
-            else:
-                leave(j, f"Newton stalled at residual {r_norm[j]:.3e}")
-    if isinstance(f_init, Field) and isinstance(out[0], ConvergenceError):
-        raise out[0]
-    return out[0] if isinstance(f_init, Field) else out
+        jacobian = LinearSystem(dom, nonlinearity_deriv(f, params), -r)
+        eta = max(min(NEWTON_FORCING_MAX, r_norm),
+                  NEWTON_FORCING_FLOOR * tol / math.sqrt(np.dot(r, r)))
+        try:
+            step = linear_solve(jacobian, eta).interior_values
+        except ConvergenceError as exc:
+            raise failure(f"Newton step failed at residual {r_norm:.3e}: {exc}") from exc
+        t = 1.0
+        for _ in range(30):
+            trial = f + t * step
+            r_trial = residual(Field.from_interior(dom, trial), g, params)
+            r_trial_norm = float(np.max(np.abs(r_trial)))
+            if r_trial_norm < r_norm:
+                f, r, r_norm = trial, r_trial, r_trial_norm
+                break
+            t *= 0.5
+        else:
+            raise failure(f"Newton stalled at residual {r_norm:.3e}")
+    if r_norm > tol:
+        raise failure(f"Newton did not reach tol={tol} in {NEWTON_MAX_STEPS} steps "
+                      f"(residual {r_norm:.3e})")
+    return Field.from_interior(dom, f)

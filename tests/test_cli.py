@@ -16,6 +16,7 @@ from cslattice.cli import (
     main,
 )
 from cslattice import cli
+from cslattice.scheme import solve_bounded
 from cslattice.errors import ConfigError, ConvergenceError, SchemeIntegrityError
 
 from conftest import assert_field_csv_exact, bisection_root, reference_field_csv
@@ -429,7 +430,7 @@ class TestVerify:
         assert 0.49 <= by_name["coercivity_positive"]["value"] <= 0.51
 
     def test_three_dimensional_maximality(self, tmp_path):
-        # the maximality ball is R=8 (833 unknowns): Newton steps are CG solves
+        # Newton runs on the smallest radius's ball, R=4 (129 unknowns); its steps are CG solves
         path = write_config(tmp_path, dimension=3,
                             vortices=[{"point": [0, 0, 0], "multiplicity": 1}], radii=[4, 6])
         out = tmp_path / "out"
@@ -439,16 +440,15 @@ class TestVerify:
         assert by_name["maximality_newton"]["detail"] == "10/10 starts converged"
 
     def test_sabotaged_linear_tolerance_is_caught(self, tmp_path):
-        # the linear checks catch tol_linear = 0.5; the solve itself stays
-        # right, because no solve reads tol_linear
+        # the linear oracle alone catches tol_linear = 0.5; the solve itself
+        # stays right, because no solve reads tol_linear
         path = write_config(tmp_path, radii=[6, 9], tol_linear=0.5)
         out = tmp_path / "out"
         rc = main(["verify", str(path), "--output-dir", str(out), "--quiet"])
         assert rc == EXIT_CHECK_FAILED
         report = read_report(out)
         by_name = {c["name"]: c for c in report["checks"]}
-        assert not by_name["linear_oracle"]["passed"]
-        assert not by_name["linear_minimizer"]["passed"]
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == ["linear_oracle"]
         assert by_name["maximality_certificate"]["passed"]
         assert by_name["monotone_iterates"]["passed"]
         assert not report["all_checks_passed"]
@@ -468,7 +468,22 @@ class TestVerify:
         assert by_name["bounded_solve"] == {"name": "bounded_solve", "passed": False,
                                             "detail": f"{kind}: solve sabotaged"}
         assert "monotone_iterates" not in by_name
+        assert "maximality_newton" not in by_name
         assert by_name["linear_oracle"]["passed"]
+
+    def test_one_bounded_solve_per_run(self, tmp_path, monkeypatch):
+        # the maximality check made a second solve, on a ball of radius max(8, ...)
+        radii = []
+
+        def counting(dom, *args, **kwargs):
+            radii.append(dom.radius)
+            return solve_bounded(dom, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_bounded", counting)
+        path = write_config(tmp_path, radii=[6, 9])
+        out = tmp_path / "out"
+        assert main(["verify", str(path), "--output-dir", str(out), "--quiet"]) == EXIT_OK
+        assert radii == [6]
 
     def test_off_origin_vortex_skips_symmetry(self, tmp_path):
         path = write_config(

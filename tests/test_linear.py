@@ -11,13 +11,11 @@ from cslattice import (
     LinearSystem,
     build_domain,
     dense_solve,
-    grad_energy,
     linear_energy_eval,
     linear_solve,
     system_matrix,
 )
 from cslattice import linear as linear_mod
-from cslattice.fields import ONE_TAKE_MAX
 from cslattice.linear import DENSE_MAX_UNKNOWNS, ORACLE_REL_TOL
 
 TIGHT = 1e-13
@@ -83,13 +81,19 @@ def test_solution_linear_in_rhs(rng):
     assert np.linalg.norm(u12 - (u1 + u2)) <= 1e-10 * np.linalg.norm(u12)
 
 
+# A small ball per dimension n = 2, 3, 4, and the default K = a*lam + 1 at
+# a = 1 and lam = 0.1, 1, 10: the cases of the linear properties below.
+SMALL_BALL_CASES = [(build_domain(n, radius), K)
+                    for n, radius in ((2, 4), (3, 3), (4, 2)) for K in (1.1, 2.0, 11.0)]
+
+
 def test_maximum_principle(rng):
     # nonnegative v forces u <= 0 everywhere
-    dom = build_domain(2, 4)
-    for _ in range(20):
-        v = np.abs(rng.standard_normal(dom.n_interior))
-        u = linear_solve(LinearSystem(dom, 2.0, v), TIGHT)
-        assert np.max(u.values) <= 1e-11
+    for dom, K in SMALL_BALL_CASES:
+        for _ in range(20):
+            v = np.abs(rng.standard_normal(dom.n_interior))
+            u = linear_solve(LinearSystem(dom, K, v), TIGHT)
+            assert np.max(u.values) <= 1e-11, (dom.dim, K)
 
 
 def test_convergence_failure_carries_final_iterate_and_true_residual(monkeypatch, rng):
@@ -107,11 +111,8 @@ def test_convergence_failure_carries_final_iterate_and_true_residual(monkeypatch
 
 
 def test_tolerance_validation(b2):
-    # a scalar tol_rel's type and range: test_validation.py
+    # tol_rel's type and range: test_validation.py
     system = LinearSystem(b2, 1.0, np.ones(b2.n_interior))
-    block = LinearSystem(b2, 1.0, np.ones((2, b2.n_interior)))
-    with pytest.raises(ValueError, match="tol_rel must lie in"):
-        linear_solve(block, (0.1, 1.0))
     assert linear_solve(system, np.float32(0.5)).is_dirichlet()
 
 
@@ -119,6 +120,14 @@ def test_system_validation(b2):
     # a scalar K's type and range: test_validation.py
     with pytest.raises(ValueError, match="rhs"):
         LinearSystem(b2, 1.0, np.zeros(3))
+
+
+def test_system_takes_one_rhs(b2):
+    # an (m, n_interior) rhs was a block of m systems
+    n_int = b2.n_interior
+    with pytest.raises(ValueError, match=re.escape(f"rhs needs {n_int} interior values, "
+                                                   f"got (2, {n_int})")):
+        LinearSystem(b2, 1.0, np.ones((2, n_int)))
 
 
 def test_nonfinite_data_rejected():
@@ -130,10 +139,6 @@ def test_nonfinite_data_rejected():
         rhs[7] = bad
         with pytest.raises(ValueError, match=f"rhs must be finite, got {bad} at interior index 7$"):
             LinearSystem(dom, 1.0, rhs)
-        block = np.ones((3, dom.n_interior))
-        block[2, 7] = bad
-        with pytest.raises(ValueError, match=f"got {bad} at interior index 7 of row 2$"):
-            LinearSystem(dom, 1.0, block)
 
 
 def test_start_validated_by_name():
@@ -152,10 +157,6 @@ def test_start_validated_by_name():
         with pytest.raises(ValueError, match=f"x0 must be finite, got nan at interior index "
                                              f"{colour[3]}$"):
             linear_solve(system, x0=x0)
-    x0 = np.zeros((3, n_int))
-    x0[2, 7] = -math.inf
-    with pytest.raises(ValueError, match="x0 must be finite, got -inf at interior index 7 of row 2$"):
-        linear_solve(LinearSystem(dom, 2.0, np.ones((3, n_int))), x0=x0)
 
 
 def test_per_point_shift_validation(b2):
@@ -214,27 +215,25 @@ def test_energy_hand_case():
 
 def test_energy_validation(b2):
     n_int = b2.n_interior
-    with pytest.raises(ValueError, match="scalar K and one rhs"):
+    with pytest.raises(ValueError, match="needs a system with a scalar K"):
         linear_energy_eval(LinearSystem(b2, np.ones(n_int), np.zeros(n_int)), np.zeros(n_int))
-    with pytest.raises(ValueError, match="scalar K and one rhs"):
-        linear_energy_eval(LinearSystem(b2, 1.0, np.zeros((2, n_int))), np.zeros(n_int))
     system = LinearSystem(b2, 1.0, np.zeros(n_int))
-    for bad in (np.zeros(1), np.zeros(b2.n_closure), np.zeros((2, 2, n_int))):
+    for bad in (np.zeros(1), np.zeros(b2.n_closure), np.zeros((2, n_int)),
+                np.zeros((2, 2, n_int))):
         with pytest.raises(ValueError, match=f"u needs {n_int} interior values"):
             linear_energy_eval(system, bad)
 
 
 def test_solution_minimizes_energy(rng):
-    dom = build_domain(2, 4)
-    v = rng.standard_normal(dom.n_interior)
-    system = LinearSystem(dom, 2.0, v)
-    u = linear_solve(system, TIGHT).interior_values
-    base = linear_energy_eval(system, u)
-    for _ in range(100):
-        phi = rng.standard_normal(dom.n_interior)
-        phi /= np.linalg.norm(phi)
-        for t in (1e-2, -1e-2, 1e-4, -1e-4):
-            assert linear_energy_eval(system, u + t * phi) - base >= -1e-12
+    for dom, K in SMALL_BALL_CASES:
+        system = LinearSystem(dom, K, rng.standard_normal(dom.n_interior))
+        u = linear_solve(system, TIGHT).interior_values
+        base = linear_energy_eval(system, u)
+        for _ in range(100):
+            phi = rng.standard_normal(dom.n_interior)
+            phi /= np.linalg.norm(phi)
+            for t in (1e-2, -1e-2, 1e-4, -1e-4):
+                assert linear_energy_eval(system, u + t * phi) - base >= -1e-12, (dom.dim, K)
 
 
 def test_warm_start_still_meets_tolerance(rng):
@@ -300,132 +299,3 @@ def test_max_iter_counts_reduced_iterations(monkeypatch, rng):
     with pytest.raises(ConvergenceError, match="within 3 iterations"):
         linear_solve(LinearSystem(dom, 2.0, rng.standard_normal(dom.n_interior)), 1e-13)
     assert len(applied) == 3
-
-
-def test_block_runs_as_long_as_its_slowest_column(monkeypatch, rng):
-    # lockstep: one reduced application per iteration for the whole block,
-    # so a block costs its slowest column's solo count, not the sum
-    dom = build_domain(2, 6)
-    real = linear_mod._apply_reduced
-    applied = []
-
-    def counting(*args):
-        applied.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(linear_mod, "_apply_reduced", counting)
-    rhs = rng.standard_normal((3, dom.n_interior))
-    tols = (1e-2, 1e-12, 1e-6)
-    solo = []
-    for v, tol in zip(rhs, tols):
-        applied.clear()
-        linear_solve(LinearSystem(dom, 2.0, v), tol)
-        solo.append(len(applied))
-    assert len(set(solo)) == 3
-    applied.clear()
-    linear_solve(LinearSystem(dom, 2.0, rhs), tols)
-    assert len(applied) == max(solo)
-
-
-def _solo_outcome(system, tol_rel, x0):
-    try:
-        return linear_solve(system, tol_rel, x0=x0)
-    except ConvergenceError as exc:
-        return exc
-
-
-def _assert_same_outcome(block_entry, solo):
-    if isinstance(solo, ConvergenceError):
-        assert isinstance(block_entry, ConvergenceError)
-        assert str(block_entry) == str(solo) and block_entry.residual == solo.residual
-        if solo.best is not None:
-            assert np.array_equal(block_entry.best.values, solo.best.values)
-    else:
-        assert np.array_equal(block_entry.values, solo.values)
-
-
-@pytest.mark.parametrize("n,radius", [(2, 7), (3, 4), (4, 3), (4, 10)])
-@pytest.mark.parametrize("shift", ["scalar", "shared", "per_column"])
-def test_block_columns_equal_solo_solves_bitwise(n, radius, shift, rng):
-    # Columns with their own tolerances leave the block at different
-    # iterations; a zero column leaves before the first and a warm start
-    # that already meets its tolerance is returned as it stands.  On 4D
-    # R=10 the red table lies above ONE_TAKE_MAX, so the column-loop gather
-    # runs with a batch axis.
-    dom = build_domain(n, radius)
-    n_int, m = dom.n_interior, 5
-    split = dom.red_black
-    largest = max(split.red_neighbors.size, split.black_neighbors.size)
-    assert (largest > ONE_TAKE_MAX) == (radius == 10)
-    K = {"scalar": 1.5, "shared": rng.uniform(0.5, 2.0, n_int),
-         "per_column": rng.uniform(0.5, 2.0, (m, n_int))}[shift]
-    rhs = rng.standard_normal((m, n_int))
-    rhs[2] = 0.0
-    x0 = rng.standard_normal((m, n_int))
-    tols = np.array([1e-12, 1e-4, 1e-12, 1e-8, 1e-10])
-    per_column = [K[j] if shift == "per_column" else K for j in range(m)]
-    x0[4] = linear_solve(LinearSystem(dom, per_column[4], rhs[4]), TIGHT).interior_values
-    # the rows of columns that have left stay in the block and are still gathered
-    with np.errstate(divide="raise", invalid="raise", over="raise"):
-        block = linear_solve(LinearSystem(dom, K, rhs), tols, x0=x0)
-    assert len(block) == m and not np.any(block[2].values)
-    for j in range(m):
-        solo = linear_solve(LinearSystem(dom, per_column[j], rhs[j]),
-                            tols[j], x0=x0[j])
-        assert np.array_equal(block[j].values, solo.values)
-    assert np.array_equal(block[4].interior_values, x0[4])
-
-
-def test_block_failures_stay_in_their_columns(monkeypatch, rng):
-    # A nonpositive K + 2n, a search direction with p.Ap <= 0 and an
-    # unreachable tolerance each fail their own column, with the error of
-    # its solo solve; the other columns are solved as they are alone.
-    dom = build_domain(2, 8)
-    n_int = dom.n_interior
-    K = rng.uniform(0.5, 2.0, (4, n_int))
-    K[1, 7] = -4.5           # K + 2n < 0 at one point
-    K[2] = -1.0              # K - L indefinite: p.Ap <= 0 at some iteration
-    rhs = rng.standard_normal((4, n_int))
-    tols = np.array([1e-6, 1e-6, 1e-6, 1e-15])  # column 3 cannot meet 1e-15 in 12 iterations
-    _cap_iterations(monkeypatch, dom, 12)
-    # the failed columns' rows stay in the block and are still gathered
-    with np.errstate(divide="raise", invalid="raise", over="raise"):
-        block = linear_solve(LinearSystem(dom, K, rhs), tols)
-    assert isinstance(block[0], Field)
-    assert [type(entry) for entry in block[1:]] == [ConvergenceError] * 3
-    assert "interior index 7" in str(block[1]) and "p.Ap" in str(block[2])
-    assert "within 12 iterations" in str(block[3])
-    for j in range(4):
-        solo = _solo_outcome(LinearSystem(dom, K[j], rhs[j]), tols[j], None)
-        _assert_same_outcome(block[j], solo)
-
-
-def test_per_column_tolerances_must_match_the_block(b2):
-    block = LinearSystem(b2, 1.0, np.ones((2, b2.n_interior)))
-    for tols in ((0.1,), (0.1, 0.1, 0.1)):
-        with pytest.raises(ValueError, match="one value per column"):
-            linear_solve(block, tols)
-
-
-def test_dense_block_shares_one_factorization(rng):
-    dom = build_domain(3, 3)
-    rhs = rng.standard_normal((3, dom.n_interior))
-    block = dense_solve(LinearSystem(dom, 2.0, rhs))
-    for u, v in zip(block, rhs):
-        single = dense_solve(LinearSystem(dom, 2.0, v)).interior_values
-        assert np.linalg.norm(u.interior_values - single) <= 1e-14 * np.linalg.norm(single)
-    with pytest.raises(ValueError, match="one K"):
-        dense_solve(LinearSystem(dom, np.ones((3, dom.n_interior)), rhs))
-
-
-def test_block_energy_equals_single_evaluations_bitwise(rng):
-    dom = build_domain(3, 4)
-    v = rng.standard_normal(dom.n_interior)
-    u = rng.standard_normal((7, dom.n_interior))
-    system = LinearSystem(dom, 2.0, v)
-    block = linear_energy_eval(system, u)
-    # the definition, one Dirichlet field at a time, as plain floats
-    expected = [0.5 * grad_energy(Field.from_interior(dom, ui)) + 0.5 * 2.0 * float(np.dot(ui, ui))
-                + float(np.dot(v, ui)) for ui in u]
-    assert np.array_equal(block, expected)
-    assert linear_energy_eval(system, u[3]) == expected[3]

@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -360,9 +359,8 @@ class TestNewtonOracle:
         steps = []
 
         def recording(system, tol_rel, x0=None):
-            # each step is a block of one: one tolerance and one rhs row, -r
-            (eta,), (rhs,) = tol_rel, system.rhs
-            steps.append((eta, rhs.copy()))
+            # each step's rhs is -r
+            steps.append((tol_rel, system.rhs.copy()))
             return real(system, tol_rel, x0)
 
         monkeypatch.setattr(scheme_mod, "linear_solve", recording)
@@ -406,38 +404,6 @@ class TestNewtonOracle:
         # 1.8e-15", and inf returned the start as a root
         with pytest.raises(ValueError, match="tol must be (positive|a finite number)"):
             newton_solve(b2, ONE_VORTEX, Params(1.0, 1.0), Field.zeros(b2), tol=tol)
-
-    def test_block_of_starts_equals_solo_runs_bitwise(self, rng):
-        dom = build_domain(3, 4)
-        params = Params(1.0, 1.0)
-        vc = VortexConfig([((0, 0, 0), 1)])
-        starts = [Field.from_interior(dom, -3.0 * rng.random(dom.n_interior)) for _ in range(10)]
-        roots = newton_solve(dom, vc, params, starts)
-        assert len(roots) == 10
-        for start, root in zip(starts, roots):
-            assert isinstance(root, Field)
-            assert np.array_equal(root.values, newton_solve(dom, vc, params, start).values)
-
-    def test_failing_start_leaves_the_block_alone(self, rng):
-        # the indefinite start of test_indefinite_jacobian_raises_with_newton_iterate
-        # among good ones: they converge as they do alone, it is reported
-        dom = build_domain(2, 8)
-        params = Params(1.0, 1.0)
-        bad = Field.from_interior(dom, np.full(dom.n_interior, math.log(0.25)))
-        good = [Field.zeros(dom)] + [
-            Field.from_interior(dom, -3.0 * rng.random(dom.n_interior)) for _ in range(3)
-        ]
-        starts = good[:2] + [bad] + good[2:]
-        results = newton_solve(dom, ONE_VORTEX, params, starts)
-        failure = results.pop(2)
-        assert isinstance(failure, ConvergenceError)
-        assert re.search("Newton step failed.*positive definite", str(failure))
-        assert np.array_equal(failure.best.values, bad.values)
-        with pytest.raises(ConvergenceError) as solo:
-            newton_solve(dom, ONE_VORTEX, params, bad)
-        assert str(solo.value) == str(failure) and solo.value.residual == failure.residual
-        for start, root in zip(good, results):
-            assert np.array_equal(root.values, newton_solve(dom, ONE_VORTEX, params, start).values)
 
     def test_rejects_positive_start(self, b2):
         with pytest.raises(ValueError, match="nonpositive"):
