@@ -243,7 +243,7 @@ def write_field_csv(path: Path, f: Field) -> None:
         fh.write(header.encode())
         for start in range(0, dom.n_closure, CSV_BLOCK_ROWS):
             block = slice(start, start + CSV_BLOCK_ROWS)
-            ints = np.column_stack([dom.coords[block], dom.distances[block]]) - low
+            ints = np.column_stack([dom.coords[block], dom.distances[block]]).astype(np.intp) - low
             text = np.empty((len(ints), base + G17_WIDTH), np.uint8)
             text[:, :base] = np.take(token_text, ints, axis=0).reshape(len(ints), base)
             g17_text(f.values[block], text[:, base:])
@@ -510,7 +510,7 @@ def symmetry_deviation(f: Field) -> float:
     instead, which covers every group element at once.
     """
     dom = f.domain
-    canon = np.sort(np.abs(dom.coords), axis=1)
+    canon = np.sort(np.abs(dom.coords.astype(np.intp)), axis=1)
     keys = np.ravel_multi_index(tuple(canon.T), (dom.radius + 2,) * dom.dim)
     _, first, orbit = np.unique(keys, return_index=True, return_inverse=True)
     return float(np.max(np.abs(f.values - f.values[first][orbit])))

@@ -169,7 +169,7 @@ def shell_profile(sol: BoundedSolution) -> list[tuple[int, float, float]]:
     """Per-distance extrema (d, max |f|, min |f|) over interior shells d = 0..R."""
     dom = sol.domain
     absvals = np.abs(sol.field.interior_values)
-    dists = dom.distances[: dom.n_interior]
+    dists = dom.distances[: dom.n_interior].astype(np.intp)
     hi, lo = np.full(dom.radius + 1, -np.inf), np.full(dom.radius + 1, np.inf)
     np.maximum.at(hi, dists, absvals)
     np.minimum.at(lo, dists, absvals)
@@ -212,7 +212,9 @@ def decay_fit(sol: BoundedSolution, epsilon: float) -> DecayFit:
             f"decay window [{lo}, {hi}] has {ds.size} usable shells; "
             "solution too small or trivial"
         )
-    slope = np.polyfit(ds.astype(float), np.log(maxima), 1)[0]
+    # The least-squares slope in closed form, over centred abscissae.
+    x = ds - ds.mean()
+    slope = float(np.dot(x, np.log(maxima)) / np.dot(x, x))
     beta = alpha * (1.0 - epsilon)
     c_fit = float(np.max(maxima * np.exp(beta * ds)))
     return DecayFit(

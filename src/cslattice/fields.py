@@ -18,6 +18,8 @@ Conventions:
                    gather_sum over the neighbour table, for the Laplacian
                    and the maximality certificate.
   Laplacian      (Lf)(x) = sum_{y ~ x} (f(y) - f(x)) = (Sf)(x) - 2n f(x).
+  edge_differences f(head) - f(tail) over the closure edges, the gather both
+                   gradient forms below share.
   grad_energy(f) = sum over unordered closure edges of (f(y) - f(x))^2,
                    i.e. 1/2 the sum over ordered pairs; only edges with both
                    endpoints in the closure enter, which is exactly what
@@ -39,8 +41,15 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 _SETS = ("interior", "closure")
 
-# Largest table gather_sum gathers in one take: 2^15 entries, 256 KB.
-ONE_TAKE_MAX = 2**15
+# Largest table gather_sum gathers in one take: 2^14 entries, 128 KB, glibc's
+# default mmap threshold.  Where no larger block has raised that threshold, a
+# larger one-take block (the 2D R=80 red-black tables, 26k entries) is mapped
+# and faulted in afresh on every call: exhaust-2d took 3800 page faults per
+# call with 2^15, against 480 with 2^14.
+ONE_TAKE_MAX = 2**14
+
+# Edges per take in edge_differences: 32 KB of values and of converted indices.
+EDGE_CHUNK = 2**12
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,19 +153,32 @@ def integral(f: Field, over: str = "interior") -> float:
     return float(np.sum(f.values))
 
 
+def edge_differences(f: Field) -> np.ndarray:
+    """f(head) - f(tail) over the domain's edges, in edge order.
+
+    The int32 edge arrays are gathered EDGE_CHUNK at a time: numpy's take
+    converts each index array to intp first, and a whole-array conversion
+    (1.1 MB on 4D R=14) held at the solve's memory peak would cost more than
+    the compact edge arrays save.
+    """
+    dom = f.domain
+    out = np.empty(len(dom.edge_head))
+    for start in range(0, len(out), EDGE_CHUNK):
+        stop = start + EDGE_CHUNK
+        np.subtract(f.values.take(dom.edge_head[start:stop]),
+                    f.values.take(dom.edge_tail[start:stop]), out=out[start:stop])
+    return out
+
+
 def grad_inner(f: Field, g: Field) -> float:
     """Sum over unordered closure edges of (f(y)-f(x)) (g(y)-g(x))."""
     _require_same_domain(f, g)
-    dom = f.domain
-    df = f.values[dom.edge_head] - f.values[dom.edge_tail]
-    dg = g.values[dom.edge_head] - g.values[dom.edge_tail]
-    return float(np.dot(df, dg))
+    return float(np.dot(edge_differences(f), edge_differences(g)))
 
 
 def grad_energy(f: Field) -> float:
     """Dirichlet energy: sum over unordered closure edges of (f(y)-f(x))^2."""
-    dom = f.domain
-    df = f.values[dom.edge_head] - f.values[dom.edge_tail]
+    df = edge_differences(f)
     return float(np.dot(df, df))
 
 

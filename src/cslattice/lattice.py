@@ -19,6 +19,16 @@ larger ball's.  ``LatticeDomain.locate`` maps points back to indices
 through a mixed-radix key of their coordinates.  A domain keeps the
 even-odd (red-black) split of its interior that the linear solver reduces
 every system on, once computed.
+
+Storage is compact: coordinates and norms are int16, closure indices int32,
+and only the keys int64, 74 bytes per closure point on B_14 in Z^4 (161 in
+int64).  build_domain refuses a ball whose boundary lies beyond the int16
+range or whose closure outgrows int32 indexing, before allocating anything.
+Code that does arithmetic, comparisons or sorts on these arrays widens them
+to intp first: numpy keeps int16 + int in int16 (NEP 50), and its int16 and
+int32 comparison, sort and ufunc.at loops are separate machine code, 64 to
+192 KB of which a run maps on first use, more than the compact arrays save
+on a small ball.
 """
 
 from __future__ import annotations
@@ -35,6 +45,11 @@ from .fields import Field
 Point = tuple[int, ...]
 
 FOUR_PI = 4.0 * math.pi
+
+# Storage types of LatticeDomain's arrays: coordinates and norms, and closure
+# indices (key_order, neighbors, edge_tail, edge_head).
+COORD_DTYPE = np.int16
+INDEX_DTYPE = np.int32
 
 
 def manhattan_distance(x: Point, y: Point) -> int:
@@ -64,11 +79,24 @@ def shell_size(n: int, d: int) -> int:
     )
 
 
+def ball_size(n: int, radius: int) -> int:
+    """Number of points of Z^n at Manhattan distance at most radius from 0.
+
+    Counted by choosing the k nonzero coordinates, their signs, and k
+    distinct values in 1..radius for their partial sums of absolute values:
+    sum_k 2^k C(n, k) C(radius, k).
+    """
+    n, radius = validate_int(n, "n", low=1), validate_int(radius, "radius", low=0)
+    return sum(2**k * math.comb(n, k) * math.comb(radius, k) for k in range(min(n, radius) + 1))
+
+
 def _radix_keys(points: np.ndarray, radius: int) -> np.ndarray:
     """Mixed-radix keys, digit x_i + R + 1 in base 2R + 3: lexicographically
-    increasing, and injective on points with every |x_i| <= R + 1."""
-    digits = np.moveaxis(np.asarray(points) + (radius + 1), -1, 0)
-    return np.ravel_multi_index(tuple(digits), (2 * radius + 3,) * digits.shape[0])
+    increasing, and injective on points with every |x_i| <= R + 1.  The digits
+    are formed in int64, whatever the points' integer type."""
+    pts = np.asarray(points)
+    digits = tuple(pts[..., i].astype(np.int64) + (radius + 1) for i in range(pts.shape[-1]))
+    return np.ravel_multi_index(digits, (2 * radius + 3,) * len(digits))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +111,10 @@ class RedBlack:
     as positions in ``black``, a boundary neighbour as n_black: the slot
     after the last black value, which the caller keeps at zero, so a gather
     through the table reads the Dirichlet data there.  ``black_neighbors``
-    is the same table from black into red.
+    is the same table from black into red.  All four arrays are intp, not
+    int32 like the domain's: numpy's take converts any other index type on
+    every call, and the solver gathers through the tables twice per CG
+    iteration.
     """
 
     red: np.ndarray = field(repr=False)
@@ -96,12 +127,12 @@ class RedBlack:
 class LatticeDomain:
     """A Manhattan ball B_R in Z^n together with its vertex boundary, as arrays.
 
-    ``coords`` (n_closure x n) holds the closure's points shell by shell
-    (interior rows first) and ``distances`` their Manhattan norms;
-    ``sorted_keys`` holds their mixed-radix keys in increasing order and
-    ``key_order`` the closure index of each.  ``locate`` maps points to
-    closure indices.
-    The ``neighbors`` array (shape n_interior x 2n) lists, for each interior
+    ``coords`` (n_closure x n, int16) holds the closure's points shell by
+    shell (interior rows first) and ``distances`` (int16) their Manhattan
+    norms; ``sorted_keys`` (int64) holds their mixed-radix keys in increasing
+    order and ``key_order`` (int32) the closure index of each.  ``locate``
+    maps points to closure indices.
+    The ``neighbors`` array (int32, shape n_interior x 2n) lists, for each interior
     vertex, the closure indices of its 2n lattice neighbours, in the column
     order x_1 - 1, x_1 + 1, ..., x_n - 1, x_n + 1.  It is stored
     column-major, so each stencil direction ``neighbors[:, j]`` is one
@@ -109,8 +140,8 @@ class LatticeDomain:
     ``red_black`` splits the interior by parity into two such tables, one
     into each colour (see RedBlack); it is built on first use, at most once
     per domain, because only the linear solver needs it.
-    ``edge_tail``/``edge_head`` hold every closure edge exactly once with
-    tail < head, ordered by tail.
+    ``edge_tail``/``edge_head`` (int32) hold every closure edge exactly once
+    with tail < head, ordered by tail.
     For r <= R each of these arrays of B_r is a prefix of B_R's, the colour
     tables once clipped to B_r's colour counts (see ``locate_closure``).
     """
@@ -169,7 +200,7 @@ class LatticeDomain:
 
         Its arrays are read-only.
         """
-        odd = self.distances[: self.n_interior] % 2 == 1
+        odd = self.distances[: self.n_interior].astype(np.intp) % 2 == 1
         colours = (np.flatnonzero(~odd), np.flatnonzero(odd))
         tables = []
         for rows, other in (colours, colours[::-1]):
@@ -221,38 +252,57 @@ def validate_dimension(n: int) -> int:
 
 
 def _ball(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points of B_radius in Z^n in lexicographic order, with their norms.
+    """Points of B_radius in Z^n in lexicographic order (as COORD_DTYPE), with
+    their norms (int64).
 
     Grows the array of coordinate prefixes one axis at a time: a prefix with
     remaining budget b extends by each value in -b..b.
     """
-    coords = np.zeros((1, 0), dtype=np.int64)
+    coords = np.zeros((1, 0), dtype=COORD_DTYPE)
     budget = np.array([radius], dtype=np.int64)
     for _ in range(n):
         width = 2 * budget + 1
         first = np.repeat(np.cumsum(width) - width, width)
         value = np.arange(first.size, dtype=np.int64) - first - np.repeat(budget, width)
-        coords = np.column_stack([np.repeat(coords, width, axis=0), value])
+        coords = np.column_stack([np.repeat(coords, width, axis=0), value.astype(COORD_DTYPE)])
         budget = np.repeat(budget, width) - np.abs(value)
     return coords, radius - budget
 
 
 def build_domain(n: int, radius: int) -> LatticeDomain:
-    """Construct B_radius in Z^n (integers n >= 2, radius >= 0) with its boundary and adjacency."""
+    """Construct B_radius in Z^n (integers n >= 2, radius >= 0) with its boundary and adjacency.
+
+    Raises ValueError, before allocating anything, for a ball that the
+    arrays cannot hold: a boundary at distance radius + 1 above the int16
+    maximum 32767, a closure of more than 2^31 - 1 points (its size is
+    ball_size(n, radius + 1)), or keys (2 radius + 3)^n beyond int64.
+    """
     n, radius = validate_dimension(n), validate_int(radius, "radius", low=0)
+    if radius + 1 > np.iinfo(COORD_DTYPE).max:
+        raise ValueError(
+            f"B_{radius} in Z^{n} is too large for {np.dtype(COORD_DTYPE).name} coordinates: "
+            f"its boundary lies at distance {radius + 1} > {np.iinfo(COORD_DTYPE).max}"
+        )
+    size = ball_size(n, radius + 1)
+    if size > np.iinfo(INDEX_DTYPE).max:
+        raise ValueError(
+            f"B_{radius} in Z^{n} is too large for {np.dtype(INDEX_DTYPE).name} indices: "
+            f"its closure has {size} points > {np.iinfo(INDEX_DTYPE).max}"
+        )
     if (2 * radius + 3) ** n > np.iinfo(np.int64).max:
         raise ValueError(f"B_{radius} in Z^{n} is too large for int64 point keys")
 
     # _ball enumerates the closure in key order; a stable sort by norm puts
     # it in shell order (numpy sorts 8- and 16-bit integers by radix sort).
-    coords, distances = _ball(n, radius + 1)
+    coords, norms = _ball(n, radius + 1)
     sorted_keys = _radix_keys(coords, radius)
-    order = np.argsort(distances.astype(np.min_scalar_type(radius + 1)), kind="stable")
-    key_order = np.empty_like(order)
-    key_order[order] = np.arange(order.size)
-    lex_inner = np.flatnonzero(distances <= radius)
+    order = np.argsort(norms.astype(np.min_scalar_type(radius + 1)), kind="stable")
+    key_order = np.empty(size, dtype=INDEX_DTYPE)
+    key_order[order] = np.arange(size, dtype=INDEX_DTYPE)
+    lex_inner = np.flatnonzero(norms <= radius)
     n_int = lex_inner.size
-    coords, distances = coords[order], distances[order]
+    coords, distances = coords[order], norms[order].astype(COORD_DTYPE)
+    del order, norms
 
     # x +- e_i has the key key(x) +- (2R+3)^(n-1-i): |x_i| <= R, so digit i
     # moves with no carry.  The interior is queried in key order, so each
@@ -261,7 +311,7 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
     # needs no search.
     inner_keys = sorted_keys.take(lex_inner)
     shell_rows = key_order.take(lex_inner)
-    neighbors = np.empty((n_int, 2 * n), dtype=np.int64, order="F")
+    neighbors = np.empty((n_int, 2 * n), dtype=INDEX_DTYPE, order="F")
     for col in range(2 * n):
         step = 1 if col % 2 else -1
         if col // 2 == n - 1:
@@ -275,8 +325,9 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
     # points are never adjacent, by the parity of the Manhattan norm), so
     # collecting tail < head over interior stencils enumerates each once.
     # Boolean indexing reads the table row by row, so edges come by tail.
-    rows = np.arange(n_int, dtype=np.int64)
-    keep = neighbors > rows[:, None]
+    # The comparison runs in intp (see the module docstring).
+    rows = np.arange(n_int, dtype=INDEX_DTYPE)
+    keep = neighbors > np.arange(n_int)[:, None]
 
     return LatticeDomain(
         dim=n,
@@ -287,7 +338,7 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
         sorted_keys=sorted_keys,
         key_order=key_order,
         neighbors=neighbors,
-        edge_tail=np.repeat(rows, np.count_nonzero(keep, axis=1)),
+        edge_tail=np.broadcast_to(rows[:, None], keep.shape)[keep],
         edge_head=neighbors[keep],
     )
 

@@ -121,7 +121,7 @@ def system_matrix(domain: "LatticeDomain", K: float | np.ndarray) -> np.ndarray:
         )
     A = np.zeros((n_int, n_int))
     np.fill_diagonal(A, K + domain.degree)
-    interior_edge = domain.edge_head < n_int
+    interior_edge = domain.edge_head.astype(np.intp) < n_int
     t = domain.edge_tail[interior_edge]
     h = domain.edge_head[interior_edge]
     A[t, h] = -1.0
@@ -180,6 +180,8 @@ def linear_solve(
         if x0.shape != b.shape:
             raise ValueError(f"x0 needs the rhs's shape {b.shape}, got {x0.shape}")
         _require_finite(x0, "x0")
+        if not x0.any():  # a zero start is the cold start
+            x0 = None
     diag = system.K + dom.degree  # a scalar or one value per interior point
     if np.ndim(diag) and not (diag > 0).all():
         i = int(np.argmin(diag > 0))

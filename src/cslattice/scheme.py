@@ -235,7 +235,7 @@ def boundary_flux(f: Field) -> float:
     mass plus the total vortex flux.
     """
     dom = f.domain
-    cross = dom.edge_head >= dom.n_interior
+    cross = dom.edge_head.astype(np.intp) >= dom.n_interior
     t = dom.edge_tail[cross]
     h = dom.edge_head[cross]
     return float(np.sum(f.values[h] - f.values[t]))

@@ -402,9 +402,9 @@ class TestDeterminism:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_byte_identical_artifacts_4d(self, tmp_path):
-        # n = 4 gives an 8-column stencil.  At R=9 the neighbour table is
-        # above fields.ONE_TAKE_MAX and the red-black tables are below it,
-        # so that solve runs both gather_sum paths.
+        # n = 4 gives an 8-column stencil.  At R=9 the neighbour and red-black
+        # tables are above fields.ONE_TAKE_MAX, at R=4 below it, so the two
+        # solves run both gather_sum paths.
         for radius in (4, 9):
             path = write_config(
                 tmp_path, dimension=4, vortices=[{"point": [1, 0, 0, 0], "multiplicity": 1}],

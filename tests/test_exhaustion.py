@@ -259,6 +259,24 @@ class TestDecayFit:
             if fit.fit_window[0] <= d <= fit.fit_window[1]:
                 assert mx <= fit.c_fit * math.exp(-beta * d) * (1 + 1e-12)
 
+    def test_slope_in_closed_form_without_lapack(self, monkeypatch):
+        # the least-squares slope of log(shell max) against d, as np.polyfit
+        # gives it to rounding, but with no LAPACK least-squares call
+        sol = solve_bounded(build_domain(2, 16), ONE_VORTEX, PARAMS)
+        lo, hi = 4, 8
+        ds = np.array([d for d, _, _ in shell_profile(sol) if lo <= d <= hi], dtype=float)
+        maxima = np.array([mx for d, mx, _ in shell_profile(sol) if lo <= d <= hi])
+        expected = -np.polyfit(ds, np.log(maxima), 1)[0]
+
+        def no_least_squares(*_args, **_kwargs):
+            raise AssertionError("decay_fit called a LAPACK least-squares solver")
+
+        monkeypatch.setattr(np, "polyfit", no_least_squares)
+        monkeypatch.setattr(np.linalg, "lstsq", no_least_squares)
+        fit = decay_fit(sol, 0.1)
+        assert fit.fit_window == (lo, hi)
+        assert fit.fitted_rate == pytest.approx(expected, rel=1e-14)
+
     def test_trivial_solution_rejected(self):
         sol = solve_bounded(build_domain(2, 8), VortexConfig([]), PARAMS)
         with pytest.raises(AnalysisError):

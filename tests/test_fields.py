@@ -16,7 +16,8 @@ from cslattice import (
     norm,
     sum_by_parts_defect,
 )
-from cslattice.fields import ONE_TAKE_MAX, extend_by_zero, gather_sum, neighbor_sum
+from cslattice.fields import (EDGE_CHUNK, ONE_TAKE_MAX, edge_differences, extend_by_zero,
+                              gather_sum, neighbor_sum)
 
 
 def indicator(dom, point):
@@ -117,6 +118,17 @@ def test_grad_energy_constant_and_spike():
 def test_grad_energy_matches_double_loop_oracle(b2, rng):
     f = Field(b2, rng.standard_normal(b2.n_closure))
     assert grad_energy(f) == pytest.approx(grad_inner_oracle(f, f), rel=1e-13)
+
+
+@pytest.mark.parametrize("n, radius", [(2, 3), (2, 40), (4, 6)])
+def test_edge_differences_bitwise_equal_one_gather(n, radius, rng):
+    # 2D R=40 and 4D R=6 have more edges than EDGE_CHUNK, gathered in chunks
+    dom = build_domain(n, radius)
+    assert (len(dom.edge_head) > EDGE_CHUNK) == (radius > 3)
+    values = rng.standard_normal(dom.n_closure)
+    expected = values[dom.edge_head.astype(np.intp)] - values[dom.edge_tail.astype(np.intp)]
+    got = edge_differences(Field(dom, values))
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_grad_inner_examples(b2, rng):

@@ -10,11 +10,13 @@ from cslattice import (
     Params,
     VortexConfig,
     assemble_source,
+    ball_size,
     build_domain,
     integral,
     manhattan_distance,
     shell_size,
 )
+from cslattice.lattice import _radix_keys
 from conftest import box_ball_oracle
 
 
@@ -234,6 +236,56 @@ def test_build_domain_rejects_bad_inputs():
         with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
             build_domain(n, radius)
     assert build_domain(np.int64(2), np.int64(3)).n_interior == build_domain(2, 3).n_interior
+
+
+def test_compact_layout():
+    dom = build_domain(4, 14)
+    dtypes = {name: getattr(dom, name).dtype for name in
+              ("coords", "distances", "sorted_keys", "key_order", "neighbors",
+               "edge_tail", "edge_head")}
+    assert dtypes == {"coords": np.int16, "distances": np.int16, "sorted_keys": np.int64,
+                      "key_order": np.int32, "neighbors": np.int32, "edge_tail": np.int32,
+                      "edge_head": np.int32}
+    assert dom.neighbors.flags.f_contiguous
+    nbytes = sum(getattr(dom, name).nbytes for name in dtypes)
+    assert nbytes <= 80 * dom.n_closure  # 161 bytes per point in int64
+    # the colour tables stay intp: take would convert any other index type per call
+    split = dom.red_black
+    for array in (split.red, split.black, split.red_neighbors, split.black_neighbors):
+        assert array.dtype == np.intp
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ball_size_counts_the_closure(n):
+    for radius in range(5):
+        dom = build_domain(n, radius)
+        assert ball_size(n, radius + 1) == dom.n_closure
+        assert ball_size(n, radius) == dom.n_interior
+        assert ball_size(n, radius) == sum(shell_size(n, d) for d in range(radius + 1))
+
+
+def test_build_domain_refuses_balls_its_arrays_cannot_hold():
+    # about 1.1e10 closure points: more than int32 indices reach
+    size = ball_size(3, 2001)
+    with pytest.raises(ValueError, match=f"int32 indices: its closure has {size} points "
+                                         f"> {2**31 - 1}"):
+        build_domain(3, 2000)
+    # a boundary at distance 10^6 + 1: beyond int16 coordinates
+    with pytest.raises(ValueError, match="int16 coordinates: its boundary lies at "
+                                         "distance 1000001 > 32767"):
+        build_domain(2, 10**6)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint16, np.int32, np.uint64])
+def test_radix_keys_widen_small_integer_types(dtype):
+    # x_i + R + 1 overflows int16 for R = 40000; the key is formed in int64
+    radius = 40000
+    points = np.array([[0, 0], [1, 2], [3, 0]], dtype=dtype)
+    base = 2 * radius + 3
+    expected = [(x + radius + 1) * base + (y + radius + 1) for x, y in points.tolist()]
+    keys = _radix_keys(points, radius)
+    assert keys.dtype == np.int64
+    assert keys.tolist() == expected
 
 
 def test_vortex_config_validation():

@@ -9,8 +9,12 @@ from cslattice import (
     ConvergenceError,
     Field,
     LinearSystem,
+    Params,
+    VortexConfig,
+    assemble_source,
     build_domain,
     dense_solve,
+    iterate_once,
     linear_energy_eval,
     linear_solve,
     system_matrix,
@@ -234,6 +238,29 @@ def test_solution_minimizes_energy(rng):
             phi /= np.linalg.norm(phi)
             for t in (1e-2, -1e-2, 1e-4, -1e-4):
                 assert linear_energy_eval(system, u + t * phi) - base >= -1e-12, (dom.dim, K)
+
+
+def test_zero_start_is_the_cold_start(monkeypatch):
+    # every cold monotone step passes x0 = f_0 = 0; it must cost what x0=None
+    # costs (no gather and no residual of the zero start) and give its bits
+    dom = build_domain(2, 10)
+    g = assemble_source(dom, VortexConfig([((0, 0), 1)]))
+    params = Params(1.0, 1.0)
+    real = linear_mod.gather_sum
+    calls = []
+
+    def counting(nbr, values):
+        calls.append(len(nbr))
+        return real(nbr, values)
+
+    monkeypatch.setattr(linear_mod, "gather_sum", counting)
+    f0 = Field.zeros(dom)
+    zero_start = iterate_once(f0, g, params, x0=f0.interior_values)
+    zero_calls = len(calls)
+    calls.clear()
+    cold = iterate_once(f0, g, params)
+    assert zero_calls == len(calls) > 0
+    assert np.array_equal(zero_start.values.view(np.int64), cold.values.view(np.int64))
 
 
 def test_warm_start_still_meets_tolerance(rng):

@@ -28,6 +28,7 @@ from cslattice import (
     linear_solve,
     norm,
     newton_solve,
+    ball_size,
     shell_size,
     solve_bounded,
 )
@@ -56,6 +57,8 @@ INPUTS = {
     "Params.K": (lambda v: Params(1.0, 1.0, v), "K", 1.0, np.float64(3.0)),
     "shell_size.n": (lambda v: shell_size(v, 3), "n", 0, np.int64(2)),
     "shell_size.d": (lambda v: shell_size(2, v), "d", -1, np.int64(3)),
+    "ball_size.n": (lambda v: ball_size(v, 3), "n", 0, np.int64(2)),
+    "ball_size.radius": (lambda v: ball_size(2, v), "radius", -1, np.int32(3)),
     "LinearSystem.K": (lambda v: LinearSystem(DOM, v, RHS), "K", 0.0, np.float32(2.0)),
     "linear_solve.tol_rel": (lambda v: linear_solve(LinearSystem(DOM, 1.0, RHS), v),
                              "tol_rel", 0.0, np.float64(0.5)),
