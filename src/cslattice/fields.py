@@ -18,8 +18,8 @@ Conventions:
                    gather_sum over the neighbour table, for the Laplacian
                    and the maximality certificate.
   Laplacian      (Lf)(x) = sum_{y ~ x} (f(y) - f(x)) = (Sf)(x) - 2n f(x).
-  edge_differences f(head) - f(tail) over the closure edges, the gather both
-                   gradient forms below share.
+  edge_differences f(head) - f(tail) over the closure edges, the gather
+                   grad_energy reads.
   grad_energy(f) = sum over unordered closure edges of (f(y) - f(x))^2,
                    i.e. 1/2 the sum over ordered pairs; only edges with both
                    endpoints in the closure enter, which is exactly what
@@ -107,12 +107,6 @@ def extend_by_zero(f: Field, domain: "LatticeDomain") -> Field:
     return Field(domain, values)
 
 
-def _require_same_domain(f: Field, g: Field) -> None:
-    a, b = f.domain, g.domain
-    if (a.dim, a.radius) != (b.dim, b.radius):
-        raise ValueError(f"domain mismatch: B_{a.radius} in Z^{a.dim} vs B_{b.radius} in Z^{b.dim}")
-
-
 def gather_sum(nbr: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Row sums of ``values[nbr]`` for a vector ``values`` and a column-major index table ``nbr``.
 
@@ -170,29 +164,10 @@ def edge_differences(f: Field) -> np.ndarray:
     return out
 
 
-def grad_inner(f: Field, g: Field) -> float:
-    """Sum over unordered closure edges of (f(y)-f(x)) (g(y)-g(x))."""
-    _require_same_domain(f, g)
-    return float(np.dot(edge_differences(f), edge_differences(g)))
-
-
 def grad_energy(f: Field) -> float:
     """Dirichlet energy: sum over unordered closure edges of (f(y)-f(x))^2."""
     df = edge_differences(f)
     return float(np.dot(df, df))
-
-
-def sum_by_parts_defect(f: Field, g: Field) -> float:
-    """grad_inner(f, g) + integral(laplacian(f) * g) for Dirichlet g.
-
-    Vanishes identically in exact arithmetic; the returned value is the
-    floating-point defect.
-    """
-    _require_same_domain(f, g)
-    if not g.is_dirichlet():
-        raise ValueError("summation by parts requires g to vanish on the boundary")
-    lap = laplacian(f)
-    return grad_inner(f, g) + float(np.dot(lap, g.interior_values))
 
 
 def norm(f: Field, p: float = 2.0, over: str = "interior") -> float:

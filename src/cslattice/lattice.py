@@ -52,13 +52,6 @@ COORD_DTYPE = np.int16
 INDEX_DTYPE = np.int32
 
 
-def manhattan_distance(x: Point, y: Point) -> int:
-    """Lattice distance d(x, y) = sum_i |x_i - y_i|."""
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    return sum(abs(a - b) for a, b in zip(x, y))
-
-
 def manhattan_norm(x: Point) -> int:
     """Distance to the origin, d(x) = d(x, 0)."""
     return sum(abs(a) for a in x)

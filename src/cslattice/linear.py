@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConvergenceError
-from .fields import Field, gather_sum, grad_energy
+from .fields import Field, gather_sum
 from .lattice import validate_float
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -261,19 +261,3 @@ def linear_solve(
         best=solution(),
         residual=r_norm,
     )
-
-
-def linear_energy_eval(system: LinearSystem, u: np.ndarray) -> float:
-    """Variational functional F(u) = 1/2 int |grad u|^2 + 1/2 int K u^2 + int v u.
-
-    u holds the interior values of a field that vanishes on the boundary; K
-    (a scalar) and v are the system's.  Solutions of (L - K) u = v with zero
-    boundary data are exactly the minimizers of F over such fields.
-    """
-    dom = system.domain
-    if np.ndim(system.K):
-        raise ValueError("linear_energy_eval needs a system with a scalar K")
-    if np.shape(u) != (dom.n_interior,):
-        raise ValueError(f"u needs {dom.n_interior} interior values, got {np.shape(u)}")
-    return (0.5 * grad_energy(Field.from_interior(dom, u)) + 0.5 * system.K * float(np.dot(u, u))
-            + float(np.dot(system.rhs, u)))

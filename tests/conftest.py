@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cslattice import Field, build_domain
+from cslattice import Field, build_domain, grad_energy
 from cslattice.cli import write_field_csv
 
 try:
@@ -67,6 +67,22 @@ def bisection_root(fn, lo, hi, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def linear_energy_eval(system, u) -> float:
+    """Variational functional F(u) = 1/2 int |grad u|^2 + 1/2 int K u^2 + int v u.
+
+    u holds the interior values of a field that vanishes on the boundary; K
+    (a scalar) and v are the system's.  Solutions of (L - K) u = v with zero
+    boundary data are exactly the minimizers of F over such fields.
+    """
+    dom = system.domain
+    if np.ndim(system.K):
+        raise ValueError("linear_energy_eval needs a system with a scalar K")
+    if np.shape(u) != (dom.n_interior,):
+        raise ValueError(f"u needs {dom.n_interior} interior values, got {np.shape(u)}")
+    return (0.5 * grad_energy(Field.from_interior(dom, u)) + 0.5 * system.K * float(np.dot(u, u))
+            + float(np.dot(system.rhs, u)))
 
 
 def reference_field_csv(f) -> bytes:

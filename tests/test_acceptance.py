@@ -26,7 +26,6 @@ from cslattice import (
     dense_solve,
     energy_eval,
     iterate_once,
-    linear_energy_eval,
     linear_solve,
     newton_solve,
     residual,
@@ -34,7 +33,7 @@ from cslattice import (
     solve_bounded,
 )
 
-from conftest import bisection_root
+from conftest import bisection_root, linear_energy_eval
 
 ONE_VORTEX = VortexConfig([((0, 0), 1)])
 FOUR_PI = 4 * math.pi

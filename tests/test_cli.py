@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +45,52 @@ def write_config(tmp_path, name="run.json", **overrides):
 
 def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text())
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code, *args, hash_seed="0"):
+    """Run code with args in a fresh interpreter that imports cslattice from src/."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout
+
+
+# The pytest process cannot tell: conftest's rng fixture imports numpy.random.
+IMPORTS_AFTER_EACH_COMMAND = """
+import json, sys
+import numpy
+watched = {"numpy.random", "secrets", "_hashlib"}
+print(json.dumps(["numpy", sorted(watched & set(sys.modules))]))
+from cslattice.cli import main
+for cmd in ("solve", "exhaust", "verify"):
+    main([cmd, sys.argv[1], "--output-dir", sys.argv[2] + "/" + cmd, "--quiet"])
+    print(json.dumps([cmd, sorted(watched & set(sys.modules))]))
+"""
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # numpy.random imports secrets, hmac and _hashlib, which maps OpenSSL's
+    # libcrypto.  numpy 1.x imports numpy.random with numpy itself, so a
+    # command may only keep the set that import numpy left.
+    path = write_config(tmp_path, radii=[3, 5])
+    lines = run_fresh(IMPORTS_AFTER_EACH_COMMAND, path, tmp_path).splitlines()
+    (_, loaded), *after = [json.loads(line) for line in lines]
+    assert after == [["solve", loaded], ["exhaust", loaded], ["verify", loaded]]
+    for cmd in ("solve", "exhaust", "verify"):  # each command ran to its report
+        assert read_report(tmp_path / cmd)["command"] == cmd
+
+
+def test_uniform_draws_are_pythons_random_stream():
+    for low, high in ((-1.0, 1.0), (-3.0, 0.0)):
+        stream, reference = random.Random(cli._SEED), random.Random(cli._SEED)
+        for size in (1000, 7):  # a second call continues the stream
+            x = cli._uniform(stream, low, high, size)
+            assert x.dtype == np.float64
+            assert np.all((low <= x) & (x < high))
+            assert x.tolist() == [low + (high - low) * reference.random() for _ in range(size)]
 
 
 class TestConfig:
@@ -415,6 +465,16 @@ class TestDeterminism:
                 assert main(["solve", str(path), "--output-dir", str(out), "--quiet"]) == EXIT_OK
             for name in ("report.json", "field.csv", "trace.csv"):
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_byte_identical_verify_report(self, tmp_path):
+        # two fresh processes whose hash seeds differ
+        path = write_config(tmp_path, radii=[3, 5])
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out, hash_seed in zip(outs, ("1", "2")):
+            run_fresh("from cslattice.cli import console_main; console_main()",
+                      "verify", path, "--output-dir", out, "--quiet", hash_seed=hash_seed)
+        assert read_report(outs[0])["all_checks_passed"]
+        assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
 
 
 class TestVerify:

@@ -9,12 +9,10 @@ from cslattice import (
     assemble_source,
     build_domain,
     grad_energy,
-    grad_inner,
     integral,
     laplacian,
-    manhattan_distance,
+    manhattan_norm,
     norm,
-    sum_by_parts_defect,
 )
 from cslattice.fields import (EDGE_CHUNK, ONE_TAKE_MAX, edge_differences, extend_by_zero,
                               gather_sum, neighbor_sum)
@@ -26,6 +24,25 @@ def indicator(dom, point):
     return Field(dom, vals)
 
 
+def grad_inner(f, g):
+    """Sum over unordered closure edges of (f(y)-f(x)) (g(y)-g(x))."""
+    a, b = f.domain, g.domain
+    if (a.dim, a.radius) != (b.dim, b.radius):
+        raise ValueError(f"domain mismatch: B_{a.radius} in Z^{a.dim} vs B_{b.radius} in Z^{b.dim}")
+    return float(np.dot(edge_differences(f), edge_differences(g)))
+
+
+def sum_by_parts_defect(f, g):
+    """grad_inner(f, g) + integral(laplacian(f) * g) for Dirichlet g.
+
+    Vanishes identically in exact arithmetic; the returned value is the
+    floating-point defect.
+    """
+    if not g.is_dirichlet():
+        raise ValueError("summation by parts requires g to vanish on the boundary")
+    return grad_inner(f, g) + float(np.dot(laplacian(f), g.interior_values))
+
+
 def grad_inner_oracle(f, g):
     """Double loop over ordered closure vertex pairs at distance one."""
     dom = f.domain
@@ -33,7 +50,7 @@ def grad_inner_oracle(f, g):
     pts = [tuple(p) for p in dom.coords.tolist()]
     for x in pts:
         for y in pts:
-            if manhattan_distance(x, y) == 1:
+            if manhattan_norm(np.subtract(x, y)) == 1:
                 total += (f(y) - f(x)) * (g(y) - g(x))
     return 0.5 * total
 

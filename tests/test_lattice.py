@@ -13,11 +13,17 @@ from cslattice import (
     ball_size,
     build_domain,
     integral,
-    manhattan_distance,
     shell_size,
 )
 from cslattice.lattice import _radix_keys
 from conftest import box_ball_oracle
+
+
+def manhattan_distance(x, y) -> int:
+    """Lattice distance d(x, y) = sum_i |x_i - y_i|."""
+    if len(x) != len(y):
+        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
+    return sum(abs(a - b) for a, b in zip(x, y))
 
 
 def points(coords):

@@ -15,12 +15,13 @@ from cslattice import (
     build_domain,
     dense_solve,
     iterate_once,
-    linear_energy_eval,
     linear_solve,
     system_matrix,
 )
 from cslattice import linear as linear_mod
 from cslattice.linear import DENSE_MAX_UNKNOWNS, ORACLE_REL_TOL
+
+from conftest import linear_energy_eval
 
 TIGHT = 1e-13
 
