@@ -18,13 +18,9 @@ Conventions:
                    gather_sum over the neighbour table, for the Laplacian
                    and the maximality certificate.
   Laplacian      (Lf)(x) = sum_{y ~ x} (f(y) - f(x)) = (Sf)(x) - 2n f(x).
-  edge_differences f(head) - f(tail) over the closure edges, the gather
-                   grad_energy reads.
-  grad_energy(f) = sum over unordered closure edges of (f(y) - f(x))^2,
-                   i.e. 1/2 the sum over ordered pairs; only edges with both
-                   endpoints in the closure enter, which is exactly what
-                   makes summation by parts against Dirichlet test fields
-                   an identity.
+  grad_energy(f) = sum over unordered closure edges of (f(y) - f(x))^2, for
+                   a Dirichlet f only, where it equals -sum_interior f Lf
+                   exactly (summation by parts), the form it is computed in.
   integral(f)    = plain vertex sum (unit measure).
 """
 
@@ -47,9 +43,6 @@ _SETS = ("interior", "closure")
 # and faulted in afresh on every call: exhaust-2d took 3800 page faults per
 # call with 2^15, against 480 with 2^14.
 ONE_TAKE_MAX = 2**14
-
-# Edges per take in edge_differences: 32 KB of values and of converted indices.
-EDGE_CHUNK = 2**12
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,27 +140,18 @@ def integral(f: Field, over: str = "interior") -> float:
     return float(np.sum(f.values))
 
 
-def edge_differences(f: Field) -> np.ndarray:
-    """f(head) - f(tail) over the domain's edges, in edge order.
-
-    The int32 edge arrays are gathered EDGE_CHUNK at a time: numpy's take
-    converts each index array to intp first, and a whole-array conversion
-    (1.1 MB on 4D R=14) held at the solve's memory peak would cost more than
-    the compact edge arrays save.
-    """
-    dom = f.domain
-    out = np.empty(len(dom.edge_head))
-    for start in range(0, len(out), EDGE_CHUNK):
-        stop = start + EDGE_CHUNK
-        np.subtract(f.values.take(dom.edge_head[start:stop]),
-                    f.values.take(dom.edge_tail[start:stop]), out=out[start:stop])
-    return out
-
-
 def grad_energy(f: Field) -> float:
-    """Dirichlet energy: sum over unordered closure edges of (f(y)-f(x))^2."""
-    df = edge_differences(f)
-    return float(np.dot(df, df))
+    """Gradient energy of a Dirichlet field f: the sum over unordered closure
+    edges of (f(y) - f(x))^2.
+
+    Computed as -sum over the interior of f Lf, which equals the edge sum
+    exactly in real arithmetic when f vanishes on the boundary (summation
+    by parts); a field that does not raises ValueError.
+    """
+    if not f.is_dirichlet():
+        raise ValueError("the Dirichlet energy is summed by parts, which needs a Dirichlet "
+                         "field (zero on the boundary)")
+    return -float(np.dot(f.interior_values, laplacian(f)))
 
 
 def norm(f: Field, p: float = 2.0, over: str = "interior") -> float:

@@ -16,14 +16,18 @@ array in this package, and it makes construction deterministic: equal
 inputs yield identical arrays.  The boundary is the last shell, so the
 interior comes first, and every array of a smaller ball is a prefix of the
 larger ball's.  ``LatticeDomain.locate`` maps points back to indices
-through a mixed-radix key of their coordinates.  A domain keeps the
-even-odd (red-black) split of its interior that the linear solver reduces
-every system on, once computed.
+through a mixed-radix key of their coordinates.  The adjacency is stored
+once, as the interior's neighbour table: every closure edge has an interior
+endpoint, so the table names each edge, an interior one twice.  The
+Laplacian, the energy, the boundary flux and the dense matrix all read it.
+A domain keeps the even-odd (red-black) split of its interior that the
+linear solver reduces every system on, derived from that table once.
 
 Storage is compact: coordinates and norms are int16, closure indices int32,
-and only the keys int64, 74 bytes per closure point on B_14 in Z^4 (161 in
-int64).  build_domain refuses a ball whose boundary lies beyond the int16
-range or whose closure outgrows int32 indexing, before allocating anything.
+and only the keys int64, 46.6 bytes per closure point on B_14 in Z^4 (the
+intp colour tables add 55 once built).  build_domain refuses a ball whose
+boundary lies beyond the int16 range or whose closure outgrows int32
+indexing, before allocating anything.
 Code that does arithmetic, comparisons or sorts on these arrays widens them
 to intp first: numpy keeps int16 + int in int16 (NEP 50), and its int16 and
 int32 comparison, sort and ufunc.at loops are separate machine code, 64 to
@@ -47,7 +51,7 @@ Point = tuple[int, ...]
 FOUR_PI = 4.0 * math.pi
 
 # Storage types of LatticeDomain's arrays: coordinates and norms, and closure
-# indices (key_order, neighbors, edge_tail, edge_head).
+# indices (key_order, neighbors).
 COORD_DTYPE = np.int16
 INDEX_DTYPE = np.int32
 
@@ -129,12 +133,13 @@ class LatticeDomain:
     vertex, the closure indices of its 2n lattice neighbours, in the column
     order x_1 - 1, x_1 + 1, ..., x_n - 1, x_n + 1.  It is stored
     column-major, so each stencil direction ``neighbors[:, j]`` is one
-    contiguous index array, the layout ``fields.gather_sum`` reads.
+    contiguous index array, the layout ``fields.gather_sum`` reads.  It is
+    the domain's one adjacency list: an entry below n_interior is an
+    interior edge, seen from both ends; an entry from n_interior on is an
+    edge to the boundary, seen once.
     ``red_black`` splits the interior by parity into two such tables, one
     into each colour (see RedBlack); it is built on first use, at most once
     per domain, because only the linear solver needs it.
-    ``edge_tail``/``edge_head`` (int32) hold every closure edge exactly once
-    with tail < head, ordered by tail.
     For r <= R each of these arrays of B_r is a prefix of B_R's, the colour
     tables once clipped to B_r's colour counts (see ``locate_closure``).
     """
@@ -147,8 +152,6 @@ class LatticeDomain:
     sorted_keys: np.ndarray = field(repr=False)
     key_order: np.ndarray = field(repr=False)
     neighbors: np.ndarray = field(repr=False)
-    edge_tail: np.ndarray = field(repr=False)
-    edge_head: np.ndarray = field(repr=False)
 
     @property
     def n_closure(self) -> int:
@@ -314,14 +317,6 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
             found = np.searchsorted(sorted_keys, inner_keys + step)
         neighbors[shell_rows, col] = key_order.take(found)
 
-    # Every closure edge has at least one interior endpoint (two boundary
-    # points are never adjacent, by the parity of the Manhattan norm), so
-    # collecting tail < head over interior stencils enumerates each once.
-    # Boolean indexing reads the table row by row, so edges come by tail.
-    # The comparison runs in intp (see the module docstring).
-    rows = np.arange(n_int, dtype=INDEX_DTYPE)
-    keep = neighbors > np.arange(n_int)[:, None]
-
     return LatticeDomain(
         dim=n,
         radius=radius,
@@ -331,8 +326,6 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
         sorted_keys=sorted_keys,
         key_order=key_order,
         neighbors=neighbors,
-        edge_tail=np.broadcast_to(rows[:, None], keep.shape)[keep],
-        edge_head=neighbors[keep],
     )
 
 

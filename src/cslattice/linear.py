@@ -121,11 +121,9 @@ def system_matrix(domain: "LatticeDomain", K: float | np.ndarray) -> np.ndarray:
         )
     A = np.zeros((n_int, n_int))
     np.fill_diagonal(A, K + domain.degree)
-    interior_edge = domain.edge_head.astype(np.intp) < n_int
-    t = domain.edge_tail[interior_edge]
-    h = domain.edge_head[interior_edge]
-    A[t, h] = -1.0
-    A[h, t] = -1.0
+    nbr = domain.neighbors.astype(np.intp)  # at most 4096 rows, beside an n_int^2 matrix
+    rows, cols = np.nonzero(nbr < n_int)
+    A[rows, nbr[rows, cols]] = -1.0
     return A
 
 

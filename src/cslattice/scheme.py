@@ -105,9 +105,8 @@ def residual(f: Field, g: Field, params: Params) -> np.ndarray:
 
 
 def energy_eval(f: Field, g: Field, params: Params) -> float:
-    """Energy functional I(f) for a Dirichlet field f (see module docstring)."""
-    if not f.is_dirichlet():
-        raise ValueError("the energy functional is defined on Dirichlet fields")
+    """Energy functional I(f) for a Dirichlet field f (see module docstring);
+    grad_energy raises ValueError for any other field."""
     fi = f.interior_values
     a, lam = params.a, params.lam
     grad_term = 0.5 * grad_energy(f)
@@ -232,13 +231,18 @@ def boundary_flux(f: Field) -> float:
 
     Equals the interior sum of L f exactly in real arithmetic (discrete
     divergence theorem), hence, at a solution, the interior nonlinearity
-    mass plus the total vortex flux.
+    mass plus the total vortex flux.  Read from the neighbour table's
+    boundary entries one stencil column at a time, each column widened to
+    intp on its own: an intp copy of the whole table would raise a small
+    solve's peak memory.
     """
     dom = f.domain
-    cross = dom.edge_head.astype(np.intp) >= dom.n_interior
-    t = dom.edge_tail[cross]
-    h = dom.edge_head[cross]
-    return float(np.sum(f.values[h] - f.values[t]))
+    total = 0.0
+    for col in range(dom.degree):
+        nbr = dom.neighbors[:, col].astype(np.intp)
+        cross = nbr >= dom.n_interior
+        total += float(np.sum(f.values[nbr[cross]] - f.interior_values[cross]))
+    return total
 
 
 def validate_stopping(tol_nonlinear: float, max_steps: int) -> tuple[float, int]:

@@ -14,14 +14,38 @@ from cslattice import (
     manhattan_norm,
     norm,
 )
-from cslattice.fields import (EDGE_CHUNK, ONE_TAKE_MAX, edge_differences, extend_by_zero,
-                              gather_sum, neighbor_sum)
+from cslattice.fields import ONE_TAKE_MAX, extend_by_zero, gather_sum, neighbor_sum
 
 
 def indicator(dom, point):
     vals = np.zeros(dom.n_closure)
     vals[dom.locate(point)] = 1.0
     return Field(dom, vals)
+
+
+def closure_edges(dom):
+    """(tail, head): every closure edge once, as closure indices, found from
+    the coordinates through locate, not from the neighbour table.
+
+    For each axis e, the edges x -- x + e with x interior, and x - e -- x
+    with x interior and x - e on the boundary: two boundary points are
+    never adjacent, so that is every edge along e exactly once.
+    """
+    inner = dom.coords[: dom.n_interior].astype(np.int64)
+    rows = np.arange(dom.n_interior)
+    tails, heads = [], []
+    for e in np.eye(dom.dim, dtype=np.int64):
+        down = dom.locate(inner - e)
+        outside = down >= dom.n_interior
+        tails += [rows, down[outside]]
+        heads += [dom.locate(inner + e), rows[outside]]
+    return np.concatenate(tails), np.concatenate(heads)
+
+
+def edge_differences(f):
+    """f(head) - f(tail) over closure_edges."""
+    tail, head = closure_edges(f.domain)
+    return f.values[head] - f.values[tail]
 
 
 def grad_inner(f, g):
@@ -126,33 +150,35 @@ def test_integral_examples():
 
 def test_grad_energy_constant_and_spike():
     dom = build_domain(2, 0)
-    assert grad_energy(Field(dom, np.full(dom.n_closure, 2.5))) == 0.0
+    assert grad_energy(Field.zeros(dom)) == 0.0
     spike = Field.from_interior(dom, np.array([1.0]))
     # four closure edges, each contributing (1 - 0)^2
     assert grad_energy(spike) == 4.0
+    # a constant on B_2's interior: only its 20 edges to the boundary count,
+    # one from each of the sphere's 4 axis points and two from each other one
+    dom = build_domain(2, 2)
+    assert grad_energy(Field.from_interior(dom, np.full(dom.n_interior, 2.5))) == 20 * 2.5**2
 
 
 def test_grad_energy_matches_double_loop_oracle(b2, rng):
-    f = Field(b2, rng.standard_normal(b2.n_closure))
+    f = Field.from_interior(b2, rng.standard_normal(b2.n_interior))
     assert grad_energy(f) == pytest.approx(grad_inner_oracle(f, f), rel=1e-13)
 
 
-@pytest.mark.parametrize("n, radius", [(2, 3), (2, 40), (4, 6)])
-def test_edge_differences_bitwise_equal_one_gather(n, radius, rng):
-    # 2D R=40 and 4D R=6 have more edges than EDGE_CHUNK, gathered in chunks
-    dom = build_domain(n, radius)
-    assert (len(dom.edge_head) > EDGE_CHUNK) == (radius > 3)
-    values = rng.standard_normal(dom.n_closure)
-    expected = values[dom.edge_head.astype(np.intp)] - values[dom.edge_tail.astype(np.intp)]
-    got = edge_differences(Field(dom, values))
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+def test_grad_energy_requires_dirichlet(b2):
+    f = Field.from_interior(b2, np.ones(b2.n_interior))
+    values = f.values.copy()
+    values[-1] = 1e-300
+    with pytest.raises(ValueError, match="Dirichlet"):
+        grad_energy(Field(b2, values))
 
 
 def test_grad_inner_examples(b2, rng):
     f = Field(b2, rng.standard_normal(b2.n_closure))
     g = Field(b2, rng.standard_normal(b2.n_closure))
     assert grad_inner(f, Field.zeros(b2)) == 0.0
-    assert grad_inner(f, f) == pytest.approx(grad_energy(f), rel=1e-14)
+    h = Field.from_interior(b2, rng.standard_normal(b2.n_interior))
+    assert grad_inner(h, h) == pytest.approx(grad_energy(h), rel=1e-14)
     assert grad_inner(f, g) == pytest.approx(grad_inner(g, f), rel=1e-14)
     assert grad_inner(f, g) == pytest.approx(grad_inner_oracle(f, g), rel=1e-12)
 
@@ -172,7 +198,7 @@ def test_grad_inner_cauchy_schwarz(rng):
         f = Field(dom, rng.standard_normal(dom.n_closure))
         g = Field(dom, rng.standard_normal(dom.n_closure))
         lhs = grad_inner(f, g) ** 2
-        rhs = grad_energy(f) * grad_energy(g)
+        rhs = grad_inner(f, f) * grad_inner(g, g)
         assert lhs <= rhs * (1 + 1e-12)
 
 

@@ -95,33 +95,30 @@ def test_interior_degree_and_neighbors_in_closure():
 def test_adjacency_symmetric_and_edges_unique():
     dom = build_domain(2, 3)
     pts = points(dom.coords)
-    seen = set()
-    for t, h in zip(dom.edge_tail, dom.edge_head):
-        assert t < h
-        pair = (int(t), int(h))
-        assert pair not in seen
-        seen.add(pair)
-        assert manhattan_distance(pts[t], pts[h]) == 1
-    # interior-interior edges appear in both stencils
-    for t, h in seen:
-        if h < dom.n_interior:
-            assert t in dom.neighbors[h]
-            assert h in dom.neighbors[t]
+    n_int = dom.n_interior
+    for i, row in enumerate(dom.neighbors.tolist()):
+        # 2n distinct closure points at distance one: no edge twice in a stencil
+        assert len(set(row)) == len(row) == dom.degree
+        assert all(manhattan_distance(pts[i], pts[j]) == 1 for j in row)
+        # an interior-interior edge appears in both stencils
+        for j in row:
+            if j < n_int:
+                assert i in dom.neighbors[j]
+    # each boundary point appears once per interior neighbour it has
+    entries = dom.neighbors[dom.neighbors >= n_int]
+    for b in range(n_int, dom.n_closure):
+        inside = sum(manhattan_distance(pts[b], p) == 1 for p in pts[:n_int])
+        assert np.count_nonzero(entries == b) == inside >= 1
 
 
 def test_interior_connected():
     dom = build_domain(3, 3)
-    adj = {i: set() for i in range(dom.n_interior)}
-    for t, h in zip(dom.edge_tail, dom.edge_head):
-        if h < dom.n_interior:
-            adj[int(t)].add(int(h))
-            adj[int(h)].add(int(t))
     seen = {int(dom.locate((0, 0, 0)))}
     stack = list(seen)
     while stack:
         i = stack.pop()
-        for j in adj[i]:
-            if j not in seen:
+        for j in dom.neighbors[i].tolist():
+            if j < dom.n_interior and j not in seen:
                 seen.add(j)
                 stack.append(j)
     assert len(seen) == dom.n_interior
@@ -150,14 +147,10 @@ def test_smaller_ball_is_a_prefix(n):
     for big in domains:
         split = big.red_black
         for small in domains[: big.radius]:
-            m, k, e = small.n_closure, small.n_interior, len(small.edge_tail)
+            m, k = small.n_closure, small.n_interior
             assert np.array_equal(big.coords[:m], small.coords)
             assert np.array_equal(big.distances[:m], small.distances)
             assert np.array_equal(big.neighbors[:k], small.neighbors)
-            # edges come by tail, so small's are those with tail < k
-            assert np.array_equal(big.edge_tail[:e], small.edge_tail)
-            assert np.array_equal(big.edge_head[:e], small.edge_head)
-            assert np.all(big.edge_tail[e:] >= k)
             sub = small.red_black
             n_red, n_black = len(sub.red), len(sub.black)
             assert np.array_equal(split.red[:n_red], sub.red)
@@ -247,14 +240,12 @@ def test_build_domain_rejects_bad_inputs():
 def test_compact_layout():
     dom = build_domain(4, 14)
     dtypes = {name: getattr(dom, name).dtype for name in
-              ("coords", "distances", "sorted_keys", "key_order", "neighbors",
-               "edge_tail", "edge_head")}
+              ("coords", "distances", "sorted_keys", "key_order", "neighbors")}
     assert dtypes == {"coords": np.int16, "distances": np.int16, "sorted_keys": np.int64,
-                      "key_order": np.int32, "neighbors": np.int32, "edge_tail": np.int32,
-                      "edge_head": np.int32}
+                      "key_order": np.int32, "neighbors": np.int32}
     assert dom.neighbors.flags.f_contiguous
     nbytes = sum(getattr(dom, name).nbytes for name in dtypes)
-    assert nbytes <= 80 * dom.n_closure  # 161 bytes per point in int64
+    assert nbytes <= 48 * dom.n_closure  # 46.6 bytes per point
     # the colour tables stay intp: take would convert any other index type per call
     split = dom.red_black
     for array in (split.red, split.black, split.red_neighbors, split.black_neighbors):

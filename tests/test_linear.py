@@ -50,9 +50,22 @@ def test_system_matrix_structure():
     A = system_matrix(dom, K)
     assert np.allclose(A, A.T)
     assert np.all(np.diag(A) == K + 4.0)
-    n_int_edges = int(np.sum(dom.edge_head < dom.n_interior))
-    assert np.sum(A == -1.0) == 2 * n_int_edges
+    # the neighbour table lists each interior edge from both ends
+    assert np.sum(A == -1.0) == np.count_nonzero(dom.neighbors < dom.n_interior)
     assert np.min(np.linalg.eigvalsh(A)) > 0.0
+    # equal, entry for entry, to K I - L written out from the coordinates
+    for n, radius, K in ((2, 4, 3.0), (3, 3, 0.5), (4, 2, 2.0)):
+        dom = build_domain(n, radius)
+        interior = [tuple(p) for p in dom.coords[: dom.n_interior].tolist()]
+        index = {p: i for i, p in enumerate(interior)}
+        expected = np.diag(np.full(len(interior), K + 2 * n))
+        for i, p in enumerate(interior):
+            for axis in range(n):
+                for step in (-1, 1):
+                    q = p[:axis] + (p[axis] + step,) + p[axis + 1 :]
+                    if q in index:
+                        expected[i, index[q]] = -1.0
+        assert np.array_equal(system_matrix(dom, K), expected)
 
 
 def test_iterative_matches_dense_oracle(rng):

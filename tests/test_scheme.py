@@ -231,6 +231,25 @@ class TestSolveBounded:
         mass = float(np.sum(nonlinearity(sol.field.interior_values, params)))
         assert mass + ONE_VORTEX.total_flux == pytest.approx(boundary_flux(sol.field), abs=1e-8)
 
+    @pytest.mark.parametrize("n, radius", [(2, 5), (3, 3), (4, 2)])
+    def test_boundary_flux_on_any_field(self, n, radius, rng):
+        # against a double loop over coordinates, and the divergence theorem
+        # sum_interior L f = boundary flux, on fields that are not Dirichlet
+        dom = build_domain(n, radius)
+        for _ in range(5):
+            f = Field(dom, rng.standard_normal(dom.n_closure))
+            oracle = 0.0
+            for p in map(tuple, dom.coords[: dom.n_interior].tolist()):
+                for axis in range(n):
+                    for step in (-1, 1):
+                        q = p[:axis] + (p[axis] + step,) + p[axis + 1 :]
+                        if sum(map(abs, q)) == radius + 1:
+                            oracle += f(q) - f(p)
+            flux = boundary_flux(f)
+            scale = dom.degree * dom.n_interior * np.max(np.abs(f.values))
+            assert flux == pytest.approx(oracle, rel=0, abs=1e-14 * scale)
+            assert flux == pytest.approx(float(np.sum(laplacian(f))), rel=0, abs=1e-14 * scale)
+
     def test_max_steps_exhaustion(self, monkeypatch):
         # a certified Newton finish ends this solve after one step
         _no_newton(monkeypatch)
