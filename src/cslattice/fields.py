@@ -140,18 +140,19 @@ def integral(f: Field, over: str = "interior") -> float:
     return float(np.sum(f.values))
 
 
-def grad_energy(f: Field) -> float:
+def grad_energy(f: Field, lap: np.ndarray | None = None) -> float:
     """Gradient energy of a Dirichlet field f: the sum over unordered closure
     edges of (f(y) - f(x))^2.
 
     Computed as -sum over the interior of f Lf, which equals the edge sum
     exactly in real arithmetic when f vanishes on the boundary (summation
-    by parts); a field that does not raises ValueError.
+    by parts); a field that does not raises ValueError.  lap, if given, is
+    laplacian(f), for a caller that needs it for more than the energy.
     """
     if not f.is_dirichlet():
         raise ValueError("the Dirichlet energy is summed by parts, which needs a Dirichlet "
                          "field (zero on the boundary)")
-    return -float(np.dot(f.interior_values, laplacian(f)))
+    return -float(np.dot(f.interior_values, laplacian(f) if lap is None else lap))
 
 
 def norm(f: Field, p: float = 2.0, over: str = "interior") -> float:

@@ -24,8 +24,9 @@ A domain keeps the even-odd (red-black) split of its interior that the
 linear solver reduces every system on, derived from that table once.
 
 Storage is compact: coordinates and norms are int16, closure indices int32,
-and only the keys int64, 46.6 bytes per closure point on B_14 in Z^4 (the
-intp colour tables add 55 once built).  build_domain refuses a ball whose
+and only the keys int64, 46.6 bytes per closure point on B_14 in Z^4.  The
+red-black split adds 30.7 once built: its two neighbour tables are int32
+too, and only its two colour lists intp.  build_domain refuses a ball whose
 boundary lies beyond the int16 range or whose closure outgrows int32
 indexing, before allocating anything.
 Code that does arithmetic, comparisons or sorts on these arrays widens them
@@ -108,10 +109,15 @@ class RedBlack:
     as positions in ``black``, a boundary neighbour as n_black: the slot
     after the last black value, which the caller keeps at zero, so a gather
     through the table reads the Dirichlet data there.  ``black_neighbors``
-    is the same table from black into red.  All four arrays are intp, not
-    int32 like the domain's: numpy's take converts any other index type on
-    every call, and the solver gathers through the tables twice per CG
-    iteration.
+    is the same table from black into red.  The two tables are int32
+    (INDEX_DTYPE), like the domain's neighbour table, half the bytes of
+    intp ones; ``red`` and ``black`` are intp.  numpy's take converts an
+    int32 index to intp on every call, which makes CG 10-20% slower than
+    through intp copies of the same tables.  linear_solve's in-place
+    updates more than pay for that: against the solver with intp tables
+    and per-iteration temporaries, a solve to tol_rel 1e-8 takes the same
+    time within 3% on 2D balls of radius 20-80 and 3D ones of radius 6-12,
+    and 27-28% less on B_14 in Z^4 (one process, alternating calls).
     """
 
     red: np.ndarray = field(repr=False)
@@ -200,9 +206,9 @@ class LatticeDomain:
         colours = (np.flatnonzero(~odd), np.flatnonzero(odd))
         tables = []
         for rows, other in (colours, colours[::-1]):
-            position = np.full(self.n_closure, len(other), dtype=np.int64)
-            position[other] = np.arange(len(other))
-            table = np.empty((len(rows), self.degree), dtype=np.int64, order="F")
+            position = np.full(self.n_closure, len(other), dtype=INDEX_DTYPE)
+            position[other] = np.arange(len(other), dtype=INDEX_DTYPE)
+            table = np.empty((len(rows), self.degree), dtype=INDEX_DTYPE, order="F")
             for col in range(self.degree):
                 table[:, col] = position.take(self.neighbors[:, col].take(rows))
             tables.append(table)

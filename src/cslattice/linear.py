@@ -136,7 +136,8 @@ def _apply_reduced(
     p and t each end in a zero slot that boundary neighbours read.
     """
     np.multiply(gather_sum(split.black_neighbors, p), inv_b, out=t[:-1])
-    np.subtract(d_r * p[:-1], gather_sum(split.red_neighbors, t), out=out)
+    np.multiply(d_r, p[:-1], out=out)
+    out -= gather_sum(split.red_neighbors, t)
 
 
 def dense_solve(system: LinearSystem) -> Field:
@@ -170,24 +171,25 @@ def linear_solve(
     point, or a search direction with p.Ap <= 0, means K - L is not
     positive definite and raises ConvergenceError before the next iteration.
     """
-    dom = system.domain
-    b = -system.rhs
+    dom, rhs, K = system.domain, system.rhs, system.K
     tol_rel = validate_tol_rel(tol_rel)
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
-        if x0.shape != b.shape:
-            raise ValueError(f"x0 needs the rhs's shape {b.shape}, got {x0.shape}")
+        if x0.shape != rhs.shape:
+            raise ValueError(f"x0 needs the rhs's shape {rhs.shape}, got {x0.shape}")
         _require_finite(x0, "x0")
         if not x0.any():  # a zero start is the cold start
             x0 = None
-    diag = system.K + dom.degree  # a scalar or one value per interior point
-    if np.ndim(diag) and not (diag > 0).all():
-        i = int(np.argmin(diag > 0))
-        raise ConvergenceError(
-            f"K + 2n = {diag[i]:.3e} at interior index {i} "
-            f"{tuple(dom.coords[i].tolist())} is not positive: K - L is not positive definite"
-        )
-    b_norm = math.sqrt(np.dot(b, b))
+    if np.ndim(K):
+        positive = K > -dom.degree  # K + 2n > 0, without forming K + 2n
+        if not positive.all():
+            i = int(np.argmin(positive))
+            raise ConvergenceError(
+                f"K + 2n = {K[i] + dom.degree:.3e} at interior index {i} "
+                f"{tuple(dom.coords[i].tolist())} is not positive: "
+                "K - L is not positive definite"
+            )
+    b_norm = math.sqrt(np.dot(rhs, rhs))
     if b_norm == 0.0:
         return Field.zeros(dom)
 
@@ -195,8 +197,12 @@ def linear_solve(
     split = dom.red_black
     red, black = split.red, split.black
     cap = int(CG_ITERATIONS_PER_UNKNOWN * len(red))
-    d_r, d_b = (diag, diag) if np.ndim(diag) == 0 else (diag[red], diag[black])
-    inv_b, b_r, b_b = 1.0 / d_b, b[red], b[black]
+    # D = K + 2n and b = -rhs, taken by colour straight from K and rhs
+    if np.ndim(K) == 0:
+        d_r = d_b = K + dom.degree
+    else:
+        d_r, d_b = K[red] + dom.degree, K[black] + dom.degree
+    inv_b, b_r, b_b = 1.0 / d_b, -rhs[red], -rhs[black]
     # The vectors the tables gather from end in a zero slot, which boundary neighbours read.
     x_r, x_b = np.zeros(len(red) + 1), np.zeros(len(black) + 1)
     p, t, Ap = np.zeros(len(red) + 1), np.zeros(len(black) + 1), np.zeros(len(red))
@@ -206,17 +212,19 @@ def linear_solve(
         values[red], values[black] = x_r[:-1], x_b[:-1]
         return Field(dom, values)
 
-    def true_residual(s_b: np.ndarray, eliminate: bool = True) -> tuple[np.ndarray, float]:
+    def true_residual(s_b: float | np.ndarray, eliminate: bool = True) -> tuple[np.ndarray, float]:
         """Red rows of b - A x, after x_b = D_b^-1 (b_b + s_b) unless not to eliminate
-        (s_b = S_br x_r), and the residual's norm over all rows."""
+        (s_b = S_br x_r, or 0.0 for x_r = 0), and the residual's norm over all rows."""
         if eliminate:
-            x_b[:-1] = (b_b + s_b) * inv_b
-        r_r = b_r - d_r * x_r[:-1] + gather_sum(split.red_neighbors, x_b)
+            np.add(b_b, s_b, out=x_b[:-1])
+            x_b[:-1] *= inv_b
+        r_r = gather_sum(split.red_neighbors, x_b)  # first, while no temporary is held
+        r_r += b_r - d_r * x_r[:-1]
         r_b = b_b - d_b * x_b[:-1] + s_b
         return r_r, math.hypot(math.sqrt(np.dot(r_r, r_r)), math.sqrt(np.dot(r_b, r_b)))
 
     if x0 is None:
-        s_b = np.zeros(len(black))
+        s_b = 0.0
     else:
         x_r[:-1], x_b[:-1] = x0[red], x0[black]
         s_b = gather_sum(split.black_neighbors, x_r)
@@ -242,9 +250,12 @@ def linear_solve(
                 f"conjugate gradients found p.Ap = {curvature:.3e} at iteration {it}: "
                 "K - L is not positive definite"
             )
+        # in place: Ap is free until the next application, and holds alpha Ap, then alpha p
         alpha = rs / curvature
-        x_r[:-1] += alpha * p[:-1]
-        r -= alpha * Ap
+        Ap *= alpha
+        r -= Ap
+        np.multiply(p[:-1], alpha, out=Ap)
+        x_r[:-1] += Ap
         rs_new = float(np.dot(r, r))
         p[:-1] *= rs_new / rs
         p[:-1] += r

@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import ConvergenceError, SchemeIntegrityError
 from .fields import Field, extend_by_zero, grad_energy, laplacian, neighbor_sum
-from .lattice import (LatticeDomain, Params, VortexConfig, assemble_source, validate_float,
-                      validate_int)
+from .lattice import (LatticeDomain, Params, VortexConfig, assemble_source, ball_size,
+                      validate_float, validate_int)
 from .linear import LinearSystem, linear_solve
 # Unused here, kept until perfbench/spans.py stops patching this name.
 from .linear import system_matrix
@@ -99,17 +99,22 @@ def nonlinearity_deriv(f_value, params: Params):
     return float(out) if np.isscalar(f_value) else out
 
 
-def residual(f: Field, g: Field, params: Params) -> np.ndarray:
-    """Interior residual r = L f - lam e^f (e^{a f} - 1) - g; zero at a solution."""
-    return laplacian(f) - nonlinearity(f.interior_values, params) - g.interior_values
+def residual(f: Field, g: Field, params: Params, lap: np.ndarray | None = None) -> np.ndarray:
+    """Interior residual r = L f - lam e^f (e^{a f} - 1) - g; zero at a solution.
+
+    lap, if given, is laplacian(f), gathered once by a caller that needs it twice.
+    """
+    if lap is None:
+        lap = laplacian(f)
+    return lap - nonlinearity(f.interior_values, params) - g.interior_values
 
 
-def energy_eval(f: Field, g: Field, params: Params) -> float:
+def energy_eval(f: Field, g: Field, params: Params, lap: np.ndarray | None = None) -> float:
     """Energy functional I(f) for a Dirichlet field f (see module docstring);
-    grad_energy raises ValueError for any other field."""
+    grad_energy raises ValueError for any other field.  lap as for residual."""
     fi = f.interior_values
     a, lam = params.a, params.lam
-    grad_term = 0.5 * grad_energy(f)
+    grad_term = 0.5 * grad_energy(f, lap)
     exp_term = lam / (a + 1.0) * float(np.sum(np.expm1((a + 1.0) * fi)))
     lin_term = -lam * float(np.sum(np.expm1(fi)))
     source_term = float(np.dot(g.interior_values, fi))
@@ -234,14 +239,17 @@ def boundary_flux(f: Field) -> float:
     mass plus the total vortex flux.  Read from the neighbour table's
     boundary entries one stencil column at a time, each column widened to
     intp on its own: an intp copy of the whole table would raise a small
-    solve's peak memory.
+    solve's peak memory.  Only the interior's last shell, d = R, has
+    boundary neighbours, so only its rows, the table's last, are read.
     """
     dom = f.domain
+    shell = ball_size(dom.dim, dom.radius - 1) if dom.radius else 0
+    inner = f.interior_values[shell:]
     total = 0.0
     for col in range(dom.degree):
-        nbr = dom.neighbors[:, col].astype(np.intp)
+        nbr = dom.neighbors[shell:, col].astype(np.intp)
         cross = nbr >= dom.n_interior
-        total += float(np.sum(f.values[nbr[cross]] - f.interior_values[cross]))
+        total += float(np.sum(f.values[nbr[cross]] - inner[cross]))
     return total
 
 
@@ -362,18 +370,17 @@ def solve_bounded(
         f = extend_by_zero(previous.upper, dom)
         newton_start = extend_by_zero(previous.field, dom)
     trace = IterationTrace()
-    energy = energy_eval(f, g, params)
-    res_sup = float(np.max(np.abs(residual(f, g, params))))
+    energy, res_sup = _diagnostics(f, g, params)
     trace.steps.append(TraceStep(0, 0.0, energy, res_sup, 0.0))
-    kept = None  # the kept Newton root, its residual's sup norm and rho; None until a run returns
+    kept = None  # a _newton_root result, None until a run returns
 
     for k in range(1, max_steps + 1):
         f_next = iterate_once(f, g, params, x0=f.interior_values)
         diff = f_next.interior_values - f.interior_values
         sup_diff = float(np.max(np.abs(diff)))
         max_inc = float(np.max(diff))
-        energy_next = energy_eval(f_next, g, params)
-        res_sup = float(np.max(np.abs(residual(f_next, g, params))))
+        del diff
+        energy_next, res_sup = _diagnostics(f_next, g, params)
         trace.steps.append(TraceStep(k, sup_diff, energy_next, res_sup, max_inc))
 
         if energy_next > energy + ENERGY_SLACK:
@@ -388,9 +395,8 @@ def solve_bounded(
             newton_start = None
         cert = None if kept is None else _certify(kept, f, params, tol_nonlinear)
         if cert is not None:
-            root, root_res, _ = kept
-            return BoundedSolution(root, trace, params, vc, root_res,
-                                   energy_eval(root, g, params), cert, upper=f)
+            root, root_res, _, root_energy = kept
+            return BoundedSolution(root, trace, params, vc, root_res, root_energy, cert, upper=f)
         converged = sup_diff < tol_nonlinear and res_sup <= RESIDUAL_FACTOR * tol_nonlinear
         if sup_diff == 0.0 or converged:
             raise ConvergenceError(
@@ -404,6 +410,13 @@ def solve_bounded(
         best=f, residual=trace.steps[-1].residual_sup, trace=trace)
 
 
+def _diagnostics(f: Field, g: Field, params: Params) -> tuple[float, float]:
+    """I(f) and ||r(f)||_inf, from one Laplacian of f."""
+    lap = laplacian(f)
+    return (energy_eval(f, g, params, lap),
+            float(np.max(np.abs(residual(f, g, params, lap)))))
+
+
 def _rounding(dom: LatticeDomain) -> float:
     """(2n + ROUNDING_ULPS) unit roundoffs, by which rho is raised and A z lowered per term size."""
     return (dom.degree + ROUNDING_ULPS) * np.finfo(float).eps / 2
@@ -411,10 +424,10 @@ def _rounding(dom: LatticeDomain) -> float:
 
 def _newton_root(
     f_k: Field, vc: VortexConfig, g: Field, params: Params, tol: float, start: Field | None,
-) -> tuple[Field, float, np.ndarray] | None:
+) -> tuple[Field, float, np.ndarray, float] | None:
     """Newton from start, or from min(f_k, 0) if None: None if it raises, else
-    the root f*, clipped to f* <= 0, the sup norm of r(f*), and rho = |r(f*)|
-    raised point by point by its rounding allowance."""
+    the root f*, clipped to f* <= 0, the sup norm of r(f*), rho = |r(f*)|
+    raised point by point by its rounding allowance, and I(f*)."""
     dom = f_k.domain
     if start is None:
         start = Field.from_interior(dom, np.minimum(f_k.interior_values, 0.0))
@@ -424,17 +437,19 @@ def _newton_root(
         return None
     root = Field.from_interior(dom, np.minimum(root.interior_values, 0.0))
     fs = root.interior_values
-    r = np.abs(residual(root, g, params))
+    lap = laplacian(root)
+    energy = energy_eval(root, g, params, lap)
+    r = np.abs(residual(root, g, params, lap))
     r_size = (neighbor_sum(dom, np.abs(root.values)) + dom.degree * np.abs(fs)
               + np.abs(nonlinearity(fs, params)) + g.interior_values)
-    return root, float(np.max(r)), r + _rounding(dom) * r_size
+    return root, float(np.max(r)), r + _rounding(dom) * r_size, energy
 
 
 def _certify(
-    kept: tuple[Field, float, np.ndarray], f_k: Field, params: Params, tol: float,
+    kept: tuple[Field, float, np.ndarray, float], f_k: Field, params: Params, tol: float,
 ) -> MaximalityCertificate | None:
     """solve_bounded's test of a _newton_root result against f_k's bracket; None if it fails."""
-    root, _, rho = kept
+    root, _, rho, _ = kept
     dom, fs, a = root.domain, root.interior_values, params.a
     rho_max = float(np.max(rho))
     if rho_max == 0.0:
@@ -442,6 +457,7 @@ def _certify(
         return MaximalityCertificate(0.0, 0.0)
     bracket = (fs - tol, np.maximum(f_k.interior_values, fs) + MONOTONE_TOL)
     m = nonlinearity_deriv(np.clip(-2.0 * math.log1p(a) / a, *bracket), params)
+    del bracket
     # ||rhs||_2 <= sqrt(n) (1 + eta) max rho, so this tol_rel bounds ||A z - rhs||_inf
     # by eta max rho; the tests below decide on A z recomputed from the stored z
     eta = CERTIFICATE_SLACK
@@ -505,13 +521,14 @@ def newton_solve(
     for _ in range(NEWTON_MAX_STEPS):
         if r_norm <= tol:
             break
-        jacobian = LinearSystem(dom, nonlinearity_deriv(f, params), -r)
         eta = max(min(NEWTON_FORCING_MAX, r_norm),
                   NEWTON_FORCING_FLOOR * tol / math.sqrt(np.dot(r, r)))
+        np.negative(r, out=r)  # the step's rhs -r; r is not read again before it is replaced
         try:
-            step = linear_solve(jacobian, eta).interior_values
+            step = linear_solve(LinearSystem(dom, nonlinearity_deriv(f, params), r), eta)
         except ConvergenceError as exc:
             raise failure(f"Newton step failed at residual {r_norm:.3e}: {exc}") from exc
+        step = step.interior_values.copy()  # the line search holds no closure-size array
         t = 1.0
         for _ in range(30):
             trial = f + t * step

@@ -246,10 +246,17 @@ def test_compact_layout():
     assert dom.neighbors.flags.f_contiguous
     nbytes = sum(getattr(dom, name).nbytes for name in dtypes)
     assert nbytes <= 48 * dom.n_closure  # 46.6 bytes per point
-    # the colour tables stay intp: take would convert any other index type per call
+    # the colour tables are int32 and column-major like the neighbour table;
+    # the colour lists stay intp
     split = dom.red_black
-    for array in (split.red, split.black, split.red_neighbors, split.black_neighbors):
-        assert array.dtype == np.intp
+    for table in (split.red_neighbors, split.black_neighbors):
+        assert table.dtype == np.int32
+        assert table.flags.f_contiguous
+    for rows in (split.red, split.black):
+        assert rows.dtype == np.intp
+    colour = sum(array.nbytes for array in
+                 (split.red, split.black, split.red_neighbors, split.black_neighbors))
+    assert nbytes + colour <= 78 * dom.n_closure  # 46.6 + 30.7 bytes per point
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
