@@ -36,10 +36,9 @@ NESTED_TOL = 1e-8              # f^{(R_{i+1})} - f^{(R_i)} <= this on B_{R_i}
 L2_DROP_TOL = 1e-12            # l2 norms may drop by at most this along the radii
 L2_STABILIZATION_TOL = 1e-3    # |l2(R_last) - l2(R_prev)| <= this
 RATE_MARGIN = 0.01             # fitted rate >= certified rate - this
-BARRIER_MARGIN_FLOOR = -1e-15  # barrier margins (L v - c1 v)/|v| >= this
-COERCIVITY_FLOOR = 0.0         # the coercivity constant is > this: strict, no slack
 
 BARRIER_SHELLS = (2, 20)       # only counted into points_checked: see BarrierReport
+LP_ORDERS = (1.0, 2.0, 4.0, math.inf)  # the orders p of lp_summary's l^p norms
 
 
 def decay_rate_theory(params: Params, n: int) -> float:
@@ -235,7 +234,6 @@ class BarrierReport:
     # until the benchmark drops its exhaustion.barrier_check.points counter.
     points_checked: int
     min_margin: float  # min over x in Z^n of (L v - c1 v)(x) / |v(x)|
-    all_hold: bool
 
 
 def barrier_check(n: int, params: Params, epsilon: float) -> BarrierReport:
@@ -265,19 +263,10 @@ def barrier_check(n: int, params: Params, epsilon: float) -> BarrierReport:
         c1=c1,
         points_checked=sum(shell_size(n, s) for s in range(r_lo, r_hi + 1)),
         min_margin=margin,
-        all_hold=margin >= BARRIER_MARGIN_FLOOR,
     )
 
 
-@dataclass(frozen=True)
-class CoercivityReport:
-    """The coercivity constant of the potential density."""
-
-    c: float
-    all_hold: bool
-
-
-def coercivity_check(a: float) -> CoercivityReport:
+def coercivity_check(a: float) -> float:
     """The best c with w(x) >= c (|x|/(1+|x|))^2 on x <= 0: c = min(a/2, a/(a+1)).
 
     w(x) = [(e^{(a+1)x} - 1) + (a+1)(1 - e^x)]/(a+1).  Proof.  Put t = -x
@@ -292,8 +281,7 @@ def coercivity_check(a: float) -> CoercivityReport:
     the exact infimum.  a must be a number > 0 (ValueError naming ``a``).
     """
     a = validate_float(a, "a", low=0)
-    c = min(a / 2.0, a / (a + 1.0))
-    return CoercivityReport(c=c, all_hold=c > COERCIVITY_FLOOR)
+    return min(a / 2.0, a / (a + 1.0))
 
 
 @dataclass(frozen=True)
@@ -306,15 +294,16 @@ class LpSummary:
     all_finite: bool
 
 
-def lp_summary(result: ExhaustionResult, p_list, fit: DecayFit | None = None) -> LpSummary:
-    """Tabulate l^p norms and, given a decay certificate, bound the l1 tail.
+def lp_summary(result: ExhaustionResult, fit: DecayFit | None = None) -> LpSummary:
+    """Tabulate the l^p norms for p in LP_ORDERS and, given a decay
+    certificate, bound the l1 tail.
 
     The bound sums C_fit * (shell size) * e^{-alpha(1-eps) d} over shells
     beyond half the second-largest radius, the region where the two
     largest solutions can differ materially.
     """
     f = result.largest.field
-    norms = {float(p): norm(f, p) for p in p_list}
+    norms = {p: norm(f, p) for p in LP_ORDERS}
     l1_diffs = tuple(
         abs(b - a) for a, b in zip(result.l1_norms, result.l1_norms[1:])
     )

@@ -21,7 +21,6 @@ Conventions:
   grad_energy(f) = sum over unordered closure edges of (f(y) - f(x))^2, for
                    a Dirichlet f only, where it equals -sum_interior f Lf
                    exactly (summation by parts), the form it is computed in.
-  integral(f)    = plain vertex sum (unit measure).
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .lattice import LatticeDomain
-
-_SETS = ("interior", "closure")
 
 # Largest table gather_sum gathers in one take: 2^14 entries, 128 KB, glibc's
 # default mmap threshold.  Where no larger block has raised that threshold, a
@@ -131,15 +128,6 @@ def laplacian(f: Field) -> np.ndarray:
     return neighbor_sum(f.domain, f.values) - f.domain.degree * f.interior_values
 
 
-def integral(f: Field, over: str = "interior") -> float:
-    """Vertex sum of f over the interior or the closure (unit measure)."""
-    if over not in _SETS:
-        raise ValueError(f"over must be one of {_SETS}, got {over!r}")
-    if over == "interior":
-        return float(np.sum(f.interior_values))
-    return float(np.sum(f.values))
-
-
 def grad_energy(f: Field, lap: np.ndarray | None = None) -> float:
     """Gradient energy of a Dirichlet field f: the sum over unordered closure
     edges of (f(y) - f(x))^2.
@@ -155,13 +143,12 @@ def grad_energy(f: Field, lap: np.ndarray | None = None) -> float:
     return -float(np.dot(f.interior_values, laplacian(f) if lap is None else lap))
 
 
-def norm(f: Field, p: float = 2.0, over: str = "interior") -> float:
-    """l^p norm over the requested vertex set for p >= 1; p = inf gives sup |f|."""
+def norm(f: Field, p: float = 2.0) -> float:
+    """l^p norm of f over the interior for p >= 1; p = inf gives sup |f|.
+    A Dirichlet field's boundary would add only zeros."""
     from .lattice import validate_float  # lattice imports this module
 
-    if over not in _SETS:
-        raise ValueError(f"over must be one of {_SETS}, got {over!r}")
-    vals = f.interior_values if over == "interior" else f.values
+    vals = f.interior_values
     if p == math.inf:
         return float(np.max(np.abs(vals)))
     p = validate_float(p, "p")

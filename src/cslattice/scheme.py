@@ -121,14 +121,10 @@ def energy_eval(f: Field, g: Field, params: Params, lap: np.ndarray | None = Non
     return grad_term + exp_term + lin_term + source_term
 
 
-def iterate_once(
-    f_prev: Field,
-    g: Field,
-    params: Params,
-    x0: np.ndarray | None = None,
-) -> Field:
+def iterate_once(f_prev: Field, g: Field, params: Params) -> Field:
     """One monotone step: solve (L - K) f_k = N(f_{k-1}) + g - K f_{k-1}.
 
+    CG starts from f_prev (a zero f_prev is linear_solve's cold start).
     The step is solved just tightly enough for its check: to tol_rel =
     K * MONOTONE_TOL / ||rhs||_2 (at most 1/2), so the computed f_k is
     within MONOTONE_TOL of the exact step in sup norm.  With zero Dirichlet
@@ -143,7 +139,7 @@ def iterate_once(
     # at most 1/2, inside linear_solve's range (0, 1); a smaller tol_rel keeps the bound
     slack = params.K * MONOTONE_TOL
     tol_rel = slack / max(math.sqrt(np.dot(rhs, rhs)), 2.0 * slack)
-    f_next = linear_solve(LinearSystem(f_prev.domain, params.K, rhs), tol_rel, x0=x0)
+    f_next = linear_solve(LinearSystem(f_prev.domain, params.K, rhs), tol_rel, x0=fp)
     worst = float(np.max(f_next.interior_values - fp))
     if worst > MONOTONE_TOL:
         raise SchemeIntegrityError(
@@ -357,7 +353,7 @@ def solve_bounded(
     tol_nonlinear, max_steps = validate_stopping(tol_nonlinear, max_steps)
     g = assemble_source(dom, vc)
     if previous is None:
-        f, newton_start = Field.zeros(dom), None
+        f, warm_root = Field.zeros(dom), None
     else:
         prev_dom = previous.domain
         if (prev_dom.dim, previous.vortex, previous.params) != (dom.dim, vc, params) \
@@ -367,15 +363,14 @@ def solve_bounded(
                 f"B_{dom.radius} with the same vortices and params, got one on "
                 f"B_{prev_dom.radius} of Z^{prev_dom.dim}"
             )
-        f = extend_by_zero(previous.upper, dom)
-        newton_start = extend_by_zero(previous.field, dom)
+        f, warm_root = extend_by_zero(previous.upper, dom), previous.field
     trace = IterationTrace()
     energy, res_sup = _diagnostics(f, g, params)
     trace.steps.append(TraceStep(0, 0.0, energy, res_sup, 0.0))
     kept = None  # a _newton_root result, None until a run returns
 
     for k in range(1, max_steps + 1):
-        f_next = iterate_once(f, g, params, x0=f.interior_values)
+        f_next = iterate_once(f, g, params)
         diff = f_next.interior_values - f.interior_values
         sup_diff = float(np.max(np.abs(diff)))
         max_inc = float(np.max(diff))
@@ -391,8 +386,8 @@ def solve_bounded(
                                        trace=trace)
         f, energy = f_next, energy_next
         if kept is None:
-            kept = _newton_root(f, vc, g, params, tol_nonlinear, newton_start)
-            newton_start = None
+            kept = _newton_root(f, g, params, tol_nonlinear, warm_root)
+            warm_root = None
         cert = None if kept is None else _certify(kept, f, params, tol_nonlinear)
         if cert is not None:
             root, root_res, _, root_energy = kept
@@ -423,16 +418,19 @@ def _rounding(dom: LatticeDomain) -> float:
 
 
 def _newton_root(
-    f_k: Field, vc: VortexConfig, g: Field, params: Params, tol: float, start: Field | None,
+    f_k: Field, g: Field, params: Params, tol: float, warm: Field | None,
 ) -> tuple[Field, float, np.ndarray, float] | None:
-    """Newton from start, or from min(f_k, 0) if None: None if it raises, else
-    the root f*, clipped to f* <= 0, the sup norm of r(f*), rho = |r(f*)|
-    raised point by point by its rounding allowance, and I(f*)."""
+    """Newton from the zero extension of warm, a root on a smaller ball, or
+    from min(f_k, 0) if warm is None: None if it raises, else the root f*,
+    clipped to f* <= 0, the sup norm of r(f*), rho = |r(f*)| raised point by
+    point by its rounding allowance, and I(f*)."""
     dom = f_k.domain
-    if start is None:
-        start = Field.from_interior(dom, np.minimum(f_k.interior_values, 0.0))
     try:
-        root = newton_solve(dom, vc, params, start, tol=NEWTON_TOL_FACTOR * tol)
+        # the start is built in the call, so newton_solve holds it alone and frees it
+        root = newton_solve(
+            Field.from_interior(dom, np.minimum(f_k.interior_values, 0.0)) if warm is None
+            else extend_by_zero(warm, dom),
+            g, params, tol=NEWTON_TOL_FACTOR * tol)
     except ConvergenceError:
         return None
     root = Field.from_interior(dom, np.minimum(root.interior_values, 0.0))
@@ -477,18 +475,16 @@ def _certify(
 
 
 def newton_solve(
-    dom: LatticeDomain,
-    vc: VortexConfig,
-    params: Params,
-    f_init: Field,
-    tol: float = DEFAULT_TOL_NONLINEAR,
+    f_init: Field, g: Field, params: Params, tol: float = DEFAULT_TOL_NONLINEAR,
 ) -> Field:
-    """Damped Newton iteration on the residual from a nonpositive start.
+    """Damped Newton iteration on r(f) = L f - N(f) - g from a nonpositive start.
 
-    solve_bounded's finish and the verify suite's maximality oracle.  A
-    start above zero by at most FIELD_SIGN_TOL (roundoff in a monotone
-    iterate) is clipped to zero; a larger value, or a tol that is not a
-    positive number (lattice.validate_float), raises ValueError.
+    solve_bounded's finish and the verify suite's maximality oracle; both
+    pass the source g they already hold (assemble_source).  The root lies
+    on f_init's ball, and a g on another ball raises ValueError.  A start
+    above zero by at most FIELD_SIGN_TOL (roundoff in a monotone iterate)
+    is clipped to zero; a larger value, or a tol that is not a positive
+    number (lattice.validate_float), raises ValueError.
 
     The Newton step s solves (L - N'(f)) s = -r, the symmetric Jacobian
     taken as the linear solver's operator with per-point shift K = N'(f):
@@ -504,14 +500,20 @@ def newton_solve(
     definite raises ConvergenceError carrying the last Newton iterate.
     """
     tol = validate_float(tol, "tol", low=0)
+    dom, g_dom = f_init.domain, g.domain
+    if (g_dom.dim, g_dom.radius) != (dom.dim, dom.radius):
+        raise ValueError(
+            f"newton_solve needs g on the start's ball B_{dom.radius} of Z^{dom.dim}, "
+            f"got one on B_{g_dom.radius} of Z^{g_dom.dim}"
+        )
     top = float(np.max(f_init.values))
     if top > FIELD_SIGN_TOL:
         raise ValueError(
             f"newton_solve expects a nonpositive initial field (up to FIELD_SIGN_TOL="
             f"{FIELD_SIGN_TOL:.0e}), got a value {top:.3e}"
         )
-    g = assemble_source(dom, vc)
     f = np.minimum(f_init.interior_values, 0.0)
+    del f_init  # frees a start that the caller built in the call
     r = residual(Field.from_interior(dom, f), g, params)
     r_norm = float(np.max(np.abs(r)))
 

@@ -69,6 +69,13 @@ def bisection_root(fn, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def integral(f, over="interior"):
+    """Vertex sum of f over the interior or the closure (unit measure)."""
+    if over not in ("interior", "closure"):
+        raise ValueError(f"over must be 'interior' or 'closure', got {over!r}")
+    return float(np.sum(f.interior_values if over == "interior" else f.values))
+
+
 def linear_energy_eval(system, u) -> float:
     """Variational functional F(u) = 1/2 int |grad u|^2 + 1/2 int K u^2 + int v u.
 

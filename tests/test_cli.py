@@ -223,7 +223,7 @@ class TestExitCodes:
 
         # a "root" that is the unconverged start is never certified: the
         # monotone steps converge and the solve raises instead of returning
-        monkeypatch.setattr(scheme_mod, "newton_solve", lambda dom, vc, params, start, **kw: start)
+        monkeypatch.setattr(scheme_mod, "newton_solve", lambda start, g, params, **kw: start)
         path = write_config(tmp_path, radii=[6])
         out = tmp_path / "out"
         rc = main(["solve", str(path), "--output-dir", str(out), "--quiet"])
@@ -397,8 +397,9 @@ class TestExhaust:
         assert "nested_monotonicity" in names
         assert "l2_stabilization" in names
         assert "decay_rate" in names
-        assert "barrier_inequality" in names
-        assert "coercivity_positive" in names
+        # the closed-form constants are reported, not checked: their proofs make them positive
+        assert not names & {"barrier_inequality", "coercivity_positive"}
+        assert set(report["verification"]) == {"coercivity_c", "barrier_min_margin", "barrier_c1"}
         for radius in (6, 10, 14):
             assert f"R{radius}.maximality_certificate" in names
 
@@ -487,7 +488,8 @@ class TestVerify:
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["maximality_newton"]["passed"]
         assert by_name["symmetry_equivariance"]["passed"]
-        assert 0.49 <= by_name["coercivity_positive"]["value"] <= 0.51
+        assert "coercivity_positive" not in by_name
+        assert 0.49 <= report["verification"]["coercivity_c"] <= 0.51
 
     def test_three_dimensional_maximality(self, tmp_path):
         # Newton runs on the smallest radius's ball, R=4 (129 unknowns); its steps are CG solves
@@ -544,6 +546,31 @@ class TestVerify:
         out = tmp_path / "out"
         assert main(["verify", str(path), "--output-dir", str(out), "--quiet"]) == EXIT_OK
         assert radii == [6]
+
+    def test_one_source_for_the_ten_newton_starts(self, monkeypatch):
+        # each start assembled its own source inside newton_solve
+        import cslattice.scheme as scheme_mod
+        from cslattice import Params, VortexConfig, build_domain
+
+        sol = solve_bounded(build_domain(2, 5), VortexConfig([((0, 0), 1)]), Params(1.0, 1.0))
+        real_source, real_newton = cli.assemble_source, cli.newton_solve
+        sources, newton_sources = [], []
+
+        def assembling(*args):
+            sources.append(real_source(*args))
+            return sources[-1]
+
+        def newton(f_init, g, params, **kwargs):
+            newton_sources.append(g)
+            return real_newton(f_init, g, params, **kwargs)
+
+        for module in (cli, scheme_mod):
+            monkeypatch.setattr(module, "assemble_source", assembling)
+        monkeypatch.setattr(cli, "newton_solve", newton)
+        check = cli._maximality_check(sol, random.Random(cli._SEED))
+        assert check["passed"] and check["detail"] == "10/10 starts converged"
+        assert len(sources) == 1
+        assert len(newton_sources) == 10 and all(g is sources[0] for g in newton_sources)
 
     def test_off_origin_vortex_skips_symmetry(self, tmp_path):
         path = write_config(

@@ -12,11 +12,10 @@ from cslattice import (
     assemble_source,
     ball_size,
     build_domain,
-    integral,
     shell_size,
 )
 from cslattice.lattice import _radix_keys
-from conftest import box_ball_oracle
+from conftest import box_ball_oracle, integral
 
 
 def manhattan_distance(x, y) -> int:

@@ -19,6 +19,7 @@ from cslattice import (
     system_matrix,
 )
 from cslattice import linear as linear_mod
+from cslattice import scheme as scheme_mod
 from cslattice.linear import DENSE_MAX_UNKNOWNS, ORACLE_REL_TOL
 
 from conftest import linear_energy_eval
@@ -255,8 +256,8 @@ def test_solution_minimizes_energy(rng):
 
 
 def test_zero_start_is_the_cold_start(monkeypatch):
-    # every cold monotone step passes x0 = f_0 = 0; it must cost what x0=None
-    # costs (no gather and no residual of the zero start) and give its bits
+    # every cold monotone step starts CG from f_0 = 0; it must cost what
+    # x0=None costs (no gather and no residual of the zero start) and give its bits
     dom = build_domain(2, 10)
     g = assemble_source(dom, VortexConfig([((0, 0), 1)]))
     params = Params(1.0, 1.0)
@@ -267,12 +268,20 @@ def test_zero_start_is_the_cold_start(monkeypatch):
         calls.append(len(nbr))
         return real(nbr, values)
 
+    real_solve, solves = scheme_mod.linear_solve, []
+
+    def recording(system, tol_rel, x0=None):
+        solves.append((system, tol_rel, x0))
+        return real_solve(system, tol_rel, x0)
+
     monkeypatch.setattr(linear_mod, "gather_sum", counting)
-    f0 = Field.zeros(dom)
-    zero_start = iterate_once(f0, g, params, x0=f0.interior_values)
+    monkeypatch.setattr(scheme_mod, "linear_solve", recording)
+    zero_start = iterate_once(Field.zeros(dom), g, params)
     zero_calls = len(calls)
     calls.clear()
-    cold = iterate_once(f0, g, params)
+    (system, tol_rel, x0), = solves
+    assert x0 is not None and not x0.any()
+    cold = real_solve(system, tol_rel)
     assert zero_calls == len(calls) > 0
     assert np.array_equal(zero_start.values.view(np.int64), cold.values.view(np.int64))
 

@@ -128,7 +128,7 @@ class TestIterateOnce:
 
         monkeypatch.setattr(scheme_mod, "linear_solve", recording)
         for _ in range(2):
-            step = iterate_once(f, g, params, x0=f.interior_values)
+            step = iterate_once(f, g, params)
             fp = f.interior_values
             rhs = nonlinearity(fp, params) + g.interior_values - params.K * fp
             exact = dense_solve(LinearSystem(dom, params.K, rhs))
@@ -269,10 +269,38 @@ class TestSolveBounded:
         assert len(gathered) > 3
         assert len({id(f) for f in gathered}) == len(gathered)
 
+    def test_one_source_per_solve(self, monkeypatch):
+        # newton_solve assembled g again on each run; now every run takes the solve's own
+        dom = build_domain(2, 10)
+        params = Params(1.0, 1.0)
+        small = solve_bounded(build_domain(2, 6), ONE_VORTEX, params)
+        real_source, real_newton = scheme_mod.assemble_source, scheme_mod.newton_solve
+        sources, newton_sources = [], []
+
+        def assembling(*args):
+            sources.append(real_source(*args))
+            return sources[-1]
+
+        def newton(f_init, g, params, **kwargs):
+            newton_sources.append(g)
+            return real_newton(f_init, g, params, **kwargs)
+
+        monkeypatch.setattr(scheme_mod, "assemble_source", assembling)
+        monkeypatch.setattr(scheme_mod, "newton_solve", newton)
+        for previous in (None, small):
+            sources.clear()
+            newton_sources.clear()
+            sol = solve_bounded(dom, ONE_VORTEX, params, previous=previous)
+            assert sol.certificate is not None
+            assert len(sources) == 1
+            assert newton_sources and all(g is sources[0] for g in newton_sources)
+
     def test_peak_memory_per_closure_point(self):
         # one cold solve on 4D R=8, whose red-black split is built inside it,
-        # peaked at 141.5 traced bytes per closure point (187 while the colour
-        # tables were intp and linear_solve copied rhs); the bound allows 10%
+        # peaked at 128.3 traced bytes per closure point (141.6 while Newton
+        # assembled its own source and its caller held the start, 187 while
+        # the colour tables were intp and linear_solve copied rhs); the bound
+        # allows 10%
         dom = build_domain(4, 8)
         tracemalloc.start()
         try:
@@ -281,7 +309,7 @@ class TestSolveBounded:
         finally:
             tracemalloc.stop()
         assert sol.certificate is not None
-        assert peak <= 156 * dom.n_closure
+        assert peak <= 141 * dom.n_closure
 
     def test_max_steps_exhaustion(self, monkeypatch):
         # a certified Newton finish ends this solve after one step
@@ -338,24 +366,25 @@ class TestNewtonOracle:
         dom = build_domain(2, 5)
         params = Params(1.0, 1.0)
         sol = solve_bounded(dom, ONE_VORTEX, params, tol_nonlinear=1e-11)
-        root = newton_solve(dom, ONE_VORTEX, params, sol.field, tol=1e-9)
+        root = newton_solve(sol.field, assemble_source(dom, ONE_VORTEX), params, tol=1e-9)
         assert np.max(np.abs(root.values - sol.field.values)) <= 1e-10
 
     def test_single_vertex_from_zero(self):
         dom = build_domain(2, 0)
-        root = newton_solve(dom, ONE_VORTEX, Params(1.0, 1.0, 2.0),
-                            Field.zeros(dom), tol=1e-12)
+        root = newton_solve(Field.zeros(dom), assemble_source(dom, ONE_VORTEX),
+                            Params(1.0, 1.0, 2.0), tol=1e-12)
         assert root((0, 0)) == pytest.approx(single_vertex_limit(), abs=1e-10)
 
     def test_random_starts_stay_below_maximal(self, rng):
         dom = build_domain(2, 5)
         params = Params(1.0, 1.0)
         reference = solve_bounded(dom, ONE_VORTEX, params, tol_nonlinear=1e-11)
+        g = assemble_source(dom, ONE_VORTEX)
         converged = 0
         for _ in range(6):
             start = Field.from_interior(dom, -3.0 * rng.random(dom.n_interior))
             try:
-                root = newton_solve(dom, ONE_VORTEX, params, start)
+                root = newton_solve(start, g, params)
             except ConvergenceError:
                 continue
             converged += 1
@@ -373,7 +402,7 @@ class TestNewtonOracle:
 
         monkeypatch.setattr(np.linalg, "solve", dense)
         monkeypatch.setattr("cslattice.scheme.system_matrix", dense)
-        root = newton_solve(dom, vc, params, Field.zeros(dom))
+        root = newton_solve(Field.zeros(dom), assemble_source(dom, vc), params)
         assert np.max(np.abs(root.values - reference.field.values)) <= MAXIMALITY_TOL
 
     def test_indefinite_jacobian_raises_with_newton_iterate(self):
@@ -382,10 +411,10 @@ class TestNewtonOracle:
         dom = build_domain(2, 8)
         params = Params(1.0, 1.0)
         start = Field.from_interior(dom, np.full(dom.n_interior, math.log(0.25)))
-        with pytest.raises(ConvergenceError, match="Newton step failed.*positive definite") as err:
-            newton_solve(dom, ONE_VORTEX, params, start)
-        assert np.array_equal(err.value.best.values, start.values)
         g = assemble_source(dom, ONE_VORTEX)
+        with pytest.raises(ConvergenceError, match="Newton step failed.*positive definite") as err:
+            newton_solve(start, g, params)
+        assert np.array_equal(err.value.best.values, start.values)
         assert err.value.residual == np.max(np.abs(residual(start, g, params)))
 
     def test_roundoff_above_zero_is_clipped(self):
@@ -394,15 +423,16 @@ class TestNewtonOracle:
         params = Params(1.0, 1.0)
         start = np.zeros(dom.n_closure)
         start[dom.locate((5, 0))] = 1e-24
-        root = newton_solve(dom, ONE_VORTEX, params, Field(dom, start))
-        from_zero = newton_solve(dom, ONE_VORTEX, params, Field.zeros(dom))
+        g = assemble_source(dom, ONE_VORTEX)
+        root = newton_solve(Field(dom, start), g, params)
+        from_zero = newton_solve(Field.zeros(dom), g, params)
         assert np.array_equal(root.values, from_zero.values)
         # without vortices the clipped start is already a root, returned as is
-        root = newton_solve(dom, VortexConfig([]), params, Field(dom, start))
+        root = newton_solve(Field(dom, start), assemble_source(dom, VortexConfig([])), params)
         assert not np.any(root.values)
         start[dom.locate((5, 0))] = 10 * FIELD_SIGN_TOL
         with pytest.raises(ValueError, match="nonpositive"):
-            newton_solve(dom, ONE_VORTEX, params, Field(dom, start))
+            newton_solve(Field(dom, start), g, params)
 
     def test_newton_steps_use_forcing_tolerances(self, monkeypatch):
         dom = build_domain(2, 40)
@@ -416,7 +446,7 @@ class TestNewtonOracle:
             return real(system, tol_rel, x0)
 
         monkeypatch.setattr(scheme_mod, "linear_solve", recording)
-        newton_solve(dom, ONE_VORTEX, Params(0.1, 1.0), Field.zeros(dom), tol=tol)
+        newton_solve(Field.zeros(dom), assemble_source(dom, ONE_VORTEX), Params(0.1, 1.0), tol=tol)
         assert len(steps) >= 3
         floored = 0
         for eta, rhs in steps:
@@ -445,9 +475,9 @@ class TestNewtonOracle:
 
         monkeypatch.setattr(linear_mod, "_apply_reduced", counting)
         tol = NEWTON_TOL_FACTOR * 1e-10
-        root = newton_solve(dom, ONE_VORTEX, params, start, tol=tol)
-        assert 0 < len(matvecs) <= 125
         g = assemble_source(dom, ONE_VORTEX)
+        root = newton_solve(start, g, params, tol=tol)
+        assert 0 < len(matvecs) <= 125
         assert np.max(np.abs(residual(root, g, params))) <= tol
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf])
@@ -455,18 +485,28 @@ class TestNewtonOracle:
         # before iterating: 0 and -1 ran until "Newton stalled at residual
         # 1.8e-15", and inf returned the start as a root
         with pytest.raises(ValueError, match="tol must be (positive|a finite number)"):
-            newton_solve(b2, ONE_VORTEX, Params(1.0, 1.0), Field.zeros(b2), tol=tol)
+            newton_solve(Field.zeros(b2), assemble_source(b2, ONE_VORTEX), Params(1.0, 1.0),
+                         tol=tol)
 
     def test_rejects_positive_start(self, b2):
         with pytest.raises(ValueError, match="nonpositive"):
-            newton_solve(b2, ONE_VORTEX, Params(1.0, 1.0),
-                         Field(b2, np.ones(b2.n_closure)))
+            newton_solve(Field(b2, np.ones(b2.n_closure)), assemble_source(b2, ONE_VORTEX),
+                         Params(1.0, 1.0))
+
+    def test_rejects_source_on_another_ball(self, b2, b3):
+        # B_2 in Z^3 has as many interior points as B_3 in Z^2, 25
+        g3 = assemble_source(build_domain(3, 2), VortexConfig([((0, 0, 0), 1)]))
+        assert len(g3.interior_values) == b3.n_interior == 25
+        with pytest.raises(ValueError, match=r"start's ball B_3 of Z\^2, got one on B_2 of Z\^3"):
+            newton_solve(Field.zeros(b3), g3, Params(1.0, 1.0))
+        with pytest.raises(ValueError, match=r"start's ball B_2 of Z\^2, got one on B_3 of Z\^2"):
+            newton_solve(Field.zeros(b2), assemble_source(b3, ONE_VORTEX), Params(1.0, 1.0))
 
 
 def _no_newton(monkeypatch, newton=None):
     """Make every Newton finish of solve_bounded fail, or return newton(start)."""
 
-    def failing(dom, vc, params, f_init, **_kwargs):
+    def failing(f_init, g, params, **_kwargs):
         if newton is not None:
             return newton(f_init)
         raise ConvergenceError("Newton disabled")
@@ -533,7 +573,7 @@ class TestCertificate:
         params = Params(1.0, 1.0)
         sol = solve_bounded(dom, ONE_VORTEX, params)
         g = assemble_source(dom, ONE_VORTEX)
-        kept = scheme_mod._newton_root(sol.upper, ONE_VORTEX, g, params, 1e-10, None)
+        kept = scheme_mod._newton_root(sol.upper, g, params, 1e-10, None)
         args = (kept, sol.upper, params, 1e-10)
         assert scheme_mod._certify(*args) is not None
         centre = dom.locate((0, 0))
@@ -580,7 +620,7 @@ class TestCertificate:
         g = assemble_source(dom, ONE_VORTEX)
         f = Field.zeros(dom)
         for _ in range(err.value.trace.iterations):
-            f = iterate_once(f, g, params, x0=f.interior_values)
+            f = iterate_once(f, g, params)
         assert np.array_equal(err.value.best.values, f.values)
 
     def test_stalled_fallback_fails_fast(self, monkeypatch):
@@ -618,11 +658,11 @@ class TestNewtonSchedule:
         real = scheme_mod.newton_solve
         starts = []
 
-        def first_fails(dom, vc, params, f_init, **kwargs):
+        def first_fails(f_init, g, params, **kwargs):
             starts.append(f_init.values.copy())
             if len(starts) == 1:
                 raise ConvergenceError("first Newton run disabled")
-            return real(dom, vc, params, f_init, **kwargs)
+            return real(f_init, g, params, **kwargs)
 
         monkeypatch.setattr(scheme_mod, "newton_solve", first_fails)
         dom, params = build_domain(2, 10), Params(1.0, 1.0)
@@ -630,7 +670,7 @@ class TestNewtonSchedule:
         assert sol.certificate is not None and len(starts) == 2
         # the first run came after step 1, the second after step 2, from min(f_2, 0)
         g = assemble_source(dom, ONE_VORTEX)
-        f_1 = iterate_once(Field.zeros(dom), g, params, x0=np.zeros(dom.n_interior))
+        f_1 = iterate_once(Field.zeros(dom), g, params)
         assert np.array_equal(starts[0], np.minimum(f_1.values, 0.0))
         assert sol.iterations == 2
         assert np.array_equal(starts[1], np.minimum(sol.upper.values, 0.0))

@@ -18,6 +18,7 @@ from cslattice import (
     LinearSystem,
     Params,
     VortexConfig,
+    assemble_source,
     barrier_check,
     barrier_constant,
     build_domain,
@@ -66,7 +67,8 @@ INPUTS = {
                                     "tol_nonlinear", 0.0, np.float64(1e-10)),
     "solve_bounded.max_steps": (lambda v: solve_bounded(DOM, ONE_VORTEX, PARAMS, max_steps=v),
                                 "max_steps", 0, np.int64(50)),
-    "newton_solve.tol": (lambda v: newton_solve(DOM, ONE_VORTEX, PARAMS, Field.zeros(DOM), v),
+    "newton_solve.tol": (lambda v: newton_solve(Field.zeros(DOM), assemble_source(DOM, ONE_VORTEX),
+                                                PARAMS, v),
                          "tol", 0.0, np.float64(1e-10)),
     "validate_radii.radii": (lambda v: validate_radii([v, 6], ONE_VORTEX), "radii[0]", -1,
                              np.int64(2)),
