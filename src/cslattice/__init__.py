@@ -29,7 +29,6 @@ from .linear import (
 )
 from .scheme import (
     BoundedSolution,
-    IterationTrace,
     MaximalityCertificate,
     TraceStep,
     boundary_flux,
@@ -66,7 +65,6 @@ __all__ = [
     "DecayFit",
     "ExhaustionResult",
     "Field",
-    "IterationTrace",
     "LatticeDomain",
     "LinearSystem",
     "LpSummary",

@@ -6,7 +6,8 @@ class ConvergenceError(RuntimeError):
 
     Carries whatever partial state the caller may want to inspect:
     ``best`` (best iterate found), ``residual`` (its residual norm),
-    ``trace`` (iteration history), ``partial`` (completed sub-results).
+    ``trace`` (a solve's list of scheme.TraceStep rows), ``partial``
+    (completed sub-results).
     """
 
     def __init__(self, message, *, best=None, residual=None, trace=None, partial=None):

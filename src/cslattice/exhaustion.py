@@ -164,15 +164,13 @@ def _nested_delta(small: Field, big: Field) -> float:
     return float(np.max(big.values[big.domain.locate_closure(small.domain)] - small.values))
 
 
-def shell_profile(sol: BoundedSolution) -> list[tuple[int, float, float]]:
-    """Per-distance extrema (d, max |f|, min |f|) over interior shells d = 0..R."""
+def shell_profile(sol: BoundedSolution) -> list[tuple[int, float]]:
+    """Per-distance maxima (d, max |f|) over interior shells d = 0..R."""
     dom = sol.domain
-    absvals = np.abs(sol.field.interior_values)
-    dists = dom.distances[: dom.n_interior].astype(np.intp)
-    hi, lo = np.full(dom.radius + 1, -np.inf), np.full(dom.radius + 1, np.inf)
-    np.maximum.at(hi, dists, absvals)
-    np.minimum.at(lo, dists, absvals)
-    return list(zip(range(dom.radius + 1), hi.tolist(), lo.tolist()))
+    hi = np.full(dom.radius + 1, -np.inf)
+    np.maximum.at(hi, dom.distances[: dom.n_interior].astype(np.intp),
+                  np.abs(sol.field.interior_values))
+    return list(zip(range(dom.radius + 1), hi.tolist()))
 
 
 @dataclass(frozen=True)
@@ -204,8 +202,8 @@ def decay_fit(sol: BoundedSolution, epsilon: float) -> DecayFit:
     alpha = decay_rate_theory(sol.params, n)
     lo, hi = max(1, dom.radius // 4), dom.radius // 2
     prof = shell_profile(sol)
-    ds = np.array([d for d, mx, _ in prof if lo <= d <= hi and mx > SHELL_VALUE_GUARD])
-    maxima = np.array([mx for d, mx, _ in prof if lo <= d <= hi and mx > SHELL_VALUE_GUARD])
+    ds = np.array([d for d, mx in prof if lo <= d <= hi and mx > SHELL_VALUE_GUARD])
+    maxima = np.array([mx for d, mx in prof if lo <= d <= hi and mx > SHELL_VALUE_GUARD])
     if ds.size < 2:
         raise AnalysisError(
             f"decay window [{lo}, {hi}] has {ds.size} usable shells; "

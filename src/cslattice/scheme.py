@@ -35,7 +35,7 @@ the verify suite as an independent maximality oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, SchemeIntegrityError
@@ -47,12 +47,13 @@ from .linear import LinearSystem, linear_solve
 from .linear import system_matrix
 
 # Thresholds of the scheme's invariants.  MONOTONE_TOL and ENERGY_SLACK are
-# enforced on every step (a violation raises SchemeIntegrityError); the
-# others bound the post-solve checks on the solution.
+# enforced on every step by solve_bounded (a violation raises
+# SchemeIntegrityError); FIELD_SIGN_TOL and ROUNDING_ULPS serve newton_solve
+# and the certificate; the others bound the checks on a returned solution.
 MONOTONE_TOL = 1e-10      # f_k - f_{k-1} <= this pointwise
 ENERGY_SLACK = 1e-10      # I(f_k) - I(f_{k-1}) <= this, and I(f_k) <= this
 RESIDUAL_FACTOR = 100.0   # a solution's residual is <= this * tol_nonlinear
-FIELD_SIGN_TOL = 1e-10    # the solution is <= this everywhere
+FIELD_SIGN_TOL = 1e-10    # newton_solve clips a start above zero by at most this
 VORTEX_VALUE_BOUND = 0.0  # f(p_j) < this at every vortex: strict, no slack
 FLUX_TOL = 1e-8           # |sum N(f) + 4 pi sum n_j - boundary flux| <= this
 SYMMETRY_TOL = 1e-10      # |f(sigma x) - f(x)| <= this for a vortex at 0
@@ -130,60 +131,26 @@ def iterate_once(f_prev: Field, g: Field, params: Params) -> Field:
     within MONOTONE_TOL of the exact step in sup norm.  With zero Dirichlet
     data K - L >= K I on the interior, so an error e whose residual is r has
     ||e||_inf <= ||e||_2 <= ||r||_2 / K <= tol_rel ||rhs||_2 / K <= MONOTONE_TOL.
-    From an upper solution the exact step has f_k <= f_prev; a computed f_k
-    that rises above f_prev by more than MONOTONE_TOL raises
-    SchemeIntegrityError.
+    From an upper solution the exact step has f_k <= f_prev; solve_bounded
+    raises SchemeIntegrityError on a computed f_k that rises above f_prev by
+    more than MONOTONE_TOL.
     """
     fp = f_prev.interior_values
     rhs = nonlinearity(fp, params) + g.interior_values - params.K * fp
     # at most 1/2, inside linear_solve's range (0, 1); a smaller tol_rel keeps the bound
     slack = params.K * MONOTONE_TOL
     tol_rel = slack / max(math.sqrt(np.dot(rhs, rhs)), 2.0 * slack)
-    f_next = linear_solve(LinearSystem(f_prev.domain, params.K, rhs), tol_rel, x0=fp)
-    worst = float(np.max(f_next.interior_values - fp))
-    if worst > MONOTONE_TOL:
-        raise SchemeIntegrityError(
-            f"iterate rose by {worst:.3e} above its predecessor "
-            f"(tolerance {MONOTONE_TOL:.0e})"
-        )
-    return f_next
+    return linear_solve(LinearSystem(f_prev.domain, params.K, rhs), tol_rel, x0=fp)
 
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One row of a solve's trace, a list whose row k = 0 is the initial state."""
+
     k: int
     sup_diff: float       # ||f_k - f_{k-1}||_inf (0 for the k = 0 record)
     energy: float         # I(f_k)
     residual_sup: float   # ||L f_k - N(f_k) - g||_inf over the interior
-    max_increase: float   # max_x (f_k(x) - f_{k-1}(x)), monotonicity margin
-
-
-@dataclass
-class IterationTrace:
-    """Per-step history of the monotone steps of one solve; row k = 0 is the initial state."""
-
-    steps: list[TraceStep] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(s, name) for s in self.steps])
-
-    @property
-    def iterations(self) -> int:
-        return self.steps[-1].k if self.steps else 0
-
-    @property
-    def max_monotone_violation(self) -> float:
-        """Largest pointwise rise between consecutive iterates (k >= 1)."""
-        rises = [s.max_increase for s in self.steps[1:]]
-        return max(rises) if rises else 0.0
-
-    @property
-    def max_energy_increase(self) -> float:
-        e = self.column("energy")
-        return float(np.max(np.diff(e))) if len(e) > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -207,10 +174,11 @@ class BoundedSolution:
     last monotone iterate: an upper solution above the maximal solution and
     the top of the certificate's bracket.  ``field`` is the certified
     Newton root, within ``certificate.bound`` of the maximal solution.
+    ``trace`` holds one row per monotone step taken, after row k = 0.
     """
 
     field: Field
-    trace: IterationTrace
+    trace: list[TraceStep]
     params: Params
     vortex: VortexConfig
     residual_sup: float
@@ -224,7 +192,7 @@ class BoundedSolution:
 
     @property
     def iterations(self) -> int:
-        return self.trace.iterations
+        return self.trace[-1].k
 
 
 def boundary_flux(f: Field) -> float:
@@ -282,7 +250,10 @@ def solve_bounded(
     a step moves nothing (sup_diff == 0), once they have converged as the
     plain monotone scheme counts it (sup_diff < tol_nonlinear and residual
     at most RESIDUAL_FACTOR * tol_nonlinear), or after max_steps steps.
-    Monotonicity and energy descent are checked on every monotone step.
+    Every monotone step is checked, after its row joins the trace: a rise
+    of f_k above f_{k-1} by more than MONOTONE_TOL anywhere, or an energy
+    I(f_k) above I(f_{k-1}) or above 0 by more than ENERGY_SLACK, raises
+    SchemeIntegrityError with the trace.
     No solve reads a configured tolerance: each monotone step is solved
     as tightly as its MONOTONE_TOL check needs (iterate_once), Newton's
     steps to forcing tolerances (newton_solve), and the certificate's z
@@ -339,7 +310,7 @@ def solve_bounded(
     ||r||_2 <= K MONOTONE_TOL, and K - L >= K I on the interior with zero
     Dirichlet data, so the error e has ||e||_inf <= ||e||_2 <= ||r||_2 / K
     <= MONOTONE_TOL.  That is the margin the bracket's top adds, and the
-    one by which iterate_once lets a computed step rise.  After a warm start
+    one by which solve_bounded lets a computed step rise.  After a warm start
     the solves on the smaller balls add errors of the same size through f_0.
     Steps 2 and 4 are exact statements about the stored vectors f* and z,
     except that r(f*) and A z are evaluated in floating point.  Each entry
@@ -364,20 +335,22 @@ def solve_bounded(
                 f"B_{prev_dom.radius} of Z^{prev_dom.dim}"
             )
         f, warm_root = extend_by_zero(previous.upper, dom), previous.field
-    trace = IterationTrace()
     energy, res_sup = _diagnostics(f, g, params)
-    trace.steps.append(TraceStep(0, 0.0, energy, res_sup, 0.0))
+    trace = [TraceStep(0, 0.0, energy, res_sup)]
     kept = None  # a _newton_root result, None until a run returns
 
     for k in range(1, max_steps + 1):
         f_next = iterate_once(f, g, params)
         diff = f_next.interior_values - f.interior_values
         sup_diff = float(np.max(np.abs(diff)))
-        max_inc = float(np.max(diff))
+        rise = float(np.max(diff))
         del diff
         energy_next, res_sup = _diagnostics(f_next, g, params)
-        trace.steps.append(TraceStep(k, sup_diff, energy_next, res_sup, max_inc))
+        trace.append(TraceStep(k, sup_diff, energy_next, res_sup))
 
+        if rise > MONOTONE_TOL:
+            raise SchemeIntegrityError(f"iterate rose by {rise:.3e} above its predecessor at "
+                                       f"step {k} (tolerance {MONOTONE_TOL:.0e})", trace=trace)
         if energy_next > energy + ENERGY_SLACK:
             raise SchemeIntegrityError(f"energy rose from {energy:.12e} to {energy_next:.12e} "
                                        f"at step {k}", trace=trace)
@@ -401,8 +374,8 @@ def solve_bounded(
 
     raise ConvergenceError(
         f"no convergence to tol={tol_nonlinear} within {max_steps} steps "
-        f"(last sup_diff {trace.steps[-1].sup_diff:.3e})",
-        best=f, residual=trace.steps[-1].residual_sup, trace=trace)
+        f"(last sup_diff {trace[-1].sup_diff:.3e})",
+        best=f, residual=trace[-1].residual_sup, trace=trace)
 
 
 def _diagnostics(f: Field, g: Field, params: Params) -> tuple[float, float]:

@@ -232,6 +232,35 @@ class TestExitCodes:
         assert len((out / "trace.csv").read_text().splitlines()) > 2
         assert not (out / "field.csv").exists()
 
+    def test_rising_step_exits_1_with_trace(self, tmp_path, monkeypatch):
+        import cslattice.scheme as scheme_mod
+
+        # step 2 rises by 1e-6 at one point; the triple vortex on B_10 takes
+        # more than two steps, so no certified root returns before it
+        real, calls = scheme_mod.iterate_once, []
+
+        def rising(f_prev, g, params):
+            calls.append(1)
+            f_next = real(f_prev, g, params)
+            if len(calls) == 2:
+                f_next.values[0] = f_prev.values[0] + 1e-6
+            return f_next
+
+        monkeypatch.setattr(scheme_mod, "iterate_once", rising)
+        path = write_config(tmp_path, radii=[10],
+                            vortices=[{"point": [0, 0], "multiplicity": 3}])
+        out = tmp_path / "out"
+        rc = main(["solve", str(path), "--output-dir", str(out), "--quiet"])
+        assert rc == EXIT_CHECK_FAILED
+        report = read_report(out)
+        assert report["error"]["type"] == "scheme_integrity"
+        assert "rose by 1.000e-06" in report["error"]["message"]
+        assert not report["all_checks_passed"]
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert trace[0] == "k,sup_diff,energy,residual"
+        assert [row.split(",")[0] for row in trace[1:]] == ["0", "1", "2"]
+        assert not (out / "field.csv").exists()
+
     def test_exhaust_convergence_failure_keeps_partials(self, tmp_path, monkeypatch):
         import cslattice.exhaustion as exhaustion_mod
         from cslattice.errors import ConvergenceError
@@ -265,10 +294,11 @@ class TestSolve:
         report = read_report(out)
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["flux_identity"]["passed"]
-        cert = by_name["maximality_certificate"]
-        assert cert["passed"] and cert["value"] <= cert["threshold"] == 1e-10
-        assert report["radii"][0]["iterations"] == 1
-        assert cert["detail"].endswith("Newton root certified after monotone step 1")
+        # the certificate is reported with its radius; solve_bounded returns only certified roots
+        block = report["radii"][0]
+        assert 0.0 < block["certificate"]["bound"] <= 1e-10
+        assert block["certificate"]["rho"] > 0.0
+        assert block["iterations"] == 1
 
     def test_field_csv_matches_per_value_formatting(self, tmp_path, monkeypatch):
         from cslattice import Field, build_domain
@@ -400,8 +430,16 @@ class TestExhaust:
         # the closed-form constants are reported, not checked: their proofs make them positive
         assert not names & {"barrier_inequality", "coercivity_positive"}
         assert set(report["verification"]) == {"coercivity_c", "barrier_min_margin", "barrier_c1"}
-        for radius in (6, 10, 14):
-            assert f"R{radius}.maximality_certificate" in names
+        # per radius only the checks a returned solution can fail; solve_bounded
+        # enforces the monotone invariants and the certificate before it returns
+        solution_rows = {"terminal_residual", "flux_identity", "vortex_strictly_negative"}
+        for block in report["radii"]:
+            radius = block["radius"]
+            assert {n.split(".", 1)[1] for n in names if n.startswith(f"R{radius}.")} \
+                == solution_rows
+            assert 0.0 < block["certificate"]["bound"] <= 1e-10
+            assert block["certificate"]["rho"] > 0.0
+        assert [b["radius"] for b in report["radii"]] == [6, 10, 14]
 
     def test_artifacts_exist(self, completed):
         _, out = completed
@@ -511,14 +549,17 @@ class TestVerify:
         report = read_report(out)
         by_name = {c["name"]: c for c in report["checks"]}
         assert [c["name"] for c in report["checks"] if not c["passed"]] == ["linear_oracle"]
-        assert by_name["maximality_certificate"]["passed"]
-        assert by_name["monotone_iterates"]["passed"]
+        # the solve returned, so its steps held monotone and its root is certified
+        assert "bounded_solve" not in by_name
+        assert by_name["terminal_residual"]["passed"]
+        assert by_name["maximality_newton"]["passed"]
         assert not report["all_checks_passed"]
 
     @pytest.mark.parametrize("error, kind", [(ConvergenceError, "convergence"),
                                              (SchemeIntegrityError, "scheme_integrity")])
     def test_failed_solve_is_one_bounded_solve_check(self, tmp_path, monkeypatch, error, kind):
-        # it was reported as failed monotone_iterates and energy_nonincreasing
+        # it was reported as failed monotone_iterates and energy_nonincreasing;
+        # the solution checks are left out
         def failing(*args, **kwargs):
             raise error("solve sabotaged")
 
@@ -529,7 +570,7 @@ class TestVerify:
         by_name = {c["name"]: c for c in read_report(out)["checks"]}
         assert by_name["bounded_solve"] == {"name": "bounded_solve", "passed": False,
                                             "detail": f"{kind}: solve sabotaged"}
-        assert "monotone_iterates" not in by_name
+        assert "terminal_residual" not in by_name
         assert "maximality_newton" not in by_name
         assert by_name["linear_oracle"]["passed"]
 

@@ -155,7 +155,7 @@ class TestWarmStart:
         for small, big in zip(res.solutions, res.solutions[1:]):
             start = extend_by_zero(small.upper, big.domain)
             g = assemble_source(big.domain, ONE_VORTEX)
-            assert big.trace.steps[0].energy == energy_eval(start, g, PARAMS) < 0.0
+            assert big.trace[0].energy == energy_eval(start, g, PARAMS) < 0.0
 
     def test_failed_first_newton_try_falls_back_to_min_fk(self, monkeypatch):
         small = solve_bounded(build_domain(2, 6), ONE_VORTEX, PARAMS)
@@ -210,28 +210,22 @@ class TestShellProfile:
         sol = solve_bounded(build_domain(3, 5), VortexConfig([((1, 0, 0), 1)]), PARAMS)
         absvals = np.abs(sol.field.interior_values)
         dists = sol.domain.distances[: sol.domain.n_interior]
-        reference = [
-            (d, float(absvals[dists == d].max()), float(absvals[dists == d].min()))
-            for d in range(sol.domain.radius + 1)
-        ]
+        reference = [(d, float(absvals[dists == d].max())) for d in range(sol.domain.radius + 1)]
         prof = shell_profile(sol)
         assert prof == reference
-        assert all(type(d) is int and type(mx) is float for d, mx, _ in prof)
+        assert all(type(d) is int and type(mx) is float for d, mx in prof)
 
     def test_zero_field(self):
         sol = solve_bounded(build_domain(2, 4), VortexConfig([]), PARAMS)
         prof = shell_profile(sol)
         assert len(prof) == 5
-        assert all(mx == 0.0 and mn == 0.0 for _, mx, mn in prof)
+        assert all(mx == 0.0 for _, mx in prof)
 
     def test_max_at_vortex_and_orbit_constancy(self, small_run):
         sol = small_run.largest
         prof = shell_profile(sol)
-        assert prof[0][1] == max(mx for _, mx, _ in prof)
-        # shells 0 and 1 are single orbits of the symmetry group
-        for d in (0, 1):
-            assert prof[d][1] == pytest.approx(prof[d][2], abs=1e-10)
-        # deeper shells split into orbits; |f| is constant on each orbit
+        assert prof[0][1] == max(mx for _, mx in prof)
+        # shells split into orbits of the symmetry group; |f| is constant on each orbit
         dom = sol.domain
         orbit = {}
         for p in dom.coords.tolist():
@@ -255,7 +249,7 @@ class TestDecayFit:
         # the certificate covers the window by construction
         prof = shell_profile(sol)
         beta = fit.certified_rate
-        for d, mx, _ in prof:
+        for d, mx in prof:
             if fit.fit_window[0] <= d <= fit.fit_window[1]:
                 assert mx <= fit.c_fit * math.exp(-beta * d) * (1 + 1e-12)
 
@@ -264,8 +258,8 @@ class TestDecayFit:
         # gives it to rounding, but with no LAPACK least-squares call
         sol = solve_bounded(build_domain(2, 16), ONE_VORTEX, PARAMS)
         lo, hi = 4, 8
-        ds = np.array([d for d, _, _ in shell_profile(sol) if lo <= d <= hi], dtype=float)
-        maxima = np.array([mx for d, mx, _ in shell_profile(sol) if lo <= d <= hi])
+        ds = np.array([d for d, _ in shell_profile(sol) if lo <= d <= hi], dtype=float)
+        maxima = np.array([mx for d, mx in shell_profile(sol) if lo <= d <= hi])
         expected = -np.polyfit(ds, np.log(maxima), 1)[0]
 
         def no_least_squares(*_args, **_kwargs):

@@ -138,13 +138,13 @@ class TestIterateOnce:
             assert tol_rel == pytest.approx(params.K * MONOTONE_TOL / rhs_norm, rel=1e-12)
             assert tol_rel < 1e-10
 
-    def test_monotonicity_violation_raises(self):
-        # a negative point mass pushes the next iterate above zero
+    def test_rising_step_is_returned_unchecked(self):
+        # a negative point mass pushes the next iterate above zero; the step
+        # is only the solve, and solve_bounded's loop checks the rise
         dom = build_domain(2, 1)
         params = Params(1.0, 1.0, 2.0)
         g = Field.from_interior(dom, np.array([0.0, 0.0, -FOUR_PI, 0.0, 0.0]))
-        with pytest.raises(SchemeIntegrityError, match="rose"):
-            iterate_once(Field.zeros(dom), g, params)
+        assert np.max(iterate_once(Field.zeros(dom), g, params).values) > 1.0
 
 
 class TestEnergy:
@@ -209,16 +209,55 @@ class TestSolveBounded:
         sol = solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0, 2.0), tol_nonlinear=1e-12)
         assert sol.field((0, 0)) == pytest.approx(single_vertex_limit(), abs=1e-9)
 
-    def test_trace_invariants(self):
-        dom = build_domain(2, 8)
-        sol = solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0))
-        sup = sol.trace.column("sup_diff")
-        energy = sol.trace.column("energy")
+    def test_trace_invariants(self, monkeypatch):
+        # the triple vortex takes several monotone steps before its certificate
+        real, iterates = scheme_mod.iterate_once, []
+
+        def recording(f_prev, g, params):
+            iterates.append(f_prev.values.copy())
+            return real(f_prev, g, params)
+
+        monkeypatch.setattr(scheme_mod, "iterate_once", recording)
+        sol = solve_bounded(build_domain(2, 10), VortexConfig([((0, 0), 3)]), Params(1.0, 1.0))
+        iterates.append(sol.upper.values)
+        assert [s.k for s in sol.trace] == list(range(sol.iterations + 1))
+        assert sol.iterations > 2
+        sup = np.array([s.sup_diff for s in sol.trace])
+        energy = np.array([s.energy for s in sol.trace])
         assert np.all(sup >= 0.0)
-        assert sol.trace.max_monotone_violation <= 1e-10
+        assert max(np.max(b - a) for a, b in zip(iterates, iterates[1:])) <= MONOTONE_TOL
         assert np.all(np.diff(energy) <= 1e-10)
         assert np.all(energy[1:] <= 1e-10)
         assert energy[0] == 0.0
+
+    def test_rising_step_raises_with_its_row(self, monkeypatch):
+        # step 2 rises by 1e-6 at one point: the solve stops with that
+        # step's row last in its trace
+        real, calls = scheme_mod.iterate_once, []
+
+        def rising(f_prev, g, params):
+            calls.append(1)
+            f_next = real(f_prev, g, params)
+            if len(calls) == 2:
+                f_next.values[f_prev.domain.n_interior - 1] = \
+                    f_prev.values[f_prev.domain.n_interior - 1] + 1e-6
+            return f_next
+
+        monkeypatch.setattr(scheme_mod, "iterate_once", rising)
+        with pytest.raises(SchemeIntegrityError, match="rose by 1.000e-06 .* at step 2 ") as err:
+            solve_bounded(build_domain(2, 10), VortexConfig([((0, 0), 3)]), Params(1.0, 1.0))
+        trace = err.value.trace
+        assert [s.k for s in trace] == [0, 1, 2]
+        assert trace[-1].sup_diff >= 1e-6
+
+    def test_monotonicity_violation_raises(self, monkeypatch):
+        # the rising step of test_rising_step_is_returned_unchecked, in a solve
+        dom = build_domain(2, 1)
+        g = Field.from_interior(dom, np.array([0.0, 0.0, -FOUR_PI, 0.0, 0.0]))
+        monkeypatch.setattr(scheme_mod, "assemble_source", lambda dom, vc: g)
+        with pytest.raises(SchemeIntegrityError, match="rose") as err:
+            solve_bounded(dom, VortexConfig([]), Params(1.0, 1.0, 2.0))
+        assert [s.k for s in err.value.trace] == [0, 1]
 
     def test_sign_and_vortex_negativity(self):
         dom = build_domain(2, 8)
@@ -317,8 +356,7 @@ class TestSolveBounded:
         dom = build_domain(2, 5)
         with pytest.raises(ConvergenceError) as err:
             solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0), max_steps=3)
-        assert err.value.trace is not None
-        assert err.value.trace.iterations == 3
+        assert [s.k for s in err.value.trace] == [0, 1, 2, 3]
 
     def test_symmetry_equivariance(self):
         dom = build_domain(2, 8)
@@ -605,11 +643,11 @@ class TestCertificate:
         dom = build_domain(2, 5)
         with pytest.raises(ConvergenceError, match="no certified Newton root") as err:
             solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0))
-        last = err.value.trace.steps[-1]
+        last = err.value.trace[-1]
         assert f"step {last.k} " in str(err.value)
         assert last.sup_diff < 1e-10
         assert err.value.residual == last.residual_sup <= RESIDUAL_FACTOR * 1e-10
-        assert err.value.trace.iterations < 500
+        assert last.k < 500
 
     def test_fallback_matches_plain_monotone_iteration(self, monkeypatch):
         _no_newton(monkeypatch)
@@ -619,7 +657,7 @@ class TestCertificate:
             solve_bounded(dom, ONE_VORTEX, params)
         g = assemble_source(dom, ONE_VORTEX)
         f = Field.zeros(dom)
-        for _ in range(err.value.trace.iterations):
+        for _ in range(err.value.trace[-1].k):
             f = iterate_once(f, g, params)
         assert np.array_equal(err.value.best.values, f.values)
 
@@ -631,10 +669,10 @@ class TestCertificate:
         dom = build_domain(2, 6)
         with pytest.raises(ConvergenceError, match="no certified Newton root") as err:
             solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0), tol_nonlinear=1e-14)
-        trace = err.value.trace
-        assert trace.steps[-1].sup_diff == 0.0
-        assert trace.iterations < 500
-        assert err.value.residual == trace.steps[-1].residual_sup > RESIDUAL_FACTOR * 1e-14
+        last = err.value.trace[-1]
+        assert last.sup_diff == 0.0
+        assert last.k < 500
+        assert err.value.residual == last.residual_sup > RESIDUAL_FACTOR * 1e-14
 
 
 class TestNewtonSchedule:
