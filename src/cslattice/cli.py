@@ -312,6 +312,11 @@ def solution_checks(sol: BoundedSolution, cfg: RunConfig) -> list[dict]:
     return checks
 
 
+def _certificate(sol: BoundedSolution) -> dict:
+    """The maximality certificate's numbers: max z and max rho."""
+    return {"bound": sol.certificate.bound, "rho": sol.certificate.rho}
+
+
 def _radius_block(sol: BoundedSolution) -> dict:
     f = sol.field
     return {
@@ -321,7 +326,7 @@ def _radius_block(sol: BoundedSolution) -> dict:
         "terminal_residual_sup": sol.residual_sup,
         "energy_initial": sol.trace[0].energy,
         "energy_final": sol.energy,
-        "certificate": {"bound": sol.certificate.bound, "rho": sol.certificate.rho},
+        "certificate": _certificate(sol),
         "norms": {
             "l1": norm(f, 1),
             "l2": norm(f, 2),
@@ -426,9 +431,11 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     """Run the desk-scale property suite and report each check with margin.
 
     One bounded solve, on the smallest configured radius, feeds the solution
-    checks, the symmetry check and the Newton maximality oracle.
+    checks, the symmetry check and the Newton maximality oracle; its
+    certificate's numbers go into the verification block.
     """
     report = _start("verify", cfg, out_dir)
+    report["verification"] = _constants(cfg)
     stream = random.Random(_SEED)
     checks = [_linear_oracle_check(cfg, stream)]
     try:
@@ -437,7 +444,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         checks.append(_check("bounded_solve", False, detail=f"{_failure_kind(exc)}: {exc}"))
     else:
         checks += [*solution_checks(sol, cfg), _symmetry_check(sol), _maximality_check(sol, stream)]
-    report["verification"] = _constants(cfg)
+        report["verification"]["certificate"] = _certificate(sol)
     return _epilogue(report, checks, cfg, out_dir, quiet)
 
 

@@ -11,9 +11,10 @@ Conventions:
                    table, columns added left to right, in one take for a
                    small table and a column at a time above ONE_TAKE_MAX
                    entries: the one stencil kernel of the package.  Its
-                   tables are the domain's neighbour table and the two
-                   tables of LatticeDomain.red_black, which give the
-                   halves of linear.py's reduced operator.
+                   tables are the domain's neighbour table and, for
+                   n >= 3 only, the two tables of LatticeDomain.red_black,
+                   which give the halves of linear.py's reduced operator
+                   (in 2D that operator uses box sums on rotated grids).
   neighbor_sum   (Sv)(x) = sum_{y ~ x} v(y), interior x, closure y:
                    gather_sum over the neighbour table, for the Laplacian
                    and the maximality certificate.
@@ -36,9 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 # Largest table gather_sum gathers in one take: 2^14 entries, 128 KB, glibc's
 # default mmap threshold.  Where no larger block has raised that threshold, a
-# larger one-take block (the 2D R=80 red-black tables, 26k entries) is mapped
-# and faulted in afresh on every call: exhaust-2d took 3800 page faults per
-# call with 2^15, against 480 with 2^14.
+# larger one-take block (the 2D R=80 red-black tables of the time, 26k
+# entries) is mapped and faulted in afresh on every call: exhaust-2d took
+# 3800 page faults per call with 2^15, against 480 with 2^14.
 ONE_TAKE_MAX = 2**14
 
 

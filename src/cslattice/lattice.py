@@ -15,20 +15,20 @@ within a shell).  That ordering fixes the dense index used by every value
 array in this package, and it makes construction deterministic: equal
 inputs yield identical arrays.  The boundary is the last shell, so the
 interior comes first, and every array of a smaller ball is a prefix of the
-larger ball's.  ``LatticeDomain.locate`` maps points back to indices
-through a mixed-radix key of their coordinates.  The adjacency is stored
-once, as the interior's neighbour table: every closure edge has an interior
-endpoint, so the table names each edge, an interior one twice.  The
-Laplacian, the energy, the boundary flux and the dense matrix all read it.
-A domain keeps the even-odd (red-black) split of its interior that the
-linear solver reduces every system on, derived from that table once.
+larger ball's (the 2D red-black split aside).  ``LatticeDomain.locate`` maps
+points back to indices through a mixed-radix key of their coordinates.  The
+adjacency is stored once, as the interior's neighbour table: every closure
+edge has an interior endpoint, so the table names each edge, an interior
+one twice.  The Laplacian, the energy, the boundary flux and the dense
+matrix all read it.  A domain keeps the even-odd (red-black) split of its
+interior that the linear solver reduces every system on, derived once.
 
 Storage is compact: coordinates and norms are int16, closure indices int32,
 and only the keys int64, 46.6 bytes per closure point on B_14 in Z^4.  The
-red-black split adds 30.7 once built: its two neighbour tables are int32
-too, and only its two colour lists intp.  build_domain refuses a ball whose
-boundary lies beyond the int16 range or whose closure outgrows int32
-indexing, before allocating anything.
+red-black split adds 30.7 there (int32 tables, intp colour lists), and 7.8
+on B_80 in Z^2, where it is two intp lists in rotated-grid order.
+build_domain refuses a ball whose boundary lies beyond the int16 range or
+whose closure outgrows int32 indexing, before allocating anything.
 Code that does arithmetic, comparisons or sorts on these arrays widens them
 to intp first: numpy keeps int16 + int in int16 (NEP 50), and its int16 and
 int32 comparison, sort and ufunc.at loops are separate machine code, 64 to
@@ -103,27 +103,31 @@ class RedBlack:
 
     Every lattice edge joins an even and an odd norm, so each neighbour of a
     red (even) interior point is black (odd) or on the boundary, and vice
-    versa.  ``red`` and ``black`` hold the interior indices of each colour,
-    increasing.  ``red_neighbors`` (n_red x 2n, column-major, the column
-    order of ``LatticeDomain.neighbors``) gives each red point's neighbours
-    as positions in ``black``, a boundary neighbour as n_black: the slot
-    after the last black value, which the caller keeps at zero, so a gather
-    through the table reads the Dirichlet data there.  ``black_neighbors``
-    is the same table from black into red.  The two tables are int32
-    (INDEX_DTYPE), like the domain's neighbour table, half the bytes of
-    intp ones; ``red`` and ``black`` are intp.  numpy's take converts an
-    int32 index to intp on every call, which makes CG 10-20% slower than
-    through intp copies of the same tables.  linear_solve's in-place
-    updates more than pay for that: against the solver with intp tables
-    and per-iteration temporaries, a solve to tol_rel 1e-8 takes the same
-    time within 3% on 2D balls of radius 20-80 and 3D ones of radius 6-12,
-    and 27-28% less on B_14 in Z^4 (one process, alternating calls).
+    versa.  ``red`` and ``black`` hold the interior indices of each colour.
+
+    From 3D on they are increasing (intp), and ``red_neighbors`` (n_red x
+    2n, column-major, the column order of ``LatticeDomain.neighbors``)
+    gives each red point's neighbours as positions in ``black``, a boundary
+    neighbour as n_black: the slot after the last black value, which the
+    caller keeps at zero, so a gather through the table reads the Dirichlet
+    data there.  ``black_neighbors`` is the same table from black into red.
+    The two tables are int32 (INDEX_DTYPE), like the domain's neighbour
+    table, half the bytes of intp ones; numpy's take widens an int32 index
+    on every call, a cost linear_solve's in-place updates more than pay for.
+
+    In 2D both tables are None.  u = x + y and v = x - y take B_R to the
+    square max(|u|, |v|) <= R, and the colour is the parity of u.  Each
+    colour fills a square grid, of side R + 1 for the colour of R's parity
+    and R for the other; ``red`` and ``black`` (intp) list it row by row
+    (u, then v, increasing).  A point's neighbours (u +- 1, v +- 1) are
+    a 2x2 block of the other colour's grid, the smaller grid taken inside a
+    ring one cell wide: that ring is exactly the boundary.
     """
 
     red: np.ndarray = field(repr=False)
     black: np.ndarray = field(repr=False)
-    red_neighbors: np.ndarray = field(repr=False)
-    black_neighbors: np.ndarray = field(repr=False)
+    red_neighbors: np.ndarray | None = field(default=None, repr=False)
+    black_neighbors: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,11 +147,12 @@ class LatticeDomain:
     the domain's one adjacency list: an entry below n_interior is an
     interior edge, seen from both ends; an entry from n_interior on is an
     edge to the boundary, seen once.
-    ``red_black`` splits the interior by parity into two such tables, one
-    into each colour (see RedBlack); it is built on first use, at most once
-    per domain, because only the linear solver needs it.
+    ``red_black`` splits the interior by parity (see RedBlack); it is built
+    on first use, at most once per domain, because only the linear solver
+    needs it.
     For r <= R each of these arrays of B_r is a prefix of B_R's, the colour
-    tables once clipped to B_r's colour counts (see ``locate_closure``).
+    tables once clipped to B_r's colour counts (see ``locate_closure``); in
+    2D, B_r's grid of a colour is the centre block of B_R's instead.
     """
 
     dim: int
@@ -198,20 +203,30 @@ class LatticeDomain:
 
     @cached_property
     def red_black(self) -> RedBlack:
-        """The even-odd split of the interior, built from ``distances`` and ``neighbors``.
-
-        Its arrays are read-only.
-        """
+        """The even-odd split of the interior, built from ``distances`` and
+        ``neighbors``, or ``coords`` in 2D.  Its arrays are read-only."""
         odd = self.distances[: self.n_interior].astype(np.intp) % 2 == 1
         colours = (np.flatnonzero(~odd), np.flatnonzero(odd))
         tables = []
-        for rows, other in (colours, colours[::-1]):
-            position = np.full(self.n_closure, len(other), dtype=INDEX_DTYPE)
-            position[other] = np.arange(len(other), dtype=INDEX_DTYPE)
-            table = np.empty((len(rows), self.degree), dtype=INDEX_DTYPE, order="F")
-            for col in range(self.degree):
-                table[:, col] = position.take(self.neighbors[:, col].take(rows))
-            tables.append(table)
+        if self.dim == 2:
+            # the cells of a colour's grid of side s are u, v = -(s - 1), -(s - 3), ..., s - 1
+            x, y = self.coords[: self.n_interior].astype(np.intp).T
+            u, v = x + y, x - y
+            grids = []
+            for parity, rows in enumerate(colours):
+                side = self.radius + 1 - (self.radius + parity) % 2
+                grid = np.empty(side * side, dtype=np.intp)
+                grid[(u[rows] + side - 1) // 2 * side + (v[rows] + side - 1) // 2] = rows
+                grids.append(grid)
+            colours = grids
+        else:
+            for rows, other in (colours, colours[::-1]):
+                position = np.full(self.n_closure, len(other), dtype=INDEX_DTYPE)
+                position[other] = np.arange(len(other), dtype=INDEX_DTYPE)
+                table = np.empty((len(rows), self.degree), dtype=INDEX_DTYPE, order="F")
+                for col in range(self.degree):
+                    table[:, col] = position.take(self.neighbors[:, col].take(rows))
+                tables.append(table)
         for array in (*colours, *tables):
             array.flags.writeable = False
         return RedBlack(*colours, *tables)

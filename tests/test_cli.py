@@ -529,6 +529,15 @@ class TestVerify:
         assert "coercivity_positive" not in by_name
         assert 0.49 <= report["verification"]["coercivity_c"] <= 0.51
 
+    def test_example_config_reports_the_certificate(self, tmp_path):
+        example = Path(__file__).resolve().parents[1] / "config.example.json"
+        out = tmp_path / "out"
+        assert main(["verify", str(example), "--output-dir", str(out), "--quiet"]) == EXIT_OK
+        certificate = read_report(out)["verification"]["certificate"]
+        tol = json.loads(example.read_text())["tol_nonlinear"]
+        assert 0.0 < certificate["bound"] <= tol
+        assert certificate["rho"] > 0.0
+
     def test_three_dimensional_maximality(self, tmp_path):
         # Newton runs on the smallest radius's ball, R=4 (129 unknowns); its steps are CG solves
         path = write_config(tmp_path, dimension=3,

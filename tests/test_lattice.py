@@ -151,6 +151,15 @@ def test_smaller_ball_is_a_prefix(n):
             assert np.array_equal(big.distances[:m], small.distances)
             assert np.array_equal(big.neighbors[:k], small.neighbors)
             sub = small.red_black
+            if n == 2:
+                # no prefix: each colour's grid of the smaller ball is the
+                # centre block of the larger ball's grid of that colour
+                for grid, sub_grid in ((split.red, sub.red), (split.black, sub.black)):
+                    side, sub_side = math.isqrt(len(grid)), math.isqrt(len(sub_grid))
+                    centre = slice((side - sub_side) // 2, (side + sub_side) // 2)
+                    assert np.array_equal(grid.reshape(side, side)[centre, centre],
+                                          sub_grid.reshape(sub_side, sub_side))
+                continue
             n_red, n_black = len(sub.red), len(sub.black)
             assert np.array_equal(split.red[:n_red], sub.red)
             assert np.array_equal(split.black[:n_black], sub.black)
@@ -200,7 +209,7 @@ def test_locate_closure_is_the_prefix_slice(monkeypatch):
             small.locate_closure(outside)
 
 
-@pytest.mark.parametrize("n,radius", [(2, 0), (2, 5), (3, 3), (4, 2)])
+@pytest.mark.parametrize("n,radius", [(2, 0), (2, 5), (2, 6), (3, 3), (4, 2)])
 def test_red_black_split(n, radius):
     dom = build_domain(n, radius)
     assert "red_black" not in vars(dom)  # built on first use only
@@ -210,6 +219,9 @@ def test_red_black_split(n, radius):
     assert np.array_equal(np.sort(np.concatenate([split.red, split.black])), np.arange(n_int))
     assert np.all(dom.distances[split.red] % 2 == 0)
     assert np.all(dom.distances[split.black] % 2 == 1)
+    if n == 2:
+        _check_rotated_grids(dom, split)
+        return
     for rows, other, table in ((split.red, split.black, split.red_neighbors),
                                (split.black, split.red, split.black_neighbors)):
         assert table.shape == (len(rows), 2 * n) and table.flags.f_contiguous
@@ -222,6 +234,37 @@ def test_red_black_split(n, radius):
         # other colour, or the zero slot after it for a boundary point
         assert np.array_equal(np.append(other, -1)[table], np.where(boundary, -1, nbr))
         assert np.all((table == len(other)) == boundary)
+
+
+def _check_rotated_grids(dom, split):
+    """2D: each colour list is its square grid in u = x + y, v = x - y, row
+    by row, and the neighbours of a cell are the 2x2 block of the other
+    colour's grid below and right of it, the smaller grid taken with a ring
+    of the boundary points around it."""
+    radius = dom.radius
+    assert split.red_neighbors is None and split.black_neighbors is None
+    x, y = dom.coords.astype(np.intp).T
+    for grid in (split.red, split.black):
+        assert grid.dtype == np.intp and not grid.flags.writeable
+        side = math.isqrt(len(grid))
+        i, j = np.divmod(np.arange(side * side), side)
+        assert np.array_equal((x + y)[grid], 2 * i - (side - 1))
+        assert np.array_equal((x - y)[grid], 2 * j - (side - 1))
+    small, large = sorted((split.red, split.black), key=len)
+    assert len(large) == (radius + 1) ** 2 and len(small) == radius**2
+    u, v = np.meshgrid(*[np.arange(-radius - 1, radius + 2, 2)] * 2, indexing="ij")
+    ring = np.maximum(np.abs(u), np.abs(v)) == radius + 1
+    padded = np.empty(u.shape, dtype=np.intp)
+    padded[ring] = dom.locate(np.stack([(u + v) // 2, (u - v) // 2], axis=-1)[ring])
+    assert np.all(padded[ring] >= dom.n_interior)
+    assert np.count_nonzero(ring) == dom.n_closure - dom.n_interior
+    padded[1:-1, 1:-1] = small.reshape(radius, radius)
+    large = large.reshape(radius + 1, radius + 1)
+    # dom.neighbors' columns x - 1, x + 1, y - 1, y + 1 are these four corners
+    for cells, other in ((large, padded), (padded[1:-1, 1:-1], large)):
+        corners = (other[:-1, :-1], other[1:, 1:], other[:-1, 1:], other[1:, :-1])
+        for col, corner in enumerate(corners):
+            assert np.array_equal(dom.neighbors[cells, col], corner)
 
 
 def test_build_domain_rejects_bad_inputs():
@@ -256,6 +299,18 @@ def test_compact_layout():
     colour = sum(array.nbytes for array in
                  (split.red, split.black, split.red_neighbors, split.black_neighbors))
     assert nbytes + colour <= 78 * dom.n_closure  # 46.6 + 30.7 bytes per point
+
+
+def test_compact_layout_2d():
+    # 2D keeps each colour as one list in grid order and builds no n_red x 4
+    # table: intp colour lists with two int32 4-column tables took 8 + 16
+    # bytes per interior point, 23.4 per closure point on R=80
+    dom = build_domain(2, 80)
+    split = dom.red_black
+    arrays = [getattr(split, name) for name in ("red", "black", "red_neighbors", "black_neighbors")]
+    assert all(a is None or a.ndim == 1 for a in arrays)
+    colour = sum(a.nbytes for a in arrays if a is not None)
+    assert colour <= (8 + 4 * 4) * dom.n_interior / 2  # 7.8 bytes per closure point
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -20,6 +20,7 @@ from cslattice import (
 )
 from cslattice import linear as linear_mod
 from cslattice import scheme as scheme_mod
+from cslattice.lattice import RedBlack
 from cslattice.linear import DENSE_MAX_UNKNOWNS, ORACLE_REL_TOL
 
 from conftest import linear_energy_eval
@@ -257,16 +258,16 @@ def test_solution_minimizes_energy(rng):
 
 def test_zero_start_is_the_cold_start(monkeypatch):
     # every cold monotone step starts CG from f_0 = 0; it must cost what
-    # x0=None costs (no gather and no residual of the zero start) and give its bits
+    # x0=None costs (no S_br x_r and no residual of the zero start) and give its bits
     dom = build_domain(2, 10)
     g = assemble_source(dom, VortexConfig([((0, 0), 1)]))
     params = Params(1.0, 1.0)
-    real = linear_mod.gather_sum
+    real = linear_mod._spread
     calls = []
 
-    def counting(nbr, values):
-        calls.append(len(nbr))
-        return real(nbr, values)
+    def counting(split, x_r):
+        calls.append(len(x_r))
+        return real(split, x_r)
 
     real_solve, solves = scheme_mod.linear_solve, []
 
@@ -274,7 +275,7 @@ def test_zero_start_is_the_cold_start(monkeypatch):
         solves.append((system, tol_rel, x0))
         return real_solve(system, tol_rel, x0)
 
-    monkeypatch.setattr(linear_mod, "gather_sum", counting)
+    monkeypatch.setattr(linear_mod, "_spread", counting)
     monkeypatch.setattr(scheme_mod, "linear_solve", recording)
     zero_start = iterate_once(Field.zeros(dom), g, params)
     zero_calls = len(calls)
@@ -321,14 +322,18 @@ def test_warm_start_still_meets_tolerance(rng):
     assert np.linalg.norm(A @ u.interior_values + v) <= 1e-13 * np.linalg.norm(v)
 
 
-@pytest.mark.parametrize("n,radius", [(2, 7), (3, 4), (4, 3)])
+@pytest.mark.parametrize("n,radius", [(2, 0), (2, 1), (2, 7), (2, 8), (3, 4), (4, 3)])
 @pytest.mark.parametrize("per_point", [False, True])
 @pytest.mark.parametrize("warm", [False, True])
 def test_reduced_cg_meets_full_residual_and_oracle(n, radius, per_point, warm, rng):
+    # 2D R=0 has an empty black grid, and red fills the larger grid at even R
     dom = build_domain(n, radius)
     n_int = dom.n_interior
-    # per point: shifts down to -0.05 keep K - L positive definite on these balls
+    # per point: shifts down to -0.05 keep K - L positive definite on these
+    # balls; the one at the origin is -0.05, so a tiny ball has one too
     K = rng.uniform(-0.05, 2.0, n_int) if per_point else 1.5
+    if per_point:
+        K[0] = -0.05
     A = system_matrix(dom, 0.0) + np.diag(np.broadcast_to(K, n_int))
     assert np.min(np.linalg.eigvalsh(A)) > 0
     assert not per_point or np.min(K) < 0
@@ -375,3 +380,52 @@ def test_max_iter_counts_reduced_iterations(monkeypatch, rng):
     with pytest.raises(ConvergenceError, match="within 3 iterations"):
         linear_solve(LinearSystem(dom, 2.0, rng.standard_normal(dom.n_interior)), 1e-13)
     assert len(applied) == 3
+
+
+def _table_form(dom):
+    """The red-black split of a 2D ball with the n >= 3 layout's neighbour
+    tables, built from dom.neighbors, over the colour lists in grid order."""
+    split = dom.red_black
+    colours = (split.red, split.black)
+    tables = []
+    for rows, other in (colours, colours[::-1]):
+        position = np.full(dom.n_closure, len(other), dtype=np.int32)
+        position[other] = np.arange(len(other), dtype=np.int32)
+        tables.append(np.asfortranarray(position[dom.neighbors[rows]]))
+    return RedBlack(*colours, *tables)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3, 4, 5, 40])
+@pytest.mark.parametrize("per_point", [False, True])
+def test_box_sums_give_the_tables_bits(radius, per_point, rng):
+    # one application on the rotated grids equals, bit for bit, the one
+    # through neighbour tables, because each box sum adds the four
+    # neighbours in dom.neighbors' column order
+    dom = build_domain(2, radius)
+    split, tables = dom.red_black, _table_form(dom)
+    n_red, n_black = len(split.red), len(split.black)
+    values = rng.standard_normal(n_red) * 10.0 ** rng.integers(-8, 9, n_red)
+    K = rng.uniform(-0.05, 2.0, dom.n_interior) if per_point else 1.5
+    d_r, d_b = (K[c] + 4.0 if per_point else K + 4.0 for c in (split.red, split.black))
+    out_table = np.zeros(n_red)
+    linear_mod._apply_reduced(tables, d_r, 1.0 / d_b, np.append(values, 0.0),
+                              np.zeros(n_black + 1), out_table)
+    # rows of w = R + 2: red fills the larger grid at even R, its last column
+    # zero, and black the smaller one, in its zero ring
+    w = radius + 2
+    p, t = np.zeros((w - 1, w)), np.zeros((w, w))
+    if radius % 2:
+        p, t = t, p
+    cells = linear_mod._cells(p)
+    cells[...] = values.reshape(cells.shape)
+    inv_b = 1.0 / d_b
+    if per_point:
+        d_r = linear_mod._on_grid(d_r, p)
+        inv_b = linear_mod._span(linear_mod._on_grid(inv_b, t))
+    out = np.full(p.shape, np.nan)
+    linear_mod._apply_reduced(split, d_r, inv_b, p, t, out)
+    assert np.array_equal(linear_mod._cells(out).ravel().view(np.int64),
+                          out_table.view(np.int64))
+    rest = np.ones(p.shape, dtype=bool)
+    linear_mod._cells(rest)[...] = False
+    assert not np.any(out[rest])  # zero, not NaN, off the red cells
