@@ -16,15 +16,17 @@ array in this package, and it makes construction deterministic: equal
 inputs yield identical arrays.  The boundary is the last shell, so the
 interior comes first, and every array of a smaller ball is a prefix of the
 larger ball's (the 2D red-black split aside).  ``LatticeDomain.locate`` maps
-points back to indices through a mixed-radix key of their coordinates.  The
-adjacency is stored once, as the interior's neighbour table: every closure
-edge has an interior endpoint, so the table names each edge, an interior
-one twice.  The Laplacian, the energy, the boundary flux and the dense
-matrix all read it.  A domain keeps the even-odd (red-black) split of its
-interior that the linear solver reduces every system on, derived once.
+points back to indices, and build_domain finds neighbours, by offsets down
+the tree of coordinate prefixes.  The adjacency is stored once, as the
+interior's neighbour table: every closure edge has an interior endpoint,
+so the table names each edge, an interior one twice.  The Laplacian, the
+energy, the boundary flux and the dense matrix all read it.  A domain
+keeps the even-odd (red-black) split of its interior that the linear
+solver reduces every system on, derived once.
 
 Storage is compact: coordinates and norms are int16, closure indices int32,
-and only the keys int64, 46.6 bytes per closure point on B_14 in Z^4.  The
+and the prefix tree intp, one entry per prefix shorter than a point: 39.7
+bytes per closure point on B_14 in Z^4, 1.1 of them the tree's.  The
 red-black split adds 30.7 there (int32 tables, intp colour lists), and 7.8
 on B_80 in Z^2, where it is two intp lists in rotated-grid order.
 build_domain refuses a ball whose boundary lies beyond the int16 range or
@@ -88,15 +90,6 @@ def ball_size(n: int, radius: int) -> int:
     return sum(2**k * math.comb(n, k) * math.comb(radius, k) for k in range(min(n, radius) + 1))
 
 
-def _radix_keys(points: np.ndarray, radius: int) -> np.ndarray:
-    """Mixed-radix keys, digit x_i + R + 1 in base 2R + 3: lexicographically
-    increasing, and injective on points with every |x_i| <= R + 1.  The digits
-    are formed in int64, whatever the points' integer type."""
-    pts = np.asarray(points)
-    digits = tuple(pts[..., i].astype(np.int64) + (radius + 1) for i in range(pts.shape[-1]))
-    return np.ravel_multi_index(digits, (2 * radius + 3,) * len(digits))
-
-
 @dataclass(frozen=True, eq=False)
 class RedBlack:
     """The interior split by the parity of the Manhattan norm.
@@ -136,9 +129,15 @@ class LatticeDomain:
 
     ``coords`` (n_closure x n, int16) holds the closure's points shell by
     shell (interior rows first) and ``distances`` (int16) their Manhattan
-    norms; ``sorted_keys`` (int64) holds their mixed-radix keys in increasing
-    order and ``key_order`` (int32) the closure index of each.  ``locate``
-    maps points to closure indices.
+    norms.  ``prefix_tree`` (intp) has one entry per prefix of fewer than n
+    coordinates of a closure point, level by level, each level in
+    lexicographic order: the position of the prefix's child whose next
+    coordinate is 0, in the tree or, on the last level, among the closure's
+    points in lexicographic order.  A prefix's children are consecutive, so
+    the child with value c lies c further on, and the walk from the root
+    (position 0) by a point's coordinates ends at its lexicographic index;
+    ``key_order`` (int32) maps that to its closure index.  ``locate`` maps
+    points to closure indices.
     The ``neighbors`` array (int32, shape n_interior x 2n) lists, for each interior
     vertex, the closure indices of its 2n lattice neighbours, in the column
     order x_1 - 1, x_1 + 1, ..., x_n - 1, x_n + 1.  It is stored
@@ -160,8 +159,8 @@ class LatticeDomain:
     n_interior: int
     coords: np.ndarray = field(repr=False)
     distances: np.ndarray = field(repr=False)
-    sorted_keys: np.ndarray = field(repr=False)
     key_order: np.ndarray = field(repr=False)
+    prefix_tree: np.ndarray = field(repr=False)
     neighbors: np.ndarray = field(repr=False)
 
     @property
@@ -176,20 +175,27 @@ class LatticeDomain:
         """Closure indices of integer points: shape (..., dim) to shape (...).
 
         Raises KeyError for a point of another dimension or outside the
-        closure.  That check comes before the key is formed, because the key
-        is injective only on the closure: on B_3 in Z^2 the point (-1, 5)
-        has the key of the boundary point (0, -4).
+        closure.  That check comes before the walk down ``prefix_tree``,
+        which stays in the tree only on the closure: on B_3 in Z^2 the point
+        (-1, 5) would end at the boundary point (0, -3).
         """
         pts = np.asarray(points)
         if pts.ndim == 0 or pts.shape[-1] != self.dim or pts.dtype.kind not in "iu":
             raise KeyError(f"{points!r} is not an integer point of Z^{self.dim}")
-        outside = np.abs(pts).sum(axis=-1) > self.radius + 1
+        # clipped to +-(R + 2) in their own type, then widened: exact inside
+        # the closure, and still outside it for every other point
+        info = np.iinfo(pts.dtype)
+        bound = self.radius + 2
+        wide = np.clip(pts, max(info.min, -bound), min(info.max, bound)).astype(np.intp)
+        outside = np.abs(wide).sum(axis=-1) > self.radius + 1
         if np.any(outside):
             raise KeyError(
                 f"{pts[outside][0].tolist()} lies outside the closure of B_{self.radius}"
             )
-        query = _radix_keys(pts, self.radius)
-        return self.key_order.take(np.searchsorted(self.sorted_keys, query))
+        position = 0
+        for axis in range(self.dim):
+            position = self.prefix_tree.take(position) + wide[..., axis]
+        return self.key_order.take(position)
 
     def locate_closure(self, other: "LatticeDomain") -> slice:
         """The rows of another ball's closure in this one, its first n_closure;
@@ -268,22 +274,27 @@ def validate_dimension(n: int) -> int:
     return validate_int(n, "dimension", low=2)
 
 
-def _ball(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points of B_radius in Z^n in lexicographic order (as COORD_DTYPE), with
-    their norms (int64).
+def _ball(n: int, radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points of B_radius in Z^n in lexicographic order (as COORD_DTYPE), their
+    norms (int64), and the tree of their coordinate prefixes (intp), as
+    LatticeDomain.prefix_tree describes it.
 
     Grows the array of coordinate prefixes one axis at a time: a prefix with
-    remaining budget b extends by each value in -b..b.
+    remaining budget b extends by each value in -b..b, its children.
     """
-    coords = np.zeros((1, 0), dtype=COORD_DTYPE)
+    coords = np.zeros((1, n), dtype=COORD_DTYPE)
     budget = np.array([radius], dtype=np.int64)
-    for _ in range(n):
+    tree, end = [], 0
+    for m in range(n):
         width = 2 * budget + 1
-        first = np.repeat(np.cumsum(width) - width, width)
-        value = np.arange(first.size, dtype=np.int64) - first - np.repeat(budget, width)
-        coords = np.column_stack([np.repeat(coords, width, axis=0), value.astype(COORD_DTYPE)])
+        zero = np.cumsum(width) - width + budget
+        value = np.arange(zero[-1] + budget[-1] + 1) - np.repeat(zero, width)
+        end += budget.size  # where the next level's entries start
+        tree.append(zero + end if m < n - 1 else zero)
+        coords = np.repeat(coords, width, axis=0)
+        coords[:, m] = value
         budget = np.repeat(budget, width) - np.abs(value)
-    return coords, radius - budget
+    return coords, radius - budget, np.concatenate(tree).astype(np.intp)
 
 
 def build_domain(n: int, radius: int) -> LatticeDomain:
@@ -291,8 +302,8 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
 
     Raises ValueError, before allocating anything, for a ball that the
     arrays cannot hold: a boundary at distance radius + 1 above the int16
-    maximum 32767, a closure of more than 2^31 - 1 points (its size is
-    ball_size(n, radius + 1)), or keys (2 radius + 3)^n beyond int64.
+    maximum 32767, or a closure of more than 2^31 - 1 points (its size is
+    ball_size(n, radius + 1)).
     """
     n, radius = validate_dimension(n), validate_int(radius, "radius", low=0)
     if radius + 1 > np.iinfo(COORD_DTYPE).max:
@@ -306,37 +317,35 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
             f"B_{radius} in Z^{n} is too large for {np.dtype(INDEX_DTYPE).name} indices: "
             f"its closure has {size} points > {np.iinfo(INDEX_DTYPE).max}"
         )
-    if (2 * radius + 3) ** n > np.iinfo(np.int64).max:
-        raise ValueError(f"B_{radius} in Z^{n} is too large for int64 point keys")
 
-    # _ball enumerates the closure in key order; a stable sort by norm puts
-    # it in shell order (numpy sorts 8- and 16-bit integers by radix sort).
-    coords, norms = _ball(n, radius + 1)
-    sorted_keys = _radix_keys(coords, radius)
+    # _ball enumerates the closure in lexicographic order; a stable sort by
+    # norm puts it in shell order (numpy sorts 8- and 16-bit integers by
+    # radix sort), and the interior is its first n_int rows.
+    coords, norms, tree = _ball(n, radius + 1)
     order = np.argsort(norms.astype(np.min_scalar_type(radius + 1)), kind="stable")
     key_order = np.empty(size, dtype=INDEX_DTYPE)
     key_order[order] = np.arange(size, dtype=INDEX_DTYPE)
-    lex_inner = np.flatnonzero(norms <= radius)
-    n_int = lex_inner.size
-    coords, distances = coords[order], norms[order].astype(COORD_DTYPE)
-    del order, norms
+    n_int = ball_size(n, radius)
+    coords, distances = coords.take(order, axis=0), norms.take(order).astype(COORD_DTYPE)
 
-    # x +- e_i has the key key(x) +- (2R+3)^(n-1-i): |x_i| <= R, so digit i
-    # moves with no carry.  The interior is queried in key order, so each
-    # column's queries are sorted, and the answers are renumbered into shell
-    # order.  Along the last axis _ball's rows are consecutive, so x +- e_n
-    # needs no search.
-    inner_keys = sorted_keys.take(lex_inner)
-    shell_rows = key_order.take(lex_inner)
+    # After axis i, prefix holds the tree position of (x_1, ..., x_i), and
+    # that of x +- e_i's prefix is one place along the same line; from there
+    # the walk goes on by x's own coordinates.  With |x| <= R every prefix
+    # on the way lies in B_{R+1}, so no index clips, and mode="clip" lets
+    # take write in place, with no copy.
+    del order, norms
+    x = coords[:n_int].T
     neighbors = np.empty((n_int, 2 * n), dtype=INDEX_DTYPE, order="F")
-    for col in range(2 * n):
-        step = 1 if col % 2 else -1
-        if col // 2 == n - 1:
-            found = lex_inner + step
-        else:
-            step *= (2 * radius + 3) ** (n - 1 - col // 2)
-            found = np.searchsorted(sorted_keys, inner_keys + step)
-        neighbors[shell_rows, col] = key_order.take(found)
+    prefix, position = np.zeros(n_int, dtype=np.intp), np.empty(n_int, dtype=np.intp)
+    for axis in range(n):
+        tree.take(prefix, out=prefix, mode="clip")
+        prefix += x[axis]
+        for col in (2 * axis, 2 * axis + 1):
+            np.add(prefix, 1 if col % 2 else -1, out=position)
+            for lower in range(axis + 1, n):
+                tree.take(position, out=position, mode="clip")
+                position += x[lower]
+            key_order.take(position, out=neighbors[:, col], mode="clip")
 
     return LatticeDomain(
         dim=n,
@@ -344,8 +353,8 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
         n_interior=n_int,
         coords=coords,
         distances=distances,
-        sorted_keys=sorted_keys,
         key_order=key_order,
+        prefix_tree=tree,
         neighbors=neighbors,
     )
 

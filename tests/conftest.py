@@ -36,23 +36,19 @@ def b3():
 def box_ball_oracle(n, radius):
     """Independent domain construction by exhaustive box enumeration.
 
-    Scans the cube [-(radius+2), radius+2]^n, classifies interior by the
-    distance sum, and boundary as non-interior points with an interior
-    neighbour.  Used to validate the recursive ball builder.
+    Scans the cube [-radius, radius]^n, classifies interior by the distance
+    sum, and boundary as non-interior points with an interior neighbour.
+    Used to validate the recursive ball builder.
     """
-    span = range(-(radius + 2), radius + 3)
-    interior, boundary = set(), set()
-    for p in itertools.product(span, repeat=n):
-        if sum(abs(c) for c in p) <= radius:
-            interior.add(p)
-    for p in itertools.product(span, repeat=n):
-        if p in interior:
-            continue
+    span = range(-radius, radius + 1)
+    interior = {p for p in itertools.product(span, repeat=n) if sum(abs(c) for c in p) <= radius}
+    boundary = set()
+    for p in interior:
         for axis in range(n):
             for step in (-1, 1):
                 q = p[:axis] + (p[axis] + step,) + p[axis + 1 :]
-                if q in interior:
-                    boundary.add(p)
+                if q not in interior:
+                    boundary.add(q)
     return interior, boundary
 
 

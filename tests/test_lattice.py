@@ -14,7 +14,6 @@ from cslattice import (
     build_domain,
     shell_size,
 )
-from cslattice.lattice import _radix_keys
 from conftest import box_ball_oracle, integral
 
 
@@ -41,9 +40,12 @@ def test_manhattan_distance_dimension_mismatch():
 
 
 @pytest.mark.parametrize(
-    "n,radius", [(2, 0), (2, 1), (2, 3), (2, 6), (3, 2), (3, 4), (4, 2), (4, 3), (5, 1), (5, 2)]
+    "n,radius",
+    [(2, 0), (2, 1), (2, 3), (2, 6), (3, 0), (3, 2), (3, 4), (4, 0), (4, 2), (4, 3), (5, 0),
+     (5, 1), (5, 2), (6, 0), (6, 1), (6, 2)],
 )
 def test_domain_matches_box_enumeration(n, radius):
+    # R = 0 gives prefix-tree levels of one point
     interior, boundary = box_ball_oracle(n, radius)
     dom = build_domain(n, radius)
     pts = points(dom.coords)
@@ -180,7 +182,7 @@ def test_locate_inverts_coords(n, radius):
 
 @pytest.mark.parametrize("point", [(-1, 5), (4, 1), (0, 0, 0)])
 def test_locate_rejects_points_off_the_closure(point):
-    # (-1, 5) has the mixed-radix key of the boundary point (0, -4)
+    # without the closure check, (-1, 5) would walk the prefix tree to (0, -3)
     dom = build_domain(2, 3)
     with pytest.raises(KeyError):
         dom.locate(point)
@@ -269,8 +271,11 @@ def _check_rotated_grids(dom, split):
 
 def test_build_domain_rejects_bad_inputs():
     # bools, strings, non-finite and out-of-range values: test_validation.py
-    with pytest.raises(ValueError, match="int64 point keys"):
-        build_domain(20, 3)  # 9^20 keys
+    # the bounding box of B_3's closure in Z^20 has 9^20 > 2^63 points; the
+    # prefix tree indexes only the closure's
+    dom = build_domain(20, 3)
+    assert dom.n_closure == ball_size(20, 4) == 118721
+    assert np.array_equal(dom.locate(dom.coords), np.arange(dom.n_closure))
     # floats are refused by name, not truncated to a ball or left to numpy
     for n, radius, name in ((2, 2.5, "radius"), (2, np.float64(3.0), "radius"),
                             (2.0, 3, "dimension")):
@@ -282,12 +287,12 @@ def test_build_domain_rejects_bad_inputs():
 def test_compact_layout():
     dom = build_domain(4, 14)
     dtypes = {name: getattr(dom, name).dtype for name in
-              ("coords", "distances", "sorted_keys", "key_order", "neighbors")}
-    assert dtypes == {"coords": np.int16, "distances": np.int16, "sorted_keys": np.int64,
-                      "key_order": np.int32, "neighbors": np.int32}
+              ("coords", "distances", "key_order", "prefix_tree", "neighbors")}
+    assert dtypes == {"coords": np.int16, "distances": np.int16, "key_order": np.int32,
+                      "prefix_tree": np.intp, "neighbors": np.int32}
     assert dom.neighbors.flags.f_contiguous
     nbytes = sum(getattr(dom, name).nbytes for name in dtypes)
-    assert nbytes <= 48 * dom.n_closure  # 46.6 bytes per point
+    assert nbytes <= 40 * dom.n_closure  # 39.7 bytes per point
     # the colour tables are int32 and column-major like the neighbour table;
     # the colour lists stay intp
     split = dom.red_black
@@ -298,7 +303,7 @@ def test_compact_layout():
         assert rows.dtype == np.intp
     colour = sum(array.nbytes for array in
                  (split.red, split.black, split.red_neighbors, split.black_neighbors))
-    assert nbytes + colour <= 78 * dom.n_closure  # 46.6 + 30.7 bytes per point
+    assert nbytes + colour <= 71 * dom.n_closure  # 39.7 + 30.7 bytes per point
 
 
 def test_compact_layout_2d():
@@ -334,16 +339,54 @@ def test_build_domain_refuses_balls_its_arrays_cannot_hold():
         build_domain(2, 10**6)
 
 
-@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint16, np.int32, np.uint64])
-def test_radix_keys_widen_small_integer_types(dtype):
-    # x_i + R + 1 overflows int16 for R = 40000; the key is formed in int64
-    radius = 40000
-    points = np.array([[0, 0], [1, 2], [3, 0]], dtype=dtype)
-    base = 2 * radius + 3
-    expected = [(x + radius + 1) * base + (y + radius + 1) for x, y in points.tolist()]
-    keys = _radix_keys(points, radius)
-    assert keys.dtype == np.int64
-    assert keys.tolist() == expected
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint16, np.int32, np.int64, np.uint64])
+def test_locate_widens_integer_types(dtype):
+    # B_130's closure reaches past int8 on both sides: -128 and 127 are in it
+    info = np.iinfo(dtype)
+    dom = build_domain(2, 130)
+    rows = {p: i for i, p in enumerate(points(dom.coords))}
+    inside = [p for p in [(0, 0), (1, 2), (3, 0), (-128, 3), (0, 127), (131, 0), (-4, -127)]
+              if info.min <= min(p) and max(p) <= info.max]
+    found = dom.locate(np.array(inside, dtype=dtype))
+    assert found.tolist() == [rows[p] for p in inside]
+    # on B_3 every point with an extreme coordinate other than 0 lies outside
+    # the closure: np.abs(-128) is -128 in int8, and 2^64 - 1 is -1 in intp
+    small = build_domain(2, 3)
+    for extreme in ([info.min, 0], [0, info.min], [info.max, 0], [1, info.max],
+                    [info.max, info.max], [info.min, info.max]):
+        if extreme == [0, 0]:
+            continue
+        with pytest.raises(KeyError, match="outside the closure"):
+            small.locate(np.array(extreme, dtype=dtype))
+
+
+def test_locate_finds_random_closure_points():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 5), label="n")
+        radius = data.draw(st.integers(0, 6), label="radius")
+        dom = build_domain(n, radius)
+        # a point of norm at most the bound: magnitudes, then signs
+        def point(bound):
+            left, p = bound, []
+            for _ in range(n):
+                value = data.draw(st.integers(-left, left))
+                left -= abs(value)
+                p.append(value)
+            return data.draw(st.permutations(p))
+        closure = [point(radius + 1) for _ in range(data.draw(st.integers(1, 8)))]
+        found = dom.locate(np.array(closure))
+        assert np.array_equal(dom.coords[found], np.array(closure))
+        far = list(point(radius + 2))
+        axis = data.draw(st.integers(0, n - 1))
+        far[axis] += (1 if far[axis] >= 0 else -1) * (radius + 2 - sum(map(abs, far)))
+        with pytest.raises(KeyError, match="outside the closure"):
+            dom.locate(np.array([closure[0], far]))
+
+    check()
 
 
 def test_vortex_config_validation():
