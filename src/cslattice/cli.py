@@ -28,12 +28,15 @@ from .lattice import (
     Params,
     VortexConfig,
     assemble_source,
+    ball_size,
     build_domain,
     manhattan_norm,
+    validate_ball,
     validate_dimension,
 )
 from .linear import (
     DEFAULT_TOL_REL,
+    DENSE_MAX_UNKNOWNS,
     ORACLE_REL_TOL,
     LinearSystem,
     dense_solve,
@@ -183,6 +186,7 @@ class RunConfig:
             params = Params(get("lambda"), get("a"), get("K"))
             vortex_config = VortexConfig(vortices)
             radii = validate_radii(radii, vortex_config)
+            validate_ball(dimension, radii[-1])
             epsilon = validate_epsilon(get("epsilon"))
             tol_nonlinear, max_steps = validate_stopping(get("tol_nonlinear"), get("max_steps"))
             tol_linear = validate_tol_rel(get("tol_linear"))
@@ -479,8 +483,11 @@ def _uniform(stream: random.Random, low: float, high: float, size: int) -> np.nd
 
 def _linear_oracle_check(cfg: RunConfig, stream: random.Random) -> dict:
     """linear_solve at tol_linear against dense LU on 20 systems whose
-    right-hand sides are drawn uniform in [-1, 1) from stream."""
-    radii = [2 + i % 3 if cfg.dimension >= 3 else 3 + i % 5 for i in range(20)]
+    right-hand sides are drawn uniform in [-1, 1) from stream.  Each radius
+    (at most 7) is capped at the largest whose interior fits in
+    DENSE_MAX_UNKNOWNS, which binds from dimension 9 on (B_4 in Z^9: 5641)."""
+    fits = max(r for r in range(8) if ball_size(cfg.dimension, r) <= DENSE_MAX_UNKNOWNS)
+    radii = [min(2 + i % 3 if cfg.dimension >= 3 else 3 + i % 5, fits) for i in range(20)]
     domains = {r: build_domain(cfg.dimension, r) for r in sorted(set(radii))}
     rhs = [_uniform(stream, -1.0, 1.0, domains[r].n_interior) for r in radii]
     worst = 0.0
@@ -540,7 +547,10 @@ def _maximality_check(sol: BoundedSolution, stream: random.Random) -> dict:
 
 def _start(command: str, cfg: RunConfig, out_dir: Path) -> dict:
     """Create the output directory and return the report's header."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     return {"command": command, "config": cfg.to_dict(), "version": __version__}
 
 

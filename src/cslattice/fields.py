@@ -13,8 +13,9 @@ Conventions:
                    entries: the one stencil kernel of the package.  Its
                    tables are the domain's neighbour table and, for
                    n >= 3 only, the two tables of LatticeDomain.red_black,
-                   which give the halves of linear.py's reduced operator
-                   (in 2D that operator uses box sums on rotated grids).
+                   through which linear._sums gives the reduced operator's
+                   neighbour sums (in 2D, with no tables, box sums on
+                   rotated grids, in the same column order).
   neighbor_sum   (Sv)(x) = sum_{y ~ x} v(y), interior x, closure y:
                    gather_sum over the neighbour table, for the Laplacian
                    and the maximality certificate.
@@ -75,12 +76,8 @@ class Field:
     def interior_values(self) -> np.ndarray:
         return self.values[: self.domain.n_interior]
 
-    @property
-    def boundary_values(self) -> np.ndarray:
-        return self.values[self.domain.n_interior :]
-
     def is_dirichlet(self) -> bool:
-        return bool(np.all(self.boundary_values == 0.0))
+        return bool(np.all(self.values[self.domain.n_interior :] == 0.0))
 
     def __call__(self, point) -> float:
         """Value at a closure point; KeyError for any other point."""

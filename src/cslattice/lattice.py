@@ -115,10 +115,18 @@ class RedBlack:
     (u, then v, increasing).  A point's neighbours (u +- 1, v +- 1) are
     a 2x2 block of the other colour's grid, the smaller grid taken inside a
     ring one cell wide: that ring is exactly the boundary.
+
+    ``red_shape`` and ``black_shape`` shape the zero buffers of linear_solve
+    that hold each colour with the zeros its boundary neighbours read: from
+    3D on (n_colour + 1,); in 2D rows of R + 2, the larger grid's (R + 1,
+    R + 2) with a zero last column, the smaller one's (R + 3, R + 2) with
+    its ring and one more zero row, read by box sums on the larger's last row.
     """
 
     red: np.ndarray = field(repr=False)
     black: np.ndarray = field(repr=False)
+    red_shape: tuple[int, ...]
+    black_shape: tuple[int, ...]
     red_neighbors: np.ndarray | None = field(default=None, repr=False)
     black_neighbors: np.ndarray | None = field(default=None, repr=False)
 
@@ -213,6 +221,7 @@ class LatticeDomain:
         ``neighbors``, or ``coords`` in 2D.  Its arrays are read-only."""
         odd = self.distances[: self.n_interior].astype(np.intp) % 2 == 1
         colours = (np.flatnonzero(~odd), np.flatnonzero(odd))
+        shapes = [(len(rows) + 1,) for rows in colours]
         tables = []
         if self.dim == 2:
             # the cells of a colour's grid of side s are u, v = -(s - 1), -(s - 3), ..., s - 1
@@ -224,6 +233,7 @@ class LatticeDomain:
                 grid = np.empty(side * side, dtype=np.intp)
                 grid[(u[rows] + side - 1) // 2 * side + (v[rows] + side - 1) // 2] = rows
                 grids.append(grid)
+                shapes[parity] = (side, side + 1) if side > self.radius else (side + 3, side + 2)
             colours = grids
         else:
             for rows, other in (colours, colours[::-1]):
@@ -235,7 +245,7 @@ class LatticeDomain:
                 tables.append(table)
         for array in (*colours, *tables):
             array.flags.writeable = False
-        return RedBlack(*colours, *tables)
+        return RedBlack(*colours, *shapes, *tables)
 
 
 def validate_int(value, name: str, low: int | None = None) -> int:
@@ -274,6 +284,24 @@ def validate_dimension(n: int) -> int:
     return validate_int(n, "dimension", low=2)
 
 
+def validate_ball(n: int, radius: int) -> int:
+    """The closure size of B_radius in Z^n (ints n >= 2, radius >= 0), in closed
+    form; ValueError for a ball that the arrays cannot hold: a boundary beyond
+    int16's 32767, or a closure of more than 2^31 - 1 points."""
+    if radius + 1 > np.iinfo(COORD_DTYPE).max:
+        raise ValueError(
+            f"B_{radius} in Z^{n} is too large for {np.dtype(COORD_DTYPE).name} coordinates: "
+            f"its boundary lies at distance {radius + 1} > {np.iinfo(COORD_DTYPE).max}"
+        )
+    size = ball_size(n, radius + 1)
+    if size > np.iinfo(INDEX_DTYPE).max:
+        raise ValueError(
+            f"B_{radius} in Z^{n} is too large for {np.dtype(INDEX_DTYPE).name} indices: "
+            f"its closure has {size} points > {np.iinfo(INDEX_DTYPE).max}"
+        )
+    return size
+
+
 def _ball(n: int, radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Points of B_radius in Z^n in lexicographic order (as COORD_DTYPE), their
     norms (int64), and the tree of their coordinate prefixes (intp), as
@@ -301,22 +329,10 @@ def build_domain(n: int, radius: int) -> LatticeDomain:
     """Construct B_radius in Z^n (integers n >= 2, radius >= 0) with its boundary and adjacency.
 
     Raises ValueError, before allocating anything, for a ball that the
-    arrays cannot hold: a boundary at distance radius + 1 above the int16
-    maximum 32767, or a closure of more than 2^31 - 1 points (its size is
-    ball_size(n, radius + 1)).
+    arrays cannot hold (validate_ball).
     """
     n, radius = validate_dimension(n), validate_int(radius, "radius", low=0)
-    if radius + 1 > np.iinfo(COORD_DTYPE).max:
-        raise ValueError(
-            f"B_{radius} in Z^{n} is too large for {np.dtype(COORD_DTYPE).name} coordinates: "
-            f"its boundary lies at distance {radius + 1} > {np.iinfo(COORD_DTYPE).max}"
-        )
-    size = ball_size(n, radius + 1)
-    if size > np.iinfo(INDEX_DTYPE).max:
-        raise ValueError(
-            f"B_{radius} in Z^{n} is too large for {np.dtype(INDEX_DTYPE).name} indices: "
-            f"its closure has {size} points > {np.iinfo(INDEX_DTYPE).max}"
-        )
+    size = validate_ball(n, radius)
 
     # _ball enumerates the closure in lexicographic order; a stable sort by
     # norm puts it in shell order (numpy sorts 8- and 16-bit integers by

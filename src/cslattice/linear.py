@@ -16,17 +16,18 @@ red system (DeGrand & Rossi, Comput. Phys. Commun. 60, 1990)
     (D_r - S_rb D_b^-1 S_br) x_r = b_r + S_rb D_b^-1 b_b,
     x_b = D_b^-1 (b_b + S_br x_r).
 
-linear_solve runs conjugate gradients on it.  From 3D on, one application
-of the reduced operator is two calls of fields.gather_sum, the kernel the
-Laplacian uses: one over each red-black table, which together hold as many
-entries as the neighbour table, on vectors half as long.  In 2D it is two
-2x2 box sums of contiguous slices: in u = x + y, v = x - y each colour
-fills a square grid, and a point's neighbours (u +- 1, v +- 1) are a 2x2
-block of the other colour's (LatticeDomain.red_black).  The sums keep the
-table's column order, so they give the gather's bits.  For scalar K the
-reduced operator's condition number is 1 / (1 - rho^2) against A's
-(1 + rho) / (1 - rho), with rho <= 2n / D, so CG needs about half the
-iterations.
+linear_solve runs conjugate gradients on it.  Each colour's values live in
+a zero buffer (RedBlack.red_shape, black_shape) that holds the zeros its
+boundary neighbours read.  _cells views the values in colour-list order,
+for the scatter on entry and the gather on exit; _span is the flat run
+where the other colour's neighbour sums land, and holds CG's vectors.
+_sums, the one neighbour-sum kernel, is fields.gather_sum through the
+colour's table from 3D on, and in 2D, where a point's neighbours are a 2x2
+block of the other colour's rotated grid, _box_sum's contiguous slices,
+added in the neighbour table's column order for the gather's bits.  For
+scalar K the reduced operator's condition number is 1 / (1 - rho^2)
+against A's (1 + rho) / (1 - rho), with rho <= 2n / D, so CG needs about
+half the iterations.
 Every D must be positive (checked before iterating), and then A is
 positive definite exactly when the reduced operator is (Haynsworth
 inertia additivity), so a search direction with p.Ap <= 0 raises
@@ -132,29 +133,35 @@ def system_matrix(domain: "LatticeDomain", K: float | np.ndarray) -> np.ndarray:
     return A
 
 
-# The 2D grids have rows of w = R + 2: the larger colour's (R + 1) x w with a
-# zero last column, the smaller one's w x w inside a zero ring (the boundary).
-# The neighbours x - 1, x + 1, y - 1, y + 1 of cell k of one are cells j,
-# j + w + 1, j + 1, j + w of the other: j = k on the larger, k - w - 1 on the smaller.
+# In 2D every buffer row has w = R + 2 entries.  The neighbours x - 1, x + 1,
+# y - 1, y + 1 of cell k of one grid are cells j, j + w + 1, j + 1, j + w of
+# the other: j = k on the larger grid, k - w - 1 on the smaller.  The smaller
+# grid's extra zero row lets the box sums cover the whole larger grid.
 
-def _cells(grid: np.ndarray) -> np.ndarray:
-    """A colour's cells in its grid, as a (side x side) view."""
-    return grid[1:-1, 1:-1] if len(grid) == grid.shape[1] else grid[:, :-1]
+def _cells(buf: np.ndarray) -> np.ndarray:
+    """A colour's values in its buffer, in list order: the vector before the
+    zero slot, or in 2D the (side x side) grid inside its zeros."""
+    if buf.ndim == 1:
+        return buf[:-1]
+    return buf[:, :-1] if len(buf) < buf.shape[1] else buf[1:-2, 1:-1]
 
 
-def _span(grid: np.ndarray) -> np.ndarray:
-    """The flat run of a grid that the other colour's _box_sum fills: from
-    cell (0, 0) of the larger grid or (1, 1) of the smaller, to (R, R)."""
-    w = grid.shape[1]
-    return grid.reshape(-1)[w + 1 if len(grid) == w else 0 : (w - 1) * w - 1]
+def _span(buf: np.ndarray) -> np.ndarray:
+    """The flat run of a buffer that the other colour's _sums fills: the vector
+    before the zero slot, in 2D the whole larger grid, or the smaller one's
+    run from cell (1, 1) to (R, R)."""
+    if buf.ndim == 1:
+        return buf[:-1]
+    w = buf.shape[1]
+    return buf.reshape(-1) if len(buf) < w else buf.reshape(-1)[w + 1 : (w - 1) * w - 1]
 
 
 def _box_sum(grid: np.ndarray) -> np.ndarray:
     """grid's 2x2 block sums over the other colour's _span, added in the
     neighbour table's column order (so with a gather's bits); zero off its cells."""
     w = grid.shape[1]
-    smaller = len(grid) == w
-    n = max((w - 1) * w - 1 - (0 if smaller else w + 1), 0)
+    smaller = len(grid) > w
+    n = (w - 1) * w if smaller else max((w - 1) * w - w - 2, 0)
     flat = grid.reshape(-1)
     out = flat[:n] + flat[w + 1 : w + 1 + n]
     out += flat[1 : n + 1]
@@ -165,37 +172,35 @@ def _box_sum(grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _on_grid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """A colour's values, in grid order, on the cells of a zero grid shaped like grid."""
-    out = np.zeros(grid.shape)
-    cells = _cells(out)
-    cells[...] = values.reshape(cells.shape)
-    return out
+def _sums(table: np.ndarray | None, buf: np.ndarray) -> np.ndarray:
+    """Over the other colour's _span, each point's sum of its neighbours' values
+    in buf: a gather through the colour table, or in 2D (no table) box sums."""
+    return _box_sum(buf) if table is None else gather_sum(table, buf)
 
 
-def _spread(split: "RedBlack", x_r: np.ndarray) -> np.ndarray:
-    """S_br x_r: over each black point, the sum of its red neighbours' values."""
-    return _box_sum(x_r) if split.red_neighbors is None else gather_sum(split.black_neighbors, x_r)
+def _on_spans(values: float | np.ndarray, split: "RedBlack") -> tuple:
+    """An interior vector's values by colour, each on the span of a zero buffer of
+    its colour's shape, which for a vector buffer is its cells; a scalar as it is."""
+    if not isinstance(values, np.ndarray):
+        return values, values
+    if len(split.red_shape) == 1:
+        return values[split.red], values[split.black]
+    spans = []
+    for rows, shape in ((split.red, split.red_shape), (split.black, split.black_shape)):
+        buf = np.zeros(shape)
+        cells = _cells(buf)
+        cells[...] = values[rows].reshape(cells.shape)
+        spans.append(_span(buf))
+    return tuple(spans)
 
 
-def _apply_reduced(
-    split: "RedBlack", d_r: float | np.ndarray, inv_b: float | np.ndarray,
-    p: np.ndarray, t: np.ndarray, out: np.ndarray,
-) -> None:
-    """(D_r - S_rb D_b^-1 S_br) p into out, for red values p, with t as black scratch.
-
-    n >= 3: p and t each end in a zero slot that boundary neighbours read.
-    n = 2: p, t and out are the rotated grids, and inv_b is over _span(t).
-    """
-    if split.red_neighbors is None:
-        np.multiply(_box_sum(p), inv_b, out=_span(t))
-        np.multiply(d_r, p, out=out)
-        span = _span(out)
-        span -= _box_sum(t)
-        return
-    np.multiply(gather_sum(split.black_neighbors, p), inv_b, out=t[:-1])
-    np.multiply(d_r, p[:-1], out=out)
-    out -= gather_sum(split.red_neighbors, t)
+def _apply_reduced(split: "RedBlack", d_r: float | np.ndarray, inv_b: float | np.ndarray,
+                   p: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """(D_r - S_rb D_b^-1 S_br) p into out, over the spans: p is a red buffer,
+    t black scratch, and d_r and inv_b are scalars or over the spans."""
+    np.multiply(_sums(split.black_neighbors, p), inv_b, out=_span(t))
+    np.multiply(d_r, _span(p), out=out)
+    out -= _sums(split.red_neighbors, t)
 
 
 def dense_solve(system: LinearSystem) -> Field:
@@ -210,11 +215,8 @@ def validate_tol_rel(tol_rel) -> float:
     return validate_float(tol_rel, "tol_rel", low=0, high=1)
 
 
-def linear_solve(
-    system: LinearSystem,
-    tol_rel: float = DEFAULT_TOL_REL,
-    x0: np.ndarray | None = None,
-) -> Field:
+def linear_solve(system: LinearSystem, tol_rel: float = DEFAULT_TOL_REL,
+                 x0: np.ndarray | None = None) -> Field:
     """Solve (L - K) u = v with zero Dirichlet data, by CG on the reduced red system.
 
     Guarantees ||(L - K) u - v||_2 <= tol_rel * ||v||_2 over the interior,
@@ -253,80 +255,54 @@ def linear_solve(
 
     tol = tol_rel * b_norm
     split = dom.red_black
-    red, black = split.red, split.black
-    cap = int(CG_ITERATIONS_PER_UNKNOWN * len(red))
-    # D = K + 2n and b = -rhs, taken by colour straight from K and rhs
-    if np.ndim(K) == 0:
-        d_r = d_b = K + dom.degree
-    else:
-        d_r, d_b = K[red] + dom.degree, K[black] + dom.degree
-    inv_b, b_r, b_b = 1.0 / d_b, -rhs[red], -rhs[black]
-    grids = split.red_neighbors is None
-    if grids:
-        # CG's red vectors are the whole red grid, zero off its cells
-        w = dom.radius + 2
-        x_r, x_b = np.zeros((w - 1, w)), np.zeros((w, w))  # red is the smaller at odd R
-        if dom.radius % 2:
-            x_r, x_b = x_b, x_r
-        p, t, Ap = np.zeros(x_r.shape), np.zeros(x_b.shape), np.zeros(x_r.size)
-        b_r, d_r = (_on_grid(a, x_r) if np.ndim(a) else a for a in (b_r, d_r))
-        b_b, d_b, inv_b = (_span(_on_grid(a, x_b)) if np.ndim(a) else a
-                           for a in (b_b, d_b, inv_b))
-        x_r_cells, x_b_cells, x_b_vec = _cells(x_r), _cells(x_b), _span(x_b)
-        p_vec, x_r_vec, Ap_out = p.reshape(-1), x_r.reshape(-1), Ap.reshape(x_r.shape)
-    else:
-        # The vectors the tables gather from end in a zero slot, which boundary neighbours read.
-        x_r, x_b = np.zeros(len(red) + 1), np.zeros(len(black) + 1)
-        p, t, Ap = np.zeros(len(red) + 1), np.zeros(len(black) + 1), np.zeros(len(red))
-        x_r_cells = x_r_vec = x_r[:-1]
-        x_b_cells = x_b_vec = x_b[:-1]
-        p_vec, Ap_out = p[:-1], Ap
+    cap = int(CG_ITERATIONS_PER_UNKNOWN * len(split.red))
+    # D = K + 2n and b = -rhs on each colour's span, taken straight from K and rhs
+    (d_r, d_b), (b_r, b_b) = _on_spans(K, split), _on_spans(rhs, split)
+    d_r, d_b, b_r, b_b = d_r + dom.degree, d_b + dom.degree, -b_r, -b_b
+    inv_b = 1.0 / d_b
+    x_r, p = np.zeros(split.red_shape), np.zeros(split.red_shape)
+    x_b, t = np.zeros(split.black_shape), np.zeros(split.black_shape)
+    x_r_span, x_b_span, p_span = _span(x_r), _span(x_b), _span(p)
+    Ap = np.zeros(len(p_span))
 
     def solution() -> Field:
         values = np.zeros(dom.n_closure)
-        values[red], values[black] = x_r_cells.ravel(), x_b_cells.ravel()
+        values[split.red], values[split.black] = _cells(x_r).ravel(), _cells(x_b).ravel()
         return Field(dom, values)
 
     def true_residual(s_b: float | np.ndarray, eliminate: bool = True) -> tuple[np.ndarray, float]:
         """Red rows of b - A x, after x_b = D_b^-1 (b_b + s_b) unless not to eliminate
         (s_b = S_br x_r, or 0.0 for x_r = 0), and the residual's norm over all rows."""
         if eliminate:
-            np.add(b_b, s_b, out=x_b_vec)
-            np.multiply(x_b_vec, inv_b, out=x_b_vec)
-        if grids:
-            r_r = b_r - d_r * x_r
-            span = _span(r_r)
-            span += _box_sum(x_b)
-            r_r = r_r.reshape(-1)
-        else:
-            r_r = gather_sum(split.red_neighbors, x_b)  # first, while no temporary is held
-            r_r += b_r - d_r * x_r[:-1]
-        r_b = b_b - d_b * x_b_vec + s_b
+            np.add(b_b, s_b, out=x_b_span)
+            np.multiply(x_b_span, inv_b, out=x_b_span)
+        r_r = _sums(split.red_neighbors, x_b)  # first, while no temporary is held
+        r_r += b_r - d_r * x_r_span
+        r_b = b_b - d_b * x_b_span + s_b
         return r_r, math.hypot(math.sqrt(np.dot(r_r, r_r)), math.sqrt(np.dot(r_b, r_b)))
 
     if x0 is None:
         s_b = 0.0
     else:
-        x_r_cells[...] = x0[red].reshape(x_r_cells.shape)
-        x_b_cells[...] = x0[black].reshape(x_b_cells.shape)
-        s_b = _spread(split, x_r)
+        x_r_span[...], x_b_span[...] = _on_spans(x0, split)
+        s_b = _sums(split.black_neighbors, x_r)
         if true_residual(s_b, eliminate=False)[1] <= tol:
             return solution()
     r, r_norm = true_residual(s_b)
     if r_norm <= tol:
         return solution()
-    p_vec[:] = r
+    p_span[:] = r
     rs = float(np.dot(r, r))
     for it in range(cap):
         if rs**0.5 <= tol:
             # accept only on the true residual; restart the recursion otherwise
-            r_true, r_norm = true_residual(_spread(split, x_r))
+            r_true, r_norm = true_residual(_sums(split.black_neighbors, x_r))
             if r_norm <= tol:
                 return solution()
-            r = p_vec[:] = r_true
+            r = p_span[:] = r_true
             rs = float(np.dot(r, r))
-        _apply_reduced(split, d_r, inv_b, p, t, Ap_out)
-        curvature = float(np.dot(p_vec, Ap))
+        _apply_reduced(split, d_r, inv_b, p, t, Ap)
+        curvature = float(np.dot(p_span, Ap))
         if not curvature > 0:
             raise ConvergenceError(
                 f"conjugate gradients found p.Ap = {curvature:.3e} at iteration {it}: "
@@ -336,14 +312,14 @@ def linear_solve(
         alpha = rs / curvature
         Ap *= alpha
         r -= Ap
-        np.multiply(p_vec, alpha, out=Ap)
-        x_r_vec += Ap
+        np.multiply(p_span, alpha, out=Ap)
+        x_r_span += Ap
         rs_new = float(np.dot(r, r))
-        p_vec *= rs_new / rs
-        p_vec += r
+        p_span *= rs_new / rs
+        p_span += r
         rs = rs_new
 
-    r_norm = true_residual(_spread(split, x_r))[1]
+    r_norm = true_residual(_sums(split.black_neighbors, x_r))[1]
     if r_norm <= tol:
         return solution()
     raise ConvergenceError(

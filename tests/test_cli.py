@@ -198,6 +198,33 @@ class TestExitCodes:
         path = write_config(tmp_path, radii=[6])
         assert main(["exhaust", str(path), "--quiet"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("solve", {"radii": [40000]},
+         "B_40000 in Z^2 is too large for int16 coordinates: its boundary lies at distance 40001"),
+        ("solve", {"dimension": 20, "vortices": [{"point": [0] * 20, "multiplicity": 1}],
+                   "radii": [12]}, "B_12 in Z^20 is too large for int32 indices"),
+        ("exhaust", {"radii": [5, 40000]}, "B_40000 in Z^2 is too large for int16 coordinates"),
+    ])
+    def test_ball_the_arrays_cannot_hold_exits_2_before_any_solve(self, tmp_path, capsys,
+                                                                  command, overrides, message):
+        # these died in build_domain with a traceback and exit 1, exhaust
+        # only after solving its first radius
+        path = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main([command, str(path), "--output-dir", str(out), "--quiet"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # refused at load, before the run starts
+
+    def test_output_dir_that_cannot_be_created_exits_2(self, tmp_path, capsys):
+        # mkdir raised FileExistsError or NotADirectoryError: a traceback and exit 1
+        path = write_config(tmp_path, radii=[2])
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        for out in (blocker, blocker / "below"):
+            assert main(["solve", str(path), "--output-dir", str(out), "--quiet"]) == EXIT_CONFIG
+            assert f"cannot create output directory {out}: " in capsys.readouterr().err
+        assert blocker.read_text() == ""
+
     def test_convergence_failure_exit(self, tmp_path, monkeypatch):
         import cslattice.scheme as scheme_mod
         from cslattice.errors import ConvergenceError
@@ -547,6 +574,23 @@ class TestVerify:
         by_name = {c["name"]: c for c in read_report(out)["checks"]}
         assert by_name["maximality_newton"]["passed"]
         assert by_name["maximality_newton"]["detail"] == "10/10 starts converged"
+
+    def test_nine_dimensions(self, tmp_path, monkeypatch):
+        # the linear oracle solved B_4 in Z^9 densely: 5641 unknowns, above
+        # DENSE_MAX_UNKNOWNS, so system_matrix refused it and verify exited 1
+        real, built = cli.build_domain, []
+
+        def recording(n, radius):
+            built.append(radius)
+            return real(n, radius)
+
+        monkeypatch.setattr(cli, "build_domain", recording)
+        path = write_config(tmp_path, dimension=9, radii=[1],
+                            vortices=[{"point": [0] * 9, "multiplicity": 1}])
+        out = tmp_path / "out"
+        assert main(["verify", str(path), "--output-dir", str(out), "--quiet"]) == EXIT_OK
+        assert built == [2, 3, 1]  # B_3 has 1159 interior points
+        assert read_report(out)["all_checks_passed"]
 
     def test_sabotaged_linear_tolerance_is_caught(self, tmp_path):
         # the linear oracle alone catches tol_linear = 0.5; the solve itself

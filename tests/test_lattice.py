@@ -222,8 +222,17 @@ def test_red_black_split(n, radius):
     assert np.all(dom.distances[split.red] % 2 == 0)
     assert np.all(dom.distances[split.black] % 2 == 1)
     if n == 2:
+        # linear_solve's buffers: rows of R + 2, the larger grid (red at even
+        # R) with a zero last column, the smaller one inside a zero ring and
+        # above one more zero row
+        larger, smaller = (radius + 1, radius + 2), (radius + 3, radius + 2)
+        assert (split.red_shape, split.black_shape) == ((larger, smaller) if radius % 2 == 0
+                                                        else (smaller, larger))
         _check_rotated_grids(dom, split)
         return
+    # the colour's values, then the zero slot that boundary neighbours read
+    assert split.red_shape == (len(split.red) + 1,)
+    assert split.black_shape == (len(split.black) + 1,)
     for rows, other, table in ((split.red, split.black, split.red_neighbors),
                                (split.black, split.red, split.black_neighbors)):
         assert table.shape == (len(rows), 2 * n) and table.flags.f_contiguous

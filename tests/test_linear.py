@@ -262,12 +262,12 @@ def test_zero_start_is_the_cold_start(monkeypatch):
     dom = build_domain(2, 10)
     g = assemble_source(dom, VortexConfig([((0, 0), 1)]))
     params = Params(1.0, 1.0)
-    real = linear_mod._spread
+    real = linear_mod._sums
     calls = []
 
-    def counting(split, x_r):
-        calls.append(len(x_r))
-        return real(split, x_r)
+    def counting(table, buf):
+        calls.append(buf.shape)
+        return real(table, buf)
 
     real_solve, solves = scheme_mod.linear_solve, []
 
@@ -275,15 +275,15 @@ def test_zero_start_is_the_cold_start(monkeypatch):
         solves.append((system, tol_rel, x0))
         return real_solve(system, tol_rel, x0)
 
-    monkeypatch.setattr(linear_mod, "_spread", counting)
+    monkeypatch.setattr(linear_mod, "_sums", counting)
     monkeypatch.setattr(scheme_mod, "linear_solve", recording)
     zero_start = iterate_once(Field.zeros(dom), g, params)
-    zero_calls = len(calls)
+    zero_calls = list(calls)
     calls.clear()
     (system, tol_rel, x0), = solves
     assert x0 is not None and not x0.any()
     cold = real_solve(system, tol_rel)
-    assert zero_calls == len(calls) > 0
+    assert zero_calls == calls and calls
     assert np.array_equal(zero_start.values.view(np.int64), cold.values.view(np.int64))
 
 
@@ -384,7 +384,8 @@ def test_max_iter_counts_reduced_iterations(monkeypatch, rng):
 
 def _table_form(dom):
     """The red-black split of a 2D ball with the n >= 3 layout's neighbour
-    tables, built from dom.neighbors, over the colour lists in grid order."""
+    tables and buffers, built from dom.neighbors, over the colour lists in
+    grid order."""
     split = dom.red_black
     colours = (split.red, split.black)
     tables = []
@@ -392,7 +393,7 @@ def _table_form(dom):
         position = np.full(dom.n_closure, len(other), dtype=np.int32)
         position[other] = np.arange(len(other), dtype=np.int32)
         tables.append(np.asfortranarray(position[dom.neighbors[rows]]))
-    return RedBlack(*colours, *tables)
+    return RedBlack(*colours, *[(len(rows) + 1,) for rows in colours], *tables)
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2, 3, 4, 5, 40])
@@ -402,30 +403,28 @@ def test_box_sums_give_the_tables_bits(radius, per_point, rng):
     # through neighbour tables, because each box sum adds the four
     # neighbours in dom.neighbors' column order
     dom = build_domain(2, radius)
-    split, tables = dom.red_black, _table_form(dom)
-    n_red, n_black = len(split.red), len(split.black)
+    n_red = len(dom.red_black.red)
     values = rng.standard_normal(n_red) * 10.0 ** rng.integers(-8, 9, n_red)
     K = rng.uniform(-0.05, 2.0, dom.n_interior) if per_point else 1.5
-    d_r, d_b = (K[c] + 4.0 if per_point else K + 4.0 for c in (split.red, split.black))
-    out_table = np.zeros(n_red)
-    linear_mod._apply_reduced(tables, d_r, 1.0 / d_b, np.append(values, 0.0),
-                              np.zeros(n_black + 1), out_table)
+    applied = []
+    for split in (dom.red_black, _table_form(dom)):
+        p, t = np.zeros(split.red_shape), np.zeros(split.black_shape)
+        cells = linear_mod._cells(p)
+        cells[...] = values.reshape(cells.shape)
+        k_r, k_b = linear_mod._on_spans(K, split)
+        d_r, inv_b = k_r + 4.0, 1.0 / (k_b + 4.0)
+        out = np.full(len(linear_mod._span(p)), np.nan)
+        linear_mod._apply_reduced(split, d_r, inv_b, p, t, out)
+        result = np.zeros(split.red_shape)
+        linear_mod._span(result)[...] = out
+        applied.append(result)
+    grid, table = applied
     # rows of w = R + 2: red fills the larger grid at even R, its last column
-    # zero, and black the smaller one, in its zero ring
-    w = radius + 2
-    p, t = np.zeros((w - 1, w)), np.zeros((w, w))
-    if radius % 2:
-        p, t = t, p
-    cells = linear_mod._cells(p)
-    cells[...] = values.reshape(cells.shape)
-    inv_b = 1.0 / d_b
-    if per_point:
-        d_r = linear_mod._on_grid(d_r, p)
-        inv_b = linear_mod._span(linear_mod._on_grid(inv_b, t))
-    out = np.full(p.shape, np.nan)
-    linear_mod._apply_reduced(split, d_r, inv_b, p, t, out)
-    assert np.array_equal(linear_mod._cells(out).ravel().view(np.int64),
-                          out_table.view(np.int64))
-    rest = np.ones(p.shape, dtype=bool)
+    # zero, and black the smaller one, in its zero ring above a zero row
+    assert grid.shape == ((radius + 1, radius + 2) if radius % 2 == 0
+                          else (radius + 3, radius + 2))
+    assert np.array_equal(linear_mod._cells(grid).ravel().view(np.int64),
+                          linear_mod._cells(table).view(np.int64))
+    rest = np.ones(grid.shape, dtype=bool)
     linear_mod._cells(rest)[...] = False
-    assert not np.any(out[rest])  # zero, not NaN, off the red cells
+    assert not np.any(grid[rest])  # zero, not NaN, off the red cells
