@@ -46,7 +46,6 @@ from .linear import (
 from .exhaustion import (
     L2_DROP_TOL,
     L2_STABILIZATION_TOL,
-    NESTED_TOL,
     RATE_MARGIN,
     barrier_check,
     coercivity_check,
@@ -61,15 +60,12 @@ from .exhaustion import (
 from .scheme import (
     DEFAULT_MAX_STEPS,
     DEFAULT_TOL_NONLINEAR,
-    FLUX_TOL,
     MAXIMALITY_TOL,
     RESIDUAL_FACTOR,
-    SYMMETRY_TOL,
     VORTEX_VALUE_BOUND,
     BoundedSolution,
-    boundary_flux,
+    flux_gap,
     newton_solve,
-    nonlinearity,
     solve_bounded,
     validate_stopping,
 )
@@ -302,13 +298,8 @@ def solution_checks(sol: BoundedSolution, cfg: RunConfig) -> list[dict]:
     the certificate's numbers."""
     f = sol.field
     checks = [_at_most("terminal_residual", sol.residual_sup,
-                       RESIDUAL_FACTOR * cfg.tol_nonlinear)]
-    flux_gap = abs(
-        float(np.sum(nonlinearity(f.interior_values, sol.params)))
-        + sol.vortex.total_flux
-        - boundary_flux(f)
-    )
-    checks.append(_at_most("flux_identity", flux_gap, FLUX_TOL))
+                       RESIDUAL_FACTOR * cfg.tol_nonlinear),
+              _at_most("flux_identity", *flux_gap(sol))]
     if sol.vortex.vortices:
         worst = max(f(p) for p, _ in sol.vortex.vortices)
         checks.append(_check("vortex_strictly_negative", worst < VORTEX_VALUE_BOUND,
@@ -379,8 +370,10 @@ def cmd_exhaust(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
             c["name"] = f"R{sol.domain.radius}.{c['name']}"
             checks.append(c)
 
-    worst_delta = max(result.pointwise_deltas)
-    checks.append(_at_most("nested_monotonicity", worst_delta, NESTED_TOL))
+    # the largest delta, or the largest of those above their pair's bound
+    deltas, bounds = result.pointwise_deltas, result.nested_bounds
+    pair = max(range(len(deltas)), key=lambda i: (deltas[i] > bounds[i], deltas[i]))
+    checks.append(_at_most("nested_monotonicity", deltas[pair], bounds[pair]))
     l2 = result.l2_norms
     l2_drop = max((a - b) for a, b in zip(l2, l2[1:]))
     checks.append(_at_most("l2_nondecreasing", l2_drop, L2_DROP_TOL))
@@ -503,12 +496,21 @@ def _linear_oracle_check(cfg: RunConfig, stream: random.Random) -> dict:
 
 
 def _symmetry_check(sol: BoundedSolution) -> dict:
+    """symmetry_deviation of sol's field against 2 * its certificate's bound.
+
+    Proof.  With one vortex at the origin the ball, the source and the
+    equation are invariant under every signed coordinate permutation sigma,
+    so f_max(sigma .) is a solution as well, and as the maximal solution is
+    unique, it is f_max.  Hence |f(sigma x) - f(x)| <= |f(sigma x) -
+    f_max(sigma x)| + |f_max(x) - f(x)| <= z(sigma x) + z(x) <= 2 bound.
+    The computed difference rounds monotonically, so it keeps the bound.
+    """
     vc = sol.vortex
     if len(vc) != 1 or manhattan_norm(vc.vortices[0][0]) != 0:
         return _check("symmetry_equivariance", True,
                       detail="skipped: needs a single vortex at the origin")
-    dev = symmetry_deviation(sol.field)
-    return _at_most("symmetry_equivariance", dev, SYMMETRY_TOL)
+    return _at_most("symmetry_equivariance", symmetry_deviation(sol.field),
+                    2.0 * sol.certificate.bound)
 
 
 def symmetry_deviation(f: Field) -> float:

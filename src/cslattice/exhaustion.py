@@ -31,8 +31,8 @@ from .scheme import DEFAULT_MAX_STEPS, DEFAULT_TOL_NONLINEAR, BoundedSolution, s
 
 SHELL_VALUE_GUARD = 1e-300  # double-precision floor before taking logs
 
-# Thresholds of the exhaustion and decay invariants.
-NESTED_TOL = 1e-8              # f^{(R_{i+1})} - f^{(R_i)} <= this on B_{R_i}
+# Thresholds of the exhaustion and decay invariants; the nesting's is proved
+# from the certificates (ExhaustionResult.nested_bounds).
 L2_DROP_TOL = 1e-12            # l2 norms may drop by at most this along the radii
 L2_STABILIZATION_TOL = 1e-3    # |l2(R_last) - l2(R_prev)| <= this
 RATE_MARGIN = 0.01             # fitted rate >= certified rate - this
@@ -76,12 +76,28 @@ class ExhaustionResult:
     l2_norms: tuple[float, ...]
     sup_norms: tuple[float, ...]
     # max over the closure of B_{R_i} of (f^{(R_{i+1})} - f^{(R_i)});
-    # nonpositive up to solver tolerance by nested-domain monotonicity
+    # at most nested_bounds[i] by nested-domain monotonicity
     pointwise_deltas: tuple[float, ...]
 
     @property
     def largest(self) -> BoundedSolution:
         return self.solutions[-1]
+
+    @property
+    def nested_bounds(self) -> tuple[float, ...]:
+        """bound_R + bound_R' for each pair R < R' of consecutive radii: the
+        proven ceiling of that pair's pointwise_delta.
+
+        Proof.  Write f_R for the solution on B_R, f_max^R for the maximal
+        solution there and z_R for its certificate's z, so |f_R - f_max^R|
+        <= z_R <= bound_R.  On the closure of B_R, f_max^R' <= f_max^R by
+        the paper's nested monotonicity (solve_bounded, step 1), so f_R' <=
+        f_max^R' + z_R' <= f_max^R + z_R' <= f_R + z_R + z_R'; on B_R's
+        sphere f_R = 0 >= f_R' in any case.  The computed difference rounds
+        monotonically, so it stays below the rounded sum of the bounds.
+        """
+        return tuple(a.certificate.bound + b.certificate.bound
+                     for a, b in zip(self.solutions, self.solutions[1:]))
 
 
 def run_exhaustion(

@@ -29,8 +29,9 @@ and the prefix tree intp, one entry per prefix shorter than a point: 39.7
 bytes per closure point on B_14 in Z^4, 1.1 of them the tree's.  The
 red-black split adds 30.7 there (int32 tables, intp colour lists), and 7.8
 on B_80 in Z^2, where it is two intp lists in rotated-grid order.
-build_domain refuses a ball whose boundary lies beyond the int16 range or
-whose closure outgrows int32 indexing, before allocating anything.
+build_domain refuses a ball whose boundary lies beyond the int16 range,
+whose closure outgrows int32 indexing or whose arrays outgrow the machine's
+physical memory, before allocating anything.
 Code that does arithmetic, comparisons or sorts on these arrays widens them
 to intp first: numpy keeps int16 + int in int16 (NEP 50), and its int16 and
 int32 comparison, sort and ufunc.at loops are separate machine code, 64 to
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -284,10 +286,22 @@ def validate_dimension(n: int) -> int:
     return validate_int(n, "dimension", low=2)
 
 
+def physical_memory() -> float:
+    """The machine's physical memory in bytes, as os.sysconf reports it; inf
+    where it reports none."""
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        return pages * os.sysconf("SC_PAGE_SIZE") if pages > 0 else math.inf
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def validate_ball(n: int, radius: int) -> int:
     """The closure size of B_radius in Z^n (ints n >= 2, radius >= 0), in closed
     form; ValueError for a ball that the arrays cannot hold: a boundary beyond
-    int16's 32767, or a closure of more than 2^31 - 1 points."""
+    int16's 32767, a closure of more than 2^31 - 1 points, or arrays larger
+    than physical_memory(): build_domain's coordinates, norms and key order
+    per closure point and its neighbour table per interior point."""
     if radius + 1 > np.iinfo(COORD_DTYPE).max:
         raise ValueError(
             f"B_{radius} in Z^{n} is too large for {np.dtype(COORD_DTYPE).name} coordinates: "
@@ -298,6 +312,14 @@ def validate_ball(n: int, radius: int) -> int:
         raise ValueError(
             f"B_{radius} in Z^{n} is too large for {np.dtype(INDEX_DTYPE).name} indices: "
             f"its closure has {size} points > {np.iinfo(INDEX_DTYPE).max}"
+        )
+    coord, index = np.dtype(COORD_DTYPE).itemsize, np.dtype(INDEX_DTYPE).itemsize
+    needed = size * ((n + 1) * coord + index) + ball_size(n, radius) * 2 * n * index
+    memory = physical_memory()
+    if needed > memory:
+        raise ValueError(
+            f"B_{radius} in Z^{n} needs {needed} bytes for its arrays, more than "
+            f"the {memory} bytes of physical memory"
         )
     return size
 

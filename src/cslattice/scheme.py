@@ -48,15 +48,16 @@ from .linear import system_matrix
 
 # Thresholds of the scheme's invariants.  MONOTONE_TOL and ENERGY_SLACK are
 # enforced on every step by solve_bounded (a violation raises
-# SchemeIntegrityError); FIELD_SIGN_TOL and ROUNDING_ULPS serve newton_solve
-# and the certificate; the others bound the checks on a returned solution.
+# SchemeIntegrityError); FIELD_SIGN_TOL and ROUNDING_ULPS serve newton_solve,
+# the certificate and flux_gap; the others bound the checks on a returned
+# solution.  The flux, nesting and symmetry checks have no constant: each
+# threshold is proved from the certificates of the solutions it checks
+# (flux_gap, ExhaustionResult.nested_bounds, cli._symmetry_check).
 MONOTONE_TOL = 1e-10      # f_k - f_{k-1} <= this pointwise
 ENERGY_SLACK = 1e-10      # I(f_k) - I(f_{k-1}) <= this, and I(f_k) <= this
 RESIDUAL_FACTOR = 100.0   # a solution's residual is <= this * tol_nonlinear
 FIELD_SIGN_TOL = 1e-10    # newton_solve clips a start above zero by at most this
 VORTEX_VALUE_BOUND = 0.0  # f(p_j) < this at every vortex: strict, no slack
-FLUX_TOL = 1e-8           # |sum N(f) + 4 pi sum n_j - boundary flux| <= this
-SYMMETRY_TOL = 1e-10      # |f(sigma x) - f(x)| <= this for a vortex at 0
 MAXIMALITY_TOL = 1e-8     # a Newton root exceeds the maximal solution by <= this
 ROUNDING_ULPS = 10        # r(f), A z round by <= (2n + this) unit roundoffs of their terms' sizes
 
@@ -162,8 +163,9 @@ class MaximalityCertificate:
     the bracket around f, and rho = |r(f)| plus its rounding allowance.
     """
 
-    bound: float   # max z, a bound on ||f - f_max||_inf
-    rho: float     # max rho: ||r(f)||_inf plus its rounding allowance
+    bound: float    # max z, a bound on ||f - f_max||_inf
+    rho: float      # max rho: ||r(f)||_inf plus its rounding allowance
+    rho_sum: float  # sum rho, a bound on sum |r(f)| (flux_gap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +217,36 @@ def boundary_flux(f: Field) -> float:
         cross = nbr >= dom.n_interior
         total += float(np.sum(f.values[nbr[cross]] - inner[cross]))
     return total
+
+
+def flux_gap(sol: BoundedSolution) -> tuple[float, float]:
+    """The flux identity's gap |sum N(f) + 4 pi sum n_j - boundary_flux(f)| for
+    sol's field f, and the threshold that sol's certificate proves for it.
+
+    Proof.  In exact arithmetic the interior sum of L f is boundary_flux(f)
+    (see there), and L f = N(f) + g + r(f) on the interior, with g summing
+    to 4 pi sum n_j: every vortex lies inside the ball.  So the exact gap is
+    |sum r(f)| <= sum |r(f)| <= sum rho, the certificate's rho_sum, as rho
+    bounds |r(f)| point by point.  The computed gap differs from the exact
+    one only by rounding.  Each of its sums has at most k = n_interior +
+    n (n_closure - n_interior) terms, a boundary point having at most n
+    interior neighbours, so it errs by at most k u/(1 - k u) times the sum
+    of its terms' sizes (u the unit roundoff); ROUNDING_ULPS more unit
+    roundoffs cover 1/(1 - k u) for k u below 10^-8, each N term's
+    exponentials and products (about 7 u), 4 pi times sum n_j, the gap's
+    own additions and rho_sum's sum.  As f <= 0, every N term is <= 0 and
+    every boundary term -f(x) >= 0, so the sizes sum to |sum N| and to
+    |boundary_flux(f)|: the threshold reads only what the gap computes.
+    """
+    f = sol.field
+    dom = f.domain
+    mass = float(np.sum(nonlinearity(f.interior_values, sol.params)))
+    total, flux = sol.vortex.total_flux, boundary_flux(f)
+    terms = dom.n_interior + dom.dim * (dom.n_closure - dom.n_interior)
+    gamma = (terms + ROUNDING_ULPS) * np.finfo(float).eps / 2
+    rho_sum = sol.certificate.rho_sum
+    return (abs(mass + total - flux),
+            rho_sum + gamma * (rho_sum + abs(mass) + total + abs(flux)))
 
 
 def validate_stopping(tol_nonlinear: float, max_steps: int) -> tuple[float, int]:
@@ -425,7 +457,7 @@ def _certify(
     rho_max = float(np.max(rho))
     if rho_max == 0.0:
         # no residual and no rounding: f* = 0 and g = 0, so f* solves and f_max <= 0 = f* <= f_max
-        return MaximalityCertificate(0.0, 0.0)
+        return MaximalityCertificate(0.0, 0.0, 0.0)
     bracket = (fs - tol, np.maximum(f_k.interior_values, fs) + MONOTONE_TOL)
     m = nonlinearity_deriv(np.clip(-2.0 * math.log1p(a) / a, *bracket), params)
     del bracket
@@ -444,7 +476,7 @@ def _certify(
     if not (np.all(z > 0.0) and np.all(az_low >= rho) and np.all(az_low > 0.0)
             and np.max(z) <= tol):
         return None
-    return MaximalityCertificate(float(np.max(z)), rho_max)
+    return MaximalityCertificate(float(np.max(z)), rho_max, float(np.sum(rho)))
 
 
 def newton_solve(

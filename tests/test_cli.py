@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -19,7 +20,10 @@ from cslattice.cli import (
     load_config,
     main,
 )
-from cslattice import cli
+from cslattice import Field, Params, VortexConfig, build_domain, cli
+import cslattice.exhaustion as exhaustion_mod
+import cslattice.lattice as lattice_mod
+import cslattice.scheme as scheme_mod
 from cslattice.scheme import solve_bounded
 from cslattice.errors import ConfigError, ConvergenceError, SchemeIntegrityError
 
@@ -215,6 +219,21 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()  # refused at load, before the run starts
 
+    def test_ball_beyond_physical_memory_exits_2_before_any_solve(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # 36,180,801 closure points fit int32 indices, but their int16
+        # coordinates alone take 21.7 GB: build_domain died with numpy's
+        # _ArrayMemoryError traceback and exit 1, or took the host's memory
+        monkeypatch.setattr(lattice_mod, "physical_memory", lambda: 8 * 2**30)
+        path = write_config(tmp_path, dimension=300, radii=[2],
+                            vortices=[{"point": [0] * 300, "multiplicity": 1}])
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--output-dir", str(out), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "B_2 in Z^300 needs 22359007806 bytes for its arrays" in err
+        assert f"more than the {8 * 2**30} bytes of physical memory" in err
+        assert not out.exists()
+
     def test_output_dir_that_cannot_be_created_exits_2(self, tmp_path, capsys):
         # mkdir raised FileExistsError or NotADirectoryError: a traceback and exit 1
         path = write_config(tmp_path, radii=[2])
@@ -311,10 +330,79 @@ class TestExitCodes:
         assert [b["radius"] for b in report["radii"]] == [4, 6]
 
 
+EXAMPLE = Path(__file__).resolve().parents[1] / "config.example.json"
+
+
+@pytest.mark.parametrize("command, tol", [("solve", 1e-3), ("exhaust", 1e-3), ("verify", 1e-3),
+                                          ("solve", 1e-4), ("exhaust", 1e-4)])
+def test_certified_solves_at_loose_tolerances_pass(tmp_path, command, tol):
+    # the flux gap is the summed residual, so it grows with tol_nonlinear:
+    # these certified solves failed flux_identity against a fixed 1e-8
+    # (gaps from 3.2e-8 at 1e-4 to 2.8e-4 at 1e-3)
+    cfg = {**json.loads(EXAMPLE.read_text()), "radii": [10, 20], "tol_nonlinear": tol}
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--output-dir", str(out), "--quiet"]) == EXIT_OK
+    assert all(c["passed"] for c in read_report(out)["checks"])
+
+
+class TestDefectsAboveTheCertificate:
+    """Defects between a check's proven threshold and the 1e-8 or 1e-10 a
+    fixed constant allowed: each check must see them."""
+
+    def test_dropped_boundary_edge_fails_flux_identity(self, tmp_path, monkeypatch):
+        sol = solve_bounded(build_domain(2, 30), VortexConfig([((0, 0), 1)]), Params(1.0, 1.0))
+        dom, values = sol.domain, sol.field.values
+        # the last interior shell's point whose |f| is nearest 1e-9
+        shell = np.flatnonzero(dom.distances[: dom.n_interior] == dom.radius)
+        x = shell[np.argmin(np.abs(np.log(np.abs(values[shell]) / 1e-9)))]
+        real = scheme_mod.boundary_flux
+        # each boundary edge of x adds f(y) - f(x) = -f(x); drop one of them
+        monkeypatch.setattr(scheme_mod, "boundary_flux", lambda f: real(f) + f.values[x])
+        cfg = load_config(write_config(tmp_path, radii=[30]))
+        flux = {c["name"]: c for c in cli.solution_checks(sol, cfg)}["flux_identity"]
+        assert flux["threshold"] < 5e-10 < abs(values[x]) < 5e-9 < 1e-8
+        assert not flux["passed"] and flux["value"] > flux["threshold"]
+
+    def test_raised_larger_field_fails_nested_monotonicity(self, tmp_path, monkeypatch):
+        # on B_30 the solutions on B_30 and B_40 agree to 3e-16 at their
+        # closest point; raise the larger one there
+        real = exhaustion_mod.solve_bounded
+
+        def raised(dom, *args, **kwargs):
+            sol = real(dom, *args, **kwargs)
+            small = args[-1]  # the warm start: the solution on the smaller ball
+            if small is None:
+                return sol
+            values = sol.field.values.copy()
+            inside = slice(0, small.domain.n_closure)
+            values[np.argmax(values[inside] - small.field.values)] += 1e-11
+            return dataclasses.replace(sol, field=Field(dom, values))
+
+        monkeypatch.setattr(exhaustion_mod, "solve_bounded", raised)
+        path = write_config(tmp_path, radii=[30, 40])
+        out = tmp_path / "out"
+        assert main(["exhaust", str(path), "--output-dir", str(out), "--quiet"]) \
+            == EXIT_CHECK_FAILED
+        nested = {c["name"]: c for c in read_report(out)["checks"]}["nested_monotonicity"]
+        assert not nested["passed"]
+        assert nested["threshold"] < 1e-12 < nested["value"] < 2e-11
+
+    def test_perturbed_field_fails_symmetry_equivariance(self):
+        sol = solve_bounded(build_domain(3, 6), VortexConfig([((0, 0, 0), 1)]), Params(1.0, 1.0))
+        assert cli._symmetry_check(sol)["passed"]
+        values = sol.field.values.copy()
+        values[sol.domain.locate((2, 1, 0))] += 1e-12
+        check = cli._symmetry_check(dataclasses.replace(sol, field=Field(sol.domain, values)))
+        assert check["threshold"] < 1e-13 < 1e-12 <= check["value"] * (1 + 1e-3)
+        assert not check["passed"]
+
+
 class TestSolve:
     def test_small_lambda_certified_with_flux_identity(self, tmp_path):
         # the plain monotone stop rule left a one-signed residual here whose
-        # sum missed FLUX_TOL (gap 3.4e-8)
+        # sum, the flux gap (3.4e-8), no certificate covered
         path = write_config(tmp_path, radii=[40], **{"lambda": 0.1})
         out = tmp_path / "out"
         assert main(["solve", str(path), "--output-dir", str(out), "--quiet"]) == EXIT_OK

@@ -30,7 +30,7 @@ from cslattice import (
     solve_bounded,
 )
 import cslattice.scheme as scheme_mod
-from cslattice.exhaustion import BARRIER_SHELLS, NESTED_TOL, validate_epsilon
+from cslattice.exhaustion import BARRIER_SHELLS, validate_epsilon
 from cslattice.fields import extend_by_zero
 from cslattice.lattice import manhattan_norm
 from cslattice.scheme import MONOTONE_TOL
@@ -69,7 +69,11 @@ class TestRunExhaustion:
         assert res.l2_norms == (0.0,)
 
     def test_nested_monotonicity(self, small_run):
-        assert all(d <= 1e-8 for d in small_run.pointwise_deltas)
+        # each pair's delta is within the sum of its two certificate bounds
+        sols = small_run.solutions
+        bounds = [a.certificate.bound + b.certificate.bound for a, b in zip(sols, sols[1:])]
+        assert small_run.nested_bounds == tuple(bounds)
+        assert all(d <= b for d, b in zip(small_run.pointwise_deltas, bounds))
         # recompute one delta independently, point by point
         small, big = small_run.solutions[0], small_run.solutions[1]
         worst = max(
@@ -134,7 +138,9 @@ class TestWarmStart:
             assert sol.certificate is not None and cold.certificate is not None
             gap = float(np.max(np.abs(sol.field.values - cold.field.values)))
             assert gap <= sol.certificate.bound + cold.certificate.bound
-        assert max(warm.pointwise_deltas) <= NESTED_TOL
+        sols = warm.solutions
+        for delta, small, big in zip(warm.pointwise_deltas, sols, sols[1:]):
+            assert delta <= small.certificate.bound + big.certificate.bound
 
     def test_later_radii_take_few_monotone_steps(self, monkeypatch):
         # the first radius's first three Newton runs fail, so it takes four

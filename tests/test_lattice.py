@@ -14,6 +14,7 @@ from cslattice import (
     build_domain,
     shell_size,
 )
+import cslattice.lattice as lattice_mod
 from conftest import box_ball_oracle, integral
 
 
@@ -346,6 +347,26 @@ def test_build_domain_refuses_balls_its_arrays_cannot_hold():
     with pytest.raises(ValueError, match="int16 coordinates: its boundary lies at "
                                          "distance 1000001 > 32767"):
         build_domain(2, 10**6)
+
+
+def test_build_domain_refuses_balls_beyond_physical_memory(monkeypatch):
+    # the closed-form byte count is the coordinates, norms, key order and
+    # neighbour table build_domain returns; one byte less memory refuses the ball
+    dom = build_domain(3, 4)
+    needed = sum(getattr(dom, name).nbytes
+                 for name in ("coords", "distances", "key_order", "neighbors"))
+    monkeypatch.setattr(lattice_mod, "physical_memory", lambda: needed)
+    assert build_domain(3, 4).n_closure == dom.n_closure
+    monkeypatch.setattr(lattice_mod, "physical_memory", lambda: needed - 1)
+    with pytest.raises(ValueError, match=f"B_4 in Z\\^3 needs {needed} bytes for its arrays, "
+                                         f"more than the {needed - 1} bytes of physical memory"):
+        build_domain(3, 4)
+
+
+@pytest.mark.parametrize("n, radius", [(2, 80), (2, 40), (4, 14), (3, 12)])
+def test_benchmark_balls_fit_in_memory(n, radius):
+    # the largest balls of the benchmark's four workloads, on this machine's memory
+    assert lattice_mod.validate_ball(n, radius) == ball_size(n, radius + 1)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint16, np.int32, np.int64, np.uint64])
