@@ -232,18 +232,20 @@ def flux_gap(sol: BoundedSolution) -> tuple[float, float]:
     n (n_closure - n_interior) terms, a boundary point having at most n
     interior neighbours, so it errs by at most k u/(1 - k u) times the sum
     of its terms' sizes (u the unit roundoff); ROUNDING_ULPS more unit
-    roundoffs cover 1/(1 - k u) for k u below 10^-8, each N term's
-    exponentials and products (about 7 u), 4 pi times sum n_j, the gap's
-    own additions and rho_sum's sum.  As f <= 0, every N term is <= 0 and
-    every boundary term -f(x) >= 0, so the sizes sum to |sum N| and to
-    |boundary_flux(f)|: the threshold reads only what the gap computes.
+    roundoffs of each size cover each N term's exponentials and products
+    (about 7 u), 4 pi times sum n_j and the gap's own additions.  rho_sum,
+    itself a sum of n_interior terms, takes the same factor.  As f <= 0,
+    every N term is <= 0 and every boundary term -f(x) >= 0, so the sizes
+    sum to |sum N| and to |boundary_flux(f)|: the threshold reads only
+    what the gap computes.
     """
     f = sol.field
     dom = f.domain
     mass = float(np.sum(nonlinearity(f.interior_values, sol.params)))
     total, flux = sol.vortex.total_flux, boundary_flux(f)
-    terms = dom.n_interior + dom.dim * (dom.n_closure - dom.n_interior)
-    gamma = (terms + ROUNDING_ULPS) * np.finfo(float).eps / 2
+    u = np.finfo(float).eps / 2
+    k = dom.n_interior + dom.dim * (dom.n_closure - dom.n_interior)
+    gamma = k * u / (1.0 - k * u) + ROUNDING_ULPS * u
     rho_sum = sol.certificate.rho_sum
     return (abs(mass + total - flux),
             rho_sum + gamma * (rho_sum + abs(mass) + total + abs(flux)))
