@@ -14,8 +14,8 @@ from .fields import (
 from .lattice import (
     LatticeDomain,
     Params,
+    Problem,
     VortexConfig,
-    assemble_source,
     ball_size,
     build_domain,
     manhattan_norm,
@@ -70,10 +70,10 @@ __all__ = [
     "LpSummary",
     "MaximalityCertificate",
     "Params",
+    "Problem",
     "SchemeIntegrityError",
     "TraceStep",
     "VortexConfig",
-    "assemble_source",
     "ball_size",
     "barrier_check",
     "barrier_constant",

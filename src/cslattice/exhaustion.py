@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AnalysisError, ConvergenceError
 from .fields import Field, norm
-from .lattice import (Params, VortexConfig, build_domain, manhattan_norm, shell_size,
+from .lattice import (Params, Problem, VortexConfig, build_domain, manhattan_norm, shell_size,
                       validate_dimension, validate_float, validate_int)
 from .scheme import DEFAULT_MAX_STEPS, DEFAULT_TOL_NONLINEAR, BoundedSolution, solve_bounded
 
@@ -108,7 +108,7 @@ def run_exhaustion(
     tol_nonlinear: float = DEFAULT_TOL_NONLINEAR,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> ExhaustionResult:
-    """Solve on each radius, extend by zero, and record the nesting data.
+    """Solve one Problem per radius, extend by zero, and record the nesting data.
 
     The radii are validated by validate_radii.  The first radius is solved
     from zero; every later one is warm-started from the previous radius's
@@ -123,7 +123,7 @@ def run_exhaustion(
         previous = solutions[-1] if solutions else None
         try:
             solutions.append(solve_bounded(
-                build_domain(n, r), vc, params, tol_nonlinear, max_steps, previous
+                Problem(build_domain(n, r), vc, params), tol_nonlinear, max_steps, previous
             ))
         except ConvergenceError as exc:
             raise ConvergenceError(
@@ -215,7 +215,7 @@ def decay_fit(sol: BoundedSolution, epsilon: float) -> DecayFit:
     epsilon = validate_epsilon(epsilon)
     dom = sol.domain
     n = dom.dim
-    alpha = decay_rate_theory(sol.params, n)
+    alpha = decay_rate_theory(sol.problem.params, n)
     lo, hi = max(1, dom.radius // 4), dom.radius // 2
     prof = shell_profile(sol)
     ds = np.array([d for d, mx in prof if lo <= d <= hi and mx > SHELL_VALUE_GUARD])

@@ -452,3 +452,19 @@ def assemble_source(dom: LatticeDomain, vc: VortexConfig) -> Field:
             raise ValueError(f"vortex {p} lies outside the domain interior (radius {dom.radius})")
         values[dom.locate(p)] = FOUR_PI * m
     return Field(dom, values)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Problem:
+    """The equation on one ball: its domain, vortices and params, and the Dirac
+    source g they fix (assemble_source), assembled once, at construction.  A
+    vortex of another dimension or off the ball's interior raises ValueError
+    there, so every problem's source lies on its ball."""
+
+    domain: LatticeDomain
+    vortex: VortexConfig
+    params: Params
+    source: Field = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "source", assemble_source(self.domain, self.vortex))

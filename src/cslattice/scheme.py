@@ -1,9 +1,9 @@
 """Monotone iteration for the vortex equation on a bounded domain.
 
 The equation is  L f = lam * e^f (e^{a f} - 1) + g  with zero Dirichlet
-data, g the Dirac vortex source.  Starting from f_0 = 0, or from an upper
-solution above the maximal one, and a fixed K > a*lam, each step solves the
-linear problem
+data, g the Dirac vortex source that a lattice.Problem holds.  Starting
+from f_0 = 0, or from an upper solution above the maximal one, and a fixed
+K > a*lam, each step solves the linear problem
 
     (L - K) f_k = lam e^{f_{k-1}} (e^{a f_{k-1}} - 1) + g - K f_{k-1},
 
@@ -40,10 +40,10 @@ import numpy as np
 
 from .errors import ConvergenceError, SchemeIntegrityError
 from .fields import Field, extend_by_zero, grad_energy, laplacian, neighbor_sum
-from .lattice import (LatticeDomain, Params, VortexConfig, assemble_source, ball_size,
-                      validate_float, validate_int)
+from .lattice import LatticeDomain, Params, Problem, ball_size, validate_float, validate_int
 from .linear import LinearSystem, linear_solve
-# Unused here, kept until perfbench/spans.py stops patching this name.
+# Unused here, kept until perfbench/spans.py stops patching these names.
+from .lattice import assemble_source
 from .linear import system_matrix
 
 # Thresholds of the scheme's invariants.  MONOTONE_TOL and ENERGY_SLACK are
@@ -101,29 +101,29 @@ def nonlinearity_deriv(f_value, params: Params):
     return float(out) if np.isscalar(f_value) else out
 
 
-def residual(f: Field, g: Field, params: Params, lap: np.ndarray | None = None) -> np.ndarray:
-    """Interior residual r = L f - lam e^f (e^{a f} - 1) - g; zero at a solution.
+def residual(f: Field, problem: Problem, lap: np.ndarray | None = None) -> np.ndarray:
+    """Interior residual r = L f - lam e^f (e^{a f} - 1) - g of the problem; zero at a solution.
 
     lap, if given, is laplacian(f), gathered once by a caller that needs it twice.
     """
     if lap is None:
         lap = laplacian(f)
-    return lap - nonlinearity(f.interior_values, params) - g.interior_values
+    return lap - nonlinearity(f.interior_values, problem.params) - problem.source.interior_values
 
 
-def energy_eval(f: Field, g: Field, params: Params, lap: np.ndarray | None = None) -> float:
-    """Energy functional I(f) for a Dirichlet field f (see module docstring);
-    grad_energy raises ValueError for any other field.  lap as for residual."""
+def energy_eval(f: Field, problem: Problem, lap: np.ndarray | None = None) -> float:
+    """The problem's energy functional I(f) for a Dirichlet field f (see module
+    docstring); grad_energy raises ValueError for any other field.  lap as for residual."""
     fi = f.interior_values
-    a, lam = params.a, params.lam
+    a, lam = problem.params.a, problem.params.lam
     grad_term = 0.5 * grad_energy(f, lap)
     exp_term = lam / (a + 1.0) * float(np.sum(np.expm1((a + 1.0) * fi)))
     lin_term = -lam * float(np.sum(np.expm1(fi)))
-    source_term = float(np.dot(g.interior_values, fi))
+    source_term = float(np.dot(problem.source.interior_values, fi))
     return grad_term + exp_term + lin_term + source_term
 
 
-def iterate_once(f_prev: Field, g: Field, params: Params) -> Field:
+def iterate_once(f_prev: Field, problem: Problem) -> Field:
     """One monotone step: solve (L - K) f_k = N(f_{k-1}) + g - K f_{k-1}.
 
     CG starts from f_prev (a zero f_prev is linear_solve's cold start).
@@ -136,8 +136,8 @@ def iterate_once(f_prev: Field, g: Field, params: Params) -> Field:
     raises SchemeIntegrityError on a computed f_k that rises above f_prev by
     more than MONOTONE_TOL.
     """
-    fp = f_prev.interior_values
-    rhs = nonlinearity(fp, params) + g.interior_values - params.K * fp
+    fp, params = f_prev.interior_values, problem.params
+    rhs = nonlinearity(fp, params) + problem.source.interior_values - params.K * fp
     # at most 1/2, inside linear_solve's range (0, 1); a smaller tol_rel keeps the bound
     slack = params.K * MONOTONE_TOL
     tol_rel = slack / max(math.sqrt(np.dot(rhs, rhs)), 2.0 * slack)
@@ -181,8 +181,7 @@ class BoundedSolution:
 
     field: Field
     trace: list[TraceStep]
-    params: Params
-    vortex: VortexConfig
+    problem: Problem
     residual_sup: float
     energy: float
     certificate: MaximalityCertificate
@@ -241,8 +240,8 @@ def flux_gap(sol: BoundedSolution) -> tuple[float, float]:
     """
     f = sol.field
     dom = f.domain
-    mass = float(np.sum(nonlinearity(f.interior_values, sol.params)))
-    total, flux = sol.vortex.total_flux, boundary_flux(f)
+    mass = float(np.sum(nonlinearity(f.interior_values, sol.problem.params)))
+    total, flux = sol.problem.vortex.total_flux, boundary_flux(f)
     u = np.finfo(float).eps / 2
     k = dom.n_interior + dom.dim * (dom.n_closure - dom.n_interior)
     gamma = k * u / (1.0 - k * u) + ROUNDING_ULPS * u
@@ -259,19 +258,17 @@ def validate_stopping(tol_nonlinear: float, max_steps: int) -> tuple[float, int]
 
 
 def solve_bounded(
-    dom: LatticeDomain,
-    vc: VortexConfig,
-    params: Params,
+    problem: Problem,
     tol_nonlinear: float = DEFAULT_TOL_NONLINEAR,
     max_steps: int = DEFAULT_MAX_STEPS,
     previous: BoundedSolution | None = None,
 ) -> BoundedSolution:
-    """Maximal solution on dom, certified within tol_nonlinear in sup norm.
+    """Maximal solution of the problem, certified within tol_nonlinear in sup norm.
 
     Schedule.  f_0 is 0, a cold start, unless ``previous`` is given: a
-    solution on a ball of the same dimension and at most dom's radius, with
-    the same vortices and params (ValueError otherwise).  Then f_0 is the
-    zero extension of previous.upper, a warm start.  newton_solve runs after
+    solution on a ball of the same dimension and at most the problem's
+    radius, with its vortices and params (ValueError otherwise).  Then f_0
+    is the zero extension of previous.upper, a warm start.  newton_solve runs after
     the first monotone step, from the zero extension of previous.field after
     a warm start and from min(f_1, 0) otherwise, aiming at a residual of
     NEWTON_TOL_FACTOR * tol_nonlinear.  The solve keeps its root f*, clipped
@@ -317,7 +314,7 @@ def solve_bounded(
        r(f_0) = r(u) <= 0 (by this step on B), as the stencil stays in B's
        closure; on B's sphere f_0 = 0, so N(f_0) = 0, g = 0 (validate_radii
        keeps every vortex inside the smallest ball) and L f_0 is a sum of
-       values of u <= 0; elsewhere r(f_0) = 0.  f_max on dom, restricted to
+       values of u <= 0; elsewhere r(f_0) = 0.  f_max on the ball, restricted to
        B, solves the equation inside B and is <= 0 on B's sphere, so it is
        a lower solution there and lies below B's maximal solution (the
        argument of step 3), hence below u; outside B, f_max <= 0 = f_0.
@@ -356,30 +353,30 @@ def solve_bounded(
     for whatever f* and z were stored, once the test passes on them.
     """
     tol_nonlinear, max_steps = validate_stopping(tol_nonlinear, max_steps)
-    g = assemble_source(dom, vc)
+    dom = problem.domain
     if previous is None:
         f, warm_root = Field.zeros(dom), None
     else:
-        prev_dom = previous.domain
-        if (prev_dom.dim, previous.vortex, previous.params) != (dom.dim, vc, params) \
+        prev_dom, prev = previous.domain, previous.problem
+        if (prev_dom.dim, prev.vortex, prev.params) != (dom.dim, problem.vortex, problem.params) \
                 or prev_dom.radius > dom.radius:
             raise ValueError(
-                f"a warm start needs a solution on a ball of Z^{dom.dim} inside "
-                f"B_{dom.radius} with the same vortices and params, got one on "
+                f"a warm start needs a solution on a ball of Z^{dom.dim} inside the "
+                f"problem's B_{dom.radius} with its vortices and params, got one on "
                 f"B_{prev_dom.radius} of Z^{prev_dom.dim}"
             )
         f, warm_root = extend_by_zero(previous.upper, dom), previous.field
-    energy, res_sup = _diagnostics(f, g, params)
+    energy, res_sup = _diagnostics(f, problem)
     trace = [TraceStep(0, 0.0, energy, res_sup)]
     kept = None  # a _newton_root result, None until a run returns
 
     for k in range(1, max_steps + 1):
-        f_next = iterate_once(f, g, params)
+        f_next = iterate_once(f, problem)
         diff = f_next.interior_values - f.interior_values
         sup_diff = float(np.max(np.abs(diff)))
         rise = float(np.max(diff))
         del diff
-        energy_next, res_sup = _diagnostics(f_next, g, params)
+        energy_next, res_sup = _diagnostics(f_next, problem)
         trace.append(TraceStep(k, sup_diff, energy_next, res_sup))
 
         if rise > MONOTONE_TOL:
@@ -393,12 +390,12 @@ def solve_bounded(
                                        trace=trace)
         f, energy = f_next, energy_next
         if kept is None:
-            kept = _newton_root(f, g, params, tol_nonlinear, warm_root)
+            kept = _newton_root(f, problem, tol_nonlinear, warm_root)
             warm_root = None
-        cert = None if kept is None else _certify(kept, f, params, tol_nonlinear)
+        cert = None if kept is None else _certify(kept, f, problem, tol_nonlinear)
         if cert is not None:
             root, root_res, _, root_energy = kept
-            return BoundedSolution(root, trace, params, vc, root_res, root_energy, cert, upper=f)
+            return BoundedSolution(root, trace, problem, root_res, root_energy, cert, upper=f)
         converged = sup_diff < tol_nonlinear and res_sup <= RESIDUAL_FACTOR * tol_nonlinear
         if sup_diff == 0.0 or converged:
             raise ConvergenceError(
@@ -412,11 +409,11 @@ def solve_bounded(
         best=f, residual=trace[-1].residual_sup, trace=trace)
 
 
-def _diagnostics(f: Field, g: Field, params: Params) -> tuple[float, float]:
+def _diagnostics(f: Field, problem: Problem) -> tuple[float, float]:
     """I(f) and ||r(f)||_inf, from one Laplacian of f."""
     lap = laplacian(f)
-    return (energy_eval(f, g, params, lap),
-            float(np.max(np.abs(residual(f, g, params, lap)))))
+    return (energy_eval(f, problem, lap),
+            float(np.max(np.abs(residual(f, problem, lap)))))
 
 
 def _rounding(dom: LatticeDomain) -> float:
@@ -425,7 +422,7 @@ def _rounding(dom: LatticeDomain) -> float:
 
 
 def _newton_root(
-    f_k: Field, g: Field, params: Params, tol: float, warm: Field | None,
+    f_k: Field, problem: Problem, tol: float, warm: Field | None,
 ) -> tuple[Field, float, np.ndarray, float] | None:
     """Newton from the zero extension of warm, a root on a smaller ball, or
     from min(f_k, 0) if warm is None: None if it raises, else the root f*,
@@ -437,31 +434,31 @@ def _newton_root(
         root = newton_solve(
             Field.from_interior(dom, np.minimum(f_k.interior_values, 0.0)) if warm is None
             else extend_by_zero(warm, dom),
-            g, params, tol=NEWTON_TOL_FACTOR * tol)
+            problem, tol=NEWTON_TOL_FACTOR * tol)
     except ConvergenceError:
         return None
     root = Field.from_interior(dom, np.minimum(root.interior_values, 0.0))
     fs = root.interior_values
     lap = laplacian(root)
-    energy = energy_eval(root, g, params, lap)
-    r = np.abs(residual(root, g, params, lap))
+    energy = energy_eval(root, problem, lap)
+    r = np.abs(residual(root, problem, lap))
     r_size = (neighbor_sum(dom, np.abs(root.values)) + dom.degree * np.abs(fs)
-              + np.abs(nonlinearity(fs, params)) + g.interior_values)
+              + np.abs(nonlinearity(fs, problem.params)) + problem.source.interior_values)
     return root, float(np.max(r)), r + _rounding(dom) * r_size, energy
 
 
 def _certify(
-    kept: tuple[Field, float, np.ndarray, float], f_k: Field, params: Params, tol: float,
+    kept: tuple[Field, float, np.ndarray, float], f_k: Field, problem: Problem, tol: float,
 ) -> MaximalityCertificate | None:
     """solve_bounded's test of a _newton_root result against f_k's bracket; None if it fails."""
     root, _, rho, _ = kept
-    dom, fs, a = root.domain, root.interior_values, params.a
+    dom, fs, params = root.domain, root.interior_values, problem.params
     rho_max = float(np.max(rho))
     if rho_max == 0.0:
         # no residual and no rounding: f* = 0 and g = 0, so f* solves and f_max <= 0 = f* <= f_max
         return MaximalityCertificate(0.0, 0.0, 0.0)
     bracket = (fs - tol, np.maximum(f_k.interior_values, fs) + MONOTONE_TOL)
-    m = nonlinearity_deriv(np.clip(-2.0 * math.log1p(a) / a, *bracket), params)
+    m = nonlinearity_deriv(np.clip(-2.0 * math.log1p(params.a) / params.a, *bracket), params)
     del bracket
     # ||rhs||_2 <= sqrt(n) (1 + eta) max rho, so this tol_rel bounds ||A z - rhs||_inf
     # by eta max rho; the tests below decide on A z recomputed from the stored z
@@ -473,7 +470,7 @@ def _certify(
         return None
     # A z less its rounding allowance; the terms of N' are at most lam (a + 2) on f <= 0
     z_sum = neighbor_sum(dom, Field.from_interior(dom, z).values)
-    az_size = (np.abs(m) + dom.degree + params.lam * (a + 2.0)) * z + z_sum
+    az_size = (np.abs(m) + dom.degree + params.lam * (params.a + 2.0)) * z + z_sum
     az_low = (m + dom.degree) * z - z_sum - _rounding(dom) * az_size
     if not (np.all(z > 0.0) and np.all(az_low >= rho) and np.all(az_low > 0.0)
             and np.max(z) <= tol):
@@ -482,16 +479,16 @@ def _certify(
 
 
 def newton_solve(
-    f_init: Field, g: Field, params: Params, tol: float = DEFAULT_TOL_NONLINEAR,
+    f_init: Field, problem: Problem, tol: float = DEFAULT_TOL_NONLINEAR,
 ) -> Field:
     """Damped Newton iteration on r(f) = L f - N(f) - g from a nonpositive start.
 
-    solve_bounded's finish and the verify suite's maximality oracle; both
-    pass the source g they already hold (assemble_source).  The root lies
-    on f_init's ball, and a g on another ball raises ValueError.  A start
-    above zero by at most FIELD_SIGN_TOL (roundoff in a monotone iterate)
-    is clipped to zero; a larger value, or a tol that is not a positive
-    number (lattice.validate_float), raises ValueError.
+    r and g are the problem's.  solve_bounded's finish and the verify
+    suite's maximality oracle, whose starts share the solution's problem.
+    The root lies on the problem's ball, and a start on another ball raises
+    ValueError.  A start above zero by at most FIELD_SIGN_TOL (roundoff in
+    a monotone iterate) is clipped to zero; a larger value, or a tol that
+    is not a positive number (lattice.validate_float), raises ValueError.
 
     The Newton step s solves (L - N'(f)) s = -r, the symmetric Jacobian
     taken as the linear solver's operator with per-point shift K = N'(f):
@@ -507,11 +504,11 @@ def newton_solve(
     definite raises ConvergenceError carrying the last Newton iterate.
     """
     tol = validate_float(tol, "tol", low=0)
-    dom, g_dom = f_init.domain, g.domain
-    if (g_dom.dim, g_dom.radius) != (dom.dim, dom.radius):
+    dom, start_dom, params = problem.domain, f_init.domain, problem.params
+    if (start_dom.dim, start_dom.radius) != (dom.dim, dom.radius):
         raise ValueError(
-            f"newton_solve needs g on the start's ball B_{dom.radius} of Z^{dom.dim}, "
-            f"got one on B_{g_dom.radius} of Z^{g_dom.dim}"
+            f"newton_solve needs a start on the problem's ball B_{dom.radius} of Z^{dom.dim}, "
+            f"got one on B_{start_dom.radius} of Z^{start_dom.dim}"
         )
     top = float(np.max(f_init.values))
     if top > FIELD_SIGN_TOL:
@@ -521,7 +518,7 @@ def newton_solve(
         )
     f = np.minimum(f_init.interior_values, 0.0)
     del f_init  # frees a start that the caller built in the call
-    r = residual(Field.from_interior(dom, f), g, params)
+    r = residual(Field.from_interior(dom, f), problem)
     r_norm = float(np.max(np.abs(r)))
 
     def failure(message: str) -> ConvergenceError:
@@ -541,7 +538,7 @@ def newton_solve(
         t = 1.0
         for _ in range(30):
             trial = f + t * step
-            r_trial = residual(Field.from_interior(dom, trial), g, params)
+            r_trial = residual(Field.from_interior(dom, trial), problem)
             r_trial_norm = float(np.max(np.abs(r_trial)))
             if r_trial_norm < r_norm:
                 f, r, r_norm = trial, r_trial, r_trial_norm

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cslattice import Field, build_domain, grad_energy
+from cslattice import Field, Params, Problem, VortexConfig, build_domain, grad_energy
 from cslattice.cli import write_field_csv
 
 try:
@@ -31,6 +31,13 @@ def b2():
 @pytest.fixture(scope="session")
 def b3():
     return build_domain(2, 3)
+
+
+def problem_on(dom, vc=None, params=None):
+    """Problem(dom, vc, params), by default with one unit vortex at the origin
+    and lambda = a = 1."""
+    vc = VortexConfig([((0,) * dom.dim, 1)]) if vc is None else vc
+    return Problem(dom, vc, Params(1.0, 1.0) if params is None else params)
 
 
 def box_ball_oracle(n, radius):

@@ -18,7 +18,6 @@ from cslattice import (
     LinearSystem,
     Params,
     VortexConfig,
-    assemble_source,
     barrier_check,
     build_domain,
     coercivity_check,
@@ -33,7 +32,7 @@ from cslattice import (
     solve_bounded,
 )
 
-from conftest import bisection_root, linear_energy_eval
+from conftest import bisection_root, linear_energy_eval, problem_on
 
 ONE_VORTEX = VortexConfig([((0, 0), 1)])
 FOUR_PI = 4 * math.pi
@@ -48,27 +47,26 @@ def criterion(num, name, ok, detail=""):
     assert ok, line
 
 
-def collect_iterates(dom, vc, params, tol, max_steps=800):
+def collect_iterates(problem, tol, max_steps=800):
     """Manual iteration loop returning every iterate from f_0 = 0."""
-    g = assemble_source(dom, vc)
-    fields = [Field.zeros(dom)]
+    fields = [Field.zeros(problem.domain)]
     for _ in range(max_steps):
         prev = fields[-1]
-        nxt = iterate_once(prev, g, params)
+        nxt = iterate_once(prev, problem)
         fields.append(nxt)
         sup = float(np.max(np.abs(nxt.values - prev.values)))
-        res = float(np.max(np.abs(residual(nxt, g, params))))
+        res = float(np.max(np.abs(residual(nxt, problem))))
         if sup < tol and res <= 100.0 * tol:
-            return fields, g
+            return fields
     raise AssertionError("iteration did not converge within max_steps")
 
 
 @pytest.fixture(scope="module")
 def r20_run():
     t0 = time.perf_counter()
-    dom = build_domain(2, 20)
-    fields, g = collect_iterates(dom, ONE_VORTEX, Params(1.0, 1.0), 1e-11)
-    return dom, fields, g, time.perf_counter() - t0
+    problem = problem_on(build_domain(2, 20))
+    fields = collect_iterates(problem, 1e-11)
+    return problem.domain, fields, problem, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -81,19 +79,17 @@ def exhaustion_result():
 @pytest.fixture(scope="module")
 def r40_solution():
     t0 = time.perf_counter()
-    sol = solve_bounded(build_domain(2, 40), ONE_VORTEX, Params(1.0, 1.0),
-                        tol_nonlinear=1e-10)
+    sol = solve_bounded(problem_on(build_domain(2, 40)), tol_nonlinear=1e-10)
     return sol, time.perf_counter() - t0
 
 
 def test_criterion_01_single_vertex_closed_forms():
     t0 = time.perf_counter()
-    dom = build_domain(2, 0)
-    params = Params(1.0, 1.0, 2.0)
-    f1 = iterate_once(Field.zeros(dom), assemble_source(dom, ONE_VORTEX), params)
+    problem = problem_on(build_domain(2, 0), params=Params(1.0, 1.0, 2.0))
+    f1 = iterate_once(Field.zeros(problem.domain), problem)
     gap_f1 = abs(f1((0, 0)) - (-2 * math.pi / 3))
 
-    sol = solve_bounded(dom, ONE_VORTEX, params, tol_nonlinear=1e-12)
+    sol = solve_bounded(problem, tol_nonlinear=1e-12)
     root = bisection_root(
         lambda t: 4 * t + math.exp(t) * (math.exp(t) - 1) + FOUR_PI, -15.0, 0.0
     )
@@ -119,9 +115,8 @@ def test_criterion_02_iterate_monotonicity(r20_run):
 
 
 def test_criterion_03_energy_chain(r20_run):
-    _, fields, g, _ = r20_run
-    params = Params(1.0, 1.0)
-    energies = [energy_eval(f, g, params) for f in fields]
+    _, fields, problem, _ = r20_run
+    energies = [energy_eval(f, problem) for f in fields]
     rise = max(b - a for a, b in zip(energies, energies[1:]))
     positive = max(energies[1:])
     criterion(
@@ -291,15 +286,13 @@ def test_criterion_09_coercivity_constant():
 def test_criterion_10_maximality():
     rng = np.random.default_rng(424242)
     dom = build_domain(2, 8)
-    params = Params(1.0, 1.0)
-    reference = solve_bounded(dom, ONE_VORTEX, params, tol_nonlinear=1e-11)
-    g = assemble_source(dom, ONE_VORTEX)
+    reference = solve_bounded(problem_on(dom), tol_nonlinear=1e-11)
     worst = -math.inf
     converged = 0
     for _ in range(10):
         start = Field.from_interior(dom, -3.0 * rng.random(dom.n_interior))
         try:
-            root = newton_solve(start, g, params, tol=1e-10)
+            root = newton_solve(start, reference.problem, tol=1e-10)
         except ConvergenceError:
             continue
         converged += 1
@@ -312,7 +305,7 @@ def test_criterion_10_maximality():
 
 
 def test_criterion_11_symmetry():
-    sol = solve_bounded(build_domain(2, 15), ONE_VORTEX, Params(1.0, 1.0))
+    sol = solve_bounded(problem_on(build_domain(2, 15)))
     by_orbit = {}
     worst = 0.0
     for p in sol.domain.coords.tolist():

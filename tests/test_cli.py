@@ -20,14 +20,14 @@ from cslattice.cli import (
     load_config,
     main,
 )
-from cslattice import Field, Params, VortexConfig, build_domain, cli
+from cslattice import Field, VortexConfig, build_domain, cli
 import cslattice.exhaustion as exhaustion_mod
 import cslattice.lattice as lattice_mod
 import cslattice.scheme as scheme_mod
 from cslattice.scheme import solve_bounded
 from cslattice.errors import ConfigError, ConvergenceError, SchemeIntegrityError
 
-from conftest import assert_field_csv_exact, bisection_root, reference_field_csv
+from conftest import assert_field_csv_exact, bisection_root, problem_on, reference_field_csv
 
 BASE_CONFIG = {
     "dimension": 2,
@@ -269,7 +269,7 @@ class TestExitCodes:
 
         # a "root" that is the unconverged start is never certified: the
         # monotone steps converge and the solve raises instead of returning
-        monkeypatch.setattr(scheme_mod, "newton_solve", lambda start, g, params, **kw: start)
+        monkeypatch.setattr(scheme_mod, "newton_solve", lambda start, problem, **kw: start)
         path = write_config(tmp_path, radii=[6])
         out = tmp_path / "out"
         rc = main(["solve", str(path), "--output-dir", str(out), "--quiet"])
@@ -285,9 +285,9 @@ class TestExitCodes:
         # more than two steps, so no certified root returns before it
         real, calls = scheme_mod.iterate_once, []
 
-        def rising(f_prev, g, params):
+        def rising(f_prev, problem):
             calls.append(1)
-            f_next = real(f_prev, g, params)
+            f_next = real(f_prev, problem)
             if len(calls) == 2:
                 f_next.values[0] = f_prev.values[0] + 1e-6
             return f_next
@@ -313,10 +313,10 @@ class TestExitCodes:
 
         real = exhaustion_mod.solve_bounded
 
-        def failing(dom, *args, **kwargs):
-            if dom.radius > 6:
+        def failing(problem, *args, **kwargs):
+            if problem.domain.radius > 6:
                 raise ConvergenceError("forced failure")
-            return real(dom, *args, **kwargs)
+            return real(problem, *args, **kwargs)
 
         monkeypatch.setattr(exhaustion_mod, "solve_bounded", failing)
         path = write_config(tmp_path, radii=[4, 6, 8])
@@ -352,7 +352,7 @@ class TestDefectsAboveTheCertificate:
     fixed constant allowed: each check must see them."""
 
     def test_dropped_boundary_edge_fails_flux_identity(self, tmp_path, monkeypatch):
-        sol = solve_bounded(build_domain(2, 30), VortexConfig([((0, 0), 1)]), Params(1.0, 1.0))
+        sol = solve_bounded(problem_on(build_domain(2, 30)))
         dom, values = sol.domain, sol.field.values
         # the last interior shell's point whose |f| is nearest 1e-9
         shell = np.flatnonzero(dom.distances[: dom.n_interior] == dom.radius)
@@ -370,15 +370,15 @@ class TestDefectsAboveTheCertificate:
         # closest point; raise the larger one there
         real = exhaustion_mod.solve_bounded
 
-        def raised(dom, *args, **kwargs):
-            sol = real(dom, *args, **kwargs)
+        def raised(problem, *args, **kwargs):
+            sol = real(problem, *args, **kwargs)
             small = args[-1]  # the warm start: the solution on the smaller ball
             if small is None:
                 return sol
             values = sol.field.values.copy()
             inside = slice(0, small.domain.n_closure)
             values[np.argmax(values[inside] - small.field.values)] += 1e-11
-            return dataclasses.replace(sol, field=Field(dom, values))
+            return dataclasses.replace(sol, field=Field(sol.domain, values))
 
         monkeypatch.setattr(exhaustion_mod, "solve_bounded", raised)
         path = write_config(tmp_path, radii=[30, 40])
@@ -390,13 +390,25 @@ class TestDefectsAboveTheCertificate:
         assert nested["threshold"] < 1e-12 < nested["value"] < 2e-11
 
     def test_perturbed_field_fails_symmetry_equivariance(self):
-        sol = solve_bounded(build_domain(3, 6), VortexConfig([((0, 0, 0), 1)]), Params(1.0, 1.0))
+        sol = solve_bounded(problem_on(build_domain(3, 6)))
         assert cli._symmetry_check(sol)["passed"]
         values = sol.field.values.copy()
         values[sol.domain.locate((2, 1, 0))] += 1e-12
-        check = cli._symmetry_check(dataclasses.replace(sol, field=Field(sol.domain, values)))
+        perturbed = Field(sol.domain, values)
+        check = cli._symmetry_check(dataclasses.replace(sol, field=perturbed))
         assert check["threshold"] < 1e-13 < 1e-12 <= check["value"] * (1 + 1e-3)
+        assert check["value"] == _orbit_deviation(perturbed)
         assert not check["passed"]
+
+
+def _orbit_deviation(f):
+    """max |f(x) - f(x0)| over closure points x, x0 the first point of x's orbit
+    (sorted absolute coordinates), in a Python loop."""
+    first, worst = {}, 0.0
+    for canon, value in zip(map(tuple, np.sort(np.abs(f.domain.coords), axis=1).tolist()),
+                            f.values.tolist()):
+        worst = max(worst, abs(value - first.setdefault(canon, value)))
+    return worst
 
 
 class TestSolve:
@@ -516,9 +528,7 @@ class TestFieldCsvExact:
             assert_field_csv_exact(tmp_path / "f.csv", np.concatenate(near))
 
     def test_solved_4d_field(self, tmp_path):
-        from cslattice import Params, VortexConfig, build_domain, solve_bounded
-
-        sol = solve_bounded(build_domain(4, 14), VortexConfig([((1, 0, 0, 0), 1)]), Params(1.0, 1.0))
+        sol = solve_bounded(problem_on(build_domain(4, 14), VortexConfig([((1, 0, 0, 0), 1)])))
         cli.write_field_csv(tmp_path / "f.csv", sol.field)
         assert (tmp_path / "f.csv").read_bytes() == reference_field_csv(sol.field)
 
@@ -632,6 +642,15 @@ class TestDeterminism:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("n, radius", [(3, 6), (32, 2), (40, 1)])
+    def test_symmetry_deviation_in_any_dimension(self, n, radius, rng):
+        # (R + 2)^n overflowed int64 on B_2 in Z^32 and B_1 in Z^40: the key
+        # packing raised "invalid dims", and verify ended in a traceback
+        dom = build_domain(n, radius)
+        assert cli.symmetry_deviation(Field.zeros(dom)) == 0.0
+        f = Field(dom, rng.standard_normal(dom.n_closure))
+        assert cli.symmetry_deviation(f) == _orbit_deviation(f) > 0.0
+
     def test_default_config_all_pass(self, tmp_path):
         path = write_config(tmp_path, radii=[6, 9])
         out = tmp_path / "out"
@@ -719,9 +738,9 @@ class TestVerify:
         # the maximality check made a second solve, on a ball of radius max(8, ...)
         radii = []
 
-        def counting(dom, *args, **kwargs):
-            radii.append(dom.radius)
-            return solve_bounded(dom, *args, **kwargs)
+        def counting(problem, *args, **kwargs):
+            radii.append(problem.domain.radius)
+            return solve_bounded(problem, *args, **kwargs)
 
         monkeypatch.setattr(cli, "solve_bounded", counting)
         path = write_config(tmp_path, radii=[6, 9])
@@ -730,29 +749,24 @@ class TestVerify:
         assert radii == [6]
 
     def test_one_source_for_the_ten_newton_starts(self, monkeypatch):
-        # each start assembled its own source inside newton_solve
-        import cslattice.scheme as scheme_mod
-        from cslattice import Params, VortexConfig, build_domain
-
-        sol = solve_bounded(build_domain(2, 5), VortexConfig([((0, 0), 1)]), Params(1.0, 1.0))
-        real_source, real_newton = cli.assemble_source, cli.newton_solve
-        sources, newton_sources = [], []
+        # each start assembled its own source inside newton_solve, and then
+        # the check assembled one for all ten; now they share the solution's
+        sol = solve_bounded(problem_on(build_domain(2, 5)))
+        real_newton, problems = cli.newton_solve, []
 
         def assembling(*args):
-            sources.append(real_source(*args))
-            return sources[-1]
+            raise AssertionError("the maximality check assembled a source")
 
-        def newton(f_init, g, params, **kwargs):
-            newton_sources.append(g)
-            return real_newton(f_init, g, params, **kwargs)
+        def newton(f_init, *args, **kwargs):
+            problems.append(args[0])
+            return real_newton(f_init, *args, **kwargs)
 
-        for module in (cli, scheme_mod):
+        for module in (cli, scheme_mod, lattice_mod):
             monkeypatch.setattr(module, "assemble_source", assembling)
         monkeypatch.setattr(cli, "newton_solve", newton)
         check = cli._maximality_check(sol, random.Random(cli._SEED))
         assert check["passed"] and check["detail"] == "10/10 starts converged"
-        assert len(sources) == 1
-        assert len(newton_sources) == 10 and all(g is sources[0] for g in newton_sources)
+        assert len(problems) == 10 and all(p is sol.problem for p in problems)
 
     def test_off_origin_vortex_skips_symmetry(self, tmp_path):
         path = write_config(

@@ -13,7 +13,6 @@ from cslattice import (
     LatticeDomain,
     Params,
     VortexConfig,
-    assemble_source,
     barrier_check,
     barrier_constant,
     build_domain,
@@ -34,6 +33,8 @@ from cslattice.exhaustion import BARRIER_SHELLS, validate_epsilon
 from cslattice.fields import extend_by_zero
 from cslattice.lattice import manhattan_norm
 from cslattice.scheme import MONOTONE_TOL
+
+from conftest import problem_on
 
 ONE_VORTEX = VortexConfig([((0, 0), 1)])
 PARAMS = Params(1.0, 1.0)
@@ -91,11 +92,11 @@ class TestRunExhaustion:
         real = exhaustion_mod.solve_bounded
         calls = []
 
-        def failing(dom, *args, **kwargs):
-            calls.append(dom.radius)
-            if dom.radius > 4:
+        def failing(problem, *args, **kwargs):
+            calls.append(problem.domain.radius)
+            if problem.domain.radius > 4:
                 raise ConvergenceError("forced failure")
-            return real(dom, *args, **kwargs)
+            return real(problem, *args, **kwargs)
 
         monkeypatch.setattr(exhaustion_mod, "solve_bounded", failing)
         with pytest.raises(ConvergenceError) as err:
@@ -120,12 +121,11 @@ WARM_CASES = [
 class TestWarmStart:
     @pytest.mark.parametrize("n, radii", [(2, (6, 10)), (3, (3, 5))])
     def test_extended_last_iterate_is_upper_solution(self, n, radii):
-        vc = VortexConfig([((0,) * n, 1)])
-        small = solve_bounded(build_domain(n, radii[0]), vc, PARAMS)
-        dom = build_domain(n, radii[1])
-        start = extend_by_zero(small.upper, dom)
-        assert np.max(residual(start, assemble_source(dom, vc), PARAMS)) <= MONOTONE_TOL
-        cold = solve_bounded(dom, vc, PARAMS)
+        small = solve_bounded(problem_on(build_domain(n, radii[0])))
+        problem = problem_on(build_domain(n, radii[1]))
+        start = extend_by_zero(small.upper, problem.domain)
+        assert np.max(residual(start, problem)) <= MONOTONE_TOL
+        cold = solve_bounded(problem)
         assert cold.certificate is not None
         # f_max >= cold.field - bound, and start >= f_max up to the CG error
         assert np.all(start.values >= cold.field.values - cold.certificate.bound - MONOTONE_TOL)
@@ -134,7 +134,7 @@ class TestWarmStart:
     def test_warm_agrees_with_cold_within_certified_bounds(self, n, vc, params, radii):
         warm = run_exhaustion(n, vc, params, radii)
         for r, sol in zip(radii, warm.solutions):
-            cold = solve_bounded(build_domain(n, r), vc, params)
+            cold = solve_bounded(problem_on(build_domain(n, r), vc, params))
             assert sol.certificate is not None and cold.certificate is not None
             gap = float(np.max(np.abs(sol.field.values - cold.field.values)))
             assert gap <= sol.certificate.bound + cold.certificate.bound
@@ -160,24 +160,23 @@ class TestWarmStart:
         assert [s.iterations <= 2 for s in res.solutions] == [False, True, True]
         for small, big in zip(res.solutions, res.solutions[1:]):
             start = extend_by_zero(small.upper, big.domain)
-            g = assemble_source(big.domain, ONE_VORTEX)
-            assert big.trace[0].energy == energy_eval(start, g, PARAMS) < 0.0
+            assert big.trace[0].energy == energy_eval(start, big.problem) < 0.0
 
     def test_failed_first_newton_try_falls_back_to_min_fk(self, monkeypatch):
-        small = solve_bounded(build_domain(2, 6), ONE_VORTEX, PARAMS)
+        small = solve_bounded(problem_on(build_domain(2, 6)))
         dom = build_domain(2, 10)
-        cold = solve_bounded(dom, ONE_VORTEX, PARAMS)
+        cold = solve_bounded(problem_on(dom))
         real = scheme_mod.newton_solve
         starts = []
 
-        def first_fails(f_init, g, params, **kwargs):
+        def first_fails(f_init, problem, **kwargs):
             starts.append(f_init.values.copy())
             if len(starts) == 1:
                 raise ConvergenceError("first Newton try disabled")
-            return real(f_init, g, params, **kwargs)
+            return real(f_init, problem, **kwargs)
 
         monkeypatch.setattr(scheme_mod, "newton_solve", first_fails)
-        sol = solve_bounded(dom, ONE_VORTEX, PARAMS, previous=small)
+        sol = solve_bounded(problem_on(dom), previous=small)
         assert np.array_equal(starts[0], extend_by_zero(small.field, dom).values)
         gap = float(np.max(np.abs(sol.field.values - cold.field.values)))
         # the certified try started from min(f_k, 0), f_k its bracket top
@@ -206,14 +205,15 @@ class TestWarmStart:
         (2, ONE_VORTEX, PARAMS, 4),
     ])
     def test_mismatched_previous_rejected(self, dim, vc, params, radius):
-        small = solve_bounded(build_domain(2, 6), ONE_VORTEX, PARAMS)
-        with pytest.raises(ValueError, match="warm start"):
-            solve_bounded(build_domain(dim, radius), vc, params, previous=small)
+        small = solve_bounded(problem_on(build_domain(2, 6)))
+        problem = problem_on(build_domain(dim, radius), vc, params)
+        with pytest.raises(ValueError, match="warm start needs .* inside the problem's"):
+            solve_bounded(problem, previous=small)
 
 
 class TestShellProfile:
     def test_matches_per_shell_masks(self):
-        sol = solve_bounded(build_domain(3, 5), VortexConfig([((1, 0, 0), 1)]), PARAMS)
+        sol = solve_bounded(problem_on(build_domain(3, 5), VortexConfig([((1, 0, 0), 1)])))
         absvals = np.abs(sol.field.interior_values)
         dists = sol.domain.distances[: sol.domain.n_interior]
         reference = [(d, float(absvals[dists == d].max())) for d in range(sol.domain.radius + 1)]
@@ -222,7 +222,7 @@ class TestShellProfile:
         assert all(type(d) is int and type(mx) is float for d, mx in prof)
 
     def test_zero_field(self):
-        sol = solve_bounded(build_domain(2, 4), VortexConfig([]), PARAMS)
+        sol = solve_bounded(problem_on(build_domain(2, 4), VortexConfig([])))
         prof = shell_profile(sol)
         assert len(prof) == 5
         assert all(mx == 0.0 for _, mx in prof)
@@ -247,7 +247,7 @@ class TestDecayFit:
         assert decay_rate_theory(Params(4.0, 1.0), 2) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_fit_on_moderate_domain(self):
-        sol = solve_bounded(build_domain(2, 16), ONE_VORTEX, PARAMS)
+        sol = solve_bounded(problem_on(build_domain(2, 16)))
         fit = decay_fit(sol, 0.1)
         assert fit.fit_window == (4, 8)
         assert fit.alpha_theory == pytest.approx(math.log(1.25), rel=1e-12)
@@ -262,7 +262,7 @@ class TestDecayFit:
     def test_slope_in_closed_form_without_lapack(self, monkeypatch):
         # the least-squares slope of log(shell max) against d, as np.polyfit
         # gives it to rounding, but with no LAPACK least-squares call
-        sol = solve_bounded(build_domain(2, 16), ONE_VORTEX, PARAMS)
+        sol = solve_bounded(problem_on(build_domain(2, 16)))
         lo, hi = 4, 8
         ds = np.array([d for d, _ in shell_profile(sol) if lo <= d <= hi], dtype=float)
         maxima = np.array([mx for d, mx in shell_profile(sol) if lo <= d <= hi])
@@ -278,7 +278,7 @@ class TestDecayFit:
         assert fit.fitted_rate == pytest.approx(expected, rel=1e-14)
 
     def test_trivial_solution_rejected(self):
-        sol = solve_bounded(build_domain(2, 8), VortexConfig([]), PARAMS)
+        sol = solve_bounded(problem_on(build_domain(2, 8), VortexConfig([])))
         with pytest.raises(AnalysisError):
             decay_fit(sol, 0.1)
 

@@ -6,7 +6,6 @@ import pytest
 from cslattice import (
     Field,
     VortexConfig,
-    assemble_source,
     build_domain,
     grad_energy,
     laplacian,
@@ -14,6 +13,7 @@ from cslattice import (
     norm,
 )
 from cslattice.fields import ONE_TAKE_MAX, extend_by_zero, gather_sum, neighbor_sum
+from cslattice.lattice import assemble_source
 from conftest import integral
 
 

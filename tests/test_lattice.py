@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -8,13 +9,14 @@ from cslattice import (
     Field,
     LatticeDomain,
     Params,
+    Problem,
     VortexConfig,
-    assemble_source,
     ball_size,
     build_domain,
     shell_size,
 )
 import cslattice.lattice as lattice_mod
+from cslattice.lattice import assemble_source
 from conftest import box_ball_oracle, integral
 
 
@@ -473,13 +475,15 @@ def test_assemble_source_examples():
 
 
 def test_assemble_source_rejects_outside_points():
+    # a Problem assembles its source when it is built, so none can exist
     dom = build_domain(2, 1)
-    with pytest.raises(ValueError, match="outside"):
-        assemble_source(dom, VortexConfig([((2, 0), 1)]))  # boundary point
-    with pytest.raises(ValueError, match="outside"):
-        assemble_source(dom, VortexConfig([((5, 5), 1)]))
-    with pytest.raises(ValueError, match="dimension"):
-        assemble_source(dom, VortexConfig([((0, 0, 0), 1)]))
+    for build in (assemble_source, lambda dom, vc: Problem(dom, vc, Params(1.0, 1.0))):
+        with pytest.raises(ValueError, match="outside"):
+            build(dom, VortexConfig([((2, 0), 1)]))  # boundary point
+        with pytest.raises(ValueError, match="outside"):
+            build(dom, VortexConfig([((5, 5), 1)]))
+        with pytest.raises(ValueError, match="dimension"):
+            build(dom, VortexConfig([((0, 0, 0), 1)]))
 
 
 def test_source_is_dirichlet_field():
@@ -487,6 +491,9 @@ def test_source_is_dirichlet_field():
     g = assemble_source(dom, VortexConfig([((0, 0), 3)]))
     assert isinstance(g, Field)
     assert g.is_dirichlet()
+    problem = Problem(dom, VortexConfig([((0, 0), 3)]), Params(1.0, 1.0))
+    assert [f.name for f in dataclasses.fields(problem)] == ["domain", "vortex", "params", "source"]
+    assert np.array_equal(problem.source.values, g.values)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -9,9 +9,6 @@ from cslattice import (
     ConvergenceError,
     Field,
     LinearSystem,
-    Params,
-    VortexConfig,
-    assemble_source,
     build_domain,
     dense_solve,
     iterate_once,
@@ -23,7 +20,7 @@ from cslattice import scheme as scheme_mod
 from cslattice.lattice import RedBlack
 from cslattice.linear import DENSE_MAX_UNKNOWNS, ORACLE_REL_TOL
 
-from conftest import linear_energy_eval
+from conftest import linear_energy_eval, problem_on
 
 TIGHT = 1e-13
 
@@ -260,8 +257,6 @@ def test_zero_start_is_the_cold_start(monkeypatch):
     # every cold monotone step starts CG from f_0 = 0; it must cost what
     # x0=None costs (no S_br x_r and no residual of the zero start) and give its bits
     dom = build_domain(2, 10)
-    g = assemble_source(dom, VortexConfig([((0, 0), 1)]))
-    params = Params(1.0, 1.0)
     real = linear_mod._sums
     calls = []
 
@@ -277,7 +272,7 @@ def test_zero_start_is_the_cold_start(monkeypatch):
 
     monkeypatch.setattr(linear_mod, "_sums", counting)
     monkeypatch.setattr(scheme_mod, "linear_solve", recording)
-    zero_start = iterate_once(Field.zeros(dom), g, params)
+    zero_start = iterate_once(Field.zeros(dom), problem_on(dom))
     zero_calls = list(calls)
     calls.clear()
     (system, tol_rel, x0), = solves

@@ -12,7 +12,6 @@ from cslattice import (
     Params,
     SchemeIntegrityError,
     VortexConfig,
-    assemble_source,
     boundary_flux,
     build_domain,
     dense_solve,
@@ -27,6 +26,7 @@ from cslattice import (
     solve_bounded,
 )
 import cslattice.fields as fields_mod
+import cslattice.lattice as lattice_mod
 import cslattice.linear as linear_mod
 import cslattice.scheme as scheme_mod
 from cslattice.fields import extend_by_zero
@@ -41,7 +41,7 @@ from cslattice.scheme import (
     validate_stopping,
 )
 
-from conftest import bisection_root
+from conftest import bisection_root, problem_on
 
 ONE_VORTEX = VortexConfig([((0, 0), 1)])
 FOUR_PI = 4 * math.pi
@@ -50,6 +50,15 @@ FOUR_PI = 4 * math.pi
 def single_vertex_limit():
     """Root of 4t + e^t(e^t - 1) + 4*pi = 0, the B_0 fixed point."""
     return bisection_root(lambda t: 4 * t + math.exp(t) * (math.exp(t) - 1) + FOUR_PI, -15.0, 0.0)
+
+
+def _negative_point_mass(monkeypatch):
+    """A problem on B_1 in Z^2 with K = 2 whose source is -4 pi at one point,
+    which Problem assembles in place of its empty vortex set's."""
+    dom = build_domain(2, 1)
+    g = Field.from_interior(dom, np.array([0.0, 0.0, -FOUR_PI, 0.0, 0.0]))
+    monkeypatch.setattr(lattice_mod, "assemble_source", lambda dom, vc: g)
+    return problem_on(dom, VortexConfig([]), Params(1.0, 1.0, 2.0))
 
 
 class TestNonlinearity:
@@ -84,24 +93,20 @@ class TestNonlinearity:
 
 class TestIterateOnce:
     def test_zero_source_fixes_zero(self, b2):
-        params = Params(1.0, 1.0)
-        g = assemble_source(b2, VortexConfig([]))
-        f1 = iterate_once(Field.zeros(b2), g, params)
+        f1 = iterate_once(Field.zeros(b2), problem_on(b2, VortexConfig([])))
         assert not np.any(f1.values)
 
     def test_first_step_closed_form(self):
         # (L - K) f_1 = g on B_0: f_1(0) = -4*pi/(4 + K) = -2*pi/3 for K=2
         dom = build_domain(2, 0)
-        g = assemble_source(dom, ONE_VORTEX)
-        f1 = iterate_once(Field.zeros(dom), g, Params(1.0, 1.0, 2.0))
+        f1 = iterate_once(Field.zeros(dom), problem_on(dom, params=Params(1.0, 1.0, 2.0)))
         assert f1((0, 0)) == pytest.approx(-2 * math.pi / 3, abs=1e-12)
 
     def test_second_step_scalar_substitution(self):
         dom = build_domain(2, 0)
-        params = Params(1.0, 1.0, 2.0)
-        g = assemble_source(dom, ONE_VORTEX)
-        f1 = iterate_once(Field.zeros(dom), g, params)
-        f2 = iterate_once(f1, g, params)
+        problem = problem_on(dom, params=Params(1.0, 1.0, 2.0))
+        f1 = iterate_once(Field.zeros(dom), problem)
+        f2 = iterate_once(f1, problem)
         t1 = -2 * math.pi / 3
         expected = -(math.exp(t1) * (math.exp(t1) - 1) + FOUR_PI - 2 * t1) / 6
         assert expected == pytest.approx(-2.7745301213233296, abs=1e-12)
@@ -118,8 +123,8 @@ class TestIterateOnce:
             dom, vc = build_domain(2, 20), ONE_VORTEX
         f = Field.zeros(dom)
         if case == "warm":
-            f = extend_by_zero(solve_bounded(build_domain(2, 10), vc, params).upper, dom)
-        g = assemble_source(dom, vc)
+            f = extend_by_zero(solve_bounded(problem_on(build_domain(2, 10), vc, params)).upper, dom)
+        problem = problem_on(dom, vc, params)
         real, tolerances = scheme_mod.linear_solve, []
 
         def recording(system, tol_rel, x0=None):
@@ -128,9 +133,9 @@ class TestIterateOnce:
 
         monkeypatch.setattr(scheme_mod, "linear_solve", recording)
         for _ in range(2):
-            step = iterate_once(f, g, params)
+            step = iterate_once(f, problem)
             fp = f.interior_values
-            rhs = nonlinearity(fp, params) + g.interior_values - params.K * fp
+            rhs = nonlinearity(fp, params) + problem.source.interior_values - params.K * fp
             exact = dense_solve(LinearSystem(dom, params.K, rhs))
             assert np.max(np.abs(step.values - exact.values)) <= MONOTONE_TOL
             f = step
@@ -138,87 +143,76 @@ class TestIterateOnce:
             assert tol_rel == pytest.approx(params.K * MONOTONE_TOL / rhs_norm, rel=1e-12)
             assert tol_rel < 1e-10
 
-    def test_rising_step_is_returned_unchecked(self):
+    def test_rising_step_is_returned_unchecked(self, monkeypatch):
         # a negative point mass pushes the next iterate above zero; the step
         # is only the solve, and solve_bounded's loop checks the rise
-        dom = build_domain(2, 1)
-        params = Params(1.0, 1.0, 2.0)
-        g = Field.from_interior(dom, np.array([0.0, 0.0, -FOUR_PI, 0.0, 0.0]))
-        assert np.max(iterate_once(Field.zeros(dom), g, params).values) > 1.0
+        problem = _negative_point_mass(monkeypatch)
+        assert np.max(iterate_once(Field.zeros(problem.domain), problem).values) > 1.0
 
 
 class TestEnergy:
     def test_zero_field_zero_energy(self, b2):
-        g = assemble_source(b2, ONE_VORTEX)
-        assert energy_eval(Field.zeros(b2), g, Params(1.0, 1.0)) == 0.0
+        assert energy_eval(Field.zeros(b2), problem_on(b2)) == 0.0
 
     def test_hand_evaluated_single_vertex(self):
         # 1/2*4 + 1/2(e^-2 - 1) + (1 - e^-1) - 4*pi
         dom = build_domain(2, 0)
         f = Field.from_interior(dom, np.array([-1.0]))
-        g = assemble_source(dom, ONE_VORTEX)
-        val = energy_eval(f, g, Params(1.0, 1.0, 2.0))
+        val = energy_eval(f, problem_on(dom, params=Params(1.0, 1.0, 2.0)))
         assert val == pytest.approx(-10.366582413912309, abs=1e-12)
 
     def test_requires_dirichlet(self, b2):
-        g = assemble_source(b2, ONE_VORTEX)
         with pytest.raises(ValueError, match="Dirichlet"):
-            energy_eval(Field(b2, np.ones(b2.n_closure)), g, Params(1.0, 1.0))
+            energy_eval(Field(b2, np.ones(b2.n_closure)), problem_on(b2))
 
     def test_first_iterates_decrease(self):
-        dom = build_domain(2, 4)
-        params = Params(1.0, 1.0)
-        g = assemble_source(dom, ONE_VORTEX)
-        f1 = iterate_once(Field.zeros(dom), g, params)
-        f2 = iterate_once(f1, g, params)
-        e1 = energy_eval(f1, g, params)
-        e2 = energy_eval(f2, g, params)
+        problem = problem_on(build_domain(2, 4))
+        f1 = iterate_once(Field.zeros(problem.domain), problem)
+        f2 = iterate_once(f1, problem)
+        e1 = energy_eval(f1, problem)
+        e2 = energy_eval(f2, problem)
         assert e1 <= 0.0
         assert e2 <= e1 + 1e-12
 
 
 class TestResidual:
     def test_zero_everything(self, b2):
-        g = assemble_source(b2, VortexConfig([]))
-        assert np.max(np.abs(residual(Field.zeros(b2), g, Params(1.0, 1.0)))) == 0.0
+        assert np.max(np.abs(residual(Field.zeros(b2), problem_on(b2, VortexConfig([]))))) == 0.0
 
     def test_zero_field_sees_source(self, b2):
-        g = assemble_source(b2, ONE_VORTEX)
-        r = residual(Field.zeros(b2), g, Params(1.0, 1.0))
+        r = residual(Field.zeros(b2), problem_on(b2))
         expected = np.zeros(b2.n_interior)
         expected[b2.locate((0, 0))] = -FOUR_PI
         assert np.allclose(r, expected, atol=0.0)
 
     def test_converged_solution_residual_small(self):
-        dom = build_domain(2, 6)
-        sol = solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0), tol_nonlinear=1e-11)
-        g = assemble_source(dom, ONE_VORTEX)
-        r = residual(sol.field, g, sol.params)
+        sol = solve_bounded(problem_on(build_domain(2, 6)), tol_nonlinear=1e-11)
+        r = residual(sol.field, sol.problem)
         assert np.max(np.abs(r)) <= 1e-9
 
 
 class TestSolveBounded:
     def test_empty_vortices_trivial(self, b3):
-        sol = solve_bounded(b3, VortexConfig([]), Params(1.0, 1.0))
+        sol = solve_bounded(problem_on(b3, VortexConfig([])))
         assert not np.any(sol.field.values)
         assert sol.iterations == 1
         assert len(sol.trace) == 2  # initial state plus one step
 
     def test_single_vertex_matches_bisection(self):
-        dom = build_domain(2, 0)
-        sol = solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0, 2.0), tol_nonlinear=1e-12)
+        problem = problem_on(build_domain(2, 0), params=Params(1.0, 1.0, 2.0))
+        sol = solve_bounded(problem, tol_nonlinear=1e-12)
         assert sol.field((0, 0)) == pytest.approx(single_vertex_limit(), abs=1e-9)
 
     def test_trace_invariants(self, monkeypatch):
         # the triple vortex takes several monotone steps before its certificate
         real, iterates = scheme_mod.iterate_once, []
 
-        def recording(f_prev, g, params):
+        def recording(f_prev, problem):
             iterates.append(f_prev.values.copy())
-            return real(f_prev, g, params)
+            return real(f_prev, problem)
 
         monkeypatch.setattr(scheme_mod, "iterate_once", recording)
-        sol = solve_bounded(build_domain(2, 10), VortexConfig([((0, 0), 3)]), Params(1.0, 1.0))
+        sol = solve_bounded(problem_on(build_domain(2, 10), VortexConfig([((0, 0), 3)])))
         iterates.append(sol.upper.values)
         assert [s.k for s in sol.trace] == list(range(sol.iterations + 1))
         assert sol.iterations > 2
@@ -235,9 +229,9 @@ class TestSolveBounded:
         # step's row last in its trace
         real, calls = scheme_mod.iterate_once, []
 
-        def rising(f_prev, g, params):
+        def rising(f_prev, problem):
             calls.append(1)
-            f_next = real(f_prev, g, params)
+            f_next = real(f_prev, problem)
             if len(calls) == 2:
                 f_next.values[f_prev.domain.n_interior - 1] = \
                     f_prev.values[f_prev.domain.n_interior - 1] + 1e-6
@@ -245,31 +239,25 @@ class TestSolveBounded:
 
         monkeypatch.setattr(scheme_mod, "iterate_once", rising)
         with pytest.raises(SchemeIntegrityError, match="rose by 1.000e-06 .* at step 2 ") as err:
-            solve_bounded(build_domain(2, 10), VortexConfig([((0, 0), 3)]), Params(1.0, 1.0))
+            solve_bounded(problem_on(build_domain(2, 10), VortexConfig([((0, 0), 3)])))
         trace = err.value.trace
         assert [s.k for s in trace] == [0, 1, 2]
         assert trace[-1].sup_diff >= 1e-6
 
     def test_monotonicity_violation_raises(self, monkeypatch):
         # the rising step of test_rising_step_is_returned_unchecked, in a solve
-        dom = build_domain(2, 1)
-        g = Field.from_interior(dom, np.array([0.0, 0.0, -FOUR_PI, 0.0, 0.0]))
-        monkeypatch.setattr(scheme_mod, "assemble_source", lambda dom, vc: g)
         with pytest.raises(SchemeIntegrityError, match="rose") as err:
-            solve_bounded(dom, VortexConfig([]), Params(1.0, 1.0, 2.0))
+            solve_bounded(_negative_point_mass(monkeypatch))
         assert [s.k for s in err.value.trace] == [0, 1]
 
     def test_sign_and_vortex_negativity(self):
-        dom = build_domain(2, 8)
-        sol = solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0))
+        sol = solve_bounded(problem_on(build_domain(2, 8)))
         assert np.max(sol.field.values) <= 1e-10
         assert sol.field((0, 0)) < -1.0
 
     def test_flux_identity(self):
-        dom = build_domain(2, 8)
-        params = Params(1.0, 1.0)
-        sol = solve_bounded(dom, ONE_VORTEX, params, tol_nonlinear=1e-11)
-        mass = float(np.sum(nonlinearity(sol.field.interior_values, params)))
+        sol = solve_bounded(problem_on(build_domain(2, 8)), tol_nonlinear=1e-11)
+        mass = float(np.sum(nonlinearity(sol.field.interior_values, sol.problem.params)))
         gap, threshold = scheme_mod.flux_gap(sol)
         assert gap == abs(mass + ONE_VORTEX.total_flux - boundary_flux(sol.field))
         # the certificate's sum of rho plus the sums' rounding: far below 1e-8
@@ -307,36 +295,35 @@ class TestSolveBounded:
                 return real(f)
 
             monkeypatch.setattr(module, "laplacian", counting)
-        sol = solve_bounded(build_domain(2, 8), ONE_VORTEX, Params(1.0, 1.0))
+        sol = solve_bounded(problem_on(build_domain(2, 8)))
         assert sol.certificate is not None
         assert len(gathered) > 3
         assert len({id(f) for f in gathered}) == len(gathered)
 
     def test_one_source_per_solve(self, monkeypatch):
-        # newton_solve assembled g again on each run; now every run takes the solve's own
-        dom = build_domain(2, 10)
-        params = Params(1.0, 1.0)
-        small = solve_bounded(build_domain(2, 6), ONE_VORTEX, params)
-        real_source, real_newton = scheme_mod.assemble_source, scheme_mod.newton_solve
-        sources, newton_sources = [], []
+        # newton_solve assembled g again on each run, and solve_bounded once
+        # per solve; now the problem holds it, and every run takes that problem
+        problem = problem_on(build_domain(2, 10))
+        small = solve_bounded(problem_on(build_domain(2, 6)))
+        real_source, real_newton = lattice_mod.assemble_source, scheme_mod.newton_solve
+        sources, newton_problems = [], []
 
         def assembling(*args):
             sources.append(real_source(*args))
             return sources[-1]
 
-        def newton(f_init, g, params, **kwargs):
-            newton_sources.append(g)
-            return real_newton(f_init, g, params, **kwargs)
+        def newton(f_init, problem, **kwargs):
+            newton_problems.append(problem)
+            return real_newton(f_init, problem, **kwargs)
 
-        monkeypatch.setattr(scheme_mod, "assemble_source", assembling)
+        monkeypatch.setattr(lattice_mod, "assemble_source", assembling)
         monkeypatch.setattr(scheme_mod, "newton_solve", newton)
         for previous in (None, small):
-            sources.clear()
-            newton_sources.clear()
-            sol = solve_bounded(dom, ONE_VORTEX, params, previous=previous)
-            assert sol.certificate is not None
-            assert len(sources) == 1
-            assert newton_sources and all(g is sources[0] for g in newton_sources)
+            newton_problems.clear()
+            sol = solve_bounded(problem, previous=previous)
+            assert sol.certificate is not None and sol.problem is problem
+            assert not sources
+            assert newton_problems and all(p is problem for p in newton_problems)
 
     def test_peak_memory_per_closure_point(self):
         # one cold solve on 4D R=8, whose red-black split is built inside it,
@@ -347,7 +334,7 @@ class TestSolveBounded:
         dom = build_domain(4, 8)
         tracemalloc.start()
         try:
-            sol = solve_bounded(dom, VortexConfig([((1, 0, -1, 0), 1)]), Params(1.0, 1.0))
+            sol = solve_bounded(problem_on(dom, VortexConfig([((1, 0, -1, 0), 1)])))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -357,14 +344,13 @@ class TestSolveBounded:
     def test_max_steps_exhaustion(self, monkeypatch):
         # a certified Newton finish ends this solve after one step
         _no_newton(monkeypatch)
-        dom = build_domain(2, 5)
         with pytest.raises(ConvergenceError) as err:
-            solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0), max_steps=3)
+            solve_bounded(problem_on(build_domain(2, 5)), max_steps=3)
         assert [s.k for s in err.value.trace] == [0, 1, 2, 3]
 
     def test_symmetry_equivariance(self):
         dom = build_domain(2, 8)
-        sol = solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0))
+        sol = solve_bounded(problem_on(dom))
         values = {}
         worst = 0.0
         for p in dom.coords.tolist():
@@ -383,7 +369,7 @@ class TestSolveBounded:
         tol = 1e-11
         fields, bounds = [], []
         for K in (2.0, 6.0):
-            sol = solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0, K), tol_nonlinear=tol)
+            sol = solve_bounded(problem_on(dom, params=Params(1.0, 1.0, K)), tol_nonlinear=tol)
             assert sol.certificate is not None
             fields.append(sol.field.values)
             bounds.append(sol.certificate.bound)
@@ -398,35 +384,31 @@ class TestSolveBounded:
         assert validate_stopping(np.float32(0.5), np.int32(5)) == (0.5, 5)
         # a float is no step count: 2.5 reached range() as a TypeError
         with pytest.raises(ValueError, match="max_steps must be an integer, got 2.5"):
-            solve_bounded(b2, ONE_VORTEX, Params(1.0, 1.0), max_steps=2.5)
-        sol = solve_bounded(b2, ONE_VORTEX, Params(1.0, 1.0), max_steps=np.int64(50))
+            solve_bounded(problem_on(b2), max_steps=2.5)
+        sol = solve_bounded(problem_on(b2), max_steps=np.int64(50))
         assert 1 <= sol.iterations <= 50
 
 
 class TestNewtonOracle:
     def test_started_at_root_stays(self):
-        dom = build_domain(2, 5)
-        params = Params(1.0, 1.0)
-        sol = solve_bounded(dom, ONE_VORTEX, params, tol_nonlinear=1e-11)
-        root = newton_solve(sol.field, assemble_source(dom, ONE_VORTEX), params, tol=1e-9)
+        sol = solve_bounded(problem_on(build_domain(2, 5)), tol_nonlinear=1e-11)
+        root = newton_solve(sol.field, sol.problem, tol=1e-9)
         assert np.max(np.abs(root.values - sol.field.values)) <= 1e-10
 
     def test_single_vertex_from_zero(self):
         dom = build_domain(2, 0)
-        root = newton_solve(Field.zeros(dom), assemble_source(dom, ONE_VORTEX),
-                            Params(1.0, 1.0, 2.0), tol=1e-12)
+        root = newton_solve(Field.zeros(dom), problem_on(dom, params=Params(1.0, 1.0, 2.0)),
+                            tol=1e-12)
         assert root((0, 0)) == pytest.approx(single_vertex_limit(), abs=1e-10)
 
     def test_random_starts_stay_below_maximal(self, rng):
         dom = build_domain(2, 5)
-        params = Params(1.0, 1.0)
-        reference = solve_bounded(dom, ONE_VORTEX, params, tol_nonlinear=1e-11)
-        g = assemble_source(dom, ONE_VORTEX)
+        reference = solve_bounded(problem_on(dom), tol_nonlinear=1e-11)
         converged = 0
         for _ in range(6):
             start = Field.from_interior(dom, -3.0 * rng.random(dom.n_interior))
             try:
-                root = newton_solve(start, g, params)
+                root = newton_solve(start, reference.problem)
             except ConvergenceError:
                 continue
             converged += 1
@@ -435,46 +417,42 @@ class TestNewtonOracle:
 
     def test_no_dense_jacobian(self, monkeypatch):
         dom = build_domain(3, 5)
-        vc = VortexConfig([((0, 0, 0), 1)])
-        params = Params(1.0, 1.0)
-        reference = solve_bounded(dom, vc, params)
+        reference = solve_bounded(problem_on(dom))
 
         def dense(*_args, **_kwargs):
             raise AssertionError("newton_solve built or solved a dense system")
 
         monkeypatch.setattr(np.linalg, "solve", dense)
         monkeypatch.setattr("cslattice.scheme.system_matrix", dense)
-        root = newton_solve(Field.zeros(dom), assemble_source(dom, vc), params)
+        root = newton_solve(Field.zeros(dom), reference.problem)
         assert np.max(np.abs(root.values - reference.field.values)) <= MAXIMALITY_TOL
 
     def test_indefinite_jacobian_raises_with_newton_iterate(self):
         # at f = ln(1/4), N'(f) = -1/8 (a = lam = 1) lies below
         # lambda_min(-L) = 0.121 of the 2D R=8 ball: CG meets p.Ap <= 0
         dom = build_domain(2, 8)
-        params = Params(1.0, 1.0)
         start = Field.from_interior(dom, np.full(dom.n_interior, math.log(0.25)))
-        g = assemble_source(dom, ONE_VORTEX)
+        problem = problem_on(dom)
         with pytest.raises(ConvergenceError, match="Newton step failed.*positive definite") as err:
-            newton_solve(start, g, params)
+            newton_solve(start, problem)
         assert np.array_equal(err.value.best.values, start.values)
-        assert err.value.residual == np.max(np.abs(residual(start, g, params)))
+        assert err.value.residual == np.max(np.abs(residual(start, problem)))
 
     def test_roundoff_above_zero_is_clipped(self):
         # a monotone iterate may sit 1e-24 above zero (seen at 2D R=80)
         dom = build_domain(2, 5)
-        params = Params(1.0, 1.0)
         start = np.zeros(dom.n_closure)
         start[dom.locate((5, 0))] = 1e-24
-        g = assemble_source(dom, ONE_VORTEX)
-        root = newton_solve(Field(dom, start), g, params)
-        from_zero = newton_solve(Field.zeros(dom), g, params)
+        problem = problem_on(dom)
+        root = newton_solve(Field(dom, start), problem)
+        from_zero = newton_solve(Field.zeros(dom), problem)
         assert np.array_equal(root.values, from_zero.values)
         # without vortices the clipped start is already a root, returned as is
-        root = newton_solve(Field(dom, start), assemble_source(dom, VortexConfig([])), params)
+        root = newton_solve(Field(dom, start), problem_on(dom, VortexConfig([])))
         assert not np.any(root.values)
         start[dom.locate((5, 0))] = 10 * FIELD_SIGN_TOL
         with pytest.raises(ValueError, match="nonpositive"):
-            newton_solve(Field(dom, start), g, params)
+            newton_solve(Field(dom, start), problem)
 
     def test_newton_steps_use_forcing_tolerances(self, monkeypatch):
         dom = build_domain(2, 40)
@@ -488,7 +466,7 @@ class TestNewtonOracle:
             return real(system, tol_rel, x0)
 
         monkeypatch.setattr(scheme_mod, "linear_solve", recording)
-        newton_solve(Field.zeros(dom), assemble_source(dom, ONE_VORTEX), Params(0.1, 1.0), tol=tol)
+        newton_solve(Field.zeros(dom), problem_on(dom, params=Params(0.1, 1.0)), tol=tol)
         assert len(steps) >= 3
         floored = 0
         for eta, rhs in steps:
@@ -505,8 +483,7 @@ class TestNewtonOracle:
         # from f_11, where the finish once started); CG on the full operator
         # took 214 matvecs from f_11, and 514 with every step solved to tol_rel 1e-12
         dom = build_domain(2, 40)
-        params = Params(0.1, 1.0)
-        sol = solve_bounded(dom, ONE_VORTEX, params)
+        sol = solve_bounded(problem_on(dom, params=Params(0.1, 1.0)))
         start = Field.from_interior(dom, np.minimum(sol.upper.interior_values, 0.0))
         real = linear_mod._apply_reduced
         matvecs = []
@@ -517,38 +494,35 @@ class TestNewtonOracle:
 
         monkeypatch.setattr(linear_mod, "_apply_reduced", counting)
         tol = NEWTON_TOL_FACTOR * 1e-10
-        g = assemble_source(dom, ONE_VORTEX)
-        root = newton_solve(start, g, params, tol=tol)
+        root = newton_solve(start, sol.problem, tol=tol)
         assert 0 < len(matvecs) <= 125
-        assert np.max(np.abs(residual(root, g, params))) <= tol
+        assert np.max(np.abs(residual(root, sol.problem))) <= tol
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf])
     def test_rejects_nonpositive_tol(self, b2, tol):
         # before iterating: 0 and -1 ran until "Newton stalled at residual
         # 1.8e-15", and inf returned the start as a root
         with pytest.raises(ValueError, match="tol must be (positive|a finite number)"):
-            newton_solve(Field.zeros(b2), assemble_source(b2, ONE_VORTEX), Params(1.0, 1.0),
-                         tol=tol)
+            newton_solve(Field.zeros(b2), problem_on(b2), tol=tol)
 
     def test_rejects_positive_start(self, b2):
         with pytest.raises(ValueError, match="nonpositive"):
-            newton_solve(Field(b2, np.ones(b2.n_closure)), assemble_source(b2, ONE_VORTEX),
-                         Params(1.0, 1.0))
+            newton_solve(Field(b2, np.ones(b2.n_closure)), problem_on(b2))
 
     def test_rejects_source_on_another_ball(self, b2, b3):
         # B_2 in Z^3 has as many interior points as B_3 in Z^2, 25
-        g3 = assemble_source(build_domain(3, 2), VortexConfig([((0, 0, 0), 1)]))
-        assert len(g3.interior_values) == b3.n_interior == 25
-        with pytest.raises(ValueError, match=r"start's ball B_3 of Z\^2, got one on B_2 of Z\^3"):
-            newton_solve(Field.zeros(b3), g3, Params(1.0, 1.0))
-        with pytest.raises(ValueError, match=r"start's ball B_2 of Z\^2, got one on B_3 of Z\^2"):
-            newton_solve(Field.zeros(b2), assemble_source(b3, ONE_VORTEX), Params(1.0, 1.0))
+        d3 = build_domain(3, 2)
+        assert d3.n_interior == b3.n_interior == 25
+        with pytest.raises(ValueError, match=r"problem's ball B_3 of Z\^2, got one on B_2 of Z\^3"):
+            newton_solve(Field.zeros(d3), problem_on(b3))
+        with pytest.raises(ValueError, match=r"problem's ball B_2 of Z\^2, got one on B_3 of Z\^2"):
+            newton_solve(Field.zeros(b3), problem_on(b2))
 
 
 def _no_newton(monkeypatch, newton=None):
     """Make every Newton finish of solve_bounded fail, or return newton(start)."""
 
-    def failing(f_init, g, params, **_kwargs):
+    def failing(f_init, problem, **_kwargs):
         if newton is not None:
             return newton(f_init)
         raise ConvergenceError("Newton disabled")
@@ -562,11 +536,10 @@ class TestCertificate:
         # each step solved far tighter than iterate_once's MONOTONE_TOL, and
         # bound what is left by sup_diff * rho / (1 - rho)
         dom = build_domain(2, 10)
-        params = Params(1.0, 1.0)
-        sol = solve_bounded(dom, ONE_VORTEX, params)
+        sol = solve_bounded(problem_on(dom))
         assert sol.certificate is not None
         assert sol.certificate.bound <= 1e-10
-        g = assemble_source(dom, ONE_VORTEX)
+        params, g = sol.problem.params, sol.problem.source
         f, sups = Field.zeros(dom), []
         while not sups or sups[-1] >= 1e-14:
             fp = f.interior_values
@@ -583,9 +556,8 @@ class TestCertificate:
 
     def test_two_vortices_within_default_max_steps(self):
         # the plain monotone stop rule needs 1024 steps here
-        dom = build_domain(2, 80)
         vc = VortexConfig([((0, 0), 2), ((3, 0), 1)])
-        sol = solve_bounded(dom, vc, Params(1.0, 1.0))
+        sol = solve_bounded(problem_on(build_domain(2, 80), vc))
         assert sol.certificate is not None
         assert sol.certificate.bound <= 1e-10
         assert sol.iterations <= 500
@@ -594,9 +566,8 @@ class TestCertificate:
         # the rounding allowance at the double vortex kept the bound
         # max w * max rho / min(A w) above 1e-10 for 1223 monotone steps;
         # the pointwise bound certifies the root of the first Newton run
-        dom = build_domain(2, 40)
         vc = VortexConfig([((0, 0), 2), ((3, 0), 1)])
-        sol = solve_bounded(dom, vc, Params(0.1, 1.0))
+        sol = solve_bounded(problem_on(build_domain(2, 40), vc, Params(0.1, 1.0)))
         assert sol.certificate is not None
         assert sol.certificate.bound <= 1e-10
         assert sol.iterations <= 145
@@ -604,7 +575,7 @@ class TestCertificate:
     def test_one_vortex_at_very_small_lambda(self):
         # the old bound stayed at 1.3e-10 from every bracket, and the solve
         # ran out of its 500 steps
-        sol = solve_bounded(build_domain(2, 80), ONE_VORTEX, Params(0.005, 1.0))
+        sol = solve_bounded(problem_on(build_domain(2, 80), params=Params(0.005, 1.0)))
         assert sol.certificate is not None
         assert sol.certificate.bound <= 1e-10
         assert sol.iterations < 500
@@ -612,11 +583,9 @@ class TestCertificate:
     @pytest.mark.parametrize("spoil", ["az_below_rho", "z_nonpositive"])
     def test_spoiled_z_is_refused(self, monkeypatch, spoil):
         dom = build_domain(2, 8)
-        params = Params(1.0, 1.0)
-        sol = solve_bounded(dom, ONE_VORTEX, params)
-        g = assemble_source(dom, ONE_VORTEX)
-        kept = scheme_mod._newton_root(sol.upper, g, params, 1e-10, None)
-        args = (kept, sol.upper, params, 1e-10)
+        sol = solve_bounded(problem_on(dom))
+        kept = scheme_mod._newton_root(sol.upper, sol.problem, 1e-10, None)
+        args = (kept, sol.upper, sol.problem, 1e-10)
         assert scheme_mod._certify(*args) is not None
         centre = dom.locate((0, 0))
         real = scheme_mod.linear_solve
@@ -644,9 +613,8 @@ class TestCertificate:
         # every step; a returned solution is always certified, so the solve
         # raises once the monotone steps have converged
         _no_newton(monkeypatch, newton=lambda start: start)
-        dom = build_domain(2, 5)
         with pytest.raises(ConvergenceError, match="no certified Newton root") as err:
-            solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0))
+            solve_bounded(problem_on(build_domain(2, 5)))
         last = err.value.trace[-1]
         assert f"step {last.k} " in str(err.value)
         assert last.sup_diff < 1e-10
@@ -655,14 +623,12 @@ class TestCertificate:
 
     def test_fallback_matches_plain_monotone_iteration(self, monkeypatch):
         _no_newton(monkeypatch)
-        dom = build_domain(2, 5)
-        params = Params(1.0, 1.0)
+        problem = problem_on(build_domain(2, 5))
         with pytest.raises(ConvergenceError) as err:
-            solve_bounded(dom, ONE_VORTEX, params)
-        g = assemble_source(dom, ONE_VORTEX)
-        f = Field.zeros(dom)
+            solve_bounded(problem)
+        f = Field.zeros(problem.domain)
         for _ in range(err.value.trace[-1].k):
-            f = iterate_once(f, g, params)
+            f = iterate_once(f, problem)
         assert np.array_equal(err.value.best.values, f.values)
 
     def test_stalled_fallback_fails_fast(self, monkeypatch):
@@ -670,9 +636,8 @@ class TestCertificate:
         # stands, ||r||_2 <= K MONOTONE_TOL = 2e-10; with tol_nonlinear 1e-14
         # the residual is then still above the stop rule's target 1e-12
         _no_newton(monkeypatch)
-        dom = build_domain(2, 6)
         with pytest.raises(ConvergenceError, match="no certified Newton root") as err:
-            solve_bounded(dom, ONE_VORTEX, Params(1.0, 1.0), tol_nonlinear=1e-14)
+            solve_bounded(problem_on(build_domain(2, 6)), tol_nonlinear=1e-14)
         last = err.value.trace[-1]
         assert last.sup_diff == 0.0
         assert last.k < 500
@@ -691,7 +656,7 @@ class TestNewtonSchedule:
             return real(*args)
 
         monkeypatch.setattr(linear_mod, "_apply_reduced", counting)
-        sol = solve_bounded(build_domain(2, 40), ONE_VORTEX, Params(0.1, 1.0))
+        sol = solve_bounded(problem_on(build_domain(2, 40), params=Params(0.1, 1.0)))
         assert sol.certificate is not None
         assert sol.iterations == 1
         assert len(applications) <= 200
@@ -700,19 +665,18 @@ class TestNewtonSchedule:
         real = scheme_mod.newton_solve
         starts = []
 
-        def first_fails(f_init, g, params, **kwargs):
+        def first_fails(f_init, problem, **kwargs):
             starts.append(f_init.values.copy())
             if len(starts) == 1:
                 raise ConvergenceError("first Newton run disabled")
-            return real(f_init, g, params, **kwargs)
+            return real(f_init, problem, **kwargs)
 
         monkeypatch.setattr(scheme_mod, "newton_solve", first_fails)
-        dom, params = build_domain(2, 10), Params(1.0, 1.0)
-        sol = solve_bounded(dom, ONE_VORTEX, params)
+        problem = problem_on(build_domain(2, 10))
+        sol = solve_bounded(problem)
         assert sol.certificate is not None and len(starts) == 2
         # the first run came after step 1, the second after step 2, from min(f_2, 0)
-        g = assemble_source(dom, ONE_VORTEX)
-        f_1 = iterate_once(Field.zeros(dom), g, params)
+        f_1 = iterate_once(Field.zeros(problem.domain), problem)
         assert np.array_equal(starts[0], np.minimum(f_1.values, 0.0))
         assert sol.iterations == 2
         assert np.array_equal(starts[1], np.minimum(sol.upper.values, 0.0))
@@ -728,7 +692,7 @@ class TestNewtonSchedule:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(scheme_mod, "newton_solve", counting)
-        sol = solve_bounded(build_domain(2, 20), VortexConfig([((0, 0), 3)]), Params(1.0, 1.0))
+        sol = solve_bounded(problem_on(build_domain(2, 20), VortexConfig([((0, 0), 3)])))
         assert sol.certificate is not None
         assert sol.certificate.bound <= 1e-10
         assert len(runs) == 1
@@ -740,7 +704,7 @@ class TestNewtonSchedule:
         dom = build_domain(2, 10)
         vc = VortexConfig([((0, 0), multiplicity)])
         for lam, a in itertools.product([0.05, 1.0, 5.0], [0.2, 1.0, 5.0]):
-            sol = solve_bounded(dom, vc, Params(lam, a))
+            sol = solve_bounded(problem_on(dom, vc, Params(lam, a)))
             assert sol.certificate is not None, (lam, a)
             assert sol.certificate.bound <= 1e-10
             assert np.max(sol.field.values) <= 0.0

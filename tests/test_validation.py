@@ -18,7 +18,6 @@ from cslattice import (
     LinearSystem,
     Params,
     VortexConfig,
-    assemble_source,
     barrier_check,
     barrier_constant,
     build_domain,
@@ -35,6 +34,8 @@ from cslattice import (
 )
 from cslattice.exhaustion import validate_radii
 
+from conftest import problem_on
+
 ONE_VORTEX = VortexConfig([((0, 0), 1)])
 PARAMS = Params(1.0, 1.0)
 DOM = build_domain(2, 3)
@@ -43,7 +44,7 @@ RHS = np.ones(DOM.n_interior)
 
 @functools.cache
 def _solution():
-    return solve_bounded(build_domain(2, 8), ONE_VORTEX, PARAMS)
+    return solve_bounded(problem_on(build_domain(2, 8)))
 
 
 # parameter id: (call with the value, the name its error starts with, a value
@@ -63,12 +64,11 @@ INPUTS = {
     "LinearSystem.K": (lambda v: LinearSystem(DOM, v, RHS), "K", 0.0, np.float32(2.0)),
     "linear_solve.tol_rel": (lambda v: linear_solve(LinearSystem(DOM, 1.0, RHS), v),
                              "tol_rel", 0.0, np.float64(0.5)),
-    "solve_bounded.tol_nonlinear": (lambda v: solve_bounded(DOM, ONE_VORTEX, PARAMS, v),
+    "solve_bounded.tol_nonlinear": (lambda v: solve_bounded(problem_on(DOM), v),
                                     "tol_nonlinear", 0.0, np.float64(1e-10)),
-    "solve_bounded.max_steps": (lambda v: solve_bounded(DOM, ONE_VORTEX, PARAMS, max_steps=v),
+    "solve_bounded.max_steps": (lambda v: solve_bounded(problem_on(DOM), max_steps=v),
                                 "max_steps", 0, np.int64(50)),
-    "newton_solve.tol": (lambda v: newton_solve(Field.zeros(DOM), assemble_source(DOM, ONE_VORTEX),
-                                                PARAMS, v),
+    "newton_solve.tol": (lambda v: newton_solve(Field.zeros(DOM), problem_on(DOM), v),
                          "tol", 0.0, np.float64(1e-10)),
     "validate_radii.radii": (lambda v: validate_radii([v, 6], ONE_VORTEX), "radii[0]", -1,
                              np.int64(2)),
